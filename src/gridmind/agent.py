@@ -155,7 +155,6 @@ class AgentRuntime:
             self.weights,
             task_refs=self._task_refs(),
             threshold=cfg.attention_threshold,
-            near_distance=cfg.near_distance,
         )
         t_graph, s_graph, c_graph, facts_by_entity = perceive.build_dimension_graphs(
             obs, ft, fs, fc, near_distance=cfg.near_distance

@@ -70,25 +70,31 @@ def detect_contradictions(
 
     Detection never deletes anything; the pairs are reported in
     deterministic (key, key) order.
+
+    Both patterns are key lookups, not a scan over all pairs: each relation
+    maps to its exclusion partners, and for every string-object fact whose
+    relation has partners the key index is asked for (subject, partner,
+    object) and for the reverse (object, relation, subject). An opposite
+    must have a string object too: the symbol "5" and the int 5 share a
+    key token but are not the same object.
     """
-    opposites: set[frozenset[str]] = {frozenset(pair) for pair in exclusion_pairs}
-    oriented = {r for pair in exclusion_pairs for r in pair}
-    facts = graph.facts()
+    partners: dict[str, set[str]] = {}
+    for a, b in exclusion_pairs:
+        partners.setdefault(a, set()).add(b)
+        partners.setdefault(b, set()).add(a)
+    index = {f.key(): f for f in graph.facts()}
     found: dict[tuple, tuple[Fact, Fact]] = {}
-    index = {f.key(): f for f in facts}
-    for fact in facts:
-        if not isinstance(fact.obj, str):
+    for key, fact in index.items():
+        subject, relation, obj = fact.subject, fact.relation, fact.obj
+        if not isinstance(obj, str) or relation not in partners:
             continue
-        for other in facts:
-            if not isinstance(other.obj, str) or fact.key() >= other.key():
-                continue
-            same_pair = fact.subject == other.subject and fact.obj == other.obj
-            if same_pair and frozenset((fact.relation, other.relation)) in opposites:
-                found[(fact.key(), other.key())] = (fact, other)
-        if fact.relation in oriented and fact.subject != fact.obj:
-            reverse = index.get((fact.obj, fact.relation, fact.subject))
-            if reverse is not None and fact.key() < reverse.key():
-                found[(fact.key(), reverse.key())] = (fact, reverse)
+        for partner in partners[relation]:
+            other = index.get((subject, partner, obj))
+            if other is not None and isinstance(other.obj, str) and key < other.key():
+                found[(key, other.key())] = (fact, other)
+        reverse = index.get((obj, relation, subject))
+        if reverse is not None and key < reverse.key():
+            found[(key, reverse.key())] = (fact, reverse)
     return [found[k] for k in sorted(found)]
 
 

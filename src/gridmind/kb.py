@@ -61,7 +61,17 @@ class Fact:
     origin: str = "asserted"
 
     def key(self) -> tuple[str, str, str]:
-        return (self.subject, self.relation, canonical.fmt_literal(self.obj))
+        """Identity key, computed on first use and kept on the instance.
+
+        The cache is not a dataclass field, so eq, hash, repr and
+        `replace` ignore it; a copy made by `replace` computes its own.
+        """
+        try:
+            return self._key
+        except AttributeError:
+            key = (self.subject, self.relation, canonical.fmt_literal(self.obj))
+            object.__setattr__(self, "_key", key)
+            return key
 
     def validate(self) -> None:
         if not self.subject:

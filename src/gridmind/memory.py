@@ -30,7 +30,10 @@ class WorkingMemory:
     """Salience-ordered buffer, never larger than its capacity.
 
     Order (best first): effective salience desc, last-touched desc,
-    identity key asc. Eviction removes the worst-ordered item.
+    identity key asc. Eviction removes the worst-ordered item, found by one
+    linear scan for the largest rank rather than by sorting; the rank ends
+    in the unique identity key, so it has no ties and the scan picks the
+    item a full sort would put last.
     """
 
     def __init__(self, capacity: int = 64, decay: float = 0.95) -> None:
@@ -66,17 +69,19 @@ class WorkingMemory:
             fact=fact, salience=salience, inserted=tick, touched=tick
         )
         while len(self._items) > self.capacity:
-            worst = self.ordered(tick)[-1]
+            worst = max(self._items.values(), key=self._rank(tick))
             del self._items[worst.fact.key()]
 
     def ordered(self, now: int) -> list[WorkingMemoryItem]:
-        return sorted(
-            self._items.values(),
-            key=lambda item: (
-                -item.effective_salience(now, self.decay),
-                -item.touched,
-                item.fact.key(),
-            ),
+        return sorted(self._items.values(), key=self._rank(now))
+
+    def _rank(self, now: int):
+        """Sort key of an item at tick `now`: smaller ranks first."""
+        decay = self.decay
+        return lambda item: (
+            -item.effective_salience(now, decay),
+            -item.touched,
+            item.fact.key(),
         )
 
     def snapshot_facts(self) -> list[Fact]:

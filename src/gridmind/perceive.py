@@ -159,7 +159,6 @@ class BoundObject:
     location: tuple[int, int] | None
     region: str | None
     ego: tuple[int, int] | None
-    relations: tuple[tuple[str, str], ...]
     concept: ConceptRecord | None
     score: float
     below_threshold: bool
@@ -331,7 +330,6 @@ def attend_and_bind(
     weights: dict[str, float],
     task_refs: frozenset[str] = frozenset(),
     threshold: float = 0.25,
-    near_distance: float = 2.0,
 ) -> list[BoundObject]:
     """Bind per-entity features into one object per entity.
 
@@ -372,12 +370,6 @@ def attend_and_bind(
             salience = {d: max(s, SALIENCE_TASK) for d, s in salience.items()}
 
         score = attention_score(presence, salience, weights)
-        relations: list[tuple[str, str]] = []
-        if entity in fs.supports:
-            relations.append(("OnTopOf", fs.supports[entity]))
-        for other in entities:
-            if other != entity and fs.distances.get((entity, other), math.inf) < near_distance:
-                relations.append(("Near", other))
         bound.append(
             BoundObject(
                 entity=entity,
@@ -385,7 +377,6 @@ def attend_and_bind(
                 location=location.cell if location else None,
                 region=location.region if location else None,
                 ego=location.ego if location else None,
-                relations=tuple(relations),
                 concept=record,
                 score=score,
                 below_threshold=score < threshold,

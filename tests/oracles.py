@@ -7,8 +7,10 @@ shares no code path with the engine implementation it validates.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+from gridmind import canonical
 from gridmind.kb import Fact, SemanticGraph
 
 
@@ -168,3 +170,74 @@ def random_spatial_graph(rng: random.Random, max_entities: int = 8) -> SemanticG
         confidence = round(rng.uniform(0.2, 1.0), 3)
         graph.insert(Fact(a, relation, b, confidence, 0, "perceived"))
     return graph
+
+
+def all_pairs_contradictions(
+    graph: SemanticGraph, exclusion_pairs: list[tuple[str, str]]
+) -> list[tuple[Fact, Fact]]:
+    """Contradiction pairs by comparing every pair of facts.
+
+    Opposite relations on the same (subject, object), both objects
+    strings, plus an oriented relation asserted in both directions; the
+    pairs come out in (key, key) order.
+    """
+    opposites = {frozenset(pair) for pair in exclusion_pairs}
+    oriented = {r for pair in exclusion_pairs for r in pair}
+    facts = graph.facts()
+    found: dict[tuple, tuple[Fact, Fact]] = {}
+    index = {f.key(): f for f in facts}
+    for fact in facts:
+        if not isinstance(fact.obj, str):
+            continue
+        for other in facts:
+            if not isinstance(other.obj, str) or fact.key() >= other.key():
+                continue
+            same_pair = fact.subject == other.subject and fact.obj == other.obj
+            if same_pair and frozenset((fact.relation, other.relation)) in opposites:
+                found[(fact.key(), other.key())] = (fact, other)
+        if fact.relation in oriented and fact.subject != fact.obj:
+            reverse = index.get((fact.obj, fact.relation, fact.subject))
+            if reverse is not None and fact.key() < reverse.key():
+                found[(fact.key(), reverse.key())] = (fact, reverse)
+    return [found[k] for k in sorted(found)]
+
+
+class SortingWorkingMemory:
+    """Working memory that sorts every item to find the one to evict.
+
+    Items are [fact, salience, inserted, touched] keyed by the identity
+    key, which is formatted here rather than read from Fact.key().
+    """
+
+    def __init__(self, capacity: int, decay: float) -> None:
+        self.capacity = capacity
+        self.decay = decay
+        self.items: dict[tuple[str, str, str], list] = {}
+
+    @staticmethod
+    def identity(fact: Fact) -> tuple[str, str, str]:
+        return (fact.subject, fact.relation, canonical.fmt_literal(fact.obj))
+
+    def insert(self, fact: Fact, salience: float, tick: int) -> None:
+        key = self.identity(fact)
+        if key in self.items:
+            item = self.items[key]
+            old = item[0]
+            keep = fact if fact.confidence > old.confidence else old
+            item[0] = replace(keep, tick=max(old.tick, fact.tick))
+            item[1] = max(item[1], salience)
+            item[3] = max(item[3], tick)
+            return
+        self.items[key] = [fact, salience, tick, tick]
+        while len(self.items) > self.capacity:
+            del self.items[self.ordered(tick)[-1]]
+
+    def ordered(self, now: int) -> list[tuple[str, str, str]]:
+        """Keys best first: decayed salience desc, touched desc, key asc."""
+
+        def rank(key):
+            _, salience, _, touched = self.items[key]
+            effective = salience * (self.decay ** max(0, now - touched))
+            return (-effective, -touched, key)
+
+        return sorted(self.items, key=rank)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmind.cognition import aggregate, assess_hazards, detect_contradictions
 from gridmind.kb import Fact, SemanticGraph, ValidationError
+from gridmind.reason import SPATIAL_VOCABULARY
 from gridmind.rulefmt import parse_hazard_rules
+from oracles import all_pairs_contradictions
 
 
 def graph(dimension, *triples):
@@ -85,6 +89,31 @@ class TestContradictions:
         g = graph("unified", ("a", "LeftOf", "b"), ("a", "RightOf", "b"))
         detect_contradictions(g, rule_data.exclusions)
         assert len(g) == 2
+
+    def test_symbol_and_number_with_one_key_token_are_not_opposites(self, rule_data):
+        g = graph("unified", ("a", "LeftOf", "5"), ("a", "RightOf", 5))
+        assert detect_contradictions(g, rule_data.exclusions) == []
+
+
+RELATIONS = sorted(SPATIAL_VOCABULARY)
+# "5" and 5 share the key token "5", "5.000000" and 5.0 share theirs
+SUBJECTS = ["a", "b", "c", "5"]
+OBJECTS = SUBJECTS + [5, 5.0, "5.000000", 7]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    triples=st.lists(
+        st.tuples(st.sampled_from(SUBJECTS), st.sampled_from(RELATIONS), st.sampled_from(OBJECTS)),
+        max_size=30,
+    ),
+    exclusions=st.lists(
+        st.tuples(st.sampled_from(RELATIONS), st.sampled_from(RELATIONS)), max_size=6
+    ),
+)
+def test_indexed_detector_matches_all_pairs_oracle(triples, exclusions):
+    g = graph("unified", *triples)
+    assert detect_contradictions(g, exclusions) == all_pairs_contradictions(g, exclusions)
 
 
 HOT_COFFEE_T = (("child1", "has_state", "moving"),)

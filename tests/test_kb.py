@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,33 @@ class TestInsert:
     def test_negative_tick_rejected(self):
         with pytest.raises(ValidationError):
             fact("a", "isa", "b", 1.0, -1).validate()
+
+
+class TestKeyCache:
+    def test_key_is_computed_once_and_reused(self):
+        f = fact("cup1", "at", 3.5)
+        assert f.key() is f.key()
+        assert f.key() == ("cup1", "at", "3.500000")
+
+    def test_replaced_copy_gets_its_own_key(self):
+        f = fact("cup1", "at", "1,2")
+        f.key()
+        moved = replace(f, obj="3,4")
+        assert moved.key() == ("cup1", "at", "3,4")
+        assert f.key() == ("cup1", "at", "1,2")
+
+    def test_eq_hash_and_repr_ignore_the_cache(self):
+        cached, fresh = fact("cup1", "isa", "cup"), fact("cup1", "isa", "cup")
+        before = repr(cached)
+        cached.key()
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == before == repr(fresh)
+
+    def test_invalid_literal_still_raises(self):
+        with pytest.raises(TypeError):
+            fact("cup1", "isa", True).validate()
+        with pytest.raises(TypeError):
+            fact("cup1", "isa", True).key()
 
 
 class TestSerialization:

@@ -17,6 +17,7 @@ from gridmind.memory import (
     ltm_retrieve,
     retrieve_episodes,
 )
+from oracles import SortingWorkingMemory
 
 
 def fact(s, r, o, conf=1.0, tick=0, origin="perceived"):
@@ -81,6 +82,34 @@ def test_capacity_bound_holds_under_random_streams(ops):
     for subject, salience, tick in ops:
         wm.insert(fact(f"e{subject}", "isa", "thing"), salience, tick)
         assert len(wm) <= 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 6),
+    decay=st.sampled_from([0.5, 0.95, 1.0]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+            st.sampled_from(["x", 5, 5.0, "5"]),
+            st.sampled_from([0.25, 0.5, 1.0]),
+            st.sampled_from([0.0, 0.5, 1.0]),
+            st.integers(0, 4),
+        ),
+        max_size=60,
+    ),
+)
+def test_eviction_scan_matches_sorting_reference(capacity, decay, ops):
+    """Tied saliences and ticks, evicted keys inserted again."""
+    wm = WorkingMemory(capacity=capacity, decay=decay)
+    reference = SortingWorkingMemory(capacity, decay)
+    for subject, obj, confidence, salience, tick in ops:
+        item = fact(subject, "at", obj, confidence, tick)
+        wm.insert(item, salience, tick)
+        reference.insert(item, salience, tick)
+        assert [(i.fact, i.salience, i.inserted, i.touched) for i in wm.items()] == [
+            tuple(reference.items[k]) for k in sorted(reference.items)
+        ]
 
 
 def test_ordering_is_total_and_reproducible():
