@@ -21,7 +21,7 @@ from .decide import Plan, PlannerError, PlannerQuery, TaskInstruction
 from .kb import Atom, Fact, SemanticGraph
 from .memory import Episode, LongTermMemory, WorkingMemory, consolidate, ltm_retrieve, retrieve_episodes
 from .metacog import Anomaly, Directive, TickState
-from .reason import SPATIAL_VOCABULARY, EventSequenceModel, TemporalInconsistencyError
+from .reason import SPATIAL_VOCABULARY, EventSequenceModel
 from .rulefmt import (
     parse_composition,
     parse_exclusions,
@@ -43,7 +43,6 @@ class RuleData:
     dependency_rules: list = field(default_factory=list)
     concept_rules: list = field(default_factory=list)
     hazard_rules: list = field(default_factory=list)
-    integration_rules: list = field(default_factory=list)
     composition: dict[tuple[str, str], str] = field(default_factory=dict)
     exclusions: list[tuple[str, str]] = field(default_factory=list)
     lexicon: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -55,7 +54,6 @@ class RuleData:
             dependency_rules=parse_rules(root.joinpath("rules_dependency.txt").read_text()),
             concept_rules=parse_rules(root.joinpath("rules_concept.txt").read_text()),
             hazard_rules=parse_hazard_rules(root.joinpath("rules_hazard.txt").read_text()),
-            integration_rules=[],
             composition=parse_composition(root.joinpath("composition.txt").read_text()),
             exclusions=parse_exclusions(root.joinpath("exclusions.txt").read_text()),
             lexicon=parse_lexicon(root.joinpath("affordances.txt").read_text()),
@@ -180,12 +178,6 @@ class AgentRuntime:
             c_graph.insert(fact)
         spatial_derived = reason.compose_spatial(s_graph, self.data.composition)
 
-        cycle_payload: tuple[str, ...] | None = None
-        try:
-            reason.temporal_closure(reason.order_from_events(ft.events))
-        except TemporalInconsistencyError as exc:
-            cycle_payload = exc.cycle
-
         trajectories = self._predict_trajectories(obs)
         collision_facts = self._collision_facts(trajectories, tick)
         for fact in collision_facts:
@@ -194,16 +186,13 @@ class AgentRuntime:
         observed_kinds = tuple(
             e.kind for e in sorted(ft.starting_at(tick), key=lambda e: (e.entity, e.kind))
         )
-        self._train_stream(observed_kinds)
-
-        unified = aggregate(
-            t_graph,
-            s_graph,
-            c_graph,
-            integration_rules=self.data.integration_rules,
-            exclusion_pairs=self.data.exclusions,
-            max_iterations=cfg.chain_max_iterations,
+        # train on the new kinds with the k kinds before them as context
+        self.stream.extend(observed_kinds)
+        reason.train_sequence_model(
+            self.seq_model, self.stream[-(len(observed_kinds) + self.seq_model.order) :]
         )
+
+        unified = aggregate(t_graph, s_graph, c_graph, exclusion_pairs=self.data.exclusions)
         hazards = (
             assess_hazards(unified, self.data.hazard_rules, cfg.chain_max_iterations)
             if self.hazards_enabled
@@ -219,7 +208,6 @@ class AgentRuntime:
             predicted_positions=self.last_position_predictions,
             observed_positions={e: obs.readings[e].position for e in obs.entities()},
             contradictions=unified.contradictions,
-            temporal_cycle=cycle_payload,
             action_failure=(
                 (action.name if action else "action", result.reason or "failed")
                 if result is not None and result.failed
@@ -235,8 +223,7 @@ class AgentRuntime:
         self.cycle_anomalies.extend(anomalies)
 
         new_facts = sorted(
-            dep_derived + concept_derived + spatial_derived + collision_facts
-            + unified.derived + hazards,
+            dep_derived + concept_derived + spatial_derived + collision_facts + hazards,
             key=lambda f: f.key(),
         )
         self._refresh_memory(bound, facts_by_entity, new_facts, hazards, tick)
@@ -294,16 +281,6 @@ class AgentRuntime:
                 if report.risks:
                     facts.append(Fact(a, "CollisionRisk", b, 1.0, tick, "derived"))
         return facts
-
-    def _train_stream(self, kinds: tuple[str, ...]) -> None:
-        k = self.seq_model.order
-        for kind in kinds:
-            self.stream.append(kind)
-            self.seq_model.kinds.add(kind)
-            if len(self.stream) >= k + 1:
-                context = tuple(self.stream[-k - 1 : -1])
-                slot = self.seq_model.counts.setdefault(context, {})
-                slot[kind] = slot.get(kind, 0) + 1
 
     def _store_predictions(
         self, obs: perceive.Observation, trajectories: dict[str, reason.Trajectory]
@@ -509,7 +486,7 @@ def run_scenario(
         hazards_enabled=hazards_enabled,
         data=data,
     )
-    if ltm_lines:
+    if ltm_lines is not None:
         from .kb import graph_from_lines
 
         runtime.ltm.semantic = graph_from_lines(ltm_lines, "unified")
@@ -527,6 +504,9 @@ def run_scenario(
         "planner": planner_name,
         "config": config.to_echo(),
     }
+    if ltm_lines is not None:
+        # the seed as canonical fact lines, so a replay starts from it too
+        header["ltm"] = runtime.ltm.semantic.to_lines()
     lines = [canonical.dumps(header)]
     if tasks:
         runtime.task = tasks[0]

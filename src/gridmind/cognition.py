@@ -1,10 +1,9 @@
 """Semantic cognition: aggregate the dimension graphs into one picture.
 
 The unified graph is the identity-keyed union (max-merge) of the temporal,
-spatial, and conceptual graphs, extended by integration rules chained to a
-fixpoint. Cross-dimension correspondence is tracked per entity, spatial
-contradictions are detected (never deleted), and hazard rules spanning at
-least two dimensions produce hazard facts.
+spatial, and conceptual graphs. Spatial contradictions are detected (never
+deleted), and hazard rules spanning at least two dimensions produce hazard
+facts.
 """
 
 from __future__ import annotations
@@ -17,21 +16,16 @@ from .kb import Fact, Rule, SemanticGraph, ValidationError, forward_chain
 @dataclass
 class UnifiedCognition:
     graph: SemanticGraph
-    correspondence: dict[str, frozenset[str]] = field(default_factory=dict)
     contradictions: list[tuple[Fact, Fact]] = field(default_factory=list)
-    hazards: list[Fact] = field(default_factory=list)
-    derived: list[Fact] = field(default_factory=list)
 
 
 def aggregate(
     t: SemanticGraph,
     s: SemanticGraph,
     c: SemanticGraph,
-    integration_rules: list[Rule] | None = None,
     exclusion_pairs: list[tuple[str, str]] | None = None,
-    max_iterations: int = 100,
 ) -> UnifiedCognition:
-    """Union the three dimension graphs and chain integration rules."""
+    """Union the three dimension graphs and detect contradictions."""
     expected = (("temporal", t), ("spatial", s), ("conceptual", c))
     for dimension, graph in expected:
         if graph.dimension != dimension:
@@ -39,20 +33,11 @@ def aggregate(
                 f"aggregate expects a {dimension} graph, got {graph.dimension}"
             )
     unified = SemanticGraph("unified")
-    correspondence: dict[str, set[str]] = {}
-    for tag, graph in (("T", t), ("S", s), ("C", c)):
+    for _, graph in expected:
         unified.merge(graph)
-        for entity in graph.entities:
-            correspondence.setdefault(entity, set()).add(tag)
-    derived: list[Fact] = []
-    if integration_rules:
-        derived = forward_chain(unified, integration_rules, max_iterations).derived
-    contradictions = detect_contradictions(unified, exclusion_pairs or [])
     return UnifiedCognition(
         graph=unified,
-        correspondence={e: frozenset(tags) for e, tags in sorted(correspondence.items())},
-        contradictions=contradictions,
-        derived=derived,
+        contradictions=detect_contradictions(unified, exclusion_pairs or []),
     )
 
 
@@ -113,6 +98,4 @@ def assess_hazards(
                 f"hazard rule {rule.name} touches only {sorted(rule.dimensions())}"
             )
     derived = forward_chain(unified.graph, hazard_rules, max_iterations).derived
-    hazards = [f for f in derived if f.relation == "hazard"]
-    unified.hazards.extend(hazards)
-    return hazards
+    return [f for f in derived if f.relation == "hazard"]

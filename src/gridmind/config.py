@@ -11,8 +11,6 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from . import canonical
-
 
 class ConfigError(ValueError):
     pass
@@ -104,7 +102,3 @@ def load_config_file(path: str, base: EngineConfig | None = None) -> EngineConfi
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     return base.with_overrides(data)
-
-
-def echo_line(config: EngineConfig) -> str:
-    return canonical.dumps(config.to_echo())

@@ -576,10 +576,6 @@ class TcpPlanner:
                 self._file = None
 
 
-def plan_external(query: PlannerQuery, planner: SubprocessPlanner | TcpPlanner) -> Plan:
-    return planner.plan(query)
-
-
 # ---------------------------------------------------------------------------
 # execution
 

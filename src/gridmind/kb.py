@@ -193,12 +193,6 @@ class SemanticGraph:
         new = self._facts[key]
         return old is None or new.confidence > old.confidence or new.tick > old.tick
 
-    def copy(self) -> "SemanticGraph":
-        clone = SemanticGraph(self.dimension)
-        clone._facts = dict(self._facts)
-        clone.entities = set(self.entities)
-        return clone
-
     def merge(self, other: "SemanticGraph") -> None:
         for fact in other.facts():
             self.insert(fact)
@@ -212,11 +206,6 @@ class SemanticGraph:
 
     def to_lines(self) -> list[str]:
         return [f.to_line() for f in self.facts()]
-
-
-def insert_fact(graph: SemanticGraph, fact: Fact) -> SemanticGraph:
-    graph.insert(fact)
-    return graph
 
 
 def graph_from_lines(lines: list[str], dimension: str = "unified") -> SemanticGraph:
@@ -439,10 +428,3 @@ def query(graph: SemanticGraph, pattern: Atom) -> list[dict[str, Literal]]:
             unique.append(binding)
     unique.sort(key=lambda b: tuple(canonical.fmt_literal(b[v]) for v in order))
     return unique
-
-
-def union(dimension: str, *graphs: SemanticGraph) -> SemanticGraph:
-    out = SemanticGraph(dimension)
-    for graph in graphs:
-        out.merge(graph)
-    return out

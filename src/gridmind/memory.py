@@ -95,11 +95,6 @@ class WorkingMemory:
         return {key: now - item.touched for key, item in sorted(self._items.items())}
 
 
-def wm_insert(wm: WorkingMemory, fact: Fact, salience: float, tick: int) -> WorkingMemory:
-    wm.insert(fact, salience, tick)
-    return wm
-
-
 @dataclass
 class Episode:
     task_kind: str

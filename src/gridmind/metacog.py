@@ -24,13 +24,6 @@ ANOMALY_KINDS = (
     "StaleWorkingMemory",
 )
 
-DIRECTIVE_KINDS = (
-    "ReweightAttention",
-    "TriggerReplan",
-    "RetrieveFromLTM",
-    "DecayPredictionConfidence",
-)
-
 WEIGHT_DIMS = ("temporal", "spatial", "conceptual")
 
 

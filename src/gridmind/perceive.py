@@ -1,10 +1,10 @@
 """Semantic perception: three parallel feature pathways plus binding.
 
-Observations are split into temporal (events/durations/intervals), spatial
-(distances/directions/locations), and conceptual (category/material/shape/
-function) features. A deterministic weighted-salience attention pass then
-binds the per-entity features into one BoundObject per entity; downstream
-layers receive both the bound objects and per-dimension fact graphs.
+Observations are split into temporal (events), spatial (distances/
+directions/locations), and conceptual (category/material/shape/function)
+features. A deterministic weighted-salience attention pass then binds the
+per-entity features into one BoundObject per entity; downstream layers
+receive both the bound objects and per-dimension fact graphs.
 
 Graph emission policy (what becomes a fact):
 
@@ -33,9 +33,6 @@ SALIENCE_TASK = 1.0
 SALIENCE_DEFAULT = 0.3
 STATE_SALIENCE_FLAGS = frozenset({"hot", "wet", "powered"})
 
-ATTRIBUTE_KEYS = ("category", "color", "size", "material", "shape")
-
-COMPASS = ("N", "NE", "E", "SE", "S", "SW", "W", "NW")
 _OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E", "NE": "SW", "SW": "NE", "NW": "SE", "SE": "NW"}
 # heading of b as seen from a -> relation(a, b)
 _HEADING_RELATION = {"E": "LeftOf", "W": "RightOf", "S": "Above", "N": "Below"}
@@ -99,15 +96,10 @@ class Event:
     def closed(self) -> bool:
         return self.end is not None
 
-    def duration(self) -> int | None:
-        return None if self.end is None else self.end - self.start
-
 
 @dataclass
 class TemporalFeatures:
     events: list[Event] = field(default_factory=list)
-    durations: dict[str, int] = field(default_factory=dict)
-    intervals: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def events_for(self, entity: str) -> list[Event]:
         return [e for e in self.events if e.entity == entity]
@@ -121,8 +113,6 @@ class TemporalFeatures:
 
 @dataclass
 class Location:
-    cell: tuple[int, int]
-    region: str | None
     ego: tuple[int, int]
 
 
@@ -155,11 +145,6 @@ class ConceptualFeatures:
 @dataclass(frozen=True)
 class BoundObject:
     entity: str
-    events: tuple[str, ...]
-    location: tuple[int, int] | None
-    region: str | None
-    ego: tuple[int, int] | None
-    concept: ConceptRecord | None
     score: float
     below_threshold: bool
 
@@ -223,20 +208,12 @@ def extract_temporal(window: list[Observation]) -> TemporalFeatures:
             if open_start is not None:
                 raw.append((open_start, entity, _event_kind(flag), None))
     raw.sort(key=lambda r: (r[0], r[1], r[2]))
-    features = TemporalFeatures()
-    for n, (start, entity, kind, end) in enumerate(raw, start=1):
-        event = Event(event_id=f"ev{n}", entity=entity, kind=kind, start=start, end=end)
-        features.events.append(event)
-        if event.closed:
-            features.durations[event.event_id] = event.duration()  # type: ignore[assignment]
-    for first in features.events:
-        if not first.closed:
-            continue
-        for second in features.events:
-            if second.event_id == first.event_id:
-                continue
-            features.intervals[(first.event_id, second.event_id)] = second.start - first.end  # type: ignore[operator]
-    return features
+    return TemporalFeatures(
+        events=[
+            Event(event_id=f"ev{n}", entity=entity, kind=kind, start=start, end=end)
+            for n, (start, entity, kind, end) in enumerate(raw, start=1)
+        ]
+    )
 
 
 def _event_kind(flag: str) -> str:
@@ -256,9 +233,7 @@ def extract_spatial(obs: Observation, agent: str) -> SpatialFeatures:
     for entity in entities:
         reading = obs.readings[entity]
         x, y = reading.position
-        features.locations[entity] = Location(
-            cell=(x, y), region=reading.region, ego=(x - ax, y - ay)
-        )
+        features.locations[entity] = Location(ego=(x - ax, y - ay))
         if reading.on is not None:
             features.supports[entity] = reading.on
     for a in entities:
@@ -370,18 +345,7 @@ def attend_and_bind(
             salience = {d: max(s, SALIENCE_TASK) for d, s in salience.items()}
 
         score = attention_score(presence, salience, weights)
-        bound.append(
-            BoundObject(
-                entity=entity,
-                events=tuple(e.event_id for e in open_events),
-                location=location.cell if location else None,
-                region=location.region if location else None,
-                ego=location.ego if location else None,
-                concept=record,
-                score=score,
-                below_threshold=score < threshold,
-            )
-        )
+        bound.append(BoundObject(entity, score, below_threshold=score < threshold))
     bound.sort(key=lambda b: (-b.score, b.entity))
     return bound
 

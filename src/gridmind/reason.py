@@ -228,9 +228,6 @@ class Trajectory:
     positions: dict[int, tuple[int, int]] = field(default_factory=dict)
     low_confidence: bool = False
 
-    def ticks(self) -> list[int]:
-        return sorted(self.positions)
-
 
 @dataclass
 class CollisionReport:

@@ -196,20 +196,8 @@ def load_rules(path: str) -> list[Rule]:
     return parse_rules(_read(path), path)
 
 
-def load_hazard_rules(path: str) -> list[Rule]:
-    return parse_hazard_rules(_read(path), path)
-
-
 def load_composition(path: str) -> dict[tuple[str, str], str]:
     return parse_composition(_read(path), path)
-
-
-def load_exclusions(path: str) -> list[tuple[str, str]]:
-    return parse_exclusions(_read(path), path)
-
-
-def load_lexicon(path: str) -> dict[str, tuple[str, ...]]:
-    return parse_lexicon(_read(path), path)
 
 
 def _read(path: str) -> str:

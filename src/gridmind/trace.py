@@ -2,9 +2,10 @@
 
 A trace is line-delimited canonical JSON: one header record, one record
 per tick, one final summary record. Identical runs produce byte-identical
-traces, so replay re-executes the engine from the header's inputs and
-compares line by line; external-planner traces are replayed by feeding the
-recorded plans back in, everything else is recomputed.
+traces, so replay re-executes the engine from the header's inputs (the
+LTM seed among them, for a seeded run) and compares line by line;
+external-planner traces are replayed by feeding the recorded plans back
+in, everything else is recomputed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from . import agent
 from .config import EngineConfig
 from .decide import Plan, PlannerError, PlanStep
-from .kb import Fact
+from .kb import Fact, graph_from_lines
 from .world import Action, load_scenario
 
 
@@ -131,6 +132,7 @@ def replay(trace_path: str) -> ReplayReport:
         )
     scenario = load_scenario(scenario_path)
     config = EngineConfig().with_overrides(dict(header["config"]))
+    ltm_lines = _ltm_seed(header)
     if header["planner"] == "scripted":
         factory = agent.scripted_planner_factory
     else:
@@ -145,8 +147,23 @@ def replay(trace_path: str) -> ReplayReport:
         hazards_enabled=bool(header["hazards_enabled"]),
         planner_name=str(header["planner"]),
         scenario_text=scenario_text,
+        ltm_lines=ltm_lines,
     )
     return compare_lines(original, result.lines)
+
+
+def _ltm_seed(header: dict) -> list[str] | None:
+    """The header's LTM seed (fact lines), or None for an unseeded run."""
+    if "ltm" not in header:
+        return None
+    lines = header["ltm"]
+    if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
+        raise TraceError("header field 'ltm' must be a list of fact lines")
+    try:
+        graph_from_lines(lines)
+    except ValueError as exc:
+        raise TraceError(f"header field 'ltm' holds a malformed fact line: {exc}") from exc
+    return lines
 
 
 def compare_lines(original: list[str], regenerated: list[str]) -> ReplayReport:

@@ -390,7 +390,6 @@ class WorldState:
         self.seed = seed
         self.noise = noise
         self.rng = random.Random(seed)
-        self.draw_count = 0
         self.carrying: str | None = None
         self._action_events: list[WorldEvent] = []
         self.entities: dict[str, EntityState] = {}
@@ -679,7 +678,6 @@ class WorldState:
             if self.noise and entity_id != self.agent:
                 dx = self.rng.randint(-1, 1)
                 dy = self.rng.randint(-1, 1)
-                self.draw_count += 2
                 reported = (
                     min(max(reported[0] + dx, 0), self.width - 1),
                     min(max(reported[1] + dy, 0), self.height - 1),

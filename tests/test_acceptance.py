@@ -8,13 +8,17 @@ brute-force oracle or was enumerated by hand from the definitions.
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+import gridmind
 from conftest import BUNDLED, run_bundled, scenario_path
 from gridmind.kb import Fact
 from gridmind.memory import WorkingMemory
@@ -274,9 +278,13 @@ def test_c10_every_bundled_scenario_is_deterministic_and_replays(tmp_path):
             sys.executable, "-m", "gridmind.cli", "run",
             scenario_path("fetch_close"), "--seed", "7", "--trace",
         ]
+        # the child imports the same gridmind as this process
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(gridmind.__file__).parent.parent), os.environ.get("PYTHONPATH")])
+        ))
         out_a, out_b = tmp_path / "a.trace", tmp_path / "b.trace"
-        subprocess.run(cmd + [str(out_a)], check=True, capture_output=True)
-        subprocess.run(cmd + [str(out_b)], check=True, capture_output=True)
+        subprocess.run(cmd + [str(out_a)], check=True, capture_output=True, env=env)
+        subprocess.run(cmd + [str(out_b)], check=True, capture_output=True, env=env)
         assert out_a.read_bytes() == out_b.read_bytes()
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 
-from conftest import run_bundled
+import pytest
+
+from conftest import BUNDLED, run_bundled
 from gridmind.agent import AgentRuntime
 from gridmind.config import EngineConfig
+from gridmind.reason import EventSequenceModel, train_sequence_model
 from gridmind.world import parse_scenario
 
 
@@ -227,3 +230,13 @@ task fetch object=ball1 to=box1
         summary = json.loads(result.lines[-1])
         assert [e["task"] for e in summary["episodes"]] == ["navigate", "fetch"]
         assert result.runtime.world.entities["ball1"].on == "box1"
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_sequence_model_equals_training_on_whole_stream(name):
+    # the runtime trains on each tick's new kinds as they arrive; the
+    # counts must be those of one pass over everything it observed
+    runtime = run_bundled(name).runtime
+    model = train_sequence_model(EventSequenceModel(runtime.seq_model.order), runtime.stream)
+    assert runtime.seq_model.counts == model.counts
+    assert runtime.seq_model.kinds == model.kinds

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from conftest import scenario_path
 from gridmind.agent import data_root
 from gridmind.cli import main
@@ -136,6 +138,50 @@ def test_ltm_snapshot_save_and_load(tmp_path):
         "run", scenario_path("fetch_close"), "--trace", str(trace),
         "--ltm-load", str(snapshot),
     ]) == 0
+    assert main(["replay", str(trace)]) == 0
+
+
+def _seeded_vase_room_trace(tmp_path):
+    """vase_room plus an asserted fact that contradicts the perceived layout,
+    run once to save LTM and again seeded from it; the contradiction makes
+    the seeded run retrieve from LTM, so its trace depends on the seed."""
+    with open(scenario_path("vase_room"), encoding="utf-8") as fh:
+        text = fh.read()
+    scenario = tmp_path / "vase_room_ltm.scn"
+    scenario.write_text(text + "fact bed1 LeftOf table1\n")
+    snapshot = tmp_path / "ltm.kb"
+    trace = tmp_path / "seeded.trace"
+    assert main(["run", str(scenario), "--trace", str(tmp_path / "first.trace"),
+                 "--ltm-save", str(snapshot)]) == 0
+    assert main(["run", str(scenario), "--trace", str(trace),
+                 "--ltm-load", str(snapshot)]) == 0
+    return trace, snapshot
+
+
+def test_ltm_seeded_trace_records_seed_and_replays(tmp_path, capsys):
+    trace, snapshot = _seeded_vase_room_trace(tmp_path)
+    header = json.loads(trace.read_text().splitlines()[0])
+    assert header["ltm"] == snapshot.read_text().splitlines()
+    assert list(header)[-2:] == ["config", "ltm"]
+    assert main(["replay", str(trace)]) == 0
+    assert "replay equal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "bad_seed",
+    ["fact lines", ["a|isa|b|1.000000|0|asserted", 7], ["not a fact line"]],
+    ids=["not-a-list", "non-string-entry", "malformed-line"],
+)
+def test_bad_ltm_header_field_exit_three(tmp_path, capsys, bad_seed):
+    trace, _ = _seeded_vase_room_trace(tmp_path)
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["ltm"] = bad_seed
+    lines[0] = json.dumps(header)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(trace)]) == 3
+    assert capsys.readouterr().err.startswith("error: header field 'ltm'")
 
 
 def test_unknown_planner_spec_exit_three():

@@ -39,14 +39,6 @@ class TestAggregate:
         unified = aggregate(SemanticGraph("temporal"), s, c)
         assert unified.graph.get("a", "Near", "b").confidence == 0.8
 
-    def test_correspondence_tracks_source_dimensions(self):
-        t = graph("temporal", ("a", "has_state", "moving"))
-        s = graph("spatial", ("a", "Near", "b"))
-        c = graph("conceptual", ("b", "isa", "dog"))
-        unified = aggregate(t, s, c)
-        assert unified.correspondence["a"] == frozenset({"T", "S"})
-        assert unified.correspondence["b"] == frozenset({"S", "C"})
-
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValidationError):
             aggregate(SemanticGraph("spatial"), SemanticGraph("spatial"), SemanticGraph("conceptual"))

@@ -311,14 +311,6 @@ class TestQuery:
         assert query(graph, Atom("LeftOf", "bed", "table")) == []
 
 
-def test_insert_fact_wrapper_returns_graph():
-    from gridmind.kb import insert_fact
-
-    graph = SemanticGraph("conceptual")
-    out = insert_fact(graph, fact("cup1", "isa", "cup"))
-    assert out is graph and len(graph) == 1
-
-
 def test_repeated_variable_in_pattern_requires_equal_terms():
     graph = SemanticGraph("spatial")
     graph.insert(fact("a", "Near", "b"))

@@ -191,14 +191,6 @@ class TestConsolidate:
         assert len(ltm.episodic) == 2
 
 
-def test_wm_insert_wrapper_returns_wm():
-    from gridmind.memory import wm_insert
-
-    wm = WorkingMemory(capacity=4)
-    out = wm_insert(wm, fact("a", "isa", "x"), 0.5, 0)
-    assert out is wm and len(wm) == 1
-
-
 def test_newly_inserted_item_may_itself_be_evicted():
     wm = WorkingMemory(capacity=2)
     wm.insert(fact("a", "isa", "x"), salience=0.5, tick=0)

@@ -48,7 +48,7 @@ class TestTemporal:
         assert len(ft.events) == 1
         event = ft.events[0]
         assert (event.kind, event.start, event.end) == ("move", 3, 7)
-        assert ft.durations[event.event_id] == 4
+        assert event.end - event.start == 4
 
     def test_static_window_has_no_events(self):
         window = [obs(t, e1={}) for t in range(5)]
@@ -66,7 +66,10 @@ class TestTemporal:
         ft = extract_temporal(window)
         by_kind = {e.kind: e for e in ft.events}
         tilt, wet = by_kind["tilting"], by_kind["wet"]
-        assert ft.intervals[(tilt.event_id, wet.event_id)] == 4 - 5
+        assert (tilt.start, tilt.end) == (2, 5)
+        assert (wet.start, wet.end) == (4, 9)
+        # wet starts one tick before tilting ends
+        assert wet.start - tilt.end == 4 - 5
 
     def test_flag_on_at_window_start_opens_event(self):
         window = [obs(t, e1={"flags": ["hot"]}) for t in range(3, 6)]

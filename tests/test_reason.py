@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmind.kb import Fact, SemanticGraph, ValidationError
+from gridmind.perceive import Observation, Reading, extract_temporal
 from gridmind.reason import (
     EventSequenceModel,
     TemporalInconsistencyError,
@@ -15,6 +18,7 @@ from gridmind.reason import (
     compose_spatial,
     detect_collision,
     infer_concepts,
+    order_from_events,
     predict_next,
     predict_trajectory,
     temporal_closure,
@@ -52,6 +56,45 @@ class TestTemporalClosure:
         for seed in range(50):
             pairs = random_dag(random.Random(seed))
             assert temporal_closure(TemporalOrder(set(pairs))).pairs == reachability_closure(pairs)
+
+
+PERCEIVED_ENTITIES = ("a", "b", "c")
+PERCEIVED_FLAGS = ("moving", "hot", "wet")
+
+
+@st.composite
+def flag_windows(draw):
+    """Consecutive-tick windows of per-entity flag sets; an entity may be
+    missing or occluded (flags unknown) on any tick."""
+    start = draw(st.integers(min_value=0, max_value=5))
+    length = draw(st.integers(min_value=1, max_value=12))
+    window = []
+    for tick in range(start, start + length):
+        readings = {}
+        for entity in PERCEIVED_ENTITIES:
+            state = draw(st.sampled_from(["seen", "seen", "seen", "missing", "occluded"]))
+            if state == "missing":
+                continue
+            flags = (
+                None
+                if state == "occluded"
+                else frozenset(draw(st.sets(st.sampled_from(PERCEIVED_FLAGS))))
+            )
+            readings[entity] = Reading(entity, (0, 0), occluded=flags is None, flags=flags)
+        window.append(Observation(tick, readings))
+    return window
+
+
+@settings(max_examples=200, deadline=None)
+@given(flag_windows())
+def test_perceived_precedence_is_acyclic_and_already_closed(window):
+    # a closed event ends after it starts, so end(i) <= start(j) can never
+    # lead back to i: the closure of perceived precedence never raises, and
+    # it adds nothing, since end(i) <= start(j) < end(j) <= start(k)
+    events = extract_temporal(window).events
+    assert all(e.end > e.start for e in events if e.closed)
+    order = order_from_events(events)
+    assert temporal_closure(order).pairs == order.pairs
 
 
 class TestSequenceModel:
