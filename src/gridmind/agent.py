@@ -302,12 +302,12 @@ class AgentRuntime:
     def _stale_keys(self, tick: int) -> tuple[str, ...]:
         refs = self._task_refs()
         stale = []
-        for key, age in self.wm.ages(tick).items():
-            if age > self.config.stale_ttl:
-                item = self.wm.get(key)
-                fact = item.fact if item else None
-                if fact and (fact.subject in refs or (isinstance(fact.obj, str) and fact.obj in refs)):
-                    stale.append("|".join(key))
+        for item in self.wm.items():
+            fact = item.fact
+            if tick - item.touched > self.config.stale_ttl and (
+                fact.subject in refs or (isinstance(fact.obj, str) and fact.obj in refs)
+            ):
+                stale.append("|".join(fact.key()))
         return tuple(stale)
 
     def _apply_directives(self, directives: list[Directive], tick: int) -> bool:

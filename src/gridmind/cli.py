@@ -130,6 +130,10 @@ def cmd_run(args) -> int:
                 ltm_lines = fh.readlines()
         except OSError as exc:
             raise ConfigError(f"cannot read LTM snapshot: {exc}") from exc
+        try:
+            graph_from_lines(ltm_lines)
+        except ValueError as exc:
+            raise ConfigError(f"malformed LTM snapshot: {exc}") from exc
     result = agent.run_scenario(
         scenario,
         config,

@@ -9,6 +9,7 @@ episode.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 
 from .kb import Atom, Fact, SemanticGraph, ValidationError, is_var
@@ -18,7 +19,6 @@ from .kb import Atom, Fact, SemanticGraph, ValidationError, is_var
 class WorkingMemoryItem:
     fact: Fact
     salience: float
-    inserted: int
     touched: int
 
     def effective_salience(self, now: int, decay: float) -> float:
@@ -30,10 +30,17 @@ class WorkingMemory:
     """Salience-ordered buffer, never larger than its capacity.
 
     Order (best first): effective salience desc, last-touched desc,
-    identity key asc. Eviction removes the worst-ordered item, found by one
-    linear scan for the largest rank rather than by sorting; the rank ends
-    in the unique identity key, so it has no ties and the scan picks the
-    item a full sort would put last.
+    identity key asc; the rank ends in the unique identity key, so it has
+    no ties. Eviction removes the worst-ordered item.
+
+    Within one tick no rank changes except that of the item an insert
+    touches, so the first eviction at tick `t` sorts the ranks of all
+    items once into an ascending list, and every eviction at `t` pops its
+    last entry. While that order belongs to `t`, each insert at `t` keeps
+    it current: a new item's rank is insorted, and a merge removes the
+    item's old rank before changing the item and insorts the new one. An
+    insert at any other tick drops the order, evicting or not, since ranks
+    decay with `now` and a merge at another tick would leave a stale rank.
     """
 
     def __init__(self, capacity: int = 64, decay: float = 0.95) -> None:
@@ -42,6 +49,9 @@ class WorkingMemory:
         self.capacity = capacity
         self.decay = decay
         self._items: dict[tuple[str, str, str], WorkingMemoryItem] = {}
+        # ascending ranks of all items at tick self._now, or None
+        self._now: int | None = None
+        self._order_now: list[tuple[float, int, tuple[str, str, str]]] | None = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -56,21 +66,30 @@ class WorkingMemory:
         if not 0.0 <= salience <= 1.0:
             raise ValidationError(f"salience {salience} outside [0, 1]")
         fact.validate()
+        if tick != self._now:
+            self._now, self._order_now = tick, None
+        order = self._order_now
+        rank = self._rank(tick)
         key = fact.key()
         existing = self._items.get(key)
         if existing is not None:
+            if order is not None:
+                del order[bisect_left(order, rank(existing))]
             merged_tick = max(existing.fact.tick, fact.tick)
             keep = fact if fact.confidence > existing.fact.confidence else existing.fact
             existing.fact = replace(keep, tick=merged_tick)
             existing.salience = max(existing.salience, salience)
             existing.touched = max(existing.touched, tick)
+            if order is not None:
+                insort(order, rank(existing))
             return
-        self._items[key] = WorkingMemoryItem(
-            fact=fact, salience=salience, inserted=tick, touched=tick
-        )
+        item = self._items[key] = WorkingMemoryItem(fact=fact, salience=salience, touched=tick)
+        if order is not None:
+            insort(order, rank(item))
+        elif len(self._items) > self.capacity:
+            order = self._order_now = sorted(map(rank, self._items.values()))
         while len(self._items) > self.capacity:
-            worst = max(self._items.values(), key=self._rank(tick))
-            del self._items[worst.fact.key()]
+            del self._items[order.pop()[2]]
 
     def ordered(self, now: int) -> list[WorkingMemoryItem]:
         return sorted(self._items.values(), key=self._rank(now))
@@ -90,9 +109,6 @@ class WorkingMemory:
 
     def items(self) -> list[WorkingMemoryItem]:
         return [self._items[k] for k in sorted(self._items)]
-
-    def ages(self, now: int) -> dict[tuple[str, str, str], int]:
-        return {key: now - item.touched for key, item in sorted(self._items.items())}
 
 
 @dataclass

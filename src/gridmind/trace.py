@@ -113,7 +113,13 @@ def _playback_planner_factory(episode_plans: list[list[dict]]):
 
 
 def replay(trace_path: str) -> ReplayReport:
-    """Re-run the engine from a trace's inputs; verify byte equality."""
+    """Re-run the engine from a trace's inputs; verify byte equality.
+
+    The header's `scenario` path is opened as written: a relative path
+    resolves against the current directory, not the trace's, so a trace
+    recorded with a relative path replays only from the directory it was
+    recorded in. An unreadable scenario is a TraceError.
+    """
     original = read_trace(trace_path)
     header, _, summary = parse_trace(original)
     for key in ("scenario", "seed", "noise", "hazards_enabled", "planner", "config"):

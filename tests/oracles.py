@@ -205,7 +205,7 @@ def all_pairs_contradictions(
 class SortingWorkingMemory:
     """Working memory that sorts every item to find the one to evict.
 
-    Items are [fact, salience, inserted, touched] keyed by the identity
+    Items are [fact, salience, touched] keyed by the identity
     key, which is formatted here rather than read from Fact.key().
     """
 
@@ -226,9 +226,9 @@ class SortingWorkingMemory:
             keep = fact if fact.confidence > old.confidence else old
             item[0] = replace(keep, tick=max(old.tick, fact.tick))
             item[1] = max(item[1], salience)
-            item[3] = max(item[3], tick)
+            item[2] = max(item[2], tick)
             return
-        self.items[key] = [fact, salience, tick, tick]
+        self.items[key] = [fact, salience, tick]
         while len(self.items) > self.capacity:
             del self.items[self.ordered(tick)[-1]]
 
@@ -236,7 +236,7 @@ class SortingWorkingMemory:
         """Keys best first: decayed salience desc, touched desc, key asc."""
 
         def rank(key):
-            _, salience, _, touched = self.items[key]
+            _, salience, touched = self.items[key]
             effective = salience * (self.decay ** max(0, now - touched))
             return (-effective, -touched, key)
 

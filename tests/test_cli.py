@@ -9,6 +9,7 @@ import pytest
 from conftest import scenario_path
 from gridmind.agent import data_root
 from gridmind.cli import main
+from gridmind.trace import TraceError, replay
 
 
 def test_run_success_exit_zero(tmp_path, capsys):
@@ -139,6 +140,45 @@ def test_ltm_snapshot_save_and_load(tmp_path):
         "--ltm-load", str(snapshot),
     ]) == 0
     assert main(["replay", str(trace)]) == 0
+
+
+def test_replay_resolves_scenario_path_against_current_directory(tmp_path, monkeypatch, capsys):
+    recorded = tmp_path / "recorded"
+    (recorded / "scenarios").mkdir(parents=True)
+    with open(scenario_path("fetch_close"), encoding="utf-8") as fh:
+        (recorded / "scenarios" / "fetch_close.scn").write_text(fh.read())
+    trace = tmp_path / "run.trace"
+    monkeypatch.chdir(recorded)
+    assert main(["run", "scenarios/fetch_close.scn", "--trace", str(trace)]) == 0
+    assert json.loads(trace.read_text().splitlines()[0])["scenario"] == "scenarios/fetch_close.scn"
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    with pytest.raises(TraceError):
+        replay(str(trace))
+    capsys.readouterr()
+    assert main(["replay", str(trace)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read scenario scenarios/fetch_close.scn")
+    monkeypatch.chdir(recorded)
+    assert main(["replay", str(trace)]) == 0
+    assert "replay equal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "snapshot_text",
+    ["bad line\n", "a|isa|b|high|0|asserted\n", "a|isa|b|1.0|0|dreamt\n"],
+    ids=["not-six-fields", "bad-confidence", "bad-origin"],
+)
+def test_malformed_ltm_snapshot_exit_three(tmp_path, capsys, snapshot_text):
+    snapshot = tmp_path / "ltm.kb"
+    snapshot.write_text(snapshot_text)
+    trace = tmp_path / "out.trace"
+    assert main([
+        "run", scenario_path("fetch_close"), "--trace", str(trace),
+        "--ltm-load", str(snapshot),
+    ]) == 3
+    assert capsys.readouterr().err.startswith("error: malformed LTM snapshot: ")
+    assert not trace.exists()
 
 
 def _seeded_vase_room_trace(tmp_path):

@@ -84,32 +84,56 @@ def test_capacity_bound_holds_under_random_streams(ops):
         assert len(wm) <= 8
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     capacity=st.integers(1, 6),
     decay=st.sampled_from([0.5, 0.95, 1.0]),
+    start=st.integers(0, 4),
     ops=st.lists(
         st.tuples(
             st.sampled_from(["a", "b", "c", "d", "e", "f"]),
             st.sampled_from(["x", 5, 5.0, "5"]),
             st.sampled_from([0.25, 0.5, 1.0]),
             st.sampled_from([0.0, 0.5, 1.0]),
-            st.integers(0, 4),
+            st.sampled_from([0, 1, -1]),
         ),
+        min_size=20,
         max_size=60,
     ),
 )
-def test_eviction_scan_matches_sorting_reference(capacity, decay, ops):
-    """Tied saliences and ticks, evicted keys inserted again."""
+def test_eviction_scan_matches_sorting_reference(capacity, decay, start, ops):
+    """Tied saliences and ticks, evicted keys inserted again, and ticks that
+    step back and forth, so inserts return to a tick whose eviction order
+    was built before an insert at another tick."""
     wm = WorkingMemory(capacity=capacity, decay=decay)
     reference = SortingWorkingMemory(capacity, decay)
-    for subject, obj, confidence, salience, tick in ops:
+    tick = start
+    for subject, obj, confidence, salience, step in ops:
+        tick = max(0, tick + step)
         item = fact(subject, "at", obj, confidence, tick)
         wm.insert(item, salience, tick)
         reference.insert(item, salience, tick)
-        assert [(i.fact, i.salience, i.inserted, i.touched) for i in wm.items()] == [
+        assert [(i.fact, i.salience, i.touched) for i in wm.items()] == [
             tuple(reference.items[k]) for k in sorted(reference.items)
         ]
+
+
+def test_merge_at_another_tick_does_not_leave_a_stale_eviction_order():
+    ops = [
+        ("a", 0.5, 2),
+        ("b", 0.6, 2),
+        ("c", 0.4, 2),  # evicts c: the eviction order of tick 2 is built
+        ("a", 1.0, 3),  # merge at tick 3 lifts a above b
+        ("d", 0.55, 2),  # back at tick 2: d is now the worst
+    ]
+    wm = WorkingMemory(capacity=2, decay=0.5)
+    reference = SortingWorkingMemory(2, 0.5)
+    for subject, salience, tick in ops:
+        item = fact(subject, "isa", "x", tick=tick)
+        wm.insert(item, salience, tick)
+        reference.insert(item, salience, tick)
+    assert [i.fact.key() for i in wm.items()] == sorted(reference.items)
+    assert sorted(reference.items) == [("a", "isa", "x"), ("b", "isa", "x")]
 
 
 def test_ordering_is_total_and_reproducible():
