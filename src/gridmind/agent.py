@@ -1,12 +1,15 @@
 """The complete perception-cognition-action loop, one tick at a time.
 
 Each tick: the world steps, an observation is taken, the three perception
-pathways run, features bind under the current attention weights, the
-dimension graphs are built and extended by the reasoning engines, the
-unified picture is aggregated and assessed for hazards, metacognition
-monitors and regulates, and working memory is refreshed. The decision
-cycle plans between ticks, executes one step per tick, and replans on
-failure or on a TriggerReplan directive.
+pathways run, features bind under the current attention weights, and the
+dimension graphs are built and aggregated into one unified graph, which
+also takes the scenario's asserted facts. The reasoning engines extend
+that graph in place (dependency chaining, concept inference, spatial
+composition, collision facts); contradictions are then detected on it,
+and hazards are assessed over it. Metacognition monitors and regulates,
+and working memory is refreshed. The decision cycle plans between ticks,
+executes one step per tick, and replans on failure or on a TriggerReplan
+directive.
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
-from . import canonical, decide, metacog, perceive, reason
+from . import canonical, cognition, decide, metacog, perceive, reason
 from .cognition import UnifiedCognition, aggregate, assess_hazards
 from .config import EngineConfig
 from .decide import Plan, PlannerError, PlannerQuery, TaskInstruction
-from .kb import Atom, Fact, SemanticGraph
+from .kb import Atom, Fact
 from .memory import Episode, LongTermMemory, WorkingMemory, consolidate, ltm_retrieve, retrieve_episodes
 from .metacog import Anomaly, Directive, TickState
-from .reason import SPATIAL_VOCABULARY, EventSequenceModel
+from .reason import EventSequenceModel
 from .rulefmt import (
     parse_composition,
     parse_exclusions,
@@ -157,31 +160,25 @@ class AgentRuntime:
         t_graph, s_graph, c_graph, facts_by_entity = perceive.build_dimension_graphs(
             obs, ft, fs, fc, near_distance=cfg.near_distance
         )
+        unified = aggregate(t_graph, s_graph, c_graph)
+        graph = unified.graph
         for fact in self.scenario.facts:
-            self._graph_for_relation(fact.relation, t_graph, s_graph, c_graph).insert(
-                replace(fact, tick=tick)
-            )
+            graph.insert(replace(fact, tick=tick))
 
-        # reasoning over the merged view; conclusions land per dimension
-        merged = SemanticGraph("unified")
-        for graph in (t_graph, s_graph, c_graph):
-            merged.merge(graph)
+        # reasoning extends the unified graph in place
         dep_derived = reason.apply_dependency_rules(
-            merged, self.data.dependency_rules, cfg.chain_max_iterations
+            graph, self.data.dependency_rules, cfg.chain_max_iterations
         )
-        for fact in dep_derived:
-            t_graph.insert(fact)
         concept_derived = reason.infer_concepts(
-            merged, self.data.concept_rules, cfg.chain_max_iterations
+            graph, self.data.concept_rules, cfg.chain_max_iterations
         )
-        for fact in concept_derived:
-            c_graph.insert(fact)
-        spatial_derived = reason.compose_spatial(s_graph, self.data.composition)
+        spatial_derived = reason.compose_spatial(graph, self.data.composition)
 
         trajectories = self._predict_trajectories(obs)
         collision_facts = self._collision_facts(trajectories, tick)
         for fact in collision_facts:
-            s_graph.insert(fact)
+            graph.insert(fact)
+        unified.contradictions = cognition.detect_contradictions(graph, self.data.exclusions)
 
         observed_kinds = tuple(
             e.kind for e in sorted(ft.starting_at(tick), key=lambda e: (e.entity, e.kind))
@@ -192,7 +189,6 @@ class AgentRuntime:
             self.seq_model, self.stream[-(len(observed_kinds) + self.seq_model.order) :]
         )
 
-        unified = aggregate(t_graph, s_graph, c_graph, exclusion_pairs=self.data.exclusions)
         hazards = (
             assess_hazards(unified, self.data.hazard_rules, cfg.chain_max_iterations)
             if self.hazards_enabled
@@ -234,19 +230,6 @@ class AgentRuntime:
         )
         self.rows.append(row)
         return TickOutcome(result=result, replan=replan, row=row)
-
-    def _graph_for_relation(
-        self,
-        relation: str,
-        t_graph: SemanticGraph,
-        s_graph: SemanticGraph,
-        c_graph: SemanticGraph,
-    ) -> SemanticGraph:
-        if relation in SPATIAL_VOCABULARY or relation in ("at", "located_in", "Contains", "CollisionRisk"):
-            return s_graph
-        if relation == "Before":
-            return t_graph
-        return c_graph
 
     def _predict_trajectories(self, obs: perceive.Observation) -> dict[str, reason.Trajectory]:
         """Constant-velocity trajectories for entities currently moving."""

@@ -88,29 +88,26 @@ def _resolve_config(args) -> EngineConfig:
 
 
 def _planner_factory(spec: str, config: EngineConfig):
+    """The planner factory, its trace name, and the client to close, if any."""
     if spec == "scripted":
-        return agent.scripted_planner_factory, "scripted"
+        return agent.scripted_planner_factory, "scripted", None
     if spec.startswith("cmd:"):
         argv = shlex.split(spec[4:])
         if not argv:
             raise ConfigError("empty planner command")
         client = decide.SubprocessPlanner(argv, timeout=config.planner_timeout)
-
-        def factory(runtime):
-            return client.plan
-
-        return factory, "external"
-    if spec.startswith("tcp:"):
+    elif spec.startswith("tcp:"):
         host, _, port_text = spec[4:].rpartition(":")
         if not host or not port_text.isdigit():
             raise ConfigError(f"bad tcp planner address {spec!r}")
         client = decide.TcpPlanner(host, int(port_text), timeout=config.planner_timeout)
+    else:
+        raise ConfigError(f"unknown planner {spec!r}")
 
-        def factory(runtime):
-            return client.plan
+    def factory(runtime):
+        return client.plan
 
-        return factory, "external"
-    raise ConfigError(f"unknown planner {spec!r}")
+    return factory, "external", client
 
 
 def cmd_run(args) -> int:
@@ -122,7 +119,6 @@ def cmd_run(args) -> int:
         config = config.with_overrides(dict(scenario.config_overrides))
     if args.max_ticks is not None:
         config = config.with_overrides({"max_ticks": args.max_ticks})
-    factory, planner_name = _planner_factory(args.planner, config)
     ltm_lines = None
     if args.ltm_load:
         try:
@@ -134,17 +130,23 @@ def cmd_run(args) -> int:
             graph_from_lines(ltm_lines)
         except ValueError as exc:
             raise ConfigError(f"malformed LTM snapshot: {exc}") from exc
-    result = agent.run_scenario(
-        scenario,
-        config,
-        seed=args.seed,
-        planner_factory=factory,
-        noise=args.noise,
-        hazards_enabled=not args.no_hazard,
-        planner_name=planner_name,
-        scenario_text=scenario_text,
-        ltm_lines=ltm_lines,
-    )
+    factory, planner_name, client = _planner_factory(args.planner, config)
+    try:
+        result = agent.run_scenario(
+            scenario,
+            config,
+            seed=args.seed,
+            planner_factory=factory,
+            noise=args.noise,
+            hazards_enabled=not args.no_hazard,
+            planner_name=planner_name,
+            scenario_text=scenario_text,
+            ltm_lines=ltm_lines,
+        )
+    finally:
+        # an external planner that hangs must not outlive the run
+        if client is not None:
+            client.close()
     trace_path = args.trace or (Path(args.scenario).stem + ".trace")
     trace.write_trace(str(trace_path), result.lines)
     if args.ltm_save:

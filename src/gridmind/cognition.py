@@ -1,9 +1,11 @@
 """Semantic cognition: aggregate the dimension graphs into one picture.
 
 The unified graph is the identity-keyed union (max-merge) of the temporal,
-spatial, and conceptual graphs. Spatial contradictions are detected (never
-deleted), and hazard rules spanning at least two dimensions produce hazard
-facts.
+spatial, and conceptual graphs, built once per tick. The tick then runs
+its reasoning on that graph in place (dependency chaining, concept
+inference, spatial composition, collision facts), detects spatial
+contradictions on the result (reported, never deleted), and last chains
+hazard rules spanning at least two dimensions over it.
 """
 
 from __future__ import annotations
@@ -19,13 +21,8 @@ class UnifiedCognition:
     contradictions: list[tuple[Fact, Fact]] = field(default_factory=list)
 
 
-def aggregate(
-    t: SemanticGraph,
-    s: SemanticGraph,
-    c: SemanticGraph,
-    exclusion_pairs: list[tuple[str, str]] | None = None,
-) -> UnifiedCognition:
-    """Union the three dimension graphs and detect contradictions."""
+def aggregate(t: SemanticGraph, s: SemanticGraph, c: SemanticGraph) -> UnifiedCognition:
+    """Union the three dimension graphs; contradictions are left empty."""
     expected = (("temporal", t), ("spatial", s), ("conceptual", c))
     for dimension, graph in expected:
         if graph.dimension != dimension:
@@ -35,10 +32,7 @@ def aggregate(
     unified = SemanticGraph("unified")
     for _, graph in expected:
         unified.merge(graph)
-    return UnifiedCognition(
-        graph=unified,
-        contradictions=detect_contradictions(unified, exclusion_pairs or []),
-    )
+    return UnifiedCognition(graph=unified)
 
 
 def detect_contradictions(

@@ -113,12 +113,16 @@ def fact_from_line(line: str) -> Fact:
     if len(parts) != 6:
         raise ValidationError(f"malformed fact line: {line!r}")
     subject, relation, obj_text, conf_text, tick_text, origin = parts
+    try:
+        confidence, tick = float(conf_text), int(tick_text)
+    except ValueError:
+        raise ValidationError(f"non-numeric confidence or tick: {line!r}") from None
     fact = Fact(
         subject=subject,
         relation=relation,
         obj=parse_literal(obj_text),
-        confidence=float(conf_text),
-        tick=int(tick_text),
+        confidence=confidence,
+        tick=tick,
         origin=origin,
     )
     fact.validate()

@@ -411,15 +411,7 @@ class WorldState:
             self._schedule.setdefault(event.tick, []).append(event)
         # tick-0 events are initial conditions, applied before the first step
         for event in self._schedule.get(0, []):
-            state = self.entities[event.entity]
-            if event.kind == "set":
-                state.flags.add(str(event.args[0]))
-            elif event.kind == "clear":
-                state.flags.discard(str(event.args[0]))
-            elif event.kind == "teleport":
-                state.position = (int(event.args[0]), int(event.args[1]))
-            elif event.kind == "velocity":
-                state.velocity = (int(event.args[0]), int(event.args[1]))
+            self._apply_event(event)
 
     # -- queries ------------------------------------------------------------
 
@@ -469,6 +461,17 @@ class WorldState:
 
     # -- stepping -----------------------------------------------------------
 
+    def _apply_event(self, event: ExogenousEvent) -> None:
+        state = self.entities[event.entity]
+        if event.kind == "set":
+            state.flags.add(str(event.args[0]))
+        elif event.kind == "clear":
+            state.flags.discard(str(event.args[0]))
+        elif event.kind == "teleport":
+            state.position = (int(event.args[0]), int(event.args[1]))
+        elif event.kind == "velocity":
+            state.velocity = (int(event.args[0]), int(event.args[1]))
+
     def step(self, action: Action) -> tuple[list[WorldEvent], ActionResult]:
         """Advance one tick: action, then motion, then scripted events."""
         self.tick += 1
@@ -485,15 +488,7 @@ class WorldState:
                 y = min(max(state.position[1] + state.velocity[1], 0), self.height - 1)
                 state.position = (x, y)
         for event in self._schedule.get(self.tick, []):
-            state = self.entities[event.entity]
-            if event.kind == "set":
-                state.flags.add(str(event.args[0]))
-            elif event.kind == "clear":
-                state.flags.discard(str(event.args[0]))
-            elif event.kind == "teleport":
-                state.position = (int(event.args[0]), int(event.args[1]))
-            elif event.kind == "velocity":
-                state.velocity = (int(event.args[0]), int(event.args[1]))
+            self._apply_event(event)
 
         if self.carrying is not None:
             self.entities[self.carrying].position = self.entities[self.agent].position

@@ -9,13 +9,19 @@ request. The first argv selects the behavior:
     unknown-action  respond with an action outside the catalog
     error           respond with an error object
     timeout         never respond
+
+An optional second argv is a path the stub writes its pid to on start.
 """
 
 import json
+import os
 import sys
 import time
 
 mode = sys.argv[1] if len(sys.argv) > 1 else "fetch"
+if len(sys.argv) > 2:
+    with open(sys.argv[2], "w") as fh:
+        fh.write(str(os.getpid()))
 
 for line in sys.stdin:
     line = line.strip()

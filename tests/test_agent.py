@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from conftest import BUNDLED, run_bundled
-from gridmind.agent import AgentRuntime
+from conftest import BUNDLED, run_bundled, scenario_path
+from gridmind.agent import AgentRuntime, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
 from gridmind.reason import EventSequenceModel, train_sequence_model
 from gridmind.world import parse_scenario
@@ -83,6 +83,43 @@ task navigate target=p1
         role = runtime.unified.graph.get("p1", "has_role", "nurse")
         assert role is not None
         assert role.origin == "derived"
+
+    def test_contradictions_cover_composed_facts(self):
+        with open(scenario_path("vase_room"), encoding="utf-8") as fh:
+            text = fh.read() + "fact bed1 LeftOf vase1\n"
+        runtime = AgentRuntime(parse_scenario(text), EngineConfig())
+        runtime.bootstrap()
+        # LeftOf(vase1, bed1) exists only by composition (OnTopOf ∘ LeftOf)
+        pairs = {
+            (a.key(), b.key(), b.origin) for a, b in runtime.unified.contradictions
+        }
+        assert (
+            ("bed1", "LeftOf", "vase1"), ("vase1", "LeftOf", "bed1"), "derived"
+        ) in pairs
+
+    def test_rule_conclusion_raises_weaker_asserted_fact_in_unified_graph(self):
+        path = scenario_path("fetch_close")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read() + (
+                "fact zz9 isa cup\n"
+                "fact zz9 has_state knocked_over\n"
+                "fact zz9 Contains ball1\n"
+                "fact ball1 has_state spilled 0.2\n"
+            )
+        result = run_scenario(
+            parse_scenario(text, path), EngineConfig(), seed=0,
+            planner_factory=scripted_planner_factory, scenario_text=text,
+        )
+        # knockover-spill concludes has_state(ball1, spilled) at 0.9, which
+        # max-merges over the asserted 0.2 and stays in the unified graph
+        spilled = result.runtime.unified.graph.get("ball1", "has_state", "spilled")
+        assert (spilled.confidence, spilled.origin) == (0.9, "derived")
+        assert result.runtime.ltm.semantic.get("ball1", "has_state", "spilled").confidence == 0.9
+        # the key was asserted before chaining, so no tick reports it as new
+        assert not any(
+            f[:3] == ["ball1", "has_state", "spilled"]
+            for r in rows(result) for f in r["new_facts"]
+        )
 
 
 class TestWorkingMemoryFlow:

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import shlex
+import signal
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +91,18 @@ def test_query_parse_error_exit_three(tmp_path, capsys):
     kb = tmp_path / "bad.kb"
     kb.write_text("this is not a fact line\n")
     assert main(["query", str(kb), "Near(a, ?x)"]) == 3
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["a|isa|b|high|0|asserted\n", "a|isa|b|1.0|noon|asserted\n"],
+    ids=["bad-confidence", "bad-tick"],
+)
+def test_query_non_numeric_field_exit_three(tmp_path, capsys, line):
+    kb = tmp_path / "bad.kb"
+    kb.write_text(line)
+    assert main(["query", str(kb), "isa(?x, b)"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_config_file_and_scenario_overrides(tmp_path):
@@ -226,3 +243,27 @@ def test_bad_ltm_header_field_exit_three(tmp_path, capsys, bad_seed):
 
 def test_unknown_planner_spec_exit_three():
     assert main(["run", scenario_path("fetch_close"), "--planner", "psychic"]) == 3
+
+
+def test_external_planner_process_ends_with_the_run(tmp_path):
+    # the stub never answers; the run gives up on it and must not leave it
+    # sleeping after gridmind returns
+    pid_file = tmp_path / "planner.pid"
+    stub = Path(__file__).parent / "stub_planner.py"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"planner_timeout": 1.0, "replan_limit": 1}))
+    code = main([
+        "run", scenario_path("fetch_close"), "--trace", str(tmp_path / "out.trace"),
+        "--config", str(config),
+        "--planner", "cmd:" + shlex.join([sys.executable, str(stub), "timeout", str(pid_file)]),
+    ])
+    pid = int(pid_file.read_text())
+    try:
+        assert code == 2
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    finally:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

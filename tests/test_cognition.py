@@ -47,13 +47,13 @@ class TestAggregate:
         t = graph("temporal", ("k", "has_state", "moving"))
         s = graph("spatial", ("w", "Near", "e"))
         c = graph("conceptual", ("w", "has_state", "wet"), ("e", "has_state", "powered"))
-        once = aggregate(t, s, c, exclusion_pairs=rule_data.exclusions)
+        once = aggregate(t, s, c)
         rebuilt_t = SemanticGraph("temporal")
         rebuilt_s = SemanticGraph("spatial")
         rebuilt_c = SemanticGraph("conceptual")
         for fact in once.graph.facts():
             rebuilt_c.insert(fact)
-        twice = aggregate(rebuilt_t, rebuilt_s, rebuilt_c, exclusion_pairs=rule_data.exclusions)
+        twice = aggregate(rebuilt_t, rebuilt_s, rebuilt_c)
         assert twice.graph.to_lines() == once.graph.to_lines()
 
 
@@ -207,7 +207,6 @@ def test_unified_fact_set_invariant_under_content_permutation(rule_data):
             graph("temporal", *t_facts),
             graph("spatial", *s_facts),
             graph("conceptual", *c_facts),
-            exclusion_pairs=rule_data.exclusions,
         )
         outputs.append(unified.graph.to_lines())
     assert outputs[0] == outputs[1] == outputs[2]

@@ -6,10 +6,16 @@ the sha256 of the full trace (the bytes `write_trace` would write) must
 match the pinned value. The scenario is parsed under a fixed path so the
 header does not depend on where the repository is checked out.
 
+The same scenarios also run with the asserted facts in `ASSERTED`
+appended. No bundled scenario asserts a fact, so these traces are the
+ones that pin how asserted facts join the unified graph: the lines reach
+every dimension, one collides with a perceived fact, and they fire both
+the knockover-spill and the edible-in-kitchen rules.
+
 A change that alters trace bytes on purpose is a behaviour change: it
 updates these hashes and says so in CHANGES.md. Running this file with
 `PYTHONPATH=src:tests python tests/test_golden_traces.py` prints the
-current hashes in the form of the table below.
+current hashes in the form of the tables below.
 """
 
 from __future__ import annotations
@@ -48,8 +54,45 @@ GOLDEN = {
 }
 
 
-def trace_sha256(name: str, noise: bool) -> str:
-    text = data_root().joinpath("scenarios", f"{name}.scn").read_text(encoding="utf-8")
+ASSERTED = """\
+fact robot1 has_state moving 0.4
+fact robot1 LeftOf zz9 0.5
+fact zz9 Before zz8 0.7
+fact zz9 CollisionRisk robot1 0.3
+fact zz9 isa cup
+fact zz9 Contains zz7
+fact zz9 has_state knocked_over 0.8
+fact zz7 located_in kitchen 0.6
+fact zz7 has_state edible 0.9
+"""
+
+GOLDEN_ASSERTED = {
+    # (scenario, noise): sha256 of the trace with ASSERTED appended
+    ("arrange", False): "95afcc4746b881ca187fb2ad0f0e2b16a684218d8e26acee4aeb0d66c4ea7fcf",
+    ("arrange", True): "b334b31f8ae53daf6c873330318e9089cb31eb431f0c59682e85322b6c526f99",
+    ("crossing", False): "4ea60e6a754491adc5fafffbb9809f0f401365dc7eca4a6cceb51489bd23a748",
+    ("crossing", True): "976c449444996fe4901a4b682336656fb30f14759d52701db5c40105ecdacb22",
+    ("driving_salience", False): "170d666384fba2504667095d7d1ae04e573aa819443744b1681d2c6bbc920034",
+    ("driving_salience", True): "20aaef4b9b3c1348e745bc91fde5566ad974402a39452a0e1ae39978302c4745",
+    ("fetch_close", False): "504aaf204e9e81e4fa241da006bf9588c0108b7d3c72c581d23ae90c98aac6ea",
+    ("fetch_close", True): "eb9b0ae67f33f0e52705d0c8193ec2ea324ce21cfbe257e4c9a31538034758cc",
+    ("hotcoffee", False): "9e98b077def3285c6d5c9b427f3a27d198f884b99b01baab15b02e1e57e87f25",
+    ("hotcoffee", True): "6915fecb84c2689430c27c3e36eb6bb0f1705a054bd875c31781d0a09bcdb737",
+    ("knockover", False): "0286d4108fed3a7be756fce4eec5d41f9e65890863cc44b5c25553ac8408e0ff",
+    ("knockover", True): "6389d6b43f32d83afb9b507f968561996203ac5626a45d497e415fcad940868d",
+    ("pickup_fail", False): "a3b745ec73e94d8db4a5d07e53b388617acdc3ed165445248bef655d79afc417",
+    ("pickup_fail", True): "a2f49fa7b5ed0901507ce985b0581a6de0fb8ef612a33e807c635a20046436b9",
+    ("teleport_fault", False): "7ef0d21c6c03d17d1db35784d062b9ca5ee1a553fa9302b811796d39d90eecfd",
+    ("teleport_fault", True): "7bbefd9c474b446fc6f4ce4fbf91d4611161ab39c1a773bbc86c98369e275f1a",
+    ("vase_room", False): "4ab8ea163910e22c64128ae93b34c5ddcab90ea6f01611ce672b1ab89c16a8e9",
+    ("vase_room", True): "221efbf4d8c637386ce7abb26615391afdc62665e7908b1706808a6a587fc737",
+    ("waterleak", False): "b6ca7ccf86aa15f35e631a2f4c6d4605ec6283e58e90c5baaaf0d6ddd351481f",
+    ("waterleak", True): "0a668609dc65b9576aa50a30259cd25cbbbd2dfff1314562582bcd82c593c6d9",
+}
+
+
+def trace_sha256(name: str, noise: bool, extra: str = "") -> str:
+    text = data_root().joinpath("scenarios", f"{name}.scn").read_text(encoding="utf-8") + extra
     scenario = parse_scenario(text, f"scenarios/{name}.scn")
     config = EngineConfig()
     if scenario.config_overrides:
@@ -68,7 +111,15 @@ def test_trace_bytes_match_golden_hash(name, noise):
     assert trace_sha256(name, noise) == GOLDEN[(name, noise)]
 
 
+@pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noisy"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_trace_with_asserted_facts_matches_golden_hash(name, noise):
+    assert trace_sha256(name, noise, ASSERTED) == GOLDEN_ASSERTED[(name, noise)]
+
+
 if __name__ == "__main__":
-    for name in BUNDLED:
-        for noise in (False, True):
-            print(f'    ("{name}", {noise}): "{trace_sha256(name, noise)}",')
+    for table, extra in (("GOLDEN", ""), ("GOLDEN_ASSERTED", ASSERTED)):
+        print(f"{table}:")
+        for name in BUNDLED:
+            for noise in (False, True):
+                print(f'    ("{name}", {noise}): "{trace_sha256(name, noise, extra)}",')
