@@ -2,8 +2,9 @@
 
 Each tick: the world steps, an observation is taken, the three perception
 pathways run, features bind under the current attention weights, and the
-dimension graphs are built and aggregated into one unified graph, which
-also takes the scenario's asserted facts. The reasoning engines extend
+perceived temporal, spatial and conceptual facts are aggregated into one
+unified graph, which also takes the scenario's asserted facts. This is
+the tick's only graph. The reasoning engines extend
 that graph in place (dependency chaining, concept inference, spatial
 composition, collision facts); contradictions are then detected on it,
 and hazards are assessed over it. Metacognition monitors and regulates,
@@ -157,10 +158,10 @@ class AgentRuntime:
             task_refs=self._task_refs(),
             threshold=cfg.attention_threshold,
         )
-        t_graph, s_graph, c_graph, facts_by_entity = perceive.build_dimension_graphs(
+        t_facts, s_facts, c_facts, facts_by_entity = perceive.build_dimension_graphs(
             obs, ft, fs, fc, near_distance=cfg.near_distance
         )
-        unified = aggregate(t_graph, s_graph, c_graph)
+        unified = aggregate(t_facts, s_facts, c_facts)
         graph = unified.graph
         for fact in self.scenario.facts:
             graph.insert(replace(fact, tick=tick))
@@ -472,7 +473,7 @@ def run_scenario(
     if ltm_lines is not None:
         from .kb import graph_from_lines
 
-        runtime.ltm.semantic = graph_from_lines(ltm_lines, "unified")
+        runtime.ltm.semantic = graph_from_lines(ltm_lines)
     planner = planner_factory(runtime)
     header: dict[str, object] = {
         "record": "header",

@@ -1,15 +1,17 @@
-"""Semantic cognition: aggregate the dimension graphs into one picture.
+"""Semantic cognition: aggregate the perceived facts into one picture.
 
-The unified graph is the identity-keyed union (max-merge) of the temporal,
-spatial, and conceptual graphs, built once per tick. The tick then runs
-its reasoning on that graph in place (dependency chaining, concept
-inference, spatial composition, collision facts), detects spatial
-contradictions on the result (reported, never deleted), and last chains
-hazard rules spanning at least two dimensions over it.
+Perception hands over the tick's temporal, spatial and conceptual facts;
+`aggregate` inserts them once into the unified graph (identity-keyed,
+max-merged). The tick then runs its reasoning on that graph in place
+(dependency chaining, concept inference, spatial composition, collision
+facts), detects spatial contradictions on the result (reported, never
+deleted), and last chains hazard rules spanning at least two dimensions
+over it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .kb import Fact, Rule, SemanticGraph, ValidationError, forward_chain
@@ -21,17 +23,12 @@ class UnifiedCognition:
     contradictions: list[tuple[Fact, Fact]] = field(default_factory=list)
 
 
-def aggregate(t: SemanticGraph, s: SemanticGraph, c: SemanticGraph) -> UnifiedCognition:
-    """Union the three dimension graphs; contradictions are left empty."""
-    expected = (("temporal", t), ("spatial", s), ("conceptual", c))
-    for dimension, graph in expected:
-        if graph.dimension != dimension:
-            raise ValidationError(
-                f"aggregate expects a {dimension} graph, got {graph.dimension}"
-            )
-    unified = SemanticGraph("unified")
-    for _, graph in expected:
-        unified.merge(graph)
+def aggregate(t: Iterable[Fact], s: Iterable[Fact], c: Iterable[Fact]) -> UnifiedCognition:
+    """The unified graph of the three dimensions' facts; no contradictions yet."""
+    unified = SemanticGraph()
+    for facts in (t, s, c):
+        for fact in facts:
+            unified.insert(fact)
     return UnifiedCognition(graph=unified)
 
 
@@ -52,7 +49,7 @@ def detect_contradictions(
 
     Both patterns are key lookups, not a scan over all pairs: each relation
     maps to its exclusion partners, and for every string-object fact whose
-    relation has partners the key index is asked for (subject, partner,
+    relation has partners the graph is asked for (subject, partner,
     object) and for the reverse (object, relation, subject). An opposite
     must have a string object too: the symbol "5" and the int 5 share a
     key token but are not the same object.
@@ -61,17 +58,17 @@ def detect_contradictions(
     for a, b in exclusion_pairs:
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
-    index = {f.key(): f for f in graph.facts()}
     found: dict[tuple, tuple[Fact, Fact]] = {}
-    for key, fact in index.items():
+    for fact in graph:
         subject, relation, obj = fact.subject, fact.relation, fact.obj
         if not isinstance(obj, str) or relation not in partners:
             continue
+        key = fact.key()
         for partner in partners[relation]:
-            other = index.get((subject, partner, obj))
+            other = graph.lookup((subject, partner, obj))
             if other is not None and isinstance(other.obj, str) and key < other.key():
                 found[(key, other.key())] = (fact, other)
-        reverse = index.get((obj, relation, subject))
+        reverse = graph.lookup((obj, relation, subject))
         if reverse is not None and key < reverse.key():
             found[(key, reverse.key())] = (fact, reverse)
     return [found[k] for k in sorted(found)]

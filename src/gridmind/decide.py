@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import select
 import socket
 import subprocess
+import time
 from dataclasses import dataclass, field
 
 from . import canonical
@@ -497,6 +499,7 @@ class SubprocessPlanner:
         self.argv = argv
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
+        self._pending = b""  # bytes read past the last response line
 
     def _ensure(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
@@ -505,26 +508,39 @@ class SubprocessPlanner:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
             )
+            self._pending = b""
         return self._proc
 
     def plan(self, query: PlannerQuery) -> Plan:
         try:
             proc = self._ensure()
             assert proc.stdin is not None and proc.stdout is not None
-            proc.stdin.write(query.to_wire_line() + "\n")
+            proc.stdin.write((query.to_wire_line() + "\n").encode("utf-8"))
             proc.stdin.flush()
         except OSError as exc:
             raise PlannerError("planner_error", f"planner process unreachable: {exc}") from exc
-        ready, _, _ = select.select([proc.stdout], [], [], self.timeout)
-        if not ready:
-            raise PlannerError("planner_timeout", f"no response within {self.timeout}s")
-        line = proc.stdout.readline()
-        if not line:
-            raise PlannerError("planner_error", "planner closed its output stream")
-        return parse_plan_response(line)
+        line = self._read_line(proc.stdout.fileno())
+        try:
+            return parse_plan_response(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise PlannerError("planner_malformed", f"response is not UTF-8: {exc}", "/") from exc
+
+    def _read_line(self, fd: int) -> bytes:
+        """The next response line; stalling before its end is a timeout."""
+        deadline = time.monotonic() + self.timeout
+        while b"\n" not in self._pending:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([fd], [], [], left)[0]:
+                raise PlannerError("planner_timeout", f"no response within {self.timeout}s")
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                if not self._pending:
+                    raise PlannerError("planner_error", "planner closed its output stream")
+                break
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        return line
 
     def close(self) -> None:
         if self._proc is not None and self._proc.poll() is None:

@@ -1,9 +1,9 @@
 """Knowledge representation shared by every cognitive layer.
 
 A Fact is a confidence-weighted subject/relation/object triple with a
-timestamp. Facts live in typed SemanticGraphs (one per cognitive dimension
-plus a unified one) and are extended by forward chaining over Horn-style
-rules with positive premises and numeric guards.
+timestamp. Facts live in SemanticGraphs (the tick's unified graph, the
+semantic LTM, a KB file) and are extended by forward chaining over
+Horn-style rules with positive premises and numeric guards.
 
 Semantics that everything else relies on:
 
@@ -11,7 +11,9 @@ Semantics that everything else relies on:
   confidence and keeps the latest tick,
 * derived confidence = rule weight x product of premise confidences,
 * derivation is monotone and its fixpoint is independent of rule and fact
-  order (max-merge makes confidence collisions commutative).
+  order (max-merge makes confidence collisions commutative),
+* facts are validated where they enter (scenario, KB and LTM lines,
+  planner effects), not on insert: what is derived from them is valid.
 """
 
 from __future__ import annotations
@@ -21,28 +23,6 @@ from dataclasses import dataclass, replace
 from . import canonical
 
 ORIGINS = ("perceived", "derived", "retrieved", "asserted")
-DIMENSIONS = ("temporal", "spatial", "conceptual", "unified")
-
-# Relations whose object is a plain literal (symbol or number), never an
-# entity reference. Objects of any other relation are registered in the
-# graph's entity set.
-LITERAL_OBJECT_RELATIONS = frozenset(
-    {
-        "isa",
-        "has_state",
-        "has_function",
-        "has_role",
-        "affords",
-        "at",
-        "located_in",
-        "color",
-        "size",
-        "material",
-        "shape",
-        "wears",
-        "hazard",
-    }
-)
 
 Literal = str | int | float
 
@@ -143,14 +123,10 @@ def parse_literal(token: str) -> Literal:
 
 
 class SemanticGraph:
-    """A typed set of facts plus the entities they mention."""
+    """A set of facts keyed by identity, max-merged on insert."""
 
-    def __init__(self, dimension: str = "unified") -> None:
-        if dimension not in DIMENSIONS:
-            raise ValidationError(f"unknown graph dimension {dimension!r}")
-        self.dimension = dimension
+    def __init__(self) -> None:
         self._facts: dict[tuple[str, str, str], Fact] = {}
-        self.entities: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._facts)
@@ -158,53 +134,43 @@ class SemanticGraph:
     def __contains__(self, key: tuple[str, str, str]) -> bool:
         return key in self._facts
 
+    def __iter__(self):
+        """The stored facts in insertion order, for passes that need no order."""
+        return iter(self._facts.values())
+
     def get(self, subject: str, relation: str, obj: Literal) -> Fact | None:
         return self._facts.get((subject, relation, canonical.fmt_literal(obj)))
 
-    def facts(self) -> list[Fact]:
-        """All facts sorted by identity key (deterministic)."""
-        return [self._facts[k] for k in sorted(self._facts)]
+    def lookup(self, key: tuple[str, str, str]) -> Fact | None:
+        return self._facts.get(key)
 
-    def insert(self, fact: Fact) -> Fact:
-        """Insert with max-merge on identity collision; returns stored fact.
+    def facts(self, keys=None) -> list[Fact]:
+        """All facts, or those with the given keys, sorted by identity key."""
+        return [self._facts[k] for k in sorted(self._facts if keys is None else keys)]
+
+    def insert(self, fact: Fact) -> bool:
+        """Insert with max-merge on identity collision; True if the graph changed.
 
         On collision the stored fact keeps the higher confidence (the new
         origin wins only on a strict confidence increase) and the latest
-        tick.
+        tick. The fact is not validated here: see the module docstring.
         """
-        fact.validate()
         key = fact.key()
         old = self._facts.get(key)
         if old is None:
-            stored = fact
-        else:
-            tick = max(old.tick, fact.tick)
-            if fact.confidence > old.confidence:
-                stored = replace(fact, tick=tick)
-            else:
-                stored = replace(old, tick=tick)
-        self._facts[key] = stored
-        self.entities.add(fact.subject)
-        if fact.relation not in LITERAL_OBJECT_RELATIONS and isinstance(fact.obj, str):
-            self.entities.add(fact.obj)
-        return stored
-
-    def insert_improves(self, fact: Fact) -> bool:
-        """Insert and report whether the graph actually changed."""
-        key = fact.key()
-        old = self._facts.get(key)
-        self.insert(fact)
-        new = self._facts[key]
-        return old is None or new.confidence > old.confidence or new.tick > old.tick
-
-    def merge(self, other: "SemanticGraph") -> None:
-        for fact in other.facts():
-            self.insert(fact)
+            self._facts[key] = fact
+            return True
+        if fact.confidence > old.confidence:
+            self._facts[key] = replace(fact, tick=max(old.tick, fact.tick))
+            return True
+        if fact.tick > old.tick:
+            self._facts[key] = replace(old, tick=fact.tick)
+            return True
+        return False
 
     def by_relation(self) -> dict[str, list[Fact]]:
         index: dict[str, list[Fact]] = {}
-        for key in sorted(self._facts):
-            fact = self._facts[key]
+        for fact in self.facts():
             index.setdefault(fact.relation, []).append(fact)
         return index
 
@@ -212,8 +178,8 @@ class SemanticGraph:
         return [f.to_line() for f in self.facts()]
 
 
-def graph_from_lines(lines: list[str], dimension: str = "unified") -> SemanticGraph:
-    graph = SemanticGraph(dimension)
+def graph_from_lines(lines: list[str]) -> SemanticGraph:
+    graph = SemanticGraph()
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -367,7 +333,6 @@ def _instantiate(atom: Atom, binding: dict[str, Literal]) -> tuple[str, Literal]
 
 @dataclass
 class ChainResult:
-    graph: SemanticGraph
     derived: list[Fact]
     truncated: bool = False
     iterations: int = 0
@@ -386,7 +351,7 @@ def forward_chain(
         raise ValidationError("max_iterations must be >= 1")
     for rule in rules:
         rule.validate()
-    before = {f.key() for f in graph.facts()}
+    new_keys: set[tuple[str, str, str]] = set()
     truncated = False
     iterations = 0
     for _ in range(max_iterations):
@@ -408,14 +373,15 @@ def forward_chain(
                 )
         changed = False
         for fact in fresh:
-            if graph.insert_improves(fact):
+            if fact.key() not in graph:
+                new_keys.add(fact.key())
+            if graph.insert(fact):
                 changed = True
         if not changed:
             break
     else:
         truncated = True
-    derived = [f for f in graph.facts() if f.key() not in before]
-    return ChainResult(graph=graph, derived=derived, truncated=truncated, iterations=iterations)
+    return ChainResult(graph.facts(new_keys), truncated=truncated, iterations=iterations)
 
 
 def query(graph: SemanticGraph, pattern: Atom) -> list[dict[str, Literal]]:

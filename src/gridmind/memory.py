@@ -65,7 +65,6 @@ class WorkingMemory:
     def insert(self, fact: Fact, salience: float, tick: int) -> None:
         if not 0.0 <= salience <= 1.0:
             raise ValidationError(f"salience {salience} outside [0, 1]")
-        fact.validate()
         if tick != self._now:
             self._now, self._order_now = tick, None
         order = self._order_now
@@ -137,7 +136,7 @@ class Episode:
 
 class LongTermMemory:
     def __init__(self) -> None:
-        self.semantic = SemanticGraph("unified")
+        self.semantic = SemanticGraph()
         self.episodic: list[Episode] = []
 
     def append_episode(self, episode: Episode) -> None:

@@ -4,9 +4,11 @@ Observations are split into temporal (events), spatial (distances/
 directions/locations), and conceptual (category/material/shape/function)
 features. A deterministic weighted-salience attention pass then binds the
 per-entity features into one BoundObject per entity; downstream layers
-receive both the bound objects and per-dimension fact graphs.
+receive both the bound objects and the tick's perceived facts, one list
+per dimension, which cognition inserts into the unified graph.
 
-Graph emission policy (what becomes a fact):
+Emission policy (what becomes a fact; attributes go to the conceptual
+list, the movement state to the temporal one, the rest is spatial):
 
 * every sensed entity: at(e, "x,y") and located_in(e, region),
 * visible entities: isa/color/size/material/shape/has_state/affords,
@@ -15,7 +17,7 @@ Graph emission policy (what becomes a fact):
 * free-standing entities get pairwise Near (< near_distance) and exact
   cardinal LeftOf/RightOf/Above/Below facts,
 * containment is sensed on the container: Contains(c, x) and Inside(x, c),
-* an open movement event yields has_state(e, moving) in the temporal graph.
+* an open movement event yields has_state(e, moving).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .kb import Fact, SemanticGraph, ValidationError
+from .kb import Fact, ValidationError
 
 # fixed salience table for the attention pass
 SALIENCE_MOVING = 1.0
@@ -356,53 +358,49 @@ def build_dimension_graphs(
     fs: SpatialFeatures,
     fc: ConceptualFeatures,
     near_distance: float = 2.0,
-) -> tuple[SemanticGraph, SemanticGraph, SemanticGraph, dict[str, list[Fact]]]:
-    """Turn this tick's features into the three dimension graphs.
+) -> tuple[list[Fact], list[Fact], list[Fact], dict[str, list[Fact]]]:
+    """This tick's temporal, spatial and conceptual facts, one list each.
 
     Also returns the facts grouped by owning entity so working-memory
     salience can follow the attention scores.
     """
     tick = obs.tick
-    t_graph = SemanticGraph("temporal")
-    s_graph = SemanticGraph("spatial")
-    c_graph = SemanticGraph("conceptual")
+    t_facts, s_facts, c_facts = [], [], []
     by_entity: dict[str, list[Fact]] = {e: [] for e in obs.entities()}
 
-    def emit(graph: SemanticGraph, owner: str, subject: str, relation: str, obj) -> None:
+    def emit(facts: list[Fact], owner: str, subject: str, relation: str, obj) -> None:
         fact = Fact(subject, relation, obj, 1.0, tick, "perceived")
-        graph.insert(fact)
+        facts.append(fact)
         by_entity.setdefault(owner, []).append(fact)
 
     for entity in obs.entities():
         reading = obs.readings[entity]
         x, y = reading.position
-        emit(s_graph, entity, entity, "at", f"{x},{y}")
+        emit(s_facts, entity, entity, "at", f"{x},{y}")
         if reading.region is not None:
-            emit(s_graph, entity, entity, "located_in", reading.region)
+            emit(s_facts, entity, entity, "located_in", reading.region)
         for contained in reading.contains:
-            emit(s_graph, entity, entity, "Contains", contained)
-            emit(s_graph, contained, contained, "Inside", entity)
+            emit(s_facts, entity, entity, "Contains", contained)
+            emit(s_facts, contained, contained, "Inside", entity)
         record = fc.records.get(entity)
         if record is not None:
             if record.category:
-                emit(c_graph, entity, entity, "isa", record.category)
+                emit(c_facts, entity, entity, "isa", record.category)
             if record.color:
-                emit(c_graph, entity, entity, "color", record.color)
+                emit(c_facts, entity, entity, "color", record.color)
             if record.size is not None:
-                emit(c_graph, entity, entity, "size", record.size)
+                emit(c_facts, entity, entity, "size", record.size)
             if record.material:
-                emit(c_graph, entity, entity, "material", record.material)
+                emit(c_facts, entity, entity, "material", record.material)
             if record.shape:
-                emit(c_graph, entity, entity, "shape", record.shape)
+                emit(c_facts, entity, entity, "shape", record.shape)
             for flag in sorted(record.flags):
                 if flag != "moving":
-                    emit(c_graph, entity, entity, "has_state", flag)
+                    emit(c_facts, entity, entity, "has_state", flag)
             for function in record.functions:
-                emit(c_graph, entity, entity, "affords", function)
-        if ft.open_events_for(entity) and any(
-            e.kind == "move" for e in ft.open_events_for(entity)
-        ):
-            emit(t_graph, entity, entity, "has_state", "moving")
+                emit(c_facts, entity, entity, "affords", function)
+        if any(e.kind == "move" for e in ft.open_events_for(entity)):
+            emit(t_facts, entity, entity, "has_state", "moving")
 
     free = [
         e
@@ -410,7 +408,7 @@ def build_dimension_graphs(
         if e not in fs.supports and "carried" not in obs.readings[e].visible_flags()
     ]
     for entity, support in sorted(fs.supports.items()):
-        emit(s_graph, entity, entity, "OnTopOf", support)
+        emit(s_facts, entity, entity, "OnTopOf", support)
     for a in free:
         for b in free:
             if a == b:
@@ -419,9 +417,9 @@ def build_dimension_graphs(
             if dist is None:
                 continue
             if dist < near_distance:
-                emit(s_graph, a, a, "Near", b)
+                emit(s_facts, a, a, "Near", b)
             heading = fs.directions.get((a, b))
             relation = _HEADING_RELATION.get(heading or "")
             if relation:
-                emit(s_graph, a, a, relation, b)
-    return t_graph, s_graph, c_graph, by_entity
+                emit(s_facts, a, a, relation, b)
+    return t_facts, s_facts, c_facts, by_entity

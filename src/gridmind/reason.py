@@ -188,9 +188,9 @@ def compose_spatial(
     skipped (no reflexive spatial relations). Derived confidence is the
     product of the two premises, max-merged into the graph.
     """
-    before = {f.key() for f in graph.facts()}
+    new_keys: set[tuple[str, str, str]] = set()
     for _ in range(max_iterations):
-        spatial = [f for f in graph.facts() if f.relation in SPATIAL_VOCABULARY]
+        spatial = [f for f in graph if f.relation in SPATIAL_VOCABULARY]
         by_subject: dict[str, list[Fact]] = {}
         for fact in spatial:
             by_subject.setdefault(fact.subject, []).append(fact)
@@ -212,11 +212,13 @@ def compose_spatial(
                     max(first.tick, second.tick),
                     "derived",
                 )
-                if graph.insert_improves(derived):
+                if derived.key() not in graph:
+                    new_keys.add(derived.key())
+                if graph.insert(derived):
                     changed = True
         if not changed:
             break
-    return [f for f in graph.facts() if f.key() not in before]
+    return graph.facts(new_keys)
 
 
 # ---------------------------------------------------------------------------

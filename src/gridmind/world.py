@@ -24,6 +24,10 @@ Scenario file grammar (line oriented, `#` comments)::
 
 Entity keys: category, color, size, material, shape, flags (comma list),
 contains (comma list), on (supporting entity).
+
+Entity ids, region ids, attribute values, flags and the terms of a fact
+line become the terms of facts, so each must be a valid fact literal (no
+`|`).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from . import canonical
 from .kb import Fact, parse_literal
 from .perceive import Observation, Reading
 
@@ -198,11 +203,11 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
             coords = [_int(p, line_no, path) for p in parts[2:]]
             if coords[0] > coords[2] or coords[1] > coords[3]:
                 raise err("region corners out of order", line_no)
-            regions.append(Region(parts[1], *coords))
+            regions.append(Region(_symbol(parts[1], line_no, path), *coords))
         elif head in ("agent", "entity"):
             if len(parts) < 4:
                 raise err(f"expected '{head} <id> <x> <y> [key=value ...]'", line_no)
-            entity_id = parts[1]
+            entity_id = _symbol(parts[1], line_no, path)
             if entity_id in entities:
                 raise err(f"duplicate entity id {entity_id!r}", line_no)
             x, y = _int(parts[2], line_no, path), _int(parts[3], line_no, path)
@@ -214,7 +219,7 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                 if key not in _ENTITY_LINE_KEYS:
                     raise err(f"unknown attribute {key!r}", line_no)
                 if key == "flags":
-                    spec.flags = {f for f in value.split(",") if f}
+                    spec.flags = {_symbol(f, line_no, path) for f in value.split(",") if f}
                 elif key == "contains":
                     spec.contains = tuple(v for v in value.split(",") if v)
                 elif key == "on":
@@ -222,7 +227,8 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                 elif key == "size":
                     spec.attributes["size"] = _int(value, line_no, path)
                 else:
-                    spec.attributes[key] = value
+                    # an empty value is kept but never perceived as a fact
+                    spec.attributes[key] = _symbol(value, line_no, path) if value else value
             if head == "agent":
                 if agent is not None:
                     raise err("scenario may declare only one agent", line_no)
@@ -232,9 +238,10 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
         elif head == "fact":
             if len(parts) not in (4, 5):
                 raise err("expected 'fact <subject> <relation> <object> [conf]'", line_no)
-            confidence = float(parts[4]) if len(parts) == 5 else 1.0
-            fact = Fact(parts[1], parts[2], parse_literal(parts[3]), confidence, 0, "asserted")
             try:
+                confidence = float(parts[4]) if len(parts) == 5 else 1.0
+                subject, relation = canonical.fmt_literal(parts[1]), canonical.fmt_literal(parts[2])
+                fact = Fact(subject, relation, parse_literal(parts[3]), confidence, 0, "asserted")
                 fact.validate()
             except ValueError as exc:
                 raise err(str(exc), line_no) from exc
@@ -250,7 +257,8 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
             if kind in ("set", "clear"):
                 if len(rest) != 1:
                     raise err(f"expected 'at <tick> {kind} <entity> <flag>'", line_no)
-                events.append(ExogenousEvent(tick, kind, entity_id, (rest[0],)))
+                flag = _symbol(rest[0], line_no, path)
+                events.append(ExogenousEvent(tick, kind, entity_id, (flag,)))
             elif kind == "teleport":
                 if len(rest) != 2:
                     raise err("expected 'at <tick> teleport <entity> <x> <y>'", line_no)
@@ -354,6 +362,13 @@ def load_scenario(path: str) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}", path=path) from exc
     return parse_scenario(text, path)
+
+
+def _symbol(token: str, line_no: int, path: str | None) -> str:
+    try:
+        return canonical.fmt_literal(token)
+    except ValueError as exc:
+        raise ScenarioError(str(exc), line_no, path) from None
 
 
 def _int(token: str, line_no: int, path: str | None) -> int:

@@ -163,7 +163,7 @@ def random_spatial_graph(rng: random.Random, max_entities: int = 8) -> SemanticG
     relations = sorted(SPATIAL_VOCABULARY)
     n = rng.randint(2, max_entities)
     entities = [f"e{i}" for i in range(n)]
-    graph = SemanticGraph("spatial")
+    graph = SemanticGraph()
     for _ in range(rng.randint(1, 12)):
         a, b = rng.sample(entities, 2)
         relation = rng.choice(relations)

@@ -9,6 +9,7 @@ request. The first argv selects the behavior:
     unknown-action  respond with an action outside the catalog
     error           respond with an error object
     timeout         never respond
+    partial         write the start of a response, then stall mid-line
 
 An optional second argv is a path the stub writes its pid to on start.
 """
@@ -43,6 +44,11 @@ for line in sys.stdin:
     elif mode == "error":
         response = {"error": "planner exploded"}
     elif mode == "timeout":
+        time.sleep(3600)
+        response = {"steps": []}
+    elif mode == "partial":
+        sys.stdout.write('{"steps": [')
+        sys.stdout.flush()
         time.sleep(3600)
         response = {"steps": []}
     else:

@@ -105,6 +105,37 @@ def test_query_non_numeric_field_exit_three(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_query_confidence_out_of_range_exit_three(tmp_path, capsys):
+    kb = tmp_path / "bad.kb"
+    kb.write_text("a|isa|b|1.2|0|asserted\n")
+    assert main(["query", str(kb), "isa(?x, b)"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "entity bo|x1 3 2",
+        "region ro|om 0 0 4 4",
+        "entity box1 3 2 color=re|d",
+        "entity box1 3 2 flags=ho|t",
+        "at 0 set robot1 ho|t",
+        "fact zz|7 isa cup",
+        "fact zz7 i|sa cup",
+    ],
+    ids=[
+        "entity-id", "region-id", "attribute-value", "flag", "event-flag",
+        "fact-subject", "fact-relation",
+    ],
+)
+def test_scenario_token_that_is_no_fact_literal_exit_three(tmp_path, capsys, line):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(f"grid 6 6\nagent robot1 0 0\n{line}\n")
+    assert main(["run", str(bad), "--trace", str(tmp_path / "out.trace")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.scn:3:" in err
+
+
 def test_config_file_and_scenario_overrides(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"max_ticks": 1}))

@@ -29,13 +29,12 @@ def fact(s, r, o, conf=1.0, tick=0, origin="perceived"):
 
 class TestInsert:
     def test_insert_into_empty_graph(self):
-        graph = SemanticGraph("conceptual")
+        graph = SemanticGraph()
         graph.insert(fact("cup1", "isa", "cup", 1.0, 0))
         assert len(graph) == 1
-        assert graph.entities == {"cup1"}
 
     def test_reinsert_keeps_max_confidence(self):
-        graph = SemanticGraph("conceptual")
+        graph = SemanticGraph()
         graph.insert(fact("cup1", "isa", "cup", 0.4, 0))
         graph.insert(fact("cup1", "isa", "cup", 0.9, 3))
         assert len(graph) == 1
@@ -44,22 +43,12 @@ class TestInsert:
         assert stored.tick == 3
 
     def test_reinsert_keeps_latest_tick_even_with_lower_confidence(self):
-        graph = SemanticGraph("conceptual")
+        graph = SemanticGraph()
         graph.insert(fact("cup1", "isa", "cup", 0.9, 5))
         graph.insert(fact("cup1", "isa", "cup", 0.4, 9))
         stored = graph.get("cup1", "isa", "cup")
         assert stored.confidence == 0.9
         assert stored.tick == 9
-
-    def test_confidence_out_of_range_rejected(self):
-        graph = SemanticGraph("conceptual")
-        with pytest.raises(ValidationError):
-            graph.insert(fact("cup1", "isa", "cup", 1.2, 0))
-
-    def test_entity_object_relations_register_entities(self):
-        graph = SemanticGraph("spatial")
-        graph.insert(fact("vase1", "OnTopOf", "table1"))
-        assert graph.entities == {"vase1", "table1"}
 
     def test_negative_tick_rejected(self):
         with pytest.raises(ValidationError):
@@ -101,7 +90,7 @@ class TestSerialization:
         assert fact_from_line(line) == original
 
     def test_lines_sorted_by_identity_key(self):
-        graph = SemanticGraph("spatial")
+        graph = SemanticGraph()
         graph.insert(fact("b", "Near", "c"))
         graph.insert(fact("a", "Near", "b"))
         lines = graph.to_lines()
@@ -124,7 +113,7 @@ def _spill_rule(weight=1.0):
 
 class TestForwardChain:
     def test_knocked_over_cup_spills_contained_liquid(self):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         graph.insert(fact("cup1", "isa", "cup"))
         graph.insert(fact("cup1", "has_state", "knocked_over"))
         graph.insert(fact("cup1", "Contains", "liq1"))
@@ -134,7 +123,7 @@ class TestForwardChain:
         assert not result.truncated
 
     def test_empty_rule_list_is_noop(self):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         graph.insert(fact("a", "isa", "thing"))
         before = graph.to_lines()
         result = forward_chain(graph, [])
@@ -142,7 +131,7 @@ class TestForwardChain:
         assert graph.to_lines() == before
 
     def test_two_step_chain_reaches_both_conclusions(self):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         graph.insert(fact("e1", "has_state", "a"))
         rules = [
             Rule("a-to-b", (Atom("has_state", "?x", "a"),), Atom("has_state", "?x", "b"), 1.0),
@@ -156,7 +145,7 @@ class TestForwardChain:
         }
 
     def test_two_knocked_cups_yield_two_spills(self):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         for cup, liq in (("cup1", "liq1"), ("cup2", "liq2")):
             graph.insert(fact(cup, "isa", "cup"))
             graph.insert(fact(cup, "has_state", "knocked_over"))
@@ -165,7 +154,7 @@ class TestForwardChain:
         assert sorted(f.subject for f in result.derived) == ["liq1", "liq2"]
 
     def test_derived_confidence_is_weight_times_premise_product(self):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         graph.insert(fact("cup1", "isa", "cup", 0.8))
         graph.insert(fact("cup1", "has_state", "knocked_over", 0.5))
         graph.insert(fact("cup1", "Contains", "liq1", 1.0))
@@ -173,7 +162,7 @@ class TestForwardChain:
         assert result.derived[0].confidence == pytest.approx(0.9 * 0.8 * 0.5)
 
     def test_truncation_flag_when_budget_too_small(self):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         graph.insert(fact("e1", "has_state", "a"))
         rules = [
             Rule("a-to-b", (Atom("has_state", "?x", "a"),), Atom("has_state", "?x", "b"), 1.0),
@@ -188,10 +177,10 @@ class TestForwardChain:
             "unbound", (Atom("isa", "?x", "cup"),), Atom("has_state", "?y", "spilled"), 1.0
         )
         with pytest.raises(ValidationError):
-            forward_chain(SemanticGraph("unified"), [bad])
+            forward_chain(SemanticGraph(), [bad])
 
     def test_guard_filters_bindings(self):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         graph.insert(fact("a", "size", 5))
         graph.insert(fact("b", "size", 1))
         from gridmind.kb import Guard
@@ -207,7 +196,7 @@ class TestForwardChain:
         assert [f.subject for f in result.derived] == ["a"]
 
     def test_monotone_and_idempotent_at_fixpoint(self):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         graph.insert(fact("cup1", "isa", "cup"))
         graph.insert(fact("cup1", "has_state", "knocked_over"))
         graph.insert(fact("cup1", "Contains", "liq1"))
@@ -254,7 +243,7 @@ def test_fixpoint_independent_of_rule_and_fact_order():
         facts, rules = _random_instance(rng)
 
         def outcome(fact_order, rule_order):
-            graph = SemanticGraph("unified")
+            graph = SemanticGraph()
             for f in fact_order:
                 graph.insert(f)
             forward_chain(graph, list(rule_order))
@@ -277,7 +266,7 @@ def test_fixpoint_independent_of_rule_and_fact_order():
     weight=st.floats(min_value=0.01, max_value=1.0),
 )
 def test_derived_confidence_never_exceeds_min_premise(confs, weight):
-    graph = SemanticGraph("unified")
+    graph = SemanticGraph()
     premises = []
     for i, conf in enumerate(confs):
         graph.insert(Fact("e", "has_state", f"s{i}", conf, 0, "perceived"))
@@ -290,29 +279,29 @@ def test_derived_confidence_never_exceeds_min_premise(confs, weight):
 
 class TestQuery:
     def test_single_match(self):
-        graph = SemanticGraph("spatial")
+        graph = SemanticGraph()
         graph.insert(fact("table", "LeftOf", "bed"))
         assert query(graph, Atom("LeftOf", "?x", "bed")) == [{"?x": "table"}]
 
     def test_query_on_empty_graph(self):
-        assert query(SemanticGraph("spatial"), Atom("LeftOf", "?x", "?y")) == []
+        assert query(SemanticGraph(), Atom("LeftOf", "?x", "?y")) == []
 
     def test_bindings_sorted_by_value(self):
-        graph = SemanticGraph("conceptual")
+        graph = SemanticGraph()
         for cup in ("cup3", "cup1", "cup2"):
             graph.insert(fact(cup, "isa", "cup"))
         result = query(graph, Atom("isa", "?x", "cup"))
         assert [b["?x"] for b in result] == ["cup1", "cup2", "cup3"]
 
     def test_ground_pattern_matches(self):
-        graph = SemanticGraph("spatial")
+        graph = SemanticGraph()
         graph.insert(fact("table", "LeftOf", "bed"))
         assert query(graph, Atom("LeftOf", "table", "bed")) == [{}]
         assert query(graph, Atom("LeftOf", "bed", "table")) == []
 
 
 def test_repeated_variable_in_pattern_requires_equal_terms():
-    graph = SemanticGraph("spatial")
+    graph = SemanticGraph()
     graph.insert(fact("a", "Near", "b"))
     graph.insert(fact("c", "Near", "c"))
     result = query(graph, Atom("Near", "?x", "?x"))

@@ -241,8 +241,8 @@ class TestGraphEmission:
         ft = extract_temporal([o])
         fs = extract_spatial(o, "agent")
         fc = extract_conceptual(o)
-        _, s_graph, _, _ = build_dimension_graphs(o, ft, fs, fc)
-        relations = {(f.subject, f.relation, f.obj) for f in s_graph.facts()}
+        _, s_facts, _, _ = build_dimension_graphs(o, ft, fs, fc)
+        relations = {(f.subject, f.relation, f.obj) for f in s_facts}
         assert ("vase1", "OnTopOf", "table1") in relations
         assert ("table1", "LeftOf", "bed1") in relations
         assert not any(s == "vase1" and r in ("LeftOf", "Near") for s, r, _ in relations)
@@ -257,8 +257,8 @@ class TestGraphEmission:
         ft = extract_temporal([o])
         fs = extract_spatial(o, "agent")
         fc = extract_conceptual(o)
-        _, s_graph, _, _ = build_dimension_graphs(o, ft, fs, fc)
-        keys = {(f.subject, f.relation, f.obj) for f in s_graph.facts()}
+        _, s_facts, _, _ = build_dimension_graphs(o, ft, fs, fc)
+        keys = {(f.subject, f.relation, f.obj) for f in s_facts}
         assert ("cup1", "Contains", "liq1") in keys
         assert ("liq1", "Inside", "cup1") in keys
 
@@ -270,9 +270,10 @@ class TestGraphEmission:
         ft = extract_temporal(window)
         fs = extract_spatial(window[-1], "agent")
         fc = extract_conceptual(window[-1])
-        t_graph, _, c_graph, _ = build_dimension_graphs(window[-1], ft, fs, fc)
-        assert t_graph.get("cat1", "has_state", "moving") is not None
-        assert c_graph.get("cat1", "has_state", "moving") is None
+        t_facts, _, c_facts, _ = build_dimension_graphs(window[-1], ft, fs, fc)
+        moving = ("cat1", "has_state", "moving")
+        assert [f.key() for f in t_facts] == [moving]
+        assert moving not in {f.key() for f in c_facts}
 
 
 def test_compass_heading_table():

@@ -143,27 +143,27 @@ class TestSequenceModel:
 
 class TestComposeSpatial:
     def test_on_top_of_left_of_composes(self, rule_data):
-        graph = SemanticGraph("spatial")
+        graph = SemanticGraph()
         graph.insert(Fact("vase", "OnTopOf", "table", 1.0, 0, "perceived"))
         graph.insert(Fact("table", "LeftOf", "bed", 1.0, 0, "perceived"))
         derived = compose_spatial(graph, rule_data.composition)
         assert [(f.subject, f.relation, f.obj) for f in derived] == [("vase", "LeftOf", "bed")]
 
     def test_missing_entry_licenses_nothing(self, rule_data):
-        graph = SemanticGraph("spatial")
+        graph = SemanticGraph()
         graph.insert(Fact("table", "LeftOf", "bed", 1.0, 0, "perceived"))
         graph.insert(Fact("bed", "Near", "window", 1.0, 0, "perceived"))
         assert compose_spatial(graph, rule_data.composition) == []
 
     def test_left_of_chain_composes_with_product_confidence(self, rule_data):
-        graph = SemanticGraph("spatial")
+        graph = SemanticGraph()
         graph.insert(Fact("a", "LeftOf", "b", 0.8, 0, "perceived"))
         graph.insert(Fact("b", "LeftOf", "c", 0.5, 0, "perceived"))
         derived = compose_spatial(graph, rule_data.composition)
         assert [(f.subject, f.obj, f.confidence) for f in derived] == [("a", "c", 0.4)]
 
     def test_no_reflexive_conclusions(self, rule_data):
-        graph = SemanticGraph("spatial")
+        graph = SemanticGraph()
         graph.insert(Fact("a", "LeftOf", "b", 1.0, 0, "perceived"))
         graph.insert(Fact("b", "LeftOf", "a", 1.0, 0, "perceived"))
         derived = compose_spatial(graph, rule_data.composition)
@@ -253,7 +253,7 @@ class TestCollision:
 
 class TestInferConcepts:
     def test_edible_in_kitchen_is_food(self, rule_data):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         graph.insert(Fact("apple1", "has_state", "edible", 1.0, 0, "perceived"))
         graph.insert(Fact("apple1", "located_in", "kitchen", 1.0, 0, "perceived"))
         derived = infer_concepts(graph, rule_data.concept_rules)
@@ -262,13 +262,13 @@ class TestInferConcepts:
         ]
 
     def test_edible_elsewhere_is_not_food(self, rule_data):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         graph.insert(Fact("waxfruit1", "has_state", "edible", 1.0, 0, "perceived"))
         graph.insert(Fact("waxfruit1", "located_in", "livingroom", 1.0, 0, "perceived"))
         assert infer_concepts(graph, rule_data.concept_rules) == []
 
     def test_scrubs_in_clinic_implies_nurse_role(self, rule_data):
-        graph = SemanticGraph("unified")
+        graph = SemanticGraph()
         graph.insert(Fact("p1", "wears", "scrubs", 1.0, 0, "perceived"))
         graph.insert(Fact("p1", "located_in", "clinic", 1.0, 0, "perceived"))
         derived = infer_concepts(graph, rule_data.concept_rules)

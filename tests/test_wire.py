@@ -6,6 +6,7 @@ import json
 import socket
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,11 @@ from gridmind.decide import (
     PlannerError,
     SubprocessPlanner,
     TcpPlanner,
+    formulate_query,
+    interpret_task,
     parse_plan_response,
 )
+from gridmind.memory import WorkingMemory
 from gridmind.world import load_scenario
 
 STUB = str(Path(__file__).parent / "stub_planner.py")
@@ -26,6 +30,12 @@ STUB = str(Path(__file__).parent / "stub_planner.py")
 
 def stub_argv(mode: str) -> list[str]:
     return [sys.executable, STUB, mode]
+
+
+def _fetch_query():
+    scenario = load_scenario(scenario_path("fetch_close"))
+    task = interpret_task(scenario.tasks[0], scenario)
+    return formulate_query(WorkingMemory(), task, [], [])
 
 
 def _run_fetch_with(mode: str, timeout: float = 10.0):
@@ -62,12 +72,7 @@ class TestRoundTrip:
         assert result.runtime.world.entities["ball1"].on == "box1"
 
     def test_request_line_is_wire_canonical(self):
-        from gridmind.decide import formulate_query, interpret_task
-        from gridmind.memory import WorkingMemory
-
-        scenario = load_scenario(scenario_path("fetch_close"))
-        task = interpret_task(scenario.tasks[0], scenario)
-        query = formulate_query(WorkingMemory(), task, [], [])
+        query = _fetch_query()
         payload = json.loads(query.to_wire_line())
         assert list(payload) == ["version", "task", "hazards", "facts", "episodes", "actions"]
         assert payload["version"] == 1
@@ -94,6 +99,14 @@ class TestFailureModes:
             parse_plan_response('{"steps": [{"action": "PickUp", "args": []}]}')
         assert exc.value.path == "/steps/0/args"
 
+    def test_effect_confidence_out_of_range_rejected(self):
+        effect = ["cup1", "isa", "cup", 1.2, 0]
+        step = {"action": "PickUp", "args": ["cup1"], "effects": [effect]}
+        with pytest.raises(PlannerError) as exc:
+            parse_plan_response(json.dumps({"steps": [step]}))
+        assert exc.value.code == "planner_malformed"
+        assert exc.value.path == "/steps/0/effects/0"
+
     def test_error_response_surfaces_as_planner_error(self):
         with pytest.raises(PlannerError) as exc:
             parse_plan_response('{"error": "planner exploded"}')
@@ -118,17 +131,37 @@ class TestFailureModes:
         assert result.runtime.world.tick == 0
 
     def test_timeout_produces_planner_timeout(self):
-        from gridmind.decide import formulate_query, interpret_task
-        from gridmind.memory import WorkingMemory
-
-        scenario = load_scenario(scenario_path("fetch_close"))
-        task = interpret_task(scenario.tasks[0], scenario)
-        query = formulate_query(WorkingMemory(), task, [], [])
+        query = _fetch_query()
         client = SubprocessPlanner(stub_argv("timeout"), timeout=0.4)
         try:
             with pytest.raises(PlannerError) as exc:
                 client.plan(query)
             assert exc.value.code == "planner_timeout"
+        finally:
+            client.close()
+
+    def test_planner_stalled_mid_line_times_out(self):
+        query = _fetch_query()
+        client = SubprocessPlanner(stub_argv("partial"), timeout=0.5)
+        try:
+            start = time.monotonic()
+            with pytest.raises(PlannerError) as exc:
+                client.plan(query)
+            elapsed = time.monotonic() - start
+            assert exc.value.code == "planner_timeout"
+            assert elapsed < 1.0
+        finally:
+            client.close()
+
+    def test_response_that_is_not_utf8_is_malformed(self):
+        query = _fetch_query()
+        # reads the request, answers with an error text holding the byte 0xff
+        answer = r"""import sys; input(); sys.stdout.buffer.write(b'{"error": "\xff"}')"""
+        client = SubprocessPlanner([sys.executable, "-c", answer], timeout=5.0)
+        try:
+            with pytest.raises(PlannerError) as exc:
+                client.plan(query)
+            assert exc.value.code == "planner_malformed"
         finally:
             client.close()
 
@@ -158,12 +191,7 @@ class TestTcpTransport:
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        from gridmind.decide import formulate_query, interpret_task
-        from gridmind.memory import WorkingMemory
-
-        scenario = load_scenario(scenario_path("fetch_close"))
-        task = interpret_task(scenario.tasks[0], scenario)
-        query = formulate_query(WorkingMemory(), task, [], [])
+        query = _fetch_query()
         client = TcpPlanner(host, port, timeout=5.0)
         try:
             plan = client.plan(query)

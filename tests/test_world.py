@@ -281,6 +281,13 @@ def test_scenario_fact_with_bad_confidence_rejected():
     assert ":3:" in str(exc.value)
 
 
+def test_scenario_fact_with_non_numeric_confidence_rejected():
+    text = "grid 4 4\nagent robot1 0 0\nfact a isa b high\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert ":3:" in str(exc.value)
+
+
 def test_contents_travel_with_their_container():
     text = (
         "grid 8 8\nagent robot1 2 2\n"
