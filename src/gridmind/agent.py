@@ -129,8 +129,7 @@ class AgentRuntime:
                 self.wm.insert(fact, salience=1.0, tick=tick)
 
     def tick(self, action: Action) -> TickOutcome:
-        _, result = self.world.step(action)
-        return self._pipeline(action=action, result=result)
+        return self._pipeline(action=action, result=self.world.step(action))
 
     # -- the pipeline ---------------------------------------------------------
 

@@ -38,6 +38,7 @@ from .world import (
     ACTION_CATALOG,
     Action,
     ActionResult,
+    GRID_DIRECTIONS,
     Scenario,
     SURFACE_CATEGORIES,
     TaskSpec,
@@ -343,6 +344,9 @@ class _QueryView:
         return self.positions[entity]
 
 
+_DIRECTION_OF_STEP = {step: name for name, step in GRID_DIRECTIONS.items()}
+
+
 def _moves_to_adjacent(
     cur: tuple[int, int], goal: tuple[int, int]
 ) -> tuple[list[Action], tuple[int, int]]:
@@ -352,11 +356,7 @@ def _moves_to_adjacent(
     while math.hypot(goal[0] - x, goal[1] - y) > 1.0 + 1e-9:
         dx = (goal[0] > x) - (goal[0] < x)
         dy = (goal[1] > y) - (goal[1] < y)
-        direction = {
-            (0, -1): "N", (1, -1): "NE", (1, 0): "E", (1, 1): "SE",
-            (0, 1): "S", (-1, 1): "SW", (-1, 0): "W", (-1, -1): "NW",
-        }[(dx, dy)]
-        moves.append(Action("Move", (direction,)))
+        moves.append(Action("Move", (_DIRECTION_OF_STEP[(dx, dy)],)))
         x, y = x + dx, y + dy
     return moves, (x, y)
 
@@ -492,35 +492,22 @@ def parse_plan_response(line: str) -> Plan:
     return Plan(steps=steps, source="external")
 
 
-class SubprocessPlanner:
-    """Speaks the wire protocol to a planner over its standard streams."""
+class _LinePlanner:
+    """One request line out, one response line back, under one deadline.
 
-    def __init__(self, argv: list[str], timeout: float = 30.0):
-        self.argv = argv
-        self.timeout = timeout
-        self._proc: subprocess.Popen | None = None
-        self._pending = b""  # bytes read past the last response line
+    Subclasses provide `_exchange` (send a request, return `_read_line` on
+    the answering stream's fd) and `close`.
+    """
 
-    def _ensure(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self._proc = subprocess.Popen(
-                self.argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-            )
-            self._pending = b""
-        return self._proc
+    timeout: float
+    _pending = b""  # bytes read past the last response line
 
     def plan(self, query: PlannerQuery) -> Plan:
         try:
-            proc = self._ensure()
-            assert proc.stdin is not None and proc.stdout is not None
-            proc.stdin.write((query.to_wire_line() + "\n").encode("utf-8"))
-            proc.stdin.flush()
-        except OSError as exc:
-            raise PlannerError("planner_error", f"planner process unreachable: {exc}") from exc
-        line = self._read_line(proc.stdout.fileno())
+            line = self._exchange((query.to_wire_line() + "\n").encode("utf-8"))
+        except PlannerError:
+            self.close()  # so a late answer is never read as the next request's
+            raise
         try:
             return parse_plan_response(line.decode("utf-8"))
         except UnicodeDecodeError as exc:
@@ -542,17 +529,50 @@ class SubprocessPlanner:
         line, _, self._pending = self._pending.partition(b"\n")
         return line
 
+
+class SubprocessPlanner(_LinePlanner):
+    """Speaks the wire protocol to a planner over its standard streams."""
+
+    def __init__(self, argv: list[str], timeout: float = 30.0):
+        self.argv = argv
+        self.timeout = timeout
+        self._proc: subprocess.Popen | None = None
+
+    def _exchange(self, request: bytes) -> bytes:
+        try:
+            if self._proc is None or self._proc.poll() is not None:
+                self._proc = subprocess.Popen(
+                    self.argv,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                )
+                self._pending = b""
+            assert self._proc.stdin is not None and self._proc.stdout is not None
+            self._proc.stdin.write(request)
+            self._proc.stdin.flush()
+        except OSError as exc:
+            raise PlannerError("planner_error", f"planner process unreachable: {exc}") from exc
+        return self._read_line(self._proc.stdout.fileno())
+
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
+        if self._proc is None:
+            return
+        if self._proc.poll() is None:
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=2)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+        for pipe in (self._proc.stdin, self._proc.stdout):
+            try:
+                pipe.close()
+            except OSError:  # a request left unflushed to a planner that exited
+                pass
         self._proc = None
 
 
-class TcpPlanner:
+class TcpPlanner(_LinePlanner):
     """Wire protocol over a TCP connection (one request per line)."""
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
@@ -560,28 +580,18 @@ class TcpPlanner:
         self.port = port
         self.timeout = timeout
         self._sock: socket.socket | None = None
-        self._file = None
 
-    def _ensure(self):
-        if self._sock is None:
-            self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-            self._sock.settimeout(self.timeout)
-            self._file = self._sock.makefile("rw", encoding="utf-8", newline="\n")
-        return self._file
-
-    def plan(self, query: PlannerQuery) -> Plan:
+    def _exchange(self, request: bytes) -> bytes:
         try:
-            fh = self._ensure()
-            fh.write(query.to_wire_line() + "\n")
-            fh.flush()
-            line = fh.readline()
+            if self._sock is None:
+                self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+                self._pending = b""
+            self._sock.sendall(request)
+            return self._read_line(self._sock.fileno())
         except socket.timeout as exc:
             raise PlannerError("planner_timeout", f"no response within {self.timeout}s") from exc
         except OSError as exc:
             raise PlannerError("planner_error", f"planner unreachable: {exc}") from exc
-        if not line:
-            raise PlannerError("planner_error", "planner closed the connection")
-        return parse_plan_response(line)
 
     def close(self) -> None:
         if self._sock is not None:
@@ -589,7 +599,6 @@ class TcpPlanner:
                 self._sock.close()
             finally:
                 self._sock = None
-                self._file = None
 
 
 # ---------------------------------------------------------------------------

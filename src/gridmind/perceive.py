@@ -1,7 +1,7 @@
 """Semantic perception: three parallel feature pathways plus binding.
 
-Observations are split into temporal (events), spatial (distances/
-directions/locations), and conceptual (category/material/shape/function)
+Observations are split into temporal (events), spatial (ego offsets from
+the agent and supports), and conceptual (category/material/shape/function)
 features. A deterministic weighted-salience attention pass then binds the
 per-entity features into one BoundObject per entity; downstream layers
 receive both the bound objects and the tick's perceived facts, one list
@@ -15,7 +15,8 @@ list, the movement state to the temporal one, the rest is spatial):
 * stacked entities relate to the world only through OnTopOf(e, support);
   their pairwise relations are left to the composition table downstream,
 * free-standing entities get pairwise Near (< near_distance) and exact
-  cardinal LeftOf/RightOf/Above/Below facts,
+  cardinal LeftOf/RightOf/Above/Below facts, computed from the two
+  readings' positions,
 * containment is sensed on the container: Contains(c, x) and Inside(x, c),
 * an open movement event yields has_state(e, moving).
 """
@@ -35,9 +36,8 @@ SALIENCE_TASK = 1.0
 SALIENCE_DEFAULT = 0.3
 STATE_SALIENCE_FLAGS = frozenset({"hot", "wet", "powered"})
 
-_OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E", "NE": "SW", "SW": "NE", "NW": "SE", "SE": "NW"}
-# heading of b as seen from a -> relation(a, b)
-_HEADING_RELATION = {"E": "LeftOf", "W": "RightOf", "S": "Above", "N": "Below"}
+# signs of b's offset from a (y grows southward) -> relation(a, b)
+_CARDINAL = {(1, 0): "LeftOf", (-1, 0): "RightOf", (0, 1): "Above", (0, -1): "Below"}
 
 
 @dataclass(frozen=True)
@@ -114,15 +114,8 @@ class TemporalFeatures:
 
 
 @dataclass
-class Location:
-    ego: tuple[int, int]
-
-
-@dataclass
 class SpatialFeatures:
-    distances: dict[tuple[str, str], float] = field(default_factory=dict)
-    directions: dict[tuple[str, str], str] = field(default_factory=dict)
-    locations: dict[str, Location] = field(default_factory=dict)
+    locations: dict[str, tuple[int, int]] = field(default_factory=dict)  # ego offsets
     supports: dict[str, str] = field(default_factory=dict)
     agent: str = ""
 
@@ -149,30 +142,6 @@ class BoundObject:
     entity: str
     score: float
     below_threshold: bool
-
-
-def compass_heading(dx: int, dy: int) -> str | None:
-    """Sign-based 8-way heading; None for zero displacement.
-
-    The y axis grows southward (row index), so N is -y.
-    """
-    if dx == 0 and dy == 0:
-        return None
-    sx, sy = (dx > 0) - (dx < 0), (dy > 0) - (dy < 0)
-    return {
-        (0, -1): "N",
-        (1, -1): "NE",
-        (1, 0): "E",
-        (1, 1): "SE",
-        (0, 1): "S",
-        (-1, 1): "SW",
-        (-1, 0): "W",
-        (-1, -1): "NW",
-    }[(sx, sy)]
-
-
-def opposite_heading(heading: str) -> str:
-    return _OPPOSITE[heading]
 
 
 def extract_temporal(window: list[Observation]) -> TemporalFeatures:
@@ -223,7 +192,7 @@ def _event_kind(flag: str) -> str:
 
 
 def extract_spatial(obs: Observation, agent: str) -> SpatialFeatures:
-    """All pairwise distances/headings plus per-entity locations."""
+    """Per-entity offsets from the agent, plus what each entity rests on."""
     agent_reading = obs.readings.get(agent)
     if agent_reading is None:
         raise ValidationError(f"agent {agent!r} absent from observation")
@@ -231,25 +200,12 @@ def extract_spatial(obs: Observation, agent: str) -> SpatialFeatures:
         raise ValidationError(f"agent {agent!r} occluded; cannot self-localize")
     ax, ay = agent_reading.position
     features = SpatialFeatures(agent=agent)
-    entities = obs.entities()
-    for entity in entities:
+    for entity in obs.entities():
         reading = obs.readings[entity]
         x, y = reading.position
-        features.locations[entity] = Location(ego=(x - ax, y - ay))
+        features.locations[entity] = (x - ax, y - ay)
         if reading.on is not None:
             features.supports[entity] = reading.on
-    for a in entities:
-        for b in entities:
-            if a >= b:
-                continue
-            pa, pb = obs.readings[a].position, obs.readings[b].position
-            dist = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
-            features.distances[(a, b)] = dist
-            features.distances[(b, a)] = dist
-            heading = compass_heading(pb[0] - pa[0], pb[1] - pa[1])
-            if heading is not None:
-                features.directions[(a, b)] = heading
-                features.directions[(b, a)] = opposite_heading(heading)
     return features
 
 
@@ -323,10 +279,10 @@ def attend_and_bind(
         events = ft.events_for(entity)
         open_events = [e for e in events if not e.closed]
         record = fc.records.get(entity)
-        location = fs.locations.get(entity)
+        ego = fs.locations.get(entity)
         presence = {
             "temporal": bool(events),
-            "spatial": location is not None,
+            "spatial": ego is not None,
             "conceptual": record is not None,
         }
         task_ref = entity in task_refs or entity == fs.agent
@@ -337,7 +293,7 @@ def attend_and_bind(
         elif open_events:
             sal_t = SALIENCE_STATE_FLAG
         sal_s = SALIENCE_DEFAULT
-        if location is not None and math.hypot(*location.ego) < 2.0:
+        if ego is not None and math.hypot(*ego) < 2.0:
             sal_s = SALIENCE_ADJACENT
         sal_c = SALIENCE_DEFAULT
         if record is not None and record.flags & STATE_SALIENCE_FLAGS:
@@ -410,16 +366,15 @@ def build_dimension_graphs(
     for entity, support in sorted(fs.supports.items()):
         emit(s_facts, entity, entity, "OnTopOf", support)
     for a in free:
+        ax, ay = obs.readings[a].position
         for b in free:
             if a == b:
                 continue
-            dist = fs.distances.get((a, b))
-            if dist is None:
-                continue
-            if dist < near_distance:
+            bx, by = obs.readings[b].position
+            dx, dy = bx - ax, by - ay
+            if math.hypot(dx, dy) < near_distance:
                 emit(s_facts, a, a, "Near", b)
-            heading = fs.directions.get((a, b))
-            relation = _HEADING_RELATION.get(heading or "")
+            relation = _CARDINAL.get(((dx > 0) - (dx < 0), (dy > 0) - (dy < 0)))
             if relation:
                 emit(s_facts, a, a, relation, b)
     return t_facts, s_facts, c_facts, by_entity

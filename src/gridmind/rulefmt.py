@@ -201,5 +201,8 @@ def load_composition(path: str) -> dict[tuple[str, str], str]:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise RuleFileError(f"cannot read rule file: {exc}", path=path) from exc

@@ -4,8 +4,10 @@ Entities occupy grid cells, carry attributes and state flags, and may rest
 on one another (each stacked entity has exactly one support below it;
 surface categories such as tables may hold several independent stacks).
 Actions have physics-lite effects; scripted exogenous events fire after the
-action each tick; observations are synthesized with stack/containment
-occlusion and optional seeded position noise.
+action each tick. A step returns the action's result, whose delta holds the
+tick's newly set flags and new positions as facts. Observations cover every
+entity, synthesized with stack/containment occlusion and optional seeded
+position noise.
 
 Scenario file grammar (line oriented, `#` comments)::
 
@@ -106,14 +108,6 @@ class ActionResult:
             "delta": [f.to_array() for f in self.delta],
             "flags": list(self.flags),
         }
-
-
-@dataclass(frozen=True)
-class WorldEvent:
-    tick: int
-    entity: str
-    kind: str  # flag_set | flag_cleared | moved
-    detail: str
 
 
 @dataclass
@@ -406,7 +400,6 @@ class WorldState:
         self.noise = noise
         self.rng = random.Random(seed)
         self.carrying: str | None = None
-        self._action_events: list[WorldEvent] = []
         self.entities: dict[str, EntityState] = {}
         for entity_id in sorted(scenario.entities):
             spec = scenario.entities[entity_id]
@@ -487,13 +480,15 @@ class WorldState:
         elif event.kind == "velocity":
             state.velocity = (int(event.args[0]), int(event.args[1]))
 
-    def step(self, action: Action) -> tuple[list[WorldEvent], ActionResult]:
-        """Advance one tick: action, then motion, then scripted events."""
+    def step(self, action: Action) -> ActionResult:
+        """Advance one tick: action, then motion, then scripted events.
+
+        The result's delta holds, per entity in id order, a has_state fact
+        for each newly set flag (sorted), then an at fact if it moved.
+        """
         self.tick += 1
         prev_positions = {e: st.position for e, st in self.entities.items()}
         prev_flags = {e: set(st.flags) for e, st in self.entities.items()}
-
-        self._action_events: list[WorldEvent] = []
         result = self._apply_action(action)
 
         for entity_id in sorted(self.entities):
@@ -526,37 +521,21 @@ class WorldState:
             if not changed:
                 break
 
-        events: list[WorldEvent] = list(self._action_events)
         for entity_id in sorted(self.entities):
             state = self.entities[entity_id]
-            if state.position != prev_positions[entity_id]:
+            moved = state.position != prev_positions[entity_id]
+            if moved:
                 state.flags.add("moving")
             else:
                 state.flags.discard("moving")
-        for entity_id in sorted(self.entities):
-            state = self.entities[entity_id]
-            before, after = prev_flags[entity_id], state.flags
-            for flag in sorted(after - before):
-                events.append(WorldEvent(self.tick, entity_id, "flag_set", flag))
-            for flag in sorted(before - after):
-                events.append(WorldEvent(self.tick, entity_id, "flag_cleared", flag))
-            if state.position != prev_positions[entity_id]:
-                x, y = state.position
-                events.append(WorldEvent(self.tick, entity_id, "moved", f"{x},{y}"))
-
-        result.delta = self._delta_facts(events)
-        return events, result
-
-    def _delta_facts(self, events: list[WorldEvent]) -> list[Fact]:
-        delta = []
-        for event in events:
-            if event.kind == "moved":
-                delta.append(Fact(event.entity, "at", event.detail, 1.0, self.tick, "perceived"))
-            elif event.kind == "flag_set":
-                delta.append(
-                    Fact(event.entity, "has_state", event.detail, 1.0, self.tick, "perceived")
+            for flag in sorted(state.flags - prev_flags[entity_id]):
+                result.delta.append(
+                    Fact(entity_id, "has_state", flag, 1.0, self.tick, "perceived")
                 )
-        return delta
+            if moved:
+                x, y = state.position
+                result.delta.append(Fact(entity_id, "at", f"{x},{y}", 1.0, self.tick, "perceived"))
+        return result
 
     def _apply_action(self, action: Action) -> ActionResult:
         name = action.name
@@ -615,7 +594,6 @@ class WorldState:
             state.position = support.position
             state.flags.discard("carried")
             self.carrying = None
-            self._action_events.append(WorldEvent(self.tick, moved, "placed", support_id))
             flags: tuple[str, ...] = ()
             if (
                 not support.is_surface()
@@ -667,23 +645,16 @@ class WorldState:
 
     # -- observation --------------------------------------------------------
 
-    def observe(self, radius: float | None = None) -> Observation:
+    def observe(self) -> Observation:
         """Synthesize this tick's observation.
 
         Stacked-under and contained entities are occluded (position only).
         With noise enabled, non-agent reported positions get independent
         uniform {-1, 0, 1} offsets per axis from the seeded rng.
         """
-        agent_pos = self.entities[self.agent].position
         readings: dict[str, Reading] = {}
         for entity_id in sorted(self.entities):
             state = self.entities[entity_id]
-            if radius is not None and entity_id != self.agent:
-                dist = math.hypot(
-                    state.position[0] - agent_pos[0], state.position[1] - agent_pos[1]
-                )
-                if dist > radius:
-                    continue
             reported = state.position
             if self.noise and entity_id != self.agent:
                 dx = self.rng.randint(-1, 1)

@@ -146,6 +146,38 @@ def _bindings(premises, items, values):
     return results
 
 
+def pairwise_spatial_facts(obs, near_distance: float) -> list[tuple[str, str, str]]:
+    """Near and exact cardinal (subject, relation, object) triples between
+    free-standing readings, in (a, b) id order, by case analysis.
+
+    A reading is free-standing unless it rests on something or is carried.
+    Near compares squared distances; y grows southward, so b due south of
+    a makes a Above b.
+    """
+    free = sorted(
+        e for e, r in obs.readings.items()
+        if r.on is None and "carried" not in (r.flags or ())
+    )
+    facts = []
+    for a in free:
+        ax, ay = obs.readings[a].position
+        for b in free:
+            if a == b:
+                continue
+            bx, by = obs.readings[b].position
+            if (bx - ax) ** 2 + (by - ay) ** 2 < near_distance**2:
+                facts.append((a, "Near", b))
+            if ay == by and bx > ax:
+                facts.append((a, "LeftOf", b))
+            elif ay == by and bx < ax:
+                facts.append((a, "RightOf", b))
+            elif ax == bx and by > ay:
+                facts.append((a, "Above", b))
+            elif ax == bx and by < ay:
+                facts.append((a, "Below", b))
+    return facts
+
+
 def random_dag(rng: random.Random, max_nodes: int = 8) -> set[tuple[str, str]]:
     n = rng.randint(2, max_nodes)
     nodes = [f"n{i}" for i in range(n)]

@@ -105,6 +105,16 @@ def test_query_non_numeric_field_exit_three(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("option", ["--rules", "--composition"])
+def test_query_missing_rule_file_exit_three(tmp_path, capsys, option):
+    kb = tmp_path / "kb.kb"
+    kb.write_text("")
+    missing = tmp_path / "missing.txt"
+    assert main(["query", str(kb), "Near(a, ?x)", option, str(missing)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {missing}: cannot read rule file: ")
+
+
 def test_query_confidence_out_of_range_exit_three(tmp_path, capsys):
     kb = tmp_path / "bad.kb"
     kb.write_text("a|isa|b|1.2|0|asserted\n")

@@ -153,6 +153,24 @@ class TestFailureModes:
         finally:
             client.close()
 
+    def test_late_answer_is_not_read_as_the_next_one(self):
+        query = _fetch_query()
+        # answers each request 0.8 s late, naming the request it answers
+        late = (
+            "import sys, time\n"
+            "for n, _ in enumerate(sys.stdin, start=1):\n"
+            "    time.sleep(0.8)\n"
+            "    print('{\"error\": \"answer to request %d\"}' % n, flush=True)\n"
+        )
+        client = SubprocessPlanner([sys.executable, "-c", late], timeout=0.5)
+        try:
+            for _ in range(2):
+                with pytest.raises(PlannerError) as exc:
+                    client.plan(query)
+                assert exc.value.code == "planner_timeout"
+        finally:
+            client.close()
+
     def test_response_that_is_not_utf8_is_malformed(self):
         query = _fetch_query()
         # reads the request, answers with an error text holding the byte 0xff
@@ -198,5 +216,39 @@ class TestTcpTransport:
             assert [s.action.name for s in plan.steps] == ["Wait"]
         finally:
             client.close()
+            server.close()
+        thread.join(timeout=5)
+
+    def test_response_trickled_slowly_times_out(self):
+        server = socket.create_server(("127.0.0.1", 0))
+        host, port = server.getsockname()
+        stop = threading.Event()
+
+        def serve():
+            conn, _ = server.accept()
+            with conn, conn.makefile("rb") as fh:
+                fh.readline()
+                for byte in b'{"error": "slow"}\n':
+                    if stop.wait(0.3):
+                        return
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:
+                        return
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        query = _fetch_query()
+        client = TcpPlanner(host, port, timeout=0.5)
+        try:
+            start = time.monotonic()
+            with pytest.raises(PlannerError) as exc:
+                client.plan(query)
+            elapsed = time.monotonic() - start
+            assert exc.value.code == "planner_timeout"
+            assert elapsed < 1.0
+        finally:
+            client.close()
+            stop.set()
             server.close()
         thread.join(timeout=5)

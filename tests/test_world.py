@@ -82,7 +82,7 @@ class TestStep:
     def test_pickup_out_of_range_fails_world_unchanged(self):
         w = world()
         before = {e: s.position for e, s in w.entities.items()}
-        _, result = w.step(Action("PickUp", ("table1",)))
+        result = w.step(Action("PickUp", ("table1",)))
         assert result.failed and result.reason == "out_of_range"
         assert w.tick == 1
         assert {e: s.position for e, s in w.entities.items()} == before
@@ -93,11 +93,10 @@ class TestStep:
         w.step(Action("PickUp", ("cup1",)))
         assert w.carrying == "cup1"
         w.entities["robot1"].position = (4, 4)
-        events, result = w.step(Action("PlaceOn", ("cup1", "table1")))
+        result = w.step(Action("PlaceOn", ("cup1", "table1")))
         assert result.status == "ok"
         assert w.entities["cup1"].on == "table1"
         assert w.stacks_on("table1") == [["cup1"]]
-        assert any(e.kind == "placed" and e.entity == "cup1" for e in events)
 
     def test_heavy_on_fragile_breaks_and_wobbles(self):
         w = world()
@@ -108,7 +107,7 @@ class TestStep:
         w.entities["robot1"].position = (2, 3)
         w.step(Action("PickUp", ("plate1",)))
         w.entities["robot1"].position = (4, 4)
-        _, result = w.step(Action("PlaceOn", ("plate1", "cup1")))
+        result = w.step(Action("PlaceOn", ("plate1", "cup1")))
         assert w.entities["plate1"].on == "cup1"
         assert "broken" in w.entities["cup1"].flags
         assert "instability" in result.flags
@@ -116,15 +115,15 @@ class TestStep:
     def test_wait_changes_only_tick(self):
         w = world()
         before = {e: (s.position, set(s.flags)) for e, s in w.entities.items()}
-        events, result = w.step(Action("Wait"))
+        result = w.step(Action("Wait"))
         assert result.status == "ok"
         assert w.tick == 1
-        assert events == []
+        assert result.delta == []
         assert {e: (s.position, set(s.flags)) for e, s in w.entities.items()} == before
 
     def test_move_out_of_bounds_fails(self):
         w = world()
-        _, result = w.step(Action("Move", ("N",)))
+        result = w.step(Action("Move", ("N",)))
         assert result.failed and result.reason == "out_of_bounds"
 
     def test_pickup_under_stack_fails(self):
@@ -135,7 +134,7 @@ class TestStep:
         w.step(Action("PlaceOn", ("cup1", "table1")))
         w.entities["robot1"].position = (3, 4)
         w.step(Action("PickUp", ("table1",)))
-        _, result = w.step(Action("PickUp", ("table1",)))
+        result = w.step(Action("PickUp", ("table1",)))
         assert result.failed and result.reason == "stacked_under"
 
     def test_cutpower_mop_fixleak(self):
@@ -146,13 +145,13 @@ class TestStep:
             "entity sink1 0 1 category=sink flags=leaking\n"
         )
         w = world(text)
-        _, r1 = w.step(Action("CutPower", ("wire1",)))
+        r1 = w.step(Action("CutPower", ("wire1",)))
         assert r1.status == "ok" and "powered" not in w.entities["wire1"].flags
-        _, r2 = w.step(Action("Mop", ("2", "1")))
+        r2 = w.step(Action("Mop", ("2", "1")))
         assert r2.status == "ok" and "wet" not in w.entities["water1"].flags
-        _, r3 = w.step(Action("FixLeak", ("sink1",)))
+        r3 = w.step(Action("FixLeak", ("sink1",)))
         assert r3.status == "ok" and "leaking" not in w.entities["sink1"].flags
-        _, r4 = w.step(Action("CutPower", ("wire1",)))
+        r4 = w.step(Action("CutPower", ("wire1",)))
         assert r4.failed and r4.reason == "not_powered"
 
     def test_scripted_events_fire_after_action(self):
@@ -160,12 +159,25 @@ class TestStep:
         w = world(text)
         w.step(Action("Wait"))
         assert "hot" not in w.entities["cup1"].flags
-        events, _ = w.step(Action("Wait"))
+        result = w.step(Action("Wait"))
         assert "hot" in w.entities["cup1"].flags
-        assert any(e.kind == "flag_set" and e.detail == "hot" for e in events)
+        assert [f.key() for f in result.delta] == [("cup1", "has_state", "hot")]
         w.step(Action("Wait"))
         assert w.entities["cup1"].position == (5, 5)
         assert "moving" in w.entities["cup1"].flags
+
+    def test_delta_lists_new_flags_then_position_per_entity(self):
+        text = MINIMAL + "at 1 set plate1 wet\nat 1 set cup1 hot\nat 1 teleport cup1 3 2\n"
+        result = world(text).step(Action("Move", ("S",)))
+        assert [f.key() for f in result.delta] == [
+            ("cup1", "has_state", "hot"),
+            ("cup1", "has_state", "moving"),
+            ("cup1", "at", "3,2"),
+            ("plate1", "has_state", "wet"),
+            ("robot1", "has_state", "moving"),
+            ("robot1", "at", "0,1"),
+        ]
+        assert {(f.tick, f.origin) for f in result.delta} == {(1, "perceived")}
 
     def test_conservation_of_entities(self):
         w = world(MINIMAL + "at 1 velocity cup1 1 0\n")
@@ -178,7 +190,7 @@ class TestStep:
 
     def test_unknown_action_fails(self):
         w = world()
-        _, result = w.step(Action("Fly", ("up",)))
+        result = w.step(Action("Fly", ("up",)))
         assert result.failed and result.reason.startswith("unknown_action")
 
 
@@ -187,9 +199,9 @@ class TestDeterminism:
         w = world(MINIMAL + "at 1 velocity plate1 1 0\nat 4 set cup1 hot\n", seed, noise)
         seen = []
         for i in range(8):
-            events, result = w.step(Action("Move", ("E" if i % 2 else "S",)))
+            result = w.step(Action("Move", ("E" if i % 2 else "S",)))
             obs = w.observe()
-            seen.append((tuple(events), result.status, tuple(sorted(
+            seen.append((tuple(result.delta), result.status, tuple(sorted(
                 (e, r.position) for e, r in obs.readings.items()
             ))))
         return seen
@@ -235,12 +247,6 @@ class TestObservation:
         assert obs.readings["liq1"].attributes is None
         assert obs.readings["liq1"].flags is None
         assert obs.readings["cup1"].contains == ("liq1",)
-
-    def test_sensing_radius_limits_readings(self):
-        w = world()
-        obs = w.observe(radius=2.0)
-        assert "robot1" in obs.readings
-        assert "table1" not in obs.readings
 
 
 def test_stack_wellformedness_under_random_action_stream():
@@ -309,5 +315,5 @@ def test_contained_entity_cannot_be_picked_up():
         "entity liq1 2 3 category=liquid\n"
     )
     w = world(text)
-    _, result = w.step(Action("PickUp", ("liq1",)))
+    result = w.step(Action("PickUp", ("liq1",)))
     assert result.failed and result.reason == "contained"
