@@ -68,7 +68,6 @@ class RuleData:
 class TickOutcome:
     result: ActionResult | None
     replan: bool
-    row: dict[str, object]
 
 
 class AgentRuntime:
@@ -225,11 +224,10 @@ class AgentRuntime:
         self._refresh_memory(bound, facts_by_entity, new_facts, hazards, tick)
         self._store_predictions(obs, trajectories)
 
-        row = self._trace_row(
-            tick, obs, bound, new_facts, anomalies, directives, action, result
+        self.rows.append(
+            self._trace_row(tick, obs, bound, new_facts, anomalies, directives, action, result)
         )
-        self.rows.append(row)
-        return TickOutcome(result=result, replan=replan, row=row)
+        return TickOutcome(result=result, replan=replan)
 
     def _predict_trajectories(self, obs: perceive.Observation) -> dict[str, reason.Trajectory]:
         """Constant-velocity trajectories for entities currently moving."""

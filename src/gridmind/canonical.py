@@ -1,16 +1,37 @@
-"""Canonical text encodings shared by the KB, trace, and wire layers.
+"""Canonical text encodings and the one way in for outside input.
 
 Everything the engine writes out (fact lines, trace records, planner
 requests) must be byte-identical across runs, so all float formatting and
 JSON emission goes through this module instead of repr()/json.dumps().
+
+Every file the engine reads in is read by `read_text`, and bad outside
+input raises an `InputError` (`path:line: message`), which the CLI reports
+as `error: ...` with exit code 3.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring
 
 FLOAT_DECIMALS = 6
+
+
+class InputError(ValueError):
+    """Bad outside input, located at a file and line when known."""
+
+    def __init__(self, message: str, line_no: int | None = None, path: str | None = None):
+        where = (path or "") + (f":{line_no}" if line_no is not None else "")
+        super().__init__(f"{where}: {message}" if where else message)
+
+
+def read_text(path: str, error: type[InputError], what: str) -> str:
+    """The file's text; one that cannot be opened or is not UTF-8 is `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise error(f"cannot read {what}: {exc}", path=path) from exc
 
 
 def fmt_float(value: float) -> str:
@@ -62,7 +83,7 @@ def _emit(value: object, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+        out.append(encode_basestring(value))
     elif isinstance(value, (list, tuple)):
         out.append("[")
         for i, item in enumerate(value):
@@ -77,7 +98,7 @@ def _emit(value: object, out: list[str]) -> None:
                 raise TypeError("canonical JSON keys must be strings")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(":")
             _emit(item, out)
         out.append("}")

@@ -19,11 +19,12 @@ import sys
 from pathlib import Path
 
 from . import agent, decide, trace
+from .canonical import InputError, read_text
 from .config import ConfigError, EngineConfig, load_config_file
-from .kb import Rule, ValidationError, forward_chain, graph_from_lines, query as kb_query
+from .kb import Rule, forward_chain, graph_from_lines, query as kb_query
 from .reason import compose_spatial
-from .rulefmt import RuleFileError, load_composition, load_rules, parse_atom, parse_rule_line
-from .world import ScenarioError, load_scenario
+from .rulefmt import load_composition, load_rules, parse_atom, parse_rule_line
+from .world import ScenarioError, parse_scenario
 
 CONFIG_ENV_VAR = "GRIDMIND_CONFIG"
 
@@ -38,10 +39,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_replay(args)
         if args.command == "query":
             return cmd_query(args)
-    except (ScenarioError, ConfigError, RuleFileError, decide.TaskError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except trace.TraceError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     parser.print_help()
@@ -80,11 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> EngineConfig:
-    config = EngineConfig()
     config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if config_path:
-        config = load_config_file(config_path, config)
-    return config
+    return load_config_file(config_path) if config_path else EngineConfig()
 
 
 def _planner_factory(spec: str, config: EngineConfig):
@@ -111,9 +106,8 @@ def _planner_factory(spec: str, config: EngineConfig):
 
 
 def cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        scenario_text = fh.read()
+    scenario_text = read_text(args.scenario, ScenarioError, "scenario")
+    scenario = parse_scenario(scenario_text, args.scenario)
     config = _resolve_config(args)
     if scenario.config_overrides:
         config = config.with_overrides(dict(scenario.config_overrides))
@@ -121,11 +115,7 @@ def cmd_run(args) -> int:
         config = config.with_overrides({"max_ticks": args.max_ticks})
     ltm_lines = None
     if args.ltm_load:
-        try:
-            with open(args.ltm_load, "r", encoding="utf-8") as fh:
-                ltm_lines = fh.readlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read LTM snapshot: {exc}") from exc
+        ltm_lines = read_text(args.ltm_load, ConfigError, "LTM snapshot").split("\n")
         try:
             graph_from_lines(ltm_lines)
         except ValueError as exc:
@@ -164,13 +154,11 @@ def cmd_replay(args) -> int:
 
 
 def cmd_query(args) -> int:
+    kb_text = read_text(args.kb, InputError, "KB file")
     try:
-        with open(args.kb, "r", encoding="utf-8") as fh:
-            graph = graph_from_lines(fh.readlines())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read KB file: {exc}") from exc
-    except ValidationError as exc:
-        raise RuleFileError(str(exc), path=args.kb) from exc
+        graph = graph_from_lines(kb_text.split("\n"))
+    except ValueError as exc:
+        raise InputError(str(exc), path=args.kb) from exc
     rules: list[Rule] = []
     if args.rules:
         rules = load_rules(args.rules)

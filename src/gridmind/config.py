@@ -9,11 +9,42 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
+from .canonical import InputError, read_text
 
-class ConfigError(ValueError):
+
+class ConfigError(InputError):
     pass
+
+
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+# so that three attention weights clamped to [weight_min, weight_max] can sum to 1
+_WEIGHT_MIN = (lambda v: 0.0 < v <= 1.0 / 3.0, "must lie in (0, 1/3]")
+_WEIGHT_MAX = (lambda v: 1.0 / 3.0 <= v <= 1.0, "must lie in [1/3, 1]")
+
+# the range of each bounded field; every float must also be finite
+BOUNDS = {
+    "window_size": _AT_LEAST_ONE,
+    "markov_order": _AT_LEAST_ONE,
+    "trajectory_horizon": _AT_LEAST_ONE,
+    "chain_max_iterations": _AT_LEAST_ONE,
+    "wm_capacity": _AT_LEAST_ONE,
+    "episode_k": _AT_LEAST_ONE,
+    "ltm_retrieve_k": _AT_LEAST_ONE,
+    "collision_epsilon": _POSITIVE,
+    "severity_action_failure": _UNIT,
+    "severity_contradiction": _UNIT,
+    "severity_temporal_cycle": _UNIT,
+    "severity_stale": _UNIT,
+    "prediction_decay": _UNIT,
+    "wm_decay": _UNIT,
+    "weight_min": _WEIGHT_MIN,
+    "weight_max": _WEIGHT_MAX,
+}
 
 
 @dataclass
@@ -67,11 +98,7 @@ class EngineConfig:
     def to_echo(self) -> dict[str, object]:
         """Config as a canonical dict (sorted keys) for the trace header."""
         raw = dataclasses.asdict(self)
-        echo: dict[str, object] = {}
-        for key in sorted(raw):
-            value = raw[key]
-            echo[key] = value
-        return echo
+        return {key: raw[key] for key in sorted(raw)}
 
     def with_overrides(self, overrides: dict[str, object]) -> "EngineConfig":
         fields = {f.name: f for f in dataclasses.fields(self)}
@@ -82,23 +109,25 @@ class EngineConfig:
             kind = fields[key].type
             try:
                 if kind == "int":
-                    updates[key] = int(value)  # type: ignore[call-overload]
+                    number = int(value)  # type: ignore[call-overload]
                 else:
-                    updates[key] = float(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError) as exc:
+                    number = float(value)  # type: ignore[arg-type]
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
+            if kind == "float" and not math.isfinite(number):
+                raise ConfigError(f"bad value for {key}: {value!r} (must be finite)")
+            check, rule = BOUNDS.get(key, (None, ""))
+            if check and not check(number):
+                raise ConfigError(f"bad value for {key}: {value!r} ({rule})")
+            updates[key] = number
         return dataclasses.replace(self, **updates)  # type: ignore[arg-type]
 
 
-def load_config_file(path: str, base: EngineConfig | None = None) -> EngineConfig:
-    base = base or EngineConfig()
+def load_config_file(path: str) -> EngineConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        data = json.loads(read_text(path, ConfigError, "config file"))
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"not valid JSON: {exc}", path=path) from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
-    return base.with_overrides(data)
+        raise ConfigError("must contain a JSON object", path=path)
+    return EngineConfig().with_overrides(data)

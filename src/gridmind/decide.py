@@ -50,7 +50,7 @@ ARRANGE_SORT_KEYS = ("color", "size")
 WIRE_VERSION = 1
 
 
-class TaskError(ValueError):
+class TaskError(canonical.InputError):
     pass
 
 
@@ -244,11 +244,10 @@ class PlannerQuery:
     facts: list[list[object]]
     episodes: list[dict[str, object]]
     actions: list[dict[str, object]]
-    version: int = WIRE_VERSION
 
     def to_payload(self) -> dict[str, object]:
         return {
-            "version": self.version,
+            "version": WIRE_VERSION,
             "task": self.task,
             "hazards": self.hazards,
             "facts": self.facts,
@@ -303,7 +302,6 @@ class PlanStep:
 @dataclass
 class Plan:
     steps: list[PlanStep]
-    source: str = "scripted"
 
     def to_records(self) -> list[dict[str, object]]:
         return [step.to_record() for step in self.steps]
@@ -434,7 +432,7 @@ def plan_scripted(query: PlannerQuery) -> Plan:
         pick_and_place(obj, dest, view.position(dest))
     else:
         raise PlannerError("planner_error", f"unsupported task kind {kind!r}")
-    return Plan(steps=steps, source="scripted")
+    return Plan(steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +450,12 @@ def parse_plan_response(line: str) -> Plan:
         raise PlannerError("planner_error", str(payload["error"]))
     if "steps" not in payload:
         raise PlannerError("planner_malformed", "missing 'steps' field", "/steps")
-    raw_steps = payload["steps"]
+    return parse_plan_steps(payload["steps"])
+
+
+def parse_plan_steps(raw_steps: object) -> Plan:
+    """Validate a plan's step records, from a planner or a trace, against
+    the catalog; any malformed step rejects the whole plan."""
     if not isinstance(raw_steps, list):
         raise PlannerError("planner_malformed", "'steps' must be an array", "/steps")
     steps: list[PlanStep] = []
@@ -489,7 +492,7 @@ def parse_plan_response(line: str) -> Plan:
                 ) from exc
             effects.append(fact)
         steps.append(PlanStep(action=Action(name, tuple(str(a) for a in args)), effects=effects))
-    return Plan(steps=steps, source="external")
+    return Plan(steps=steps)
 
 
 class _LinePlanner:
@@ -612,11 +615,10 @@ def execute(plan: Plan, runtime, task: TaskInstruction) -> tuple[list[ActionResu
     successors executed within the same cycle.
     """
     results: list[ActionResult] = []
-    for index, step in enumerate(plan.steps):
+    for step in plan.steps:
         if not runtime.ticks_left():
             return results, "out_of_ticks"
         outcome = runtime.tick(step.action)
-        outcome.result.step_index = index
         results.append(outcome.result)
         if task.goal_satisfied(runtime.world):
             return results, "success"

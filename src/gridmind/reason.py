@@ -265,7 +265,9 @@ def predict_trajectory(
         velocity = (float(p1[0] - p0[0]), float(p1[1] - p0[1]))
         low = False
     trajectory = Trajectory(entity=entity, low_confidence=low)
-    for step in range(1, horizon + 1):
+    # from step max(width, height) on, every cell is clamped to where it stays,
+    # so a longer horizon would add only copies of the last cell
+    for step in range(1, min(horizon, max(width, height)) + 1):
         x = p1[0] + velocity[0] * step
         y = p1[1] + velocity[1] * step
         cx = min(max(int(math.floor(x + 0.5)), 0), width - 1)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 
+from .canonical import InputError, read_text
 from .kb import Atom, Guard, Rule, ValidationError, parse_literal
 
 _ATOM_RE = re.compile(
@@ -39,16 +40,8 @@ _GUARD_RE = re.compile(r"^\s*([^\s<>=!]+)\s*(<=|>=|==|!=|<|>)\s*([^\s<>=!]+)\s*$
 _DIM_NAMES = {"T": "temporal", "S": "spatial", "C": "conceptual"}
 
 
-class RuleFileError(ValidationError):
-    def __init__(self, message: str, line_no: int | None = None, path: str | None = None):
-        where = ""
-        if path:
-            where += path
-        if line_no is not None:
-            where += f":{line_no}"
-        super().__init__(f"{where}: {message}" if where else message)
-        self.line_no = line_no
-        self.path = path
+class RuleFileError(InputError, ValidationError):
+    pass
 
 
 def _iter_lines(text: str):
@@ -193,16 +186,8 @@ def parse_lexicon(text: str, path: str | None = None) -> dict[str, tuple[str, ..
 
 
 def load_rules(path: str) -> list[Rule]:
-    return parse_rules(_read(path), path)
+    return parse_rules(read_text(path, RuleFileError, "rule file"), path)
 
 
 def load_composition(path: str) -> dict[tuple[str, str], str]:
-    return parse_composition(_read(path), path)
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise RuleFileError(f"cannot read rule file: {exc}", path=path) from exc
+    return parse_composition(read_text(path, RuleFileError, "rule file"), path)

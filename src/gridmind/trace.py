@@ -5,7 +5,8 @@ per tick, one final summary record. Identical runs produce byte-identical
 traces, so replay re-executes the engine from the header's inputs (the
 LTM seed among them, for a seeded run) and compares line by line;
 external-planner traces are replayed by feeding the recorded plans back
-in, everything else is recomputed.
+in (and re-raising the planner failures recorded in their place),
+everything else is recomputed.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import json
 from dataclasses import dataclass
 
 from . import agent
+from .canonical import InputError, read_text
 from .config import EngineConfig
-from .decide import Plan, PlannerError, PlanStep
-from .kb import Fact, graph_from_lines
-from .world import Action, load_scenario
+from .decide import Plan, PlannerError, parse_plan_steps
+from .kb import graph_from_lines
+from .world import parse_scenario
 
 
-class TraceError(ValueError):
+class TraceError(InputError):
     pass
 
 
@@ -52,11 +54,8 @@ def write_trace(path: str, lines: list[str]) -> None:
 
 
 def read_trace(path: str) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh if line.strip()]
-    except OSError as exc:
-        raise TraceError(f"cannot read trace {path}: {exc}") from exc
+    # split on "\n" alone: a record's strings may hold other line breaks
+    return [line for line in read_text(path, TraceError, "trace").split("\n") if line.strip()]
 
 
 def parse_trace(lines: list[str]) -> tuple[dict, list[dict], dict]:
@@ -82,30 +81,17 @@ def parse_trace(lines: list[str]) -> tuple[dict, list[dict], dict]:
     return header, middle, summary
 
 
-def plan_from_records(records: list[dict]) -> Plan:
-    steps = []
-    for record in records:
-        effects = [
-            Fact(str(r[0]), str(r[1]), r[2], float(r[3]), int(r[4]), "derived")
-            for r in record.get("effects", [])
-        ]
-        steps.append(
-            PlanStep(
-                action=Action(str(record["action"]), tuple(str(a) for a in record["args"])),
-                effects=effects,
-            )
-        )
-    return Plan(steps=steps, source="external")
-
-
-def _playback_planner_factory(episode_plans: list[list[dict]]):
-    remaining = list(episode_plans)
+def _playback_planner_factory(recorded: list[Plan | PlannerError]):
+    remaining = list(recorded)
 
     def factory(runtime):
         def plan(query):
             if not remaining:
                 raise PlannerError("planner_error", "trace playback exhausted")
-            return plan_from_records(remaining.pop(0))
+            entry = remaining.pop(0)
+            if isinstance(entry, PlannerError):
+                raise entry
+            return entry
 
         return plan
 
@@ -118,36 +104,36 @@ def replay(trace_path: str) -> ReplayReport:
     The header's `scenario` path is opened as written: a relative path
     resolves against the current directory, not the trace's, so a trace
     recorded with a relative path replays only from the directory it was
-    recorded in. An unreadable scenario is a TraceError.
+    recorded in. An unreadable scenario, a malformed header field and a
+    malformed recorded plan are each a TraceError.
     """
     original = read_trace(trace_path)
     header, _, summary = parse_trace(original)
     for key in ("scenario", "seed", "noise", "hazards_enabled", "planner", "config"):
         if key not in header:
             raise TraceError(f"header missing field {key!r}")
+    if type(header["seed"]) is not int:
+        raise TraceError("header field 'seed' must be an integer")
+    if not isinstance(header["config"], dict):
+        raise TraceError("header field 'config' must be an object")
     scenario_path = str(header["scenario"])
-    try:
-        with open(scenario_path, "r", encoding="utf-8") as fh:
-            scenario_text = fh.read()
-    except OSError as exc:
-        raise TraceError(f"cannot read scenario {scenario_path}: {exc}") from exc
+    scenario_text = read_text(scenario_path, TraceError, "scenario")
     digest = hashlib.sha256(scenario_text.encode("utf-8")).hexdigest()
     if digest != header.get("scenario_sha256"):
         raise TraceError(
             f"scenario file {scenario_path} changed since the trace was recorded"
         )
-    scenario = load_scenario(scenario_path)
-    config = EngineConfig().with_overrides(dict(header["config"]))
+    scenario = parse_scenario(scenario_text, scenario_path)
+    config = EngineConfig().with_overrides(header["config"])
     ltm_lines = _ltm_seed(header)
     if header["planner"] == "scripted":
         factory = agent.scripted_planner_factory
     else:
-        episode_plans = [list(e.get("plan", [])) for e in summary.get("episodes", [])]
-        factory = _playback_planner_factory(episode_plans)
+        factory = _playback_planner_factory(_recorded_plans(summary))
     result = agent.run_scenario(
         scenario,
         config,
-        seed=int(header["seed"]),
+        seed=header["seed"],
         planner_factory=factory,
         noise=bool(header["noise"]),
         hazards_enabled=bool(header["hazards_enabled"]),
@@ -156,6 +142,32 @@ def replay(trace_path: str) -> ReplayReport:
         ltm_lines=ltm_lines,
     )
     return compare_lines(original, result.lines)
+
+
+def _recorded_plans(summary: dict) -> list[Plan | PlannerError]:
+    """Each episode's recorded plan, or the planner failure it recorded."""
+    episodes = summary.get("episodes", [])
+    if not isinstance(episodes, list) or not all(isinstance(e, dict) for e in episodes):
+        raise TraceError("summary field 'episodes' must be a list of objects")
+    recorded: list[Plan | PlannerError] = []
+    for i, episode in enumerate(episodes):
+        try:
+            recorded.append(_planner_failure(episode) or parse_plan_steps(episode.get("plan", [])))
+        except PlannerError as exc:
+            raise TraceError(f"episode {i} records a malformed plan: {exc}") from exc
+    return recorded
+
+
+def _planner_failure(episode: dict) -> PlannerError | None:
+    """The failure of a planner that raised instead of planning: its episode
+    records it as an ActionFailure whose payload is (error code, detail)."""
+    anomalies = episode.get("anomalies")
+    for anomaly in anomalies if isinstance(anomalies, list) else []:
+        payload = anomaly.get("payload") if isinstance(anomaly, dict) else None
+        if isinstance(payload, list) and len(payload) == 2 and anomaly.get("kind") == "ActionFailure":
+            if str(payload[0]).startswith("planner_"):
+                return PlannerError(str(payload[0]), str(payload[1]))
+    return None
 
 
 def _ltm_seed(header: dict) -> list[str] | None:

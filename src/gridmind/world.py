@@ -70,14 +70,8 @@ ACTION_CATALOG: dict[str, int] = {
 }
 
 
-class ScenarioError(ValueError):
-    def __init__(self, message: str, line_no: int | None = None, path: str | None = None):
-        where = ""
-        if path:
-            where += path
-        if line_no is not None:
-            where += f":{line_no}"
-        super().__init__(f"{where}: {message}" if where else message)
+class ScenarioError(canonical.InputError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,6 @@ class ActionResult:
     reason: str | None = None
     delta: list[Fact] = field(default_factory=list)
     flags: tuple[str, ...] = ()
-    step_index: int = -1
 
     @property
     def failed(self) -> bool:
@@ -157,7 +150,6 @@ class Scenario:
     tasks: list[TaskSpec]
     facts: list[Fact]
     config_overrides: dict[str, str]
-    version: int = 1
     path: str | None = None
 
 
@@ -170,7 +162,6 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
     tasks: list[TaskSpec] = []
     facts: list[Fact] = []
     overrides: dict[str, str] = {}
-    version = 1
 
     def err(message: str, line_no: int) -> ScenarioError:
         return ScenarioError(message, line_no, path)
@@ -182,9 +173,8 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
         parts = line.split()
         head = parts[0]
         if head == "version":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise err("expected 'version <n>'", line_no)
-            version = int(parts[1])
         elif head == "grid":
             if len(parts) != 3:
                 raise err("expected 'grid <width> <height>'", line_no)
@@ -344,18 +334,12 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
         tasks=tasks,
         facts=facts,
         config_overrides=overrides,
-        version=version,
         path=path,
     )
 
 
 def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario: {exc}", path=path) from exc
-    return parse_scenario(text, path)
+    return parse_scenario(canonical.read_text(path, ScenarioError, "scenario"), path)
 
 
 def _symbol(token: str, line_no: int, path: str | None) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shlex
 import sys
 from pathlib import Path
 
@@ -53,3 +54,19 @@ BUNDLED = [
 @pytest.fixture(scope="session")
 def rule_data() -> RuleData:
     return RuleData.load_default()
+
+
+def stub_planner_spec(mode: str) -> str:
+    """The `--planner` value that runs tests/stub_planner.py in `mode`."""
+    return "cmd:" + shlex.join([sys.executable, str(Path(__file__).parent / "stub_planner.py"), mode])
+
+
+@pytest.fixture(scope="session")
+def external_trace(tmp_path_factory) -> bytes:
+    """The fetch_close trace recorded with the stub planner's fetch plan."""
+    from gridmind.cli import main
+
+    path = tmp_path_factory.mktemp("external") / "external.trace"
+    assert main(["run", scenario_path("fetch_close"), "--trace", str(path),
+                 "--planner", stub_planner_spec("fetch")]) == 0
+    return path.read_bytes()

@@ -183,7 +183,6 @@ task fetch object=plate1 to=box1
                     PlanStep(action=Action("PickUp", ("plate1",))),
                     PlanStep(action=Action("PlaceOn", ("plate1", "box1"))),
                 ],
-                source="external",
             )
 
         task_run = run_task(runtime, task, wobbly_planner)

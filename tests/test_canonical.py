@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmind.canonical import dumps, fmt_float, fmt_literal
 
@@ -68,3 +70,14 @@ def test_dumps_rejects_non_string_keys_and_unknown_types():
 def test_dumps_identical_across_calls():
     payload = {"weights": {"temporal": 1 / 3, "spatial": 1 / 3, "conceptual": 1 / 3}}
     assert dumps(payload) == dumps(payload)
+
+
+# every code point, lone surrogates and control characters included
+ANY_TEXT = st.text(st.characters(codec=None, exclude_categories=()))
+
+
+@settings(max_examples=300)
+@given(ANY_TEXT)
+def test_dumps_strings_and_keys_like_json_dumps(text):
+    assert dumps(text) == json.dumps(text, ensure_ascii=False)
+    assert dumps({text: [text]}) == json.dumps({text: [text]}, ensure_ascii=False, separators=(",", ":"))

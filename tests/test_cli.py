@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import scenario_path
+from conftest import scenario_path, stub_planner_spec
 from gridmind.agent import data_root
 from gridmind.cli import main
 from gridmind.trace import TraceError, replay
@@ -115,6 +115,13 @@ def test_query_missing_rule_file_exit_three(tmp_path, capsys, option):
     assert err.startswith(f"error: {missing}: cannot read rule file: ")
 
 
+def test_query_object_that_is_no_fact_token_exit_three(tmp_path, capsys):
+    kb = tmp_path / "bad.kb"
+    kb.write_text("a|isa|b c|1.0|0|asserted\n")
+    assert main(["query", str(kb), "isa(?x, ?y)"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {kb}: invalid symbol token")
+
+
 def test_query_confidence_out_of_range_exit_three(tmp_path, capsys):
     kb = tmp_path / "bad.kb"
     kb.write_text("a|isa|b|1.2|0|asserted\n")
@@ -216,7 +223,7 @@ def test_replay_resolves_scenario_path_against_current_directory(tmp_path, monke
         replay(str(trace))
     capsys.readouterr()
     assert main(["replay", str(trace)]) == 3
-    assert capsys.readouterr().err.startswith("error: cannot read scenario scenarios/fetch_close.scn")
+    assert capsys.readouterr().err.startswith("error: scenarios/fetch_close.scn: cannot read scenario: ")
     monkeypatch.chdir(recorded)
     assert main(["replay", str(trace)]) == 0
     assert "replay equal" in capsys.readouterr().out
@@ -308,3 +315,104 @@ def test_external_planner_process_ends_with_the_run(tmp_path):
             os.kill(pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+
+
+def _edit_trace(trace: Path, edit) -> None:
+    """Apply `edit(header, summary)` to the parsed records and write them back."""
+    lines = trace.read_text().splitlines()
+    header, summary = json.loads(lines[0]), json.loads(lines[-1])
+    edit(header, summary)
+    lines[0], lines[-1] = json.dumps(header), json.dumps(summary)
+    trace.write_text("\n".join(lines) + "\n")
+
+
+NOT_UTF8 = b"version 1\n\xff\xfe\n"
+
+
+@pytest.mark.parametrize("input_kind", ["scenario", "config", "ltm", "kb", "trace", "replayed-scenario"])
+def test_input_that_is_not_utf8_exit_three(tmp_path, capsys, input_kind):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(NOT_UTF8)
+    fetch, out = scenario_path("fetch_close"), str(tmp_path / "out.trace")
+    argv = {
+        "scenario": ["run", str(bad), "--trace", out],
+        "config": ["run", fetch, "--config", str(bad), "--trace", out],
+        "ltm": ["run", fetch, "--ltm-load", str(bad), "--trace", out],
+        "kb": ["query", str(bad), "isa(?x, ?y)"],
+        "trace": ["replay", str(bad)],
+    }.get(input_kind)
+    if argv is None:  # the replayed scenario: record a run of a copy, then spoil the copy
+        bad = tmp_path / "fetch_close.scn"
+        bad.write_bytes(Path(fetch).read_bytes())
+        assert main(["run", str(bad), "--trace", out]) == 0
+        bad.write_bytes(NOT_UTF8)
+        argv = ["replay", out]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}: cannot read ")
+
+
+def _drop_action(header, summary):
+    del summary["episodes"][0]["plan"][0]["action"]
+
+
+def _args_not_a_list(header, summary):
+    summary["episodes"][0]["plan"][0]["args"] = "ball1"
+
+
+def _step_not_an_object(header, summary):
+    summary["episodes"][0]["plan"][0] = "PickUp"
+
+
+@pytest.mark.parametrize("edit", [_drop_action, _args_not_a_list, _step_not_an_object])
+def test_malformed_recorded_plan_exit_three(tmp_path, capsys, external_trace, edit):
+    trace = tmp_path / "external.trace"
+    trace.write_bytes(external_trace)
+    _edit_trace(trace, edit)
+    assert main(["replay", str(trace)]) == 3
+    assert capsys.readouterr().err.startswith("error: episode 0 records a malformed plan: planner_malformed")
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", "zero", "header field 'seed' must be an integer"),
+        ("config", ["max_ticks", 1], "header field 'config' must be an object"),
+        ("episodes", ["episode"], "summary field 'episodes' must be a list of objects"),
+    ],
+)
+def test_malformed_trace_field_exit_three(tmp_path, capsys, external_trace, field, value, message):
+    trace = tmp_path / "external.trace"
+    trace.write_bytes(external_trace)
+    _edit_trace(trace, lambda header, summary: (summary if field == "episodes" else header).update({field: value}))
+    assert main(["replay", str(trace)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["error", "malformed", "timeout"])
+def test_failed_planner_trace_replays_equal(tmp_path, capsys, mode):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"planner_timeout": 0.3}))
+    trace = tmp_path / "failed.trace"
+    assert main(["run", scenario_path("fetch_close"), "--trace", str(trace), "--config", str(config),
+                 "--planner", stub_planner_spec(mode)]) == 2
+    assert main(["replay", str(trace)]) == 0
+    assert "replay equal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("wm_capacity", 0), ("chain_max_iterations", 0), ("trajectory_horizon", 0),
+        ("markov_order", 0), ("episode_k", 0), ("ltm_retrieve_k", 0), ("window_size", 0),
+        ("collision_epsilon", 0.0), ("severity_action_failure", 5), ("severity_stale", -0.1),
+        ("near_distance", float("nan")), ("near_distance", float("inf")),
+        ("wm_decay", 1.5), ("prediction_decay", -0.5), ("weight_min", 0.5), ("weight_max", 0.2),
+    ],
+)
+def test_config_value_out_of_range_exit_three(tmp_path, capsys, field, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({field: value}))
+    assert main(["run", scenario_path("fetch_close"), "--config", str(config),
+                 "--trace", str(tmp_path / "out.trace")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: bad value for {field}: ")

@@ -209,6 +209,41 @@ class TestTrajectory:
         t = predict_trajectory("e", [(0, (3, 3)), (1, (3, 3))], horizon=2, bounds=(8, 8))
         assert t.positions == {2: (3, 3), 3: (3, 3)}
 
+    def test_horizon_stops_where_every_cell_is_clamped(self):
+        t = predict_trajectory("e", [(0, (0, 0)), (1, (1, 0))], horizon=10**5, bounds=(3, 2))
+        assert t.positions == {2: (2, 0), 3: (2, 0), 4: (2, 0)}
+
+
+def _unclamped_horizon(entity, history, horizon, bounds):
+    """Reference: every step of the horizon, with no stop at the grid's size."""
+    (t0, p0), (t1, p1) = history
+    positions = {}
+    for step in range(1, horizon + 1):
+        x = p1[0] + (p1[0] - p0[0]) * step
+        y = p1[1] + (p1[1] - p0[1]) * step
+        positions[t1 + step] = (min(max(x, 0), bounds[0] - 1), min(max(y, 0), bounds[1] - 1))
+    return Trajectory(entity=entity, positions=positions)
+
+
+@settings(max_examples=150)
+@given(
+    bounds=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    horizon=st.integers(1, 16),
+    moves=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-3, 3),
+                             st.integers(-3, 3)), min_size=2, max_size=2),
+    eps=st.sampled_from([0.5, 1.0, 1.5]),
+)
+def test_horizon_past_the_grid_changes_no_prediction(bounds, horizon, moves, eps):
+    made, reference = [], []
+    for name, (x, y, dx, dy) in zip("ab", moves):
+        x, y = min(x, bounds[0] - 1), min(y, bounds[1] - 1)
+        history = [(0, (x - dx, y - dy)), (1, (x, y))]
+        made.append(predict_trajectory(name, history, horizon, bounds))
+        reference.append(_unclamped_horizon(name, history, horizon, bounds))
+    for t, ref in zip(made, reference):
+        assert t.positions[2] == ref.positions[2]
+    assert bool(detect_collision(*made, eps).risks) == bool(detect_collision(*reference, eps).risks)
+
 
 def _traj(entity, cells, start=0):
     return Trajectory(entity=entity, positions={start + i: c for i, c in enumerate(cells)})

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmind.rulefmt import (
     RuleFileError,
@@ -93,3 +95,18 @@ def test_shipped_data_files_load(rule_data):
     assert rule_data.lexicon["cup"] == ("hold_liquid",)
     assert len(rule_data.hazard_rules) == 2
     assert all(len(r.dimensions()) >= 2 for r in rule_data.hazard_rules)
+
+
+RULE_PIECES = st.sampled_from([
+    "rule r 0.5:", "rule", "A(?x, ?y)", "B(?y, 1)", "@T", "@S", ",", "|", "?x > 2", "->",
+    "1e400", "nan", "0", "C(a,b)", "#",
+])
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.text(), st.lists(RULE_PIECES, max_size=10).map(" ".join)))
+def test_rule_text_raises_only_rule_file_errors(text):
+    try:
+        parse_rules(text)
+    except RuleFileError:
+        pass

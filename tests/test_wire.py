@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import scenario_path
 from gridmind.agent import run_scenario
@@ -252,3 +254,25 @@ class TestTcpTransport:
             stop.set()
             server.close()
         thread.join(timeout=5)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["steps", "action", "args", "effects", "error"]), inner, max_size=4),
+    max_leaves=12,
+)
+STEP = st.fixed_dictionaries({
+    "action": st.sampled_from(["PickUp", "Move", "Fly"]) | JSON,
+    "args": st.lists(st.text(max_size=3), max_size=2) | JSON,
+    "effects": st.lists(st.lists(JSON, min_size=5, max_size=5), max_size=2) | JSON,
+})
+
+
+@settings(max_examples=100)
+@given(st.one_of(JSON, st.fixed_dictionaries({"steps": st.lists(STEP | JSON, max_size=3)})))
+def test_any_json_response_parses_or_raises_planner_malformed_or_error(payload):
+    try:
+        parse_plan_response(json.dumps(payload))
+    except PlannerError as exc:
+        assert exc.code in ("planner_malformed", "planner_error")

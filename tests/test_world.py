@@ -54,6 +54,12 @@ class TestLoading:
             parse_scenario("grid 4 4\nentity x1 0 0\n")
         assert "agent" in str(exc.value)
 
+    def test_version_that_is_no_integer_rejected(self):
+        # "²" is a digit to str.isdigit but not to int()
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario("version \u00b2\ngrid 4 4\nagent robot1 0 0\n")
+        assert ":1:" in str(exc.value)
+
     def test_duplicate_entity_id_rejected(self):
         text = "grid 4 4\nagent robot1 0 0\nentity x1 1 1\nentity x1 2 2\n"
         with pytest.raises(ScenarioError) as exc:
