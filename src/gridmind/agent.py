@@ -19,10 +19,11 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from . import canonical, cognition, decide, metacog, perceive, reason
+from .canonical import InputError
 from .cognition import UnifiedCognition, aggregate, assess_hazards
 from .config import EngineConfig
 from .decide import Plan, PlannerError, PlannerQuery, TaskInstruction
-from .kb import Atom, Fact
+from .kb import Atom, Fact, graph_from_lines
 from .memory import Episode, LongTermMemory, WorkingMemory, consolidate, ltm_retrieve, retrieve_episodes
 from .metacog import Anomaly, Directive, TickState
 from .reason import EventSequenceModel
@@ -47,7 +48,7 @@ class RuleData:
     dependency_rules: list = field(default_factory=list)
     concept_rules: list = field(default_factory=list)
     hazard_rules: list = field(default_factory=list)
-    composition: dict[tuple[str, str], str] = field(default_factory=dict)
+    composition: list = field(default_factory=list)  # one rule per table entry
     exclusions: list[tuple[str, str]] = field(default_factory=list)
     lexicon: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
@@ -451,7 +452,11 @@ def run_scenario(
     data: RuleData | None = None,
     ltm_lines: list[str] | None = None,
 ) -> RunResult:
-    """Execute every task in the scenario and assemble the full trace."""
+    """Execute every task in the scenario and assemble the full trace.
+
+    `ltm_lines` (canonical fact lines) seed the semantic LTM; this is
+    their only parser, and a malformed line is an InputError.
+    """
     import hashlib
     import json
 
@@ -468,9 +473,10 @@ def run_scenario(
         data=data,
     )
     if ltm_lines is not None:
-        from .kb import graph_from_lines
-
-        runtime.ltm.semantic = graph_from_lines(ltm_lines)
+        try:
+            runtime.ltm.semantic = graph_from_lines(ltm_lines)
+        except ValueError as exc:
+            raise InputError(f"malformed LTM snapshot: {exc}") from exc
     planner = planner_factory(runtime)
     header: dict[str, object] = {
         "record": "header",

@@ -116,10 +116,6 @@ def cmd_run(args) -> int:
     ltm_lines = None
     if args.ltm_load:
         ltm_lines = read_text(args.ltm_load, ConfigError, "LTM snapshot").split("\n")
-        try:
-            graph_from_lines(ltm_lines)
-        except ValueError as exc:
-            raise ConfigError(f"malformed LTM snapshot: {exc}") from exc
     factory, planner_name, client = _planner_factory(args.planner, config)
     try:
         result = agent.run_scenario(
@@ -165,11 +161,8 @@ def cmd_query(args) -> int:
     # precedence facts close transitively like any other chained relation
     rules.append(parse_rule_line("rule before-transitivity 1.0: Before(?x, ?y), Before(?y, ?z) -> Before(?x, ?z)"))
     forward_chain(graph, rules)
-    if args.composition:
-        table = load_composition(args.composition)
-    else:
-        table = load_composition(str(agent.data_root().joinpath("composition.txt")))
-    compose_spatial(graph, table)
+    composition = args.composition or str(agent.data_root().joinpath("composition.txt"))
+    compose_spatial(graph, load_composition(composition))
     pattern = parse_atom(args.pattern, path="<pattern>")
     bindings = kb_query(graph, pattern)
     ground = not pattern.variables()

@@ -107,6 +107,10 @@ class EngineConfig:
             if key not in fields:
                 raise ConfigError(f"unknown config key: {key}")
             kind = fields[key].type
+            if isinstance(value, bool):
+                raise ConfigError(f"bad value for {key}: {value!r} (must be a number)")
+            if kind == "int" and isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"bad value for {key}: {value!r} (must be a whole number)")
             try:
                 if kind == "int":
                     number = int(value)  # type: ignore[call-overload]

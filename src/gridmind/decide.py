@@ -486,7 +486,7 @@ def parse_plan_steps(raw_steps: object) -> Plan:
             try:
                 fact = Fact(str(row[0]), str(row[1]), row[2], float(row[3]), int(row[4]), "derived")
                 fact.validate()
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
                 raise PlannerError(
                     "planner_malformed", f"bad effect: {exc}", f"{where}/effects/{j}"
                 ) from exc

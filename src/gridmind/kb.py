@@ -3,7 +3,10 @@
 A Fact is a confidence-weighted subject/relation/object triple with a
 timestamp. Facts live in SemanticGraphs (the tick's unified graph, the
 semantic LTM, a KB file) and are extended by forward chaining over
-Horn-style rules with positive premises and numeric guards.
+Horn-style rules with positive premises and numeric guards. `forward_chain`
+is the engine's one derivation engine: the dependency, concept and hazard
+rules and the composition table's rules (one per entry) all run on it,
+and `match` is its one pattern matcher.
 
 Semantics that everything else relies on:
 
@@ -13,7 +16,11 @@ Semantics that everything else relies on:
 * derivation is monotone and its fixpoint is independent of rule and fact
   order (max-merge makes confidence collisions commutative),
 * facts are validated where they enter (scenario, KB and LTM lines,
-  planner effects), not on insert: what is derived from them is valid.
+  planner effects), not on insert: what is derived from them is valid,
+* a rule is validated where it is built (`Rule.__post_init__`), so
+  chaining trusts its rules,
+* nothing here depends on insertion order: the relation index keeps it,
+  the derived lists are sorted by key and queries sort their results.
 """
 
 from __future__ import annotations
@@ -169,8 +176,9 @@ class SemanticGraph:
         return False
 
     def by_relation(self) -> dict[str, list[Fact]]:
+        """The stored facts grouped by relation, each group in insertion order."""
         index: dict[str, list[Fact]] = {}
-        for fact in self.facts():
+        for fact in self._facts.values():
             index.setdefault(fact.relation, []).append(fact)
         return index
 
@@ -264,6 +272,9 @@ class Rule:
     weight: float = 1.0
     guards: tuple[Guard, ...] = ()
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if not 0.0 < self.weight <= 1.0:
             raise ValidationError(f"rule {self.name}: weight must be in (0, 1]")
@@ -290,18 +301,20 @@ class Rule:
 
 
 def _unify(atom: Atom, fact: Fact, binding: dict[str, Literal]) -> dict[str, Literal] | None:
-    if atom.relation != fact.relation:
-        return None
-    out = dict(binding)
+    """`binding` extended to match `fact` (whose relation is the atom's), or
+    None; it is copied only when a variable gets bound, and never changed."""
+    out = binding
     for term, value in ((atom.subject, fact.subject), (atom.obj, fact.obj)):
-        if is_var(term):
-            if term in out:
-                if out[term] != value:
-                    return None
-            else:
-                out[term] = value
-        elif term != value:
-            return None
+        if not is_var(term):
+            if term != value:
+                return None
+        elif term in out:
+            if out[term] != value:
+                return None
+        else:
+            if out is binding:
+                out = dict(binding)
+            out[term] = value
     return out
 
 
@@ -345,12 +358,11 @@ def forward_chain(
 
     Each pass evaluates every rule against a snapshot of the current facts
     and merges all conclusions at the end of the pass, which makes the
-    result independent of rule order and fact insertion order.
+    result independent of rule order and fact insertion order. Returns
+    the facts whose keys are new, sorted by key.
     """
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
-    for rule in rules:
-        rule.validate()
     new_keys: set[tuple[str, str, str]] = set()
     truncated = False
     iterations = 0
@@ -384,10 +396,14 @@ def forward_chain(
     return ChainResult(graph.facts(new_keys), truncated=truncated, iterations=iterations)
 
 
+def match(graph: SemanticGraph, atom: Atom) -> list[tuple[dict[str, Literal], Fact]]:
+    """Each fact that `atom` matches, with the binding; in insertion order."""
+    return [(binding, used[0]) for binding, used in _match_premises((atom,), graph.by_relation())]
+
+
 def query(graph: SemanticGraph, pattern: Atom) -> list[dict[str, Literal]]:
     """All bindings satisfying `pattern`, sorted by their bound values."""
-    index = graph.by_relation()
-    bindings = [b for b, _ in _match_premises((pattern,), index)]
+    bindings = [b for b, _ in match(graph, pattern)]
     order = [t for t in (pattern.subject, pattern.obj) if is_var(t)]
     seen: set[tuple[str, ...]] = set()
     unique: list[dict[str, Literal]] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 
-from .kb import Atom, Fact, SemanticGraph, ValidationError, is_var
+from .kb import Atom, Fact, SemanticGraph, ValidationError, match
 
 
 @dataclass
@@ -153,20 +153,9 @@ def ltm_retrieve(ltm: LongTermMemory, pattern: Atom, k: int) -> list[Fact]:
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    index = ltm.semantic.by_relation()
-    results = [f for f in index.get(pattern.relation, []) if _matches(pattern, f)]
+    results = [fact for _, fact in match(ltm.semantic, pattern)]
     results.sort(key=lambda f: (-f.confidence, -f.tick, f.key()))
     return results[:k]
-
-
-def _matches(pattern: Atom, fact: Fact) -> bool:
-    if pattern.relation != fact.relation:
-        return False
-    if not is_var(pattern.subject) and pattern.subject != fact.subject:
-        return False
-    if not is_var(pattern.obj) and pattern.obj != fact.obj:
-        return False
-    return True
 
 
 def retrieve_episodes(ltm: LongTermMemory, task_kind: str, k: int = 3) -> list[Episode]:

@@ -4,9 +4,10 @@ All operations here are pure functions over value inputs:
 
 * transitive closure of event precedence (with cycle reporting),
 * order-k maximum-likelihood next-event prediction,
-* pairwise relation composition over the spatial vocabulary,
 * trajectory extrapolation and threshold-based collision detection,
-* dependency/function/role inference, which delegate to kb.forward_chain.
+* dependency, function/role and spatial-composition inference, which all
+  delegate to kb.forward_chain: a composition table entry r1 . r2 -> r3 is
+  the rule r1(a, b), r2(b, c), a != c -> r3(a, c).
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ from .kb import (
     ValidationError,
     forward_chain,
 )
-
-SPATIAL_VOCABULARY = frozenset(
-    {"LeftOf", "RightOf", "Above", "Below", "OnTopOf", "Inside", "Near"}
-)
-
 
 class TemporalInconsistencyError(ValidationError):
     """Raised when the precedence relation contains a cycle."""
@@ -179,46 +175,10 @@ def predict_next(model: EventSequenceModel, history: list[str]) -> Prediction:
 # ---------------------------------------------------------------------------
 # spatial composition
 
-def compose_spatial(
-    graph: SemanticGraph, table: dict[tuple[str, str], str], max_iterations: int = 1000
-) -> list[Fact]:
-    """Apply r1(a,b) & r2(b,c) -> r3(a,c) table entries to a fixpoint.
-
-    Only facts in the spatial vocabulary participate; a == c chains are
-    skipped (no reflexive spatial relations). Derived confidence is the
-    product of the two premises, max-merged into the graph.
-    """
-    new_keys: set[tuple[str, str, str]] = set()
-    for _ in range(max_iterations):
-        spatial = [f for f in graph if f.relation in SPATIAL_VOCABULARY]
-        by_subject: dict[str, list[Fact]] = {}
-        for fact in spatial:
-            by_subject.setdefault(fact.subject, []).append(fact)
-        changed = False
-        for first in spatial:
-            if not isinstance(first.obj, str):
-                continue
-            for second in by_subject.get(first.obj, []):
-                relation = table.get((first.relation, second.relation))
-                if relation is None:
-                    continue
-                if not isinstance(second.obj, str) or first.subject == second.obj:
-                    continue
-                derived = Fact(
-                    first.subject,
-                    relation,
-                    second.obj,
-                    first.confidence * second.confidence,
-                    max(first.tick, second.tick),
-                    "derived",
-                )
-                if derived.key() not in graph:
-                    new_keys.add(derived.key())
-                if graph.insert(derived):
-                    changed = True
-        if not changed:
-            break
-    return graph.facts(new_keys)
+def compose_spatial(graph: SemanticGraph, rules: list[Rule], max_iterations: int = 1000) -> list[Fact]:
+    """Relation composition: the composition table's rules (one per entry,
+    see `rulefmt.parse_composition`) chained to a fixpoint; new facts only."""
+    return forward_chain(graph, rules, max_iterations).derived
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Parsers for the declarative data files the engine ships with.
 
 All four formats are line oriented; blank lines and `#` comments are
-ignored and every error carries the offending line number.
+ignored and every error carries the offending line number. Rule files and
+the composition table both parse to `kb.Rule`s, validated as they are
+built, which `kb.forward_chain` runs.
 
 Rule file (one rule per line)::
 
@@ -12,7 +14,8 @@ Rule file (one rule per line)::
     term     :=  ?variable | symbol | number
     guard    :=  term <op> term              # op in  <  <=  >  >=  ==  !=
 
-Composition table::
+Composition table (each entry is read as a two-premise rule, see
+`parse_composition`)::
 
     compose <relation> <relation> -> <relation>
 
@@ -106,12 +109,10 @@ def parse_rule_line(line: str, line_no: int = 0, path: str | None = None) -> Rul
     premises = tuple(parse_atom(p, line_no, path) for p in _split_atoms(premise_text))
     guards = tuple(_parse_guard(g, line_no, path) for g in _split_atoms(guard_text)) if bar else ()
     conclusion = parse_atom(conclusion_text.strip(), line_no, path)
-    rule = Rule(name=name, premises=premises, conclusion=conclusion, weight=weight, guards=guards)
     try:
-        rule.validate()
+        return Rule(name=name, premises=premises, conclusion=conclusion, weight=weight, guards=guards)
     except ValidationError as exc:
         raise RuleFileError(str(exc), line_no, path) from exc
-    return rule
 
 
 def parse_rules(text: str, path: str | None = None) -> list[Rule]:
@@ -145,19 +146,26 @@ def parse_hazard_rules(text: str, path: str | None = None) -> list[Rule]:
     return rules
 
 
-def parse_composition(text: str, path: str | None = None) -> dict[tuple[str, str], str]:
-    table: dict[tuple[str, str], str] = {}
+def parse_composition(text: str, path: str | None = None) -> list[Rule]:
+    """One rule per table entry: `compose r1 r2 -> r3` is the rule
+    `compose-r1-r2 1.0: r1(?a, ?b), r2(?b, ?c) | ?a != ?c -> r3(?a, ?c)`."""
+    rules: dict[tuple[str, str], Rule] = {}
     for line_no, line in _iter_lines(text):
         parts = line.split()
         if len(parts) != 5 or parts[0] != "compose" or parts[3] != "->":
             raise RuleFileError(
                 "expected 'compose <rel> <rel> -> <rel>'", line_no, path
             )
-        key = (parts[1], parts[2])
-        if key in table:
-            raise RuleFileError(f"duplicate composition entry {key}", line_no, path)
-        table[key] = parts[4]
-    return table
+        _, first, second, _, out = parts
+        if (first, second) in rules:
+            raise RuleFileError(f"duplicate composition entry {(first, second)}", line_no, path)
+        rules[first, second] = Rule(
+            name=f"compose-{first}-{second}",
+            premises=(Atom(first, "?a", "?b"), Atom(second, "?b", "?c")),
+            conclusion=Atom(out, "?a", "?c"),
+            guards=(Guard("?a", "!=", "?c"),),
+        )
+    return list(rules.values())
 
 
 def parse_exclusions(text: str, path: str | None = None) -> list[tuple[str, str]]:
@@ -189,5 +197,5 @@ def load_rules(path: str) -> list[Rule]:
     return parse_rules(read_text(path, RuleFileError, "rule file"), path)
 
 
-def load_composition(path: str) -> dict[tuple[str, str], str]:
+def load_composition(path: str) -> list[Rule]:
     return parse_composition(read_text(path, RuleFileError, "rule file"), path)

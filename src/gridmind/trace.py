@@ -19,7 +19,6 @@ from . import agent
 from .canonical import InputError, read_text
 from .config import EngineConfig
 from .decide import Plan, PlannerError, parse_plan_steps
-from .kb import graph_from_lines
 from .world import parse_scenario
 
 
@@ -171,16 +170,13 @@ def _planner_failure(episode: dict) -> PlannerError | None:
 
 
 def _ltm_seed(header: dict) -> list[str] | None:
-    """The header's LTM seed (fact lines), or None for an unseeded run."""
+    """The header's LTM seed (fact lines, parsed by `run_scenario`), or None
+    for an unseeded run."""
     if "ltm" not in header:
         return None
     lines = header["ltm"]
     if not isinstance(lines, list) or not all(isinstance(line, str) for line in lines):
         raise TraceError("header field 'ltm' must be a list of fact lines")
-    try:
-        graph_from_lines(lines)
-    except ValueError as exc:
-        raise TraceError(f"header field 'ltm' holds a malformed fact line: {exc}") from exc
     return lines
 
 

@@ -13,6 +13,11 @@ from fractions import Fraction
 from gridmind import canonical
 from gridmind.kb import Fact, SemanticGraph
 
+# the relations the spatial oracles draw from
+SPATIAL_VOCABULARY = frozenset(
+    {"LeftOf", "RightOf", "Above", "Below", "OnTopOf", "Inside", "Near"}
+)
+
 
 def reachability_closure(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
     """Transitive closure by naive DFS reachability from every node."""
@@ -59,6 +64,14 @@ def exhaustive_composition(
                     state[key] = conf
                     changed = True
     return state
+
+
+def composition_table(rules) -> dict[tuple[str, str], str]:
+    """The (r1, r2) -> r3 table that composition rules encode."""
+    return {
+        (rule.premises[0].relation, rule.premises[1].relation): rule.conclusion.relation
+        for rule in rules
+    }
 
 
 def count_distribution(sequence: list[str], order: int, history: list[str]) -> dict[str, Fraction] | None:
@@ -190,8 +203,6 @@ def random_dag(rng: random.Random, max_nodes: int = 8) -> set[tuple[str, str]]:
 
 
 def random_spatial_graph(rng: random.Random, max_entities: int = 8) -> SemanticGraph:
-    from gridmind.reason import SPATIAL_VOCABULARY
-
     relations = sorted(SPATIAL_VOCABULARY)
     n = rng.randint(2, max_entities)
     entities = [f"e{i}" for i in range(n)]

@@ -7,6 +7,7 @@ request. The first argv selects the behavior:
     fetch           respond with a valid two-step fetch plan
     malformed       respond without a steps field
     unknown-action  respond with an action outside the catalog
+    overflow        respond with an effect whose tick is 1e400
     error           respond with an error object
     timeout         never respond
     partial         write the start of a response, then stall mid-line
@@ -41,6 +42,12 @@ for line in sys.stdin:
         response = {"plan": "trust me"}
     elif mode == "unknown-action":
         response = {"steps": [{"action": "Fly", "args": ["north"]}]}
+    elif mode == "overflow":
+        # json.dumps cannot write 1e400, which Python's json reads as inf
+        sys.stdout.write('{"steps": [{"action": "Wait", "args": [], '
+                         '"effects": [["robot1", "has_state", "idle", 1.0, 1e400]]}]}\n')
+        sys.stdout.flush()
+        continue
     elif mode == "error":
         response = {"error": "planner exploded"}
     elif mode == "timeout":

@@ -36,6 +36,7 @@ from gridmind.reason import (
 from gridmind.trace import replay, write_trace
 from gridmind.world import Action, WorldState, load_scenario
 from oracles import (
+    composition_table,
     count_distribution,
     exhaustive_composition,
     random_dag,
@@ -76,7 +77,8 @@ def test_c02_spatial_composition_matches_exhaustive_oracle(rule_data):
                 (f.key(), f.confidence) for f in graph.facts()
             )}
             oracle = exhaustive_composition(
-                {key: conf for key, conf in before.items()}, rule_data.composition
+                {key: conf for key, conf in before.items()},
+                composition_table(rule_data.composition),
             )
             assert engine == {k: round(v, 12) for k, v in oracle.items()}, f"seed {seed}"
 

@@ -80,6 +80,16 @@ def test_query_before_closure(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["x=ev2", "x=ev3"]
 
 
+def test_query_composition_entry_outside_spatial_relations_applies(tmp_path, capsys):
+    # a composition table entry is a rule like any other, whatever its relations
+    kb = tmp_path / "parts.kb"
+    kb.write_text("car|Contains|engine|1.000000|0|asserted\nengine|Contains|piston|0.5|0|asserted\n")
+    table = tmp_path / "parts.txt"
+    table.write_text("compose Contains Contains -> Contains\n")
+    assert main(["query", str(kb), "Contains(car, ?x)", "--composition", str(table)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["x=engine", "x=piston"]
+
+
 def test_query_empty_kb(tmp_path, capsys):
     kb = tmp_path / "empty.kb"
     kb.write_text("")
@@ -273,11 +283,15 @@ def test_ltm_seeded_trace_records_seed_and_replays(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad_seed",
-    ["fact lines", ["a|isa|b|1.000000|0|asserted", 7], ["not a fact line"]],
+    "bad_seed, message",
+    [
+        ("fact lines", "error: header field 'ltm'"),
+        (["a|isa|b|1.000000|0|asserted", 7], "error: header field 'ltm'"),
+        (["not a fact line"], "error: malformed LTM snapshot: "),
+    ],
     ids=["not-a-list", "non-string-entry", "malformed-line"],
 )
-def test_bad_ltm_header_field_exit_three(tmp_path, capsys, bad_seed):
+def test_bad_ltm_header_field_exit_three(tmp_path, capsys, bad_seed, message):
     trace, _ = _seeded_vase_room_trace(tmp_path)
     lines = trace.read_text().splitlines()
     header = json.loads(lines[0])
@@ -286,7 +300,7 @@ def test_bad_ltm_header_field_exit_three(tmp_path, capsys, bad_seed):
     trace.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["replay", str(trace)]) == 3
-    assert capsys.readouterr().err.startswith("error: header field 'ltm'")
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_unknown_planner_spec_exit_three():
@@ -416,3 +430,53 @@ def test_config_value_out_of_range_exit_three(tmp_path, capsys, field, value):
     assert main(["run", scenario_path("fetch_close"), "--config", str(config),
                  "--trace", str(tmp_path / "out.trace")]) == 3
     assert capsys.readouterr().err.startswith(f"error: bad value for {field}: ")
+
+
+def test_planner_effect_tick_that_overflows_fails_the_cycle(tmp_path, capsys):
+    # json reads 1e400 as inf, and int(inf) raises OverflowError
+    trace = tmp_path / "overflow.trace"
+    assert main(["run", scenario_path("fetch_close"), "--trace", str(trace),
+                 "--planner", stub_planner_spec("overflow")]) == 2
+    summary = json.loads(trace.read_text().splitlines()[-1])
+    assert summary["episodes"][0]["anomalies"][0]["payload"][0] == "planner_malformed"
+    assert main(["replay", str(trace)]) == 0
+    assert "replay equal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tick_text", ["1e400", "Infinity", "-Infinity"])
+def test_recorded_effect_tick_that_overflows_exit_three(tmp_path, capsys, external_trace, tick_text):
+    trace = tmp_path / "external.trace"
+    trace.write_bytes(external_trace)
+
+    def overflow(header, summary):
+        summary["episodes"][0]["plan"][0]["effects"] = [["ball1", "has_state", "held", 1.0, float("inf")]]
+
+    _edit_trace(trace, overflow)
+    trace.write_text(trace.read_text().replace("Infinity", tick_text))
+    assert main(["replay", str(trace)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: episode 0 records a malformed plan: planner_malformed: bad effect: "
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("wm_capacity", 2.9), ("max_ticks", True), ("near_distance", False),
+        ("episode_k", 1.5), ("collision_epsilon", True), ("chain_max_iterations", False),
+    ],
+)
+def test_config_value_of_wrong_type_exit_three(tmp_path, capsys, field, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({field: value}))
+    assert main(["run", scenario_path("fetch_close"), "--config", str(config),
+                 "--trace", str(tmp_path / "out.trace")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: bad value for {field}: ")
+
+
+def test_config_whole_float_and_scenario_string_stay_ints():
+    from gridmind.config import EngineConfig
+
+    config = EngineConfig().with_overrides({"wm_capacity": 2.0, "max_ticks": "40", "near_distance": 3})
+    assert (config.wm_capacity, config.max_ticks, config.near_distance) == (2, 40, 3.0)
+    assert type(config.wm_capacity) is int and type(config.max_ticks) is int

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from gridmind.cognition import aggregate, assess_hazards, detect_contradictions
 from gridmind.kb import Fact, SemanticGraph, ValidationError
-from gridmind.reason import SPATIAL_VOCABULARY
 from gridmind.rulefmt import parse_hazard_rules
-from oracles import all_pairs_contradictions
+from oracles import SPATIAL_VOCABULARY, all_pairs_contradictions
 
 
 def facts(*triples):

@@ -173,11 +173,9 @@ class TestForwardChain:
         assert result.truncated
 
     def test_range_restriction_enforced(self):
-        bad = Rule(
-            "unbound", (Atom("isa", "?x", "cup"),), Atom("has_state", "?y", "spilled"), 1.0
-        )
+        # a rule is validated where it is built, so no invalid rule reaches forward_chain
         with pytest.raises(ValidationError):
-            forward_chain(SemanticGraph(), [bad])
+            Rule("unbound", (Atom("isa", "?x", "cup"),), Atom("has_state", "?y", "spilled"), 1.0)
 
     def test_guard_filters_bindings(self):
         graph = SemanticGraph()
@@ -306,3 +304,33 @@ def test_repeated_variable_in_pattern_requires_equal_terms():
     graph.insert(fact("c", "Near", "c"))
     result = query(graph, Atom("Near", "?x", "?x"))
     assert result == [{"?x": "c"}]
+
+
+ORDER_FACTS = st.builds(
+    Fact,
+    subject=st.sampled_from(["a", "b", "c", "d"]),
+    relation=st.sampled_from(
+        ["LeftOf", "RightOf", "OnTopOf", "Inside", "Above", "isa", "has_state", "Contains", "located_in"]
+    ),
+    obj=st.sampled_from(["a", "b", "c", "d", "cup", "knocked_over", "edible", "kitchen", 5, 7.5]),
+    confidence=st.floats(min_value=0.1, max_value=1.0),
+    tick=st.integers(min_value=0, max_value=5),
+    origin=st.sampled_from(["perceived", "asserted", "retrieved"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(facts=st.lists(ORDER_FACTS, max_size=25, unique_by=Fact.key), data=st.data())
+def test_chaining_is_independent_of_fact_insertion_order(rule_data, facts, data):
+    """The relation index keeps insertion order, so the order facts arrive
+    in must not show in the derived list or in the graph chained to."""
+    rules = rule_data.composition + rule_data.dependency_rules + rule_data.concept_rules
+
+    def outcome(order):
+        graph = SemanticGraph()
+        for f in order:
+            graph.insert(f)
+        derived = forward_chain(graph, rules, max_iterations=1000).derived
+        return [repr(f) for f in derived], [repr(f) for f in graph.facts()]
+
+    assert outcome(data.draw(st.permutations(facts))) == outcome(facts)

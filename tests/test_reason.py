@@ -24,7 +24,7 @@ from gridmind.reason import (
     temporal_closure,
     train_sequence_model,
 )
-from oracles import exhaustive_composition, random_dag, reachability_closure
+from oracles import composition_table, exhaustive_composition, random_dag, reachability_closure
 
 
 class TestTemporalClosure:
@@ -169,6 +169,15 @@ class TestComposeSpatial:
         derived = compose_spatial(graph, rule_data.composition)
         assert all(f.subject != f.obj for f in derived)
 
+    def test_chain_ending_in_a_number_composes(self, rule_data):
+        graph = SemanticGraph()
+        graph.insert(Fact("robot1", "LeftOf", "zz9", 0.5, 0, "asserted"))
+        graph.insert(Fact("zz9", "LeftOf", 5, 0.8, 0, "asserted"))
+        derived = compose_spatial(graph, rule_data.composition)
+        assert [(f.subject, f.relation, f.obj, f.confidence) for f in derived] == [
+            ("robot1", "LeftOf", 5, 0.4)
+        ]
+
     def test_fixpoint_matches_exhaustive_oracle(self, rule_data):
         from oracles import random_spatial_graph
 
@@ -186,7 +195,7 @@ class TestComposeSpatial:
                     ((f[0], f[1], f[2]), baseline[f]) for f in baseline
                 )
             }
-            oracle = exhaustive_composition(oracle_in, rule_data.composition)
+            oracle = exhaustive_composition(oracle_in, composition_table(rule_data.composition))
             assert engine == {k: round(v, 12) for k, v in oracle.items()}
 
 

@@ -16,6 +16,7 @@ from gridmind.rulefmt import (
     parse_rule_line,
     parse_rules,
 )
+from oracles import composition_table
 
 
 def test_parse_simple_rule():
@@ -73,10 +74,19 @@ def test_hazard_rules_must_span_two_dimensions():
 
 
 def test_parse_composition_table():
-    table = parse_composition("compose OnTopOf LeftOf -> LeftOf\ncompose LeftOf LeftOf -> LeftOf\n")
-    assert table[("OnTopOf", "LeftOf")] == "LeftOf"
+    rules = parse_composition("compose OnTopOf LeftOf -> LeftOf\ncompose LeftOf LeftOf -> LeftOf\n")
+    assert composition_table(rules) == {("OnTopOf", "LeftOf"): "LeftOf", ("LeftOf", "LeftOf"): "LeftOf"}
     with pytest.raises(RuleFileError):
         parse_composition("compose OnTopOf LeftOf LeftOf\n")
+    with pytest.raises(RuleFileError, match="duplicate composition entry"):
+        parse_composition("compose LeftOf LeftOf -> LeftOf\ncompose LeftOf LeftOf -> Above\n")
+
+
+def test_composition_entry_is_the_two_premise_rule():
+    [rule] = parse_composition("compose OnTopOf LeftOf -> LeftOf\n")
+    assert rule == parse_rule_line(
+        "rule compose-OnTopOf-LeftOf 1.0: OnTopOf(?a, ?b), LeftOf(?b, ?c) | ?a != ?c -> LeftOf(?a, ?c)"
+    )
 
 
 def test_parse_exclusions_and_lexicon():
@@ -89,8 +99,9 @@ def test_parse_exclusions_and_lexicon():
 
 
 def test_shipped_data_files_load(rule_data):
-    assert rule_data.composition[("OnTopOf", "LeftOf")] == "LeftOf"
-    assert ("LeftOf", "Near") not in rule_data.composition
+    table = composition_table(rule_data.composition)
+    assert table[("OnTopOf", "LeftOf")] == "LeftOf"
+    assert ("LeftOf", "Near") not in table
     assert ("LeftOf", "RightOf") in rule_data.exclusions
     assert rule_data.lexicon["cup"] == ("hold_liquid",)
     assert len(rule_data.hazard_rules) == 2
@@ -110,3 +121,16 @@ def test_rule_text_raises_only_rule_file_errors(text):
         parse_rules(text)
     except RuleFileError:
         pass
+
+
+COMPOSITION_PIECES = st.sampled_from(["compose", "LeftOf", "Above", "?a", "->", "#", "5", "\n"])
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.text(), st.lists(COMPOSITION_PIECES, max_size=12).map(" ".join)))
+def test_composition_text_raises_only_rule_file_errors(text):
+    try:
+        rules = parse_composition(text)
+    except RuleFileError:
+        return
+    assert len(composition_table(rules)) == len(rules)

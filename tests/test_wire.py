@@ -276,3 +276,42 @@ def test_any_json_response_parses_or_raises_planner_malformed_or_error(payload):
         parse_plan_response(json.dumps(payload))
     except PlannerError as exc:
         assert exc.code in ("planner_malformed", "planner_error")
+
+
+# scalars a planner's JSON can hold, the huge and non-finite ones included
+SCALARS = (
+    st.none() | st.booleans() | st.text(max_size=6) | st.integers()
+    | st.sampled_from([10**400, -10**400, 1e308, -1e308, float("inf"), float("-inf"), float("nan")])
+    | st.floats()
+)
+
+
+@settings(max_examples=150)
+@given(effect=st.lists(SCALARS, min_size=5, max_size=5), action=st.sampled_from(["Wait", "PickUp"]))
+def test_effect_of_any_scalars_parses_or_raises_planner_malformed(effect, action):
+    step = {"action": action, "args": [] if action == "Wait" else ["ball1"], "effects": [effect]}
+    try:
+        plan = parse_plan_response(json.dumps({"steps": [step]}))
+    except PlannerError as exc:
+        assert exc.code == "planner_malformed"
+        assert exc.path == "/steps/0/effects/0"
+    else:
+        assert len(plan.steps[0].effects) == 1
+
+
+@pytest.mark.parametrize("tick_text", ["1e400", "Infinity", "-Infinity", "NaN"])
+def test_effect_tick_that_is_not_an_int_raises_planner_malformed(tick_text):
+    line = '{"steps": [{"action": "Wait", "args": [], "effects": [["a", "isa", "b", 1.0, %s]]}]}' % tick_text
+    with pytest.raises(PlannerError) as exc:
+        parse_plan_response(line)
+    assert exc.value.code == "planner_malformed"
+    assert exc.value.path == "/steps/0/effects/0"
+
+
+@settings(max_examples=200)
+@given(st.text())
+def test_any_response_text_parses_or_raises_planner_error(text):
+    try:
+        parse_plan_response(text)
+    except PlannerError:
+        pass
