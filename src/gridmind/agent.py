@@ -15,6 +15,7 @@ directive.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -340,11 +341,7 @@ class AgentRuntime:
         action: Action | None,
         result: ActionResult | None,
     ) -> dict[str, object]:
-        import hashlib
-
-        digest = hashlib.sha256(
-            canonical.dumps(obs.digest_payload()).encode("utf-8")
-        ).hexdigest()[:16]
+        digest = hashlib.sha256(obs.digest_text().encode("utf-8")).hexdigest()[:16]
         return {
             "record": "tick",
             "tick": tick,
@@ -457,7 +454,6 @@ def run_scenario(
     `ltm_lines` (canonical fact lines) seed the semantic LTM; this is
     their only parser, and a malformed line is an InputError.
     """
-    import hashlib
     import json
 
     # round-trip the config through its trace echo so a replay reconstructs

@@ -4,13 +4,15 @@ Everything the engine writes out (fact lines, trace records, planner
 requests) must be byte-identical across runs, so all float formatting and
 JSON emission goes through this module instead of repr()/json.dumps().
 
-Every file the engine reads in is read by `read_text`, and bad outside
-input raises an `InputError` (`path:line: message`), which the CLI reports
-as `error: ...` with exit code 3.
+Every file the engine reads in is read by `read_text`, all outside JSON
+(config files, planner responses, trace lines) is parsed by `parse_json`,
+and bad outside input raises an `InputError` (`path:line: message`), which
+the CLI reports as `error: ...` with exit code 3.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from json.encoder import encode_basestring
 
@@ -32,6 +34,17 @@ def read_text(path: str, error: type[InputError], what: str) -> str:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise error(f"cannot read {what}: {exc}", path=path) from exc
+
+
+def parse_json(text: str) -> object:
+    """The JSON value of outside text. Malformed text, text nested too
+    deeply to parse and integers too long to convert all raise ValueError
+    (`json.JSONDecodeError` is one), so each reader maps one exception to
+    its documented error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def fmt_float(value: float) -> str:

@@ -8,11 +8,10 @@ so replays resolve to the exact same parameters.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
-from .canonical import InputError, read_text
+from .canonical import InputError, parse_json, read_text
 
 
 class ConfigError(InputError):
@@ -128,9 +127,10 @@ class EngineConfig:
 
 
 def load_config_file(path: str) -> EngineConfig:
+    text = read_text(path, ConfigError, "config file")
     try:
-        data = json.loads(read_text(path, ConfigError, "config file"))
-    except json.JSONDecodeError as exc:
+        data = parse_json(text)
+    except ValueError as exc:
         raise ConfigError(f"not valid JSON: {exc}", path=path) from exc
     if not isinstance(data, dict):
         raise ConfigError("must contain a JSON object", path=path)

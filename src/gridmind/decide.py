@@ -22,7 +22,6 @@ planner_timeout. Either way no step of the rejected plan executes.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import select
@@ -441,8 +440,8 @@ def plan_scripted(query: PlannerQuery) -> Plan:
 def parse_plan_response(line: str) -> Plan:
     """Validate one response line against the catalog; atomic rejection."""
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+        payload = canonical.parse_json(line)
+    except ValueError as exc:
         raise PlannerError("planner_malformed", f"response is not JSON: {exc}", "/") from exc
     if not isinstance(payload, dict):
         raise PlannerError("planner_malformed", "response must be an object", "/")

@@ -10,8 +10,9 @@ and `match` is its one pattern matcher.
 
 Semantics that everything else relies on:
 
-* identity key = (subject, relation, object); re-assertion max-merges
-  confidence and keeps the latest tick,
+* identity key = (subject, relation, object token), made once when the
+  fact is built; re-assertion max-merges confidence and keeps the latest
+  tick,
 * derived confidence = rule weight x product of premise confidences,
 * derivation is monotone and its fixpoint is independent of rule and fact
   order (max-merge makes confidence collisions commutative),
@@ -47,18 +48,21 @@ class Fact:
     tick: int
     origin: str = "asserted"
 
-    def key(self) -> tuple[str, str, str]:
-        """Identity key, computed on first use and kept on the instance.
+    def __post_init__(self) -> None:
+        obj = self.obj
+        token = obj if isinstance(obj, str) else canonical.fmt_literal(obj)
+        object.__setattr__(self, "_key", (self.subject, self.relation, token))
 
-        The cache is not a dataclass field, so eq, hash, repr and
-        `replace` ignore it; a copy made by `replace` computes its own.
+    def key(self) -> tuple[str, str, str]:
+        """Identity key, made at construction and kept on the instance.
+
+        A symbol object is its own token, unchecked here (`validate` checks
+        it where the fact enters); a number is canonicalized, and any other
+        object raises TypeError or ValueError at construction. The key is
+        not a dataclass field, so eq, hash, repr and `replace` ignore it;
+        a copy made by `replace` makes its own.
         """
-        try:
-            return self._key
-        except AttributeError:
-            key = (self.subject, self.relation, canonical.fmt_literal(self.obj))
-            object.__setattr__(self, "_key", key)
-            return key
+        return self._key
 
     def validate(self) -> None:
         if not self.subject:

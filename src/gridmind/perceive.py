@@ -25,7 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring
 
+from . import canonical
 from .kb import Fact, ValidationError
 
 # fixed salience table for the attention pass
@@ -59,6 +62,23 @@ class Reading:
     def visible_flags(self) -> frozenset[str]:
         return self.flags if self.flags is not None else frozenset()
 
+    @cached_property
+    def text(self) -> str:
+        """This reading's canonical JSON in the observation digest, encoded
+        on first use and kept (not a field: eq and repr ignore it)."""
+        attrs = self.attributes
+        return canonical.dumps(
+            {
+                "pos": list(self.position),
+                "region": self.region,
+                "occluded": self.occluded,
+                "attrs": {k: attrs[k] for k in sorted(attrs)} if attrs else None,
+                "flags": sorted(self.flags) if self.flags is not None else None,
+                "contains": list(self.contains),
+                "on": self.on,
+            }
+        )
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -68,22 +88,13 @@ class Observation:
     def entities(self) -> list[str]:
         return sorted(self.readings)
 
-    def digest_payload(self) -> dict[str, object]:
-        payload: dict[str, object] = {"tick": self.tick, "readings": {}}
-        readings: dict[str, object] = {}
-        for entity in self.entities():
-            r = self.readings[entity]
-            readings[entity] = {
-                "pos": list(r.position),
-                "region": r.region,
-                "occluded": r.occluded,
-                "attrs": {k: r.attributes[k] for k in sorted(r.attributes)} if r.attributes else None,
-                "flags": sorted(r.flags) if r.flags is not None else None,
-                "contains": list(r.contains),
-                "on": r.on,
-            }
-        payload["readings"] = readings
-        return payload
+    def digest_text(self) -> str:
+        """Canonical JSON of the tick and every reading by entity id: the
+        text the trace's observation digest hashes."""
+        readings = ",".join(
+            encode_basestring(e) + ":" + self.readings[e].text for e in self.entities()
+        )
+        return f'{{"tick":{self.tick},"readings":{{{readings}}}}}'
 
 
 @dataclass(frozen=True)

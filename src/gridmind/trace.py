@@ -12,11 +12,10 @@ everything else is recomputed.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 from . import agent
-from .canonical import InputError, read_text
+from .canonical import InputError, parse_json, read_text
 from .config import EngineConfig
 from .decide import Plan, PlannerError, parse_plan_steps
 from .world import parse_scenario
@@ -64,8 +63,8 @@ def parse_trace(lines: list[str]) -> tuple[dict, list[dict], dict]:
     rows = []
     for i, line in enumerate(lines, start=1):
         try:
-            rows.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+            rows.append(parse_json(line))
+        except ValueError as exc:
             raise TraceError(f"line {i} is not valid JSON: {exc}") from exc
         if not isinstance(rows[-1], dict) or "record" not in rows[-1]:
             raise TraceError(f"line {i} is not a trace record")
@@ -205,33 +204,35 @@ def compare_lines(original: list[str], regenerated: list[str]) -> ReplayReport:
 
 def _locate_divergence(a_line: str, b_line: str) -> tuple[int | None, str | None]:
     try:
-        a, b = json.loads(a_line), json.loads(b_line)
-    except json.JSONDecodeError:
+        a, b = parse_json(a_line), parse_json(b_line)
+    except ValueError:
         return None, None
     tick = a.get("tick") if isinstance(a, dict) else None
     return tick, diff_path(a, b)
 
 
+_ABSENT = object()  # a dict key only one side has
+
+
 def diff_path(a: object, b: object, prefix: str = "$") -> str | None:
-    """Path of the first difference between two parsed JSON values."""
-    if type(a) is not type(b):
-        return prefix
-    if isinstance(a, dict):
-        assert isinstance(b, dict)
-        for key in sorted(set(a) | set(b)):
-            if key not in a or key not in b:
-                return f"{prefix}.{key}"
-            sub = diff_path(a[key], b[key], f"{prefix}.{key}")
-            if sub:
-                return sub
-        return None
-    if isinstance(a, list):
-        assert isinstance(b, list)
-        if len(a) != len(b):
-            return f"{prefix}.length"
-        for i, (x, y) in enumerate(zip(a, b)):
-            sub = diff_path(x, y, f"{prefix}[{i}]")
-            if sub:
-                return sub
-        return None
-    return None if a == b else prefix
+    """Path of the first difference between two parsed JSON values, depth
+    first with dict keys sorted. The walk keeps its own stack, so no
+    nesting depth makes it raise."""
+    stack = [(a, b, prefix)]
+    while stack:
+        a, b, path = stack.pop()
+        if type(a) is not type(b):
+            return path
+        if isinstance(a, dict):
+            assert isinstance(b, dict)
+            for key in sorted(set(a) | set(b), reverse=True):
+                stack.append((a.get(key, _ABSENT), b.get(key, _ABSENT), f"{path}.{key}"))
+        elif isinstance(a, list):
+            assert isinstance(b, list)
+            if len(a) != len(b):
+                return f"{path}.length"
+            for i in range(len(a) - 1, -1, -1):
+                stack.append((a[i], b[i], f"{path}[{i}]"))
+        elif a != b:
+            return path
+    return None

@@ -385,6 +385,7 @@ class WorldState:
         self.rng = random.Random(seed)
         self.carrying: str | None = None
         self.entities: dict[str, EntityState] = {}
+        self._readings: dict[str, Reading] = {}  # the last observation's
         for entity_id in sorted(scenario.entities):
             spec = scenario.entities[entity_id]
             position = spec.position
@@ -634,9 +635,17 @@ class WorldState:
 
         Stacked-under and contained entities are occluded (position only).
         With noise enabled, non-agent reported positions get independent
-        uniform {-1, 0, 1} offsets per axis from the seeded rng.
+        uniform {-1, 0, 1} offsets per axis from the seeded rng. A reading
+        equal to the entity's previous one is that same object, so what is
+        cached on it (its digest text) carries over.
         """
+        occluded: set[str] = set()
+        for state in self.entities.values():
+            if state.on is not None:
+                occluded.add(state.on)
+            occluded.update(state.contains)
         readings: dict[str, Reading] = {}
+        last = self._readings
         for entity_id in sorted(self.entities):
             state = self.entities[entity_id]
             reported = state.position
@@ -647,16 +656,15 @@ class WorldState:
                     min(max(reported[0] + dx, 0), self.width - 1),
                     min(max(reported[1] + dy, 0), self.height - 1),
                 )
-            occluded = bool(self.supported_by(entity_id)) or self.is_contained(entity_id)
-            if occluded:
-                readings[entity_id] = Reading(
+            if entity_id in occluded:
+                reading = Reading(
                     entity=entity_id,
                     position=reported,
                     region=self.region_of(reported),
                     occluded=True,
                 )
             else:
-                readings[entity_id] = Reading(
+                reading = Reading(
                     entity=entity_id,
                     position=reported,
                     region=self.region_of(reported),
@@ -666,4 +674,7 @@ class WorldState:
                     contains=state.contains,
                     on=state.on,
                 )
+            previous = last.get(entity_id)
+            readings[entity_id] = previous if reading == previous else reading
+        self._readings = readings
         return Observation(tick=self.tick, readings=readings)

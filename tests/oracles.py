@@ -191,6 +191,30 @@ def pairwise_spatial_facts(obs, near_distance: float) -> list[tuple[str, str, st
     return facts
 
 
+def digest_payload(obs) -> dict[str, object]:
+    """The observation digest as one dict, whose canonical JSON the trace's
+    `obs` field hashes: every reading by entity id, attributes by key."""
+    readings: dict[str, object] = {}
+    for entity in sorted(obs.readings):
+        r = obs.readings[entity]
+        readings[entity] = {
+            "pos": list(r.position),
+            "region": r.region,
+            "occluded": r.occluded,
+            "attrs": {k: r.attributes[k] for k in sorted(r.attributes)} if r.attributes else None,
+            "flags": sorted(r.flags) if r.flags is not None else None,
+            "contains": list(r.contains),
+            "on": r.on,
+        }
+    return {"tick": obs.tick, "readings": readings}
+
+
+def occluded_entities(world) -> set[str]:
+    """Entities that support another or sit in a container, asked of the
+    world one entity at a time."""
+    return {e for e in world.entities if world.supported_by(e) or world.is_contained(e)}
+
+
 def random_dag(rng: random.Random, max_nodes: int = 8) -> set[tuple[str, str]]:
     n = rng.randint(2, max_nodes)
     nodes = [f"n{i}" for i in range(n)]

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+import gridmind.agent as agent_module
 from conftest import BUNDLED, run_bundled, scenario_path
+from gridmind import canonical
 from gridmind.agent import AgentRuntime, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
 from gridmind.reason import EventSequenceModel, train_sequence_model
@@ -276,3 +279,41 @@ def test_sequence_model_equals_training_on_whole_stream(name):
     model = train_sequence_model(EventSequenceModel(runtime.seq_model.order), runtime.stream)
     assert runtime.seq_model.counts == model.counts
     assert runtime.seq_model.kinds == model.kinds
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _generated_run(name: str):
+    import workloads  # perfbench's seeded scenario generators
+
+    text = {"crowded": workloads.crowded_text, "traffic": workloads.traffic_text}[name](1)
+    scenario = parse_scenario(text)
+    config = EngineConfig().with_overrides(dict(scenario.config_overrides))
+    return run_scenario(
+        scenario, config, seed=1, planner_factory=scripted_planner_factory, scenario_text=text
+    )
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["crowded", "traffic"])
+def test_every_fact_the_engine_keeps_is_valid(monkeypatch, name):
+    # keys are made without the symbol check, which validation keeps doing
+    # where facts enter; so everything derived from them is valid too
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    unified = []
+    aggregate = agent_module.aggregate
+
+    def recording(*lists):
+        out = aggregate(*lists)
+        unified.append(out)
+        return out
+
+    monkeypatch.setattr(agent_module, "aggregate", recording)
+    result = _generated_run(name) if name in ("crowded", "traffic") else run_bundled(name)
+    runtime = result.runtime
+    assert len(unified) == runtime.world.tick + 1
+    facts = [f for u in unified for f in u.graph]
+    facts += runtime.wm.snapshot_facts() + list(runtime.ltm.semantic)
+    for fact in facts:
+        fact.validate()
+        assert fact.key() == (fact.subject, fact.relation, canonical.fmt_literal(fact.obj))

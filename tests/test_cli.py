@@ -163,6 +163,39 @@ def test_scenario_token_that_is_no_fact_literal_exit_three(tmp_path, capsys, lin
     assert err.startswith("error: ") and "bad.scn:3:" in err
 
 
+@pytest.mark.parametrize("obj", ["nan", "inf", "-inf"])
+def test_scenario_fact_with_non_finite_object_exit_three(tmp_path, capsys, obj):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(f"grid 6 6\nagent robot1 0 0\nfact zz7 size {obj}\n")
+    assert main(["run", str(bad), "--trace", str(tmp_path / "out.trace")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.scn:3:" in err
+
+
+@pytest.mark.parametrize("obj", ["nan", "inf", "-inf"])
+def test_kb_line_with_non_finite_object_exit_three(tmp_path, capsys, obj):
+    kb = tmp_path / "bad.kb"
+    kb.write_text(f"zz7|size|{obj}|1.000000|0|asserted\n")
+    assert main(["query", str(kb), "size(zz7, ?x)"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    trace = tmp_path / "out.trace"
+    assert main(["run", scenario_path("fetch_close"), "--trace", str(trace), "--ltm-load", str(kb)]) == 3
+    assert capsys.readouterr().err.startswith("error: malformed LTM snapshot: ")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[" * 100000, "nested too deeply"), ('{"max_ticks": %s}' % ("1" * 5000), "Exceeds the limit")],
+    ids=["deeply-nested", "long-integer"],
+)
+def test_config_json_that_cannot_be_read_exit_three(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    assert main(["run", scenario_path("fetch_close"), "--config", str(config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: not valid JSON: ") and message in err
+
+
 def test_config_file_and_scenario_overrides(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"max_ticks": 1}))

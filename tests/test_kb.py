@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridmind import canonical
 from gridmind.kb import (
     Atom,
     Fact,
@@ -80,6 +81,35 @@ class TestKeyCache:
             fact("cup1", "isa", True).validate()
         with pytest.raises(TypeError):
             fact("cup1", "isa", True).key()
+
+    @pytest.mark.parametrize(
+        "obj", [True, False, float("nan"), float("inf"), float("-inf"), ["a"], None],
+        ids=["true", "false", "nan", "inf", "-inf", "list", "none"],
+    )
+    def test_object_that_is_no_literal_raises_where_the_fact_is_built(self, obj):
+        with pytest.raises((TypeError, ValueError)):
+            fact("cup1", "isa", obj)
+
+    def test_symbol_is_checked_by_validate_not_by_the_key(self):
+        f = fact("cup1", "isa", "a|b")
+        assert f.key() == ("cup1", "isa", "a|b")
+        with pytest.raises(ValueError):
+            f.validate()
+
+
+SYMBOLS = st.text(min_size=1, max_size=8).filter(lambda t: not any(c in t for c in "|\n\r "))
+LITERALS = SYMBOLS | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200)
+@given(s=SYMBOLS, r=SYMBOLS, o=LITERALS, other=LITERALS, conf=st.floats(0.0, 1.0))
+def test_key_is_subject_relation_and_literal_token(s, r, o, other, conf):
+    f = Fact(s, r, o, conf, 0, "asserted")
+    f.validate()
+    assert f.key() == (s, r, canonical.fmt_literal(o))
+    assert replace(f, confidence=conf / 2).key() == f.key()
+    assert replace(f, obj=other).key() == (s, r, canonical.fmt_literal(other))
+    assert f.key() == (s, r, canonical.fmt_literal(o))
 
 
 class TestSerialization:

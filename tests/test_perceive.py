@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BUNDLED, run_bundled
+from gridmind import canonical
 from gridmind.kb import ValidationError
 from gridmind.perceive import (
     Observation,
@@ -17,7 +22,8 @@ from gridmind.perceive import (
     extract_spatial,
     extract_temporal,
 )
-from oracles import pairwise_spatial_facts
+from gridmind.world import WorldState
+from oracles import digest_payload, pairwise_spatial_facts
 
 UNIFORM = {"temporal": 1 / 3, "spatial": 1 / 3, "conceptual": 1 / 3}
 PAIRWISE = ("Near", "LeftOf", "RightOf", "Above", "Below")
@@ -291,3 +297,47 @@ def test_pairwise_facts_match_brute_force_oracle(agent, others, near_distance):
         entities[f"e{i}"] = spec
     o = obs(0, **entities)
     assert pairwise_facts(o, near_distance) == pairwise_spatial_facts(o, near_distance)
+
+
+TOKENS = st.text(max_size=6)  # any text, non-ASCII and escapes included
+READINGS = st.builds(
+    Reading,
+    entity=TOKENS,
+    position=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+    region=st.none() | TOKENS,
+    occluded=st.booleans(),
+    attributes=st.none() | st.dictionaries(TOKENS, TOKENS | st.integers(), max_size=4),
+    flags=st.none() | st.frozensets(TOKENS, max_size=4),
+    contains=st.lists(TOKENS, max_size=3).map(tuple),
+    on=st.none() | TOKENS,
+)
+
+
+@settings(max_examples=200)
+@given(tick=st.integers(0, 10**6), readings=st.dictionaries(TOKENS, READINGS, max_size=5))
+def test_digest_text_is_canonical_json_of_the_oracle_payload(tick, readings):
+    o = Observation(tick=tick, readings=readings)
+    expected = canonical.dumps(digest_payload(o))
+    assert o.digest_text() == expected
+    assert o.digest_text() == expected  # and again, from the readings' kept texts
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["exact", "noise-seed-4"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_digest_text_matches_the_oracle_on_every_bundled_tick(monkeypatch, name, noise):
+    observed = []
+    observe = WorldState.observe
+
+    def recording(world):
+        obs = observe(world)
+        observed.append(obs)
+        return obs
+
+    monkeypatch.setattr(WorldState, "observe", recording)
+    result = run_bundled(name, seed=4 if noise else 0, noise=noise)
+    rows = [json.loads(line) for line in result.lines[1:-1]]
+    assert [obs.tick for obs in observed] == [row["tick"] for row in rows]
+    for obs, row in zip(observed, rows):
+        text = canonical.dumps(digest_payload(obs))
+        assert obs.digest_text() == text
+        assert row["obs"] == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -75,6 +75,19 @@ class TestReplay:
         with pytest.raises(TraceError):
             replay(str(path))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("[" * 100000, "JSON nested too deeply"), ("1" * 5000, "Exceeds the limit")],
+        ids=["deeply-nested", "long-integer"],
+    )
+    def test_json_line_that_cannot_be_read_is_malformed(self, tmp_path, line, message):
+        path = _trace_for(tmp_path, "knockover")
+        lines = path.read_text().splitlines()
+        lines.insert(1, line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceError, match=f"line 2 is not valid JSON: {message}"):
+            replay(str(path))
+
     def test_no_hazard_flag_round_trips_through_replay(self, tmp_path):
         path = _trace_for(tmp_path, "waterleak", hazards=False)
         assert replay(str(path)).equal
@@ -125,3 +138,17 @@ class TestParsing:
         a = {"weights": {"temporal": 0.3}, "top": [["e1", 0.5]]}
         b = {"weights": {"temporal": 0.3}, "top": [["e1", 0.6]]}
         assert trace_mod.diff_path(a, b) == "$.top[0][1]"
+
+    @pytest.mark.parametrize("line", ["[" * 100000, "1" * 5000], ids=["deeply-nested", "long-integer"])
+    def test_divergence_in_lines_that_cannot_be_read_has_no_path(self, line):
+        report = compare_lines([line], [line[:-1]])
+        assert not report.equal
+        assert report.divergence_line == 1
+        assert report.divergence_tick is None and report.divergence_path is None
+
+    def test_diff_path_walks_nesting_deeper_than_the_recursion_limit(self):
+        a, b = [1], [2]
+        for _ in range(sys.getrecursionlimit() * 2):
+            a, b = [a], [b]
+        path = trace_mod.diff_path({"x": a}, {"x": b})
+        assert path == "$.x" + "[0]" * (sys.getrecursionlimit() * 2 + 1)

@@ -308,6 +308,23 @@ def test_effect_tick_that_is_not_an_int_raises_planner_malformed(tick_text):
     assert exc.value.path == "/steps/0/effects/0"
 
 
+@pytest.mark.parametrize("obj_text", ["true", "NaN", "Infinity", "-Infinity", '["b"]'])
+def test_effect_object_that_is_no_literal_raises_planner_malformed(obj_text):
+    line = '{"steps": [{"action": "Wait", "args": [], "effects": [["a", "isa", %s, 1.0, 0]]}]}' % obj_text
+    with pytest.raises(PlannerError) as exc:
+        parse_plan_response(line)
+    assert exc.value.code == "planner_malformed"
+    assert exc.value.path == "/steps/0/effects/0"
+
+
+@pytest.mark.parametrize("line", ["[" * 100000, "1" * 5000], ids=["deeply-nested", "long-integer"])
+def test_response_json_that_cannot_be_read_is_malformed(line):
+    with pytest.raises(PlannerError) as exc:
+        parse_plan_response(line)
+    assert exc.value.code == "planner_malformed"
+    assert exc.value.path == "/"
+
+
 @settings(max_examples=200)
 @given(st.text())
 def test_any_response_text_parses_or_raises_planner_error(text):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import scenario_path
+from conftest import run_bundled, scenario_path
 from gridmind.world import (
     Action,
     ScenarioError,
@@ -14,6 +14,7 @@ from gridmind.world import (
     load_scenario,
     parse_scenario,
 )
+from oracles import occluded_entities
 
 MINIMAL = """
 grid 6 6
@@ -323,3 +324,51 @@ def test_contained_entity_cannot_be_picked_up():
     w = world(text)
     result = w.step(Action("PickUp", ("liq1",)))
     assert result.failed and result.reason == "contained"
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["exact", "noise-seed-4"])
+@pytest.mark.parametrize("name", ["arrange", "knockover", "vase_room"])
+def test_observe_occludes_like_the_brute_force_oracle_and_reuses_equal_readings(
+    monkeypatch, name, noise
+):
+    observed = []
+    observe = WorldState.observe
+
+    def checked(w):
+        expected = occluded_entities(w)
+        obs = observe(w)
+        assert {e for e, r in obs.readings.items() if r.occluded} == expected
+        observed.append(obs)
+        return obs
+
+    monkeypatch.setattr(WorldState, "observe", checked)
+    run_bundled(name, seed=4 if noise else 0, noise=noise)
+    assert len(observed) > 2
+    reused = 0
+    for before, after in zip(observed, observed[1:]):
+        for entity, reading in after.readings.items():
+            previous = before.readings[entity]
+            assert (reading is previous) == (reading == previous)
+            reused += reading is previous
+    assert reused
+
+
+def test_a_move_a_pick_up_and_a_teleport_each_make_a_new_reading():
+    text = MINIMAL + "at 2 teleport table1 5 5\n"
+    w = world(text)
+    w.entities["robot1"].position = (2, 1)
+    first = w.observe().readings
+    w.step(Action("Wait"))
+    second = w.observe().readings
+    assert all(second[e] is first[e] for e in first)
+    assert not w.step(Action("PickUp", ("cup1",))).failed  # table1 teleports too
+    third = w.observe().readings
+    assert third["cup1"] is not second["cup1"] and "carried" in third["cup1"].flags
+    assert third["table1"] is not second["table1"] and third["table1"].position == (5, 5)
+    assert third["robot1"] is second["robot1"] and third["plate1"] is second["plate1"]
+    w.step(Action("Move", ("E",)))
+    fourth = w.observe().readings
+    assert fourth["robot1"] is not third["robot1"] and fourth["robot1"].position == (3, 1)
+    assert fourth["cup1"] is not third["cup1"]  # carried along
+    assert fourth["table1"] is not third["table1"]  # its `moving` flag cleared
+    assert fourth["plate1"] is third["plate1"]
