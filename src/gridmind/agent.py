@@ -16,10 +16,12 @@ directive.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import combinations
 
-from . import canonical, cognition, decide, metacog, perceive, reason
+from . import canonical, cells, cognition, decide, metacog, perceive, reason
 from .canonical import InputError
 from .cognition import UnifiedCognition, aggregate, assess_hazards
 from .config import EngineConfig
@@ -254,15 +256,33 @@ class AgentRuntime:
     def _collision_facts(
         self, trajectories: dict[str, reason.Trajectory], tick: int
     ) -> list[Fact]:
-        facts = []
+        """CollisionRisk(a, b) for each pair of movers, a before b by name,
+        whose predicted paths come within collision_epsilon.
+
+        Only pairs with predicted cells in one tick's same or neighbouring
+        ceil(epsilon)-wide cells can: a pair closer than epsilon is closer
+        than that on each axis. While there are no more pairs than the
+        cells one neighbourhood touches, every pair is tested.
+        """
         names = sorted(trajectories)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                report = reason.detect_collision(
-                    trajectories[a], trajectories[b], self.config.collision_epsilon
-                )
-                if report.risks:
-                    facts.append(Fact(a, "CollisionRisk", b, 1.0, tick, "derived"))
+        n = len(names)
+        if n < 2:
+            return []
+        epsilon = self.config.collision_epsilon
+        if n * (n - 1) // 2 <= cells.NEIGHBOURHOOD:
+            pairs = combinations(range(n), 2)
+        else:
+            points = (
+                (i, t, x, y)
+                for i, name in enumerate(names)
+                for t, (x, y) in trajectories[name].positions.items()
+            )
+            pairs = sorted(cells.close_pairs(points, math.ceil(epsilon)))
+        facts = []
+        for i, j in pairs:
+            a, b = names[i], names[j]
+            if reason.detect_collision(trajectories[a], trajectories[b], epsilon).risks:
+                facts.append(Fact(a, "CollisionRisk", b, 1.0, tick, "derived"))
         return facts
 
     def _store_predictions(

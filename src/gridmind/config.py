@@ -24,6 +24,8 @@ _UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 # so that three attention weights clamped to [weight_min, weight_max] can sum to 1
 _WEIGHT_MIN = (lambda v: 0.0 < v <= 1.0 / 3.0, "must lie in (0, 1/3]")
 _WEIGHT_MAX = (lambda v: 1.0 / 3.0 <= v <= 1.0, "must lie in [1/3, 1]")
+# seconds; a socket or a deadline takes no negative or unbounded wait
+_PLANNER_TIMEOUT = (lambda v: 0.0 < v <= 86400.0, "must lie in (0, 86400]")
 
 # the range of each bounded field; every float must also be finite
 BOUNDS = {
@@ -43,6 +45,7 @@ BOUNDS = {
     "wm_decay": _UNIT,
     "weight_min": _WEIGHT_MIN,
     "weight_max": _WEIGHT_MAX,
+    "planner_timeout": _PLANNER_TIMEOUT,
 }
 
 

@@ -138,6 +138,7 @@ class SemanticGraph:
 
     def __init__(self) -> None:
         self._facts: dict[tuple[str, str, str], Fact] = {}
+        self._by_relation: dict[str, dict[tuple[str, str, str], Fact]] = {}
 
     def __len__(self) -> int:
         return len(self._facts)
@@ -169,22 +170,26 @@ class SemanticGraph:
         key = fact.key()
         old = self._facts.get(key)
         if old is None:
-            self._facts[key] = fact
-            return True
-        if fact.confidence > old.confidence:
-            self._facts[key] = replace(fact, tick=max(old.tick, fact.tick))
-            return True
-        if fact.tick > old.tick:
-            self._facts[key] = replace(old, tick=fact.tick)
-            return True
-        return False
+            stored = fact
+        elif fact.confidence > old.confidence:
+            stored = replace(fact, tick=max(old.tick, fact.tick))
+        elif fact.tick > old.tick:
+            stored = replace(old, tick=fact.tick)
+        else:
+            return False
+        # a replaced fact keeps its slot, so both maps keep insertion order
+        self._facts[key] = stored
+        self._by_relation.setdefault(fact.relation, {})[key] = stored
+        return True
 
-    def by_relation(self) -> dict[str, list[Fact]]:
-        """The stored facts grouped by relation, each group in insertion order."""
-        index: dict[str, list[Fact]] = {}
-        for fact in self._facts.values():
-            index.setdefault(fact.relation, []).append(fact)
-        return index
+    def by_relation(self) -> dict[str, dict[tuple[str, str, str], Fact]]:
+        """The stored facts grouped by relation and keyed by identity, each
+        group in insertion order.
+
+        This is the graph's own index, kept up to date by `insert`: read
+        it, do not change it, and do not insert while iterating over it.
+        """
+        return self._by_relation
 
     def to_lines(self) -> list[str]:
         return [f.to_line() for f in self.facts()]
@@ -323,11 +328,12 @@ def _unify(atom: Atom, fact: Fact, binding: dict[str, Literal]) -> dict[str, Lit
 
 
 def _match_premises(
-    premises: tuple[Atom, ...], index: dict[str, list[Fact]]
+    premises: tuple[Atom, ...], index: dict[str, dict[tuple[str, str, str], Fact]]
 ) -> list[tuple[dict[str, Literal], list[Fact]]]:
     results: list[tuple[dict[str, Literal], list[Fact]]] = [({}, [])]
     for premise in premises:
-        candidates = index.get(premise.relation, [])
+        group = index.get(premise.relation)
+        candidates = group.values() if group else ()
         next_results = []
         for binding, used in results:
             for fact in candidates:
@@ -370,9 +376,9 @@ def forward_chain(
     new_keys: set[tuple[str, str, str]] = set()
     truncated = False
     iterations = 0
+    index = graph.by_relation()  # live: each pass reads the facts as they stand
     for _ in range(max_iterations):
         iterations += 1
-        index = graph.by_relation()
         fresh: list[Fact] = []
         for rule in rules:
             for binding, used in _match_premises(rule.premises, index):

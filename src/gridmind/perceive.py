@@ -16,7 +16,9 @@ list, the movement state to the temporal one, the rest is spatial):
   their pairwise relations are left to the composition table downstream,
 * free-standing entities get pairwise Near (< near_distance) and exact
   cardinal LeftOf/RightOf/Above/Below facts, computed from the two
-  readings' positions,
+  readings' positions; the pairs tested are only those that can pass,
+  found in cell buckets (`_candidate_pairs`): a shared row, a shared
+  column, or neighbouring cells of width ceil(near_distance),
 * containment is sensed on the container: Contains(c, x) and Inside(x, c),
 * an open movement event yields has_state(e, moving).
 """
@@ -26,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations, permutations
 from json.encoder import encode_basestring
 
-from . import canonical
+from . import canonical, cells
 from .kb import Fact, ValidationError
 
 # fixed salience table for the attention pass
@@ -114,11 +117,20 @@ class Event:
 class TemporalFeatures:
     events: list[Event] = field(default_factory=list)
 
+    @cached_property
+    def by_entity(self) -> dict[str, list[Event]]:
+        """The events grouped by entity, each group in event order. Grouped
+        on first use and kept: the events do not change once extracted."""
+        index: dict[str, list[Event]] = {}
+        for event in self.events:
+            index.setdefault(event.entity, []).append(event)
+        return index
+
     def events_for(self, entity: str) -> list[Event]:
-        return [e for e in self.events if e.entity == entity]
+        return self.by_entity.get(entity, [])
 
     def open_events_for(self, entity: str) -> list[Event]:
-        return [e for e in self.events if e.entity == entity and not e.closed]
+        return [e for e in self.events_for(entity) if not e.closed]
 
     def starting_at(self, tick: int) -> list[Event]:
         return [e for e in self.events if e.start == tick]
@@ -282,9 +294,7 @@ def attend_and_bind(
     entity id ascending.
     """
     validate_weights(weights)
-    entities = sorted(
-        {e.entity for e in ft.events} | set(fs.locations) | set(fc.records)
-    )
+    entities = sorted(set(ft.by_entity) | set(fs.locations) | set(fc.records))
     bound: list[BoundObject] = []
     for entity in entities:
         events = ft.events_for(entity)
@@ -376,16 +386,41 @@ def build_dimension_graphs(
     ]
     for entity, support in sorted(fs.supports.items()):
         emit(s_facts, entity, entity, "OnTopOf", support)
-    for a in free:
-        ax, ay = obs.readings[a].position
-        for b in free:
-            if a == b:
-                continue
-            bx, by = obs.readings[b].position
-            dx, dy = bx - ax, by - ay
-            if math.hypot(dx, dy) < near_distance:
-                emit(s_facts, a, a, "Near", b)
-            relation = _CARDINAL.get(((dx > 0) - (dx < 0), (dy > 0) - (dy < 0)))
-            if relation:
-                emit(s_facts, a, a, relation, b)
+    positions = [obs.readings[e].position for e in free]
+    for i, j in _candidate_pairs(positions, near_distance):
+        a = free[i]
+        ax, ay = positions[i]
+        bx, by = positions[j]
+        dx, dy = bx - ax, by - ay
+        if math.hypot(dx, dy) < near_distance:
+            emit(s_facts, a, a, "Near", free[j])
+        relation = _CARDINAL.get(((dx > 0) - (dx < 0), (dy > 0) - (dy < 0)))
+        if relation:
+            emit(s_facts, a, a, relation, free[j])
     return t_facts, s_facts, c_facts, by_entity
+
+
+def _candidate_pairs(positions: list[tuple[int, int]], near_distance: float):
+    """Every ordered pair (i, j), i != j, of positions that may be Near
+    (closer than `near_distance`) or exactly cardinal (one row or one
+    column), in sorted order: `a` in list order, then `b` in list order.
+
+    A position's candidates lie in its row, its column and the
+    `cells.NEIGHBOURHOOD` cells of width ceil(near_distance) around it.
+    With no more positions than those cells, every pair is a candidate.
+    """
+    n = len(positions)
+    if n <= cells.NEIGHBOURHOOD:
+        return permutations(range(n), 2)
+    rows: dict[int, list[int]] = {}
+    columns: dict[int, list[int]] = {}
+    for i, (x, y) in enumerate(positions):
+        rows.setdefault(y, []).append(i)
+        columns.setdefault(x, []).append(i)
+    pairs: set[tuple[int, int]] = set()
+    for line in (*rows.values(), *columns.values()):
+        pairs.update(combinations(line, 2))
+    if near_distance > 0:
+        points = ((i, None, x, y) for i, (x, y) in enumerate(positions))
+        pairs |= cells.close_pairs(points, math.ceil(near_distance))
+    return sorted(pairs | {(j, i) for i, j in pairs})

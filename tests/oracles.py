@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from gridmind import canonical
 from gridmind.kb import Fact, SemanticGraph
+from gridmind.reason import detect_collision
 
 # the relations the spatial oracles draw from
 SPATIAL_VOCABULARY = frozenset(
@@ -189,6 +190,18 @@ def pairwise_spatial_facts(obs, near_distance: float) -> list[tuple[str, str, st
             elif ax == bx and by < ay:
                 facts.append((a, "Below", b))
     return facts
+
+
+def all_pairs_collision_facts(trajectories, epsilon: float, tick: int) -> list[Fact]:
+    """CollisionRisk(a, b) for every pair of trajectories, a before b by
+    name, that `detect_collision` flags: each pair is tested."""
+    names = sorted(trajectories)
+    return [
+        Fact(a, "CollisionRisk", b, 1.0, tick, "derived")
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+        if detect_collision(trajectories[a], trajectories[b], epsilon).risks
+    ]
 
 
 def digest_payload(obs) -> dict[str, object]:

@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gridmind.agent as agent_module
 from conftest import BUNDLED, run_bundled, scenario_path
-from gridmind import canonical
+from gridmind import canonical, reason
 from gridmind.agent import AgentRuntime, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
-from gridmind.reason import EventSequenceModel, train_sequence_model
+from gridmind.reason import EventSequenceModel, predict_trajectory, train_sequence_model
 from gridmind.world import parse_scenario
+from oracles import all_pairs_collision_facts
 
 
 def rows(result):
@@ -317,3 +321,68 @@ def test_every_fact_the_engine_keeps_is_valid(monkeypatch, name):
     for fact in facts:
         fact.validate()
         assert fact.key() == (fact.subject, fact.relation, canonical.fmt_literal(fact.obj))
+
+
+def collision_facts(trajectories, epsilon, tick=7):
+    # _collision_facts reads nothing of the runtime but its config
+    runtime = SimpleNamespace(config=EngineConfig(collision_epsilon=epsilon))
+    return AgentRuntime._collision_facts(runtime, trajectories, tick)
+
+
+@st.composite
+def movers(draw):
+    """Trajectories as the tick predicts them, on grids of 1x1 to 30x30 with
+    horizons of 1 to 8: up to 25 movers, most of them starting in one of a
+    few cells, at one of three ticks, so that they share cells and ticks."""
+    width, height = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    horizon = draw(st.integers(1, 8))
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    hot = draw(st.lists(cell, min_size=1, max_size=3))
+    start = st.sampled_from(hot) | cell
+    trajectories = {}
+    for k in range(draw(st.integers(0, 25))):
+        x, y = draw(start)
+        tick = draw(st.integers(1, 3))
+        history = [(tick, (x, y))]
+        if draw(st.booleans()):  # else one observation: a stationary guess
+            dx, dy = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+            history.insert(0, (tick - 1, (x - dx, y - dy)))
+        name = f"m{k:02d}"
+        trajectories[name] = predict_trajectory(name, history, horizon, (width, height))
+    epsilon = draw(
+        st.sampled_from([1e-9, 0.5, 1.0, 2**0.5, 2.0, 3.0])
+        | st.floats(min_value=1e-9, max_value=float(max(width, height)))
+    )
+    return trajectories, epsilon
+
+
+@settings(max_examples=300, deadline=None)
+@given(movers())
+def test_collision_facts_match_the_all_pairs_oracle(case):
+    trajectories, epsilon = case
+    assert collision_facts(trajectories, epsilon) == all_pairs_collision_facts(trajectories, epsilon, 7)
+
+
+def test_collision_checks_only_pairs_in_neighbouring_cells(monkeypatch):
+    checked = []
+    detect = reason.detect_collision
+
+    def counting(a, b, epsilon):
+        checked.append((a.entity, b.entity))
+        return detect(a, b, epsilon)
+
+    monkeypatch.setattr(reason, "detect_collision", counting)
+    # twelve movers in lanes five apart, and one beside the first
+    trajectories = {
+        f"m{k:02d}": predict_trajectory(f"m{k:02d}", [(0, (5 * k, 0)), (1, (5 * k, 1))], 5, (60, 40))
+        for k in range(12)
+    }
+    trajectories["m99"] = predict_trajectory("m99", [(0, (1, 0)), (1, (1, 1))], 5, (60, 40))
+    facts = collision_facts(trajectories, 1.5)
+    assert checked == [("m00", "m99")]
+    assert [(f.subject, f.obj) for f in facts] == [("m00", "m99")]
+    # four movers make six pairs, within one neighbourhood's nine cells: all are tested
+    checked.clear()
+    assert collision_facts({k: trajectories[k] for k in ("m00", "m01", "m02", "m03")}, 1.5) == []
+    assert len(checked) == 6
+

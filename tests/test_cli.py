@@ -6,6 +6,7 @@ import json
 import os
 import shlex
 import signal
+import socket
 import sys
 from pathlib import Path
 
@@ -455,6 +456,8 @@ def test_failed_planner_trace_replays_equal(tmp_path, capsys, mode):
         ("collision_epsilon", 0.0), ("severity_action_failure", 5), ("severity_stale", -0.1),
         ("near_distance", float("nan")), ("near_distance", float("inf")),
         ("wm_decay", 1.5), ("prediction_decay", -0.5), ("weight_min", 0.5), ("weight_max", 0.2),
+        ("planner_timeout", 0), ("planner_timeout", -1), ("planner_timeout", 86400.5),
+        ("planner_timeout", 1e12), ("planner_timeout", 1e308),
     ],
 )
 def test_config_value_out_of_range_exit_three(tmp_path, capsys, field, value):
@@ -463,6 +466,28 @@ def test_config_value_out_of_range_exit_three(tmp_path, capsys, field, value):
     assert main(["run", scenario_path("fetch_close"), "--config", str(config),
                  "--trace", str(tmp_path / "out.trace")]) == 3
     assert capsys.readouterr().err.startswith(f"error: bad value for {field}: ")
+
+
+@pytest.mark.parametrize("value", [-1, 1e12])
+def test_planner_timeout_out_of_range_ends_before_a_tcp_planner_connects(tmp_path, capsys, value):
+    # -1 used to reach the socket as "Timeout value out of range", and 1e12
+    # the deadline as "timestamp out of range for platform time_t"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"planner_timeout": value}))
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        host, port = server.getsockname()
+        assert main(["run", scenario_path("fetch_close"), "--config", str(config),
+                     "--trace", str(tmp_path / "out.trace"), "--planner", f"tcp:{host}:{port}"]) == 3
+        server.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            server.accept()
+    assert capsys.readouterr().err.startswith("error: bad value for planner_timeout: ")
+
+
+def test_largest_planner_timeout_is_accepted():
+    from gridmind.config import EngineConfig
+
+    assert EngineConfig().with_overrides({"planner_timeout": 86400}).planner_timeout == 86400.0
 
 
 def test_planner_effect_tick_that_overflows_fails_the_cycle(tmp_path, capsys):

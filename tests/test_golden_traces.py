@@ -12,6 +12,12 @@ ones that pin how asserted facts join the unified graph: the lines reach
 every dimension, one collides with a perceived fact, and they fire both
 the knockover-spill and the edible-in-kitchen rules.
 
+The generated crowded and traffic scenes (perfbench's workload
+generators, at workload seeds 1-3) are pinned too. They are the only
+golden traces with enough free entities and movers for perception's and
+collision's cell buckets to replace the full pair scan, so they pin the
+bucketed paths byte for byte.
+
 A change that alters trace bytes on purpose is a behaviour change: it
 updates these hashes and says so in CHANGES.md. Running this file with
 `PYTHONPATH=src:tests python tests/test_golden_traces.py` prints the
@@ -21,6 +27,9 @@ current hashes in the form of the tables below.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -91,18 +100,56 @@ GOLDEN_ASSERTED = {
 }
 
 
-def trace_sha256(name: str, noise: bool, extra: str = "") -> str:
-    text = data_root().joinpath("scenarios", f"{name}.scn").read_text(encoding="utf-8") + extra
-    scenario = parse_scenario(text, f"scenarios/{name}.scn")
+GOLDEN_GENERATED = {
+    # (workload, workload seed, noise): sha256 of the trace, run at that seed
+    ("crowded", 1, False): "83d2090b11394072f3cb5d6fd8e884674eb675e7a53627737a3f42b04437f7f9",
+    ("crowded", 1, True): "25b2b8fbdc1e7c0e9c0264dbb296990dcad0656107090f7fbb42d7fd335f441f",
+    ("crowded", 2, False): "a8862eaa8fa59bcfbf3619cb8b49e472f8dea015cbd7ebd8a9d1d23b019b6d53",
+    ("crowded", 2, True): "685965874b3b51551dc975b27abcd884819bd6099f9704cf20ac42cafda6ffe1",
+    ("crowded", 3, False): "b866200a08f35a7d3204351f00da7378abdae69f54c5a71a19129155088070e9",
+    ("crowded", 3, True): "75ce1930c9ccb3948a55454f49aa6273814b78d85ce7b4c2ae7b89bfe1ca782f",
+    ("traffic", 1, False): "908ef42e51982182809987118852157ccba705d00978b2856e622d5fa539949f",
+    ("traffic", 1, True): "c87b7fbba1f4535db3c1a766a259cdff5018b39a85036a0069fc76b7aa7a1615",
+    ("traffic", 2, False): "a92e51c6dd9b7973c47e7fef22a6814bcb8ef8bfef07466e68fcf4e10aca7b5a",
+    ("traffic", 2, True): "258985bfce8186720ed24d001af9cec1e1e60009fc5f0fcd97b3f1f90c92ef5a",
+    ("traffic", 3, False): "5d2573cc5c2be5d8a5e731a4dd4748fcb94bdd9fd5e55bc1e816d69580fb0a20",
+    ("traffic", 3, True): "4a165d28dcf5ecd54c03e7115b7d0eff7087dbc0befd0c67c10a2b9ad9fc47eb",
+}
+
+GENERATED = [(kind, seed) for kind in ("crowded", "traffic") for seed in (1, 2, 3)]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@cache
+def _workloads():
+    """perfbench's seeded scenario generators, loaded from their file."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha256(text: str, path: str, seed: int, noise: bool) -> str:
+    scenario = parse_scenario(text, path)
     config = EngineConfig()
     if scenario.config_overrides:
         config = config.with_overrides(dict(scenario.config_overrides))
     result = run_scenario(
-        scenario, config, seed=0, planner_factory=scripted_planner_factory,
+        scenario, config, seed=seed, planner_factory=scripted_planner_factory,
         noise=noise, scenario_text=text,
     )
     data = "".join(line + "\n" for line in result.lines).encode("utf-8")
     return hashlib.sha256(data).hexdigest()
+
+
+def trace_sha256(name: str, noise: bool, extra: str = "") -> str:
+    text = data_root().joinpath("scenarios", f"{name}.scn").read_text(encoding="utf-8") + extra
+    return _sha256(text, f"scenarios/{name}.scn", 0, noise)
+
+
+def generated_trace_sha256(kind: str, seed: int, noise: bool) -> str:
+    text = getattr(_workloads(), f"{kind}_text")(seed)
+    return _sha256(text, f"generated/{kind}-{seed}.scn", seed, noise)
 
 
 @pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noisy"])
@@ -117,9 +164,19 @@ def test_trace_with_asserted_facts_matches_golden_hash(name, noise):
     assert trace_sha256(name, noise, ASSERTED) == GOLDEN_ASSERTED[(name, noise)]
 
 
+@pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noisy"])
+@pytest.mark.parametrize("kind, seed", GENERATED)
+def test_generated_trace_matches_golden_hash(kind, seed, noise):
+    assert generated_trace_sha256(kind, seed, noise) == GOLDEN_GENERATED[(kind, seed, noise)]
+
+
 if __name__ == "__main__":
     for table, extra in (("GOLDEN", ""), ("GOLDEN_ASSERTED", ASSERTED)):
         print(f"{table}:")
         for name in BUNDLED:
             for noise in (False, True):
                 print(f'    ("{name}", {noise}): "{trace_sha256(name, noise, extra)}",')
+    print("GOLDEN_GENERATED:")
+    for kind, seed in GENERATED:
+        for noise in (False, True):
+            print(f'    ("{kind}", {seed}, {noise}): "{generated_trace_sha256(kind, seed, noise)}",')

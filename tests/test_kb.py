@@ -56,6 +56,34 @@ class TestInsert:
             fact("a", "isa", "b", 1.0, -1).validate()
 
 
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c"]), st.sampled_from(["isa", "Near", "LeftOf"]),
+            st.sampled_from(["a", "b", 3]), st.sampled_from([0.2, 0.5, 0.9]), st.integers(0, 3),
+        ),
+        max_size=30,
+    )
+)
+def test_relation_index_is_the_stored_facts_grouped_in_insertion_order(inserts):
+    # the index is kept by insert; a replaced fact keeps its first slot
+    graph = SemanticGraph()
+    first_seen: list[tuple[str, str, str]] = []
+    for s, r, o, conf, tick in inserts:
+        f = fact(s, r, o, conf, tick)
+        if f.key() not in first_seen:
+            first_seen.append(f.key())
+        graph.insert(f)
+    expected: dict[str, list] = {}
+    for key in first_seen:
+        expected.setdefault(key[1], []).append(graph.lookup(key))
+    index = graph.by_relation()
+    assert {r: list(group.values()) for r, group in index.items()} == expected
+    assert all(list(group) == [f.key() for f in group.values()] for group in index.values())
+    assert list(graph) == [graph.lookup(key) for key in first_seen]
+
+
 class TestKeyCache:
     def test_key_is_computed_once_and_reused(self):
         f = fact("cup1", "at", 3.5)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BUNDLED, run_bundled
-from gridmind import canonical
+from gridmind import canonical, cells
 from gridmind.kb import ValidationError
 from gridmind.perceive import (
     Observation,
@@ -273,30 +273,59 @@ class TestGraphEmission:
         assert moving not in {f.key() for f in c_facts}
 
 
-cell = st.tuples(st.integers(0, 6), st.integers(0, 6))
-
-
-@settings(max_examples=150)
-@given(
-    agent=cell,
-    others=st.lists(
-        st.tuples(cell, st.booleans(), st.booleans(), st.booleans()), max_size=7
-    ),
-    near_distance=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5]),
-)
-def test_pairwise_facts_match_brute_force_oracle(agent, others, near_distance):
-    """Near and cardinal facts, in emission order, equal the oracle's for
-    random positions, supports, carried flags and occlusion."""
-    entities = {"agent": {"pos": agent}}
-    for i, (pos, stacked, carried, occluded) in enumerate(others, start=1):
-        spec: dict = {"pos": pos, "occluded": occluded}
+@st.composite
+def scenes(draw):
+    """Up to 30 entities on grids of 1x1 to 30x30, most of them on a few
+    rows and columns, with random supports, carried flags and occlusion;
+    and a near_distance from 0 up to the grid's size (beyond, too)."""
+    width, height = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rows = draw(st.lists(st.integers(0, height - 1), min_size=1, max_size=3))
+    columns = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=3))
+    cell = st.tuples(
+        st.sampled_from(columns) | st.integers(0, width - 1),
+        st.sampled_from(rows) | st.integers(0, height - 1),
+    )
+    entities = {"agent": {"pos": draw(cell)}}
+    for i in range(1, draw(st.integers(0, 29)) + 1):
+        stacked, carried, occluded = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+        spec: dict = {"pos": draw(cell), "occluded": occluded}
         if stacked:
-            spec["on"] = f"e{i - 1}" if i > 1 else "agent"
+            spec["on"] = f"e{i - 1:02d}" if i > 1 else "agent"
         if carried:
             spec["flags"] = ["carried"]
-        entities[f"e{i}"] = spec
-    o = obs(0, **entities)
+        entities[f"e{i:02d}"] = spec
+    # eighths, so that the oracle's squared distances compare exactly
+    near_distance = draw(
+        st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.5, 1e9])
+        | st.integers(0, 8 * max(width, height)).map(lambda k: k / 8)
+    )
+    return obs(0, **entities), near_distance
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenes())
+def test_pairwise_facts_match_brute_force_oracle(scene):
+    """Near and cardinal facts, in emission order, equal the oracle's for
+    random positions, supports, carried flags and occlusion: both for free
+    lists short enough to test every pair and for longer ones, which
+    take their candidates from rows, columns and cells."""
+    o, near_distance = scene
     assert pairwise_facts(o, near_distance) == pairwise_spatial_facts(o, near_distance)
+
+
+@pytest.mark.parametrize("count, bucketed", [(cells.NEIGHBOURHOOD, False), (cells.NEIGHBOURHOOD + 1, True)])
+def test_only_free_lists_longer_than_a_neighbourhood_are_bucketed(monkeypatch, count, bucketed):
+    calls = []
+    close_pairs = cells.close_pairs
+
+    def counting(points, size):
+        calls.append(size)
+        return close_pairs(points, size)
+
+    monkeypatch.setattr(cells, "close_pairs", counting)
+    o = obs(0, agent={"pos": (0, 0)}, **{f"e{i}": {"pos": (2 * i, i % 3)} for i in range(1, count)})
+    assert pairwise_facts(o, 2.5) == pairwise_spatial_facts(o, 2.5)
+    assert calls == ([3] if bucketed else [])
 
 
 TOKENS = st.text(max_size=6)  # any text, non-ASCII and escapes included
