@@ -367,15 +367,11 @@ class AgentRuntime:
             "tick": tick,
             "obs": digest,
             "bound": len(bound),
-            "top": [[b.entity, round(b.score, 6)] for b in bound[:5]],
+            "top": [[b.entity, b.score] for b in bound[:5]],
             "new_facts": [f.to_array() for f in new_facts],
             "anomalies": [a.to_record() for a in anomalies],
             "directives": [d.to_record() for d in directives],
-            "weights": {
-                "temporal": round(self.weights["temporal"], 6),
-                "spatial": round(self.weights["spatial"], 6),
-                "conceptual": round(self.weights["conceptual"], 6),
-            },
+            "weights": dict(self.weights),
             "action": action.to_record() if action else None,
             "result": result.to_record() if result else None,
             "wm": len(self.wm),
@@ -474,11 +470,6 @@ def run_scenario(
     `ltm_lines` (canonical fact lines) seed the semantic LTM; this is
     their only parser, and a malformed line is an InputError.
     """
-    import json
-
-    # round-trip the config through its trace echo so a replay reconstructs
-    # bit-identical parameters (the echo renders floats at six decimals)
-    config = EngineConfig().with_overrides(json.loads(canonical.dumps(config.to_echo())))
     tasks = [decide.interpret_task(spec, scenario) for spec in scenario.tasks]
     runtime = AgentRuntime(
         scenario,

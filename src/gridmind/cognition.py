@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .kb import Fact, Rule, SemanticGraph, ValidationError, forward_chain
+from .kb import Fact, Rule, SemanticGraph, forward_chain
 
 
 @dataclass
@@ -79,14 +79,8 @@ def assess_hazards(
 ) -> list[Fact]:
     """Chain hazard rules over the unified graph; returns hazard facts.
 
-    Rules must span at least two cognitive dimensions (the rule loader
-    enforces this; it is re-checked here so hand-built rules cannot slip
-    through).
+    `rulefmt.parse_hazard_rules` has checked where the rules entered that
+    each spans at least two cognitive dimensions.
     """
-    for rule in hazard_rules:
-        if len(rule.dimensions()) < 2:
-            raise ValidationError(
-                f"hazard rule {rule.name} touches only {sorted(rule.dimensions())}"
-            )
     derived = forward_chain(unified.graph, hazard_rules, max_iterations).derived
     return [f for f in derived if f.relation == "hazard"]

@@ -1,8 +1,9 @@
-"""Engine configuration: every tunable default in one flat record.
+"""Engine configuration: every tunable default in one flat, frozen record.
 
 Values can be overridden by a JSON config file, by `config` lines in a
-scenario, or programmatically. The config is echoed into the trace header
-so replays resolve to the exact same parameters.
+scenario, or programmatically. Each way in holds every value as the trace
+header echoes it (a float at six decimals), checked after rounding, so a
+replay rebuilds exactly the parameters the run used.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .canonical import InputError, parse_json, read_text
+from .canonical import InputError, fmt_float, parse_json, read_text
 
 
 class ConfigError(InputError):
@@ -19,6 +20,7 @@ class ConfigError(InputError):
 
 
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 # so that three attention weights clamped to [weight_min, weight_max] can sum to 1
@@ -29,6 +31,7 @@ _PLANNER_TIMEOUT = (lambda v: 0.0 < v <= 86400.0, "must lie in (0, 86400]")
 
 # the range of each bounded field; every float must also be finite
 BOUNDS = {
+    "near_distance": _NON_NEGATIVE,  # a negative one drops every Near fact
     "window_size": _AT_LEAST_ONE,
     "markov_order": _AT_LEAST_ONE,
     "trajectory_horizon": _AT_LEAST_ONE,
@@ -37,6 +40,8 @@ BOUNDS = {
     "episode_k": _AT_LEAST_ONE,
     "ltm_retrieve_k": _AT_LEAST_ONE,
     "collision_epsilon": _POSITIVE,
+    "mismatch_distance": _POSITIVE,  # at 0 every position prediction mismatches
+    "stale_ttl": _NON_NEGATIVE,  # a negative one makes every WM item stale
     "severity_action_failure": _UNIT,
     "severity_contradiction": _UNIT,
     "severity_temporal_cycle": _UNIT,
@@ -45,11 +50,12 @@ BOUNDS = {
     "wm_decay": _UNIT,
     "weight_min": _WEIGHT_MIN,
     "weight_max": _WEIGHT_MAX,
+    "replan_limit": _AT_LEAST_ONE,  # at 0 a run aborts with no decision cycle
     "planner_timeout": _PLANNER_TIMEOUT,
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     # perception / attention
     weight_temporal: float = 1.0 / 3.0
@@ -90,6 +96,31 @@ class EngineConfig:
     planner_timeout: float = 30.0
     max_ticks: int = 500
 
+    def __post_init__(self) -> None:
+        """The one gate, however the config was built: each field converted
+        to its type, a float rounded to the six decimals the trace header
+        echoes, then checked against `BOUNDS`; errors name the given value."""
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            check, rule = BOUNDS.get(field.name, (None, ""))
+            try:
+                if isinstance(value, bool):
+                    raise ValueError("must be a number")
+                if field.type == "int":
+                    number = int(value)  # type: ignore[call-overload]
+                    if isinstance(value, float) and number != value:
+                        raise ValueError("must be a whole number")
+                else:
+                    number = float(value)  # type: ignore[arg-type]
+                    if not math.isfinite(number):
+                        raise ValueError("must be finite")
+                    number = float(fmt_float(number))
+                if check and not check(number):
+                    raise ValueError(rule)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad value for {field.name}: {value!r} ({exc})") from None
+            object.__setattr__(self, field.name, number)
+
     def weights(self) -> dict[str, float]:
         return {
             "temporal": self.weight_temporal,
@@ -103,30 +134,11 @@ class EngineConfig:
         return {key: raw[key] for key in sorted(raw)}
 
     def with_overrides(self, overrides: dict[str, object]) -> "EngineConfig":
-        fields = {f.name: f for f in dataclasses.fields(self)}
-        updates: dict[str, object] = {}
-        for key, value in overrides.items():
-            if key not in fields:
+        names = {f.name for f in dataclasses.fields(self)}
+        for key in overrides:
+            if key not in names:
                 raise ConfigError(f"unknown config key: {key}")
-            kind = fields[key].type
-            if isinstance(value, bool):
-                raise ConfigError(f"bad value for {key}: {value!r} (must be a number)")
-            if kind == "int" and isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"bad value for {key}: {value!r} (must be a whole number)")
-            try:
-                if kind == "int":
-                    number = int(value)  # type: ignore[call-overload]
-                else:
-                    number = float(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
-            if kind == "float" and not math.isfinite(number):
-                raise ConfigError(f"bad value for {key}: {value!r} (must be finite)")
-            check, rule = BOUNDS.get(key, (None, ""))
-            if check and not check(number):
-                raise ConfigError(f"bad value for {key}: {value!r} ({rule})")
-            updates[key] = number
-        return dataclasses.replace(self, **updates)  # type: ignore[arg-type]
+        return dataclasses.replace(self, **overrides)  # type: ignore[arg-type]
 
 
 def load_config_file(path: str) -> EngineConfig:

@@ -42,6 +42,7 @@ from .world import (
     SURFACE_CATEGORIES,
     TaskSpec,
     WorldState,
+    within_reach,
 )
 
 TASK_KINDS = ("arrange", "fix_hazard", "navigate", "fetch")
@@ -76,7 +77,7 @@ class GoalCondition:
             )
         if self.kind == "adjacent":
             (target,) = self.args
-            return world.distance(world.agent, target) <= 1.0 + 1e-9
+            return within_reach(world.distance(world.agent, target))
         if self.kind == "object_at":
             obj, dest = self.args
             state = world.entities[obj]
@@ -347,10 +348,10 @@ _DIRECTION_OF_STEP = {step: name for name, step in GRID_DIRECTIONS.items()}
 def _moves_to_adjacent(
     cur: tuple[int, int], goal: tuple[int, int]
 ) -> tuple[list[Action], tuple[int, int]]:
-    """Greedy 8-way moves until within one cell (Euclidean) of the goal."""
+    """Greedy 8-way moves until the goal is within reach."""
     moves: list[Action] = []
     x, y = cur
-    while math.hypot(goal[0] - x, goal[1] - y) > 1.0 + 1e-9:
+    while not within_reach(math.hypot(goal[0] - x, goal[1] - y)):
         dx = (goal[0] > x) - (goal[0] < x)
         dy = (goal[1] > y) - (goal[1] < y)
         moves.append(Action("Move", (_DIRECTION_OF_STEP[(dx, dy)],)))

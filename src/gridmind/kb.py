@@ -90,13 +90,7 @@ class Fact:
         )
 
     def to_array(self) -> list[object]:
-        return [
-            self.subject,
-            self.relation,
-            self.obj,
-            round(self.confidence, canonical.FLOAT_DECIMALS),
-            self.tick,
-        ]
+        return [self.subject, self.relation, self.obj, self.confidence, self.tick]
 
 
 def fact_from_line(line: str) -> Fact:

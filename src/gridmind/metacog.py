@@ -46,7 +46,7 @@ class Anomaly:
         return {
             "kind": self.kind,
             "payload": list(self.payload),
-            "severity": round(self.severity, 6),
+            "severity": self.severity,
         }
 
 
@@ -68,9 +68,9 @@ class Directive:
         if self.dimension is not None:
             record["dimension"] = self.dimension
         if self.delta is not None:
-            record["delta"] = round(self.delta, 6)
+            record["delta"] = self.delta
         if self.factor is not None:
-            record["factor"] = round(self.factor, 6)
+            record["factor"] = self.factor
         if self.pattern is not None:
             record["pattern"] = list(self.pattern)
         return record

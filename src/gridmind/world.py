@@ -2,12 +2,14 @@
 
 Entities occupy grid cells, carry attributes and state flags, and may rest
 on one another (each stacked entity has exactly one support below it;
-surface categories such as tables may hold several independent stacks).
-Actions have physics-lite effects; scripted exogenous events fire after the
-action each tick. A step returns the action's result, whose delta holds the
-tick's newly set flags and new positions as facts. Observations cover every
-entity, synthesized with stack/containment occlusion and optional seeded
-position noise.
+surface categories such as tables may hold several independent stacks) or
+lie inside one another (containers may nest to any depth, and contents
+follow their container when it moves). Actions have physics-lite effects,
+on what is `within_reach` of the agent; scripted exogenous events fire
+after the action each tick. A step returns the action's result, whose
+delta holds the tick's newly set flags and new positions as facts.
+Observations cover every entity, synthesized with stack/containment
+occlusion and optional seeded position noise.
 
 Scenario file grammar (line oriented, `#` comments)::
 
@@ -25,7 +27,8 @@ Scenario file grammar (line oriented, `#` comments)::
     config <key> <value>
 
 Entity keys: category, color, size, material, shape, flags (comma list),
-contains (comma list), on (supporting entity).
+contains (comma list), on (supporting entity). Supports and containers
+may not form a cycle, and no entity is in two containers.
 
 Entity ids, region ids, attribute values, flags and the terms of a fact
 line become the terms of facts, so each must be a valid fact literal (no
@@ -72,6 +75,12 @@ ACTION_CATALOG: dict[str, int] = {
 
 class ScenarioError(canonical.InputError):
     pass
+
+
+def within_reach(distance: float) -> bool:
+    """Whether the agent can act on a cell `distance` away: its own cell or
+    one of the four that share a side with it (a diagonal is too far)."""
+    return distance <= 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -284,6 +293,7 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
         raise ScenarioError("scenario must declare a grid", path=path)
     if agent is None:
         raise ScenarioError("scenario must declare an agent", path=path)
+    holder: dict[str, str] = {}  # contained entity -> its container
     for spec in entities.values():
         x, y = spec.position
         if not (0 <= x < width and 0 <= y < height):
@@ -311,6 +321,21 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                     f"entity {spec.entity_id!r} contains unknown entity {contained!r}",
                     path=path,
                 )
+            if contained in holder:
+                raise ScenarioError(
+                    f"entity {contained!r} is contained by both {holder[contained]!r} "
+                    f"and {spec.entity_id!r}",
+                    path=path,
+                )
+            holder[contained] = spec.entity_id
+    for entity_id in holder:
+        seen = {entity_id}
+        cursor = holder[entity_id]
+        while cursor in holder:
+            if cursor in seen:
+                raise ScenarioError(f"containment cycle through entity {entity_id!r}", path=path)
+            seen.add(cursor)
+            cursor = holder[cursor]
     for event in events:
         if event.entity not in entities:
             raise ScenarioError(
@@ -399,6 +424,15 @@ class WorldState:
                 contains=spec.contains,
                 on=spec.on,
             )
+        # (container, contained) pairs, each container after the one holding
+        # it, so that one pass in this order carries contents at any depth
+        contained = {c for st in self.entities.values() for c in st.contains}
+        self._contents: list[tuple[str, str]] = []
+        containers = [e for e in self.entities if e not in contained]
+        for container in containers:  # grows as it goes: breadth first
+            for inner in self.entities[container].contains:
+                self._contents.append((container, inner))
+                containers.append(inner)
         self._schedule: dict[int, list[ExogenousEvent]] = {}
         for event in scenario.events:
             self._schedule.setdefault(event.tick, []).append(event)
@@ -495,16 +529,8 @@ class WorldState:
                     root = self.entities[root].on
                 state.position = self.entities[root].position
         # contents travel with their container (containers may nest)
-        for _ in range(8):
-            changed = False
-            for entity_id in sorted(self.entities):
-                container = self.entities[entity_id]
-                for contained in container.contains:
-                    if self.entities[contained].position != container.position:
-                        self.entities[contained].position = container.position
-                        changed = True
-            if not changed:
-                break
+        for container, contained in self._contents:
+            self.entities[contained].position = self.entities[container].position
 
         for entity_id in sorted(self.entities):
             state = self.entities[entity_id]
@@ -550,7 +576,7 @@ class WorldState:
                 return ActionResult("failed", reason=f"no_such_entity:{target}")
             if self.carrying is not None:
                 return ActionResult("failed", reason="already_carrying")
-            if self.distance(self.agent, target) > 1.0 + 1e-9:
+            if not within_reach(self.distance(self.agent, target)):
                 return ActionResult("failed", reason="out_of_range")
             if self.supported_by(target):
                 return ActionResult("failed", reason="stacked_under")
@@ -569,7 +595,7 @@ class WorldState:
                 return ActionResult("failed", reason="not_carrying")
             if target not in self.entities or target == moved:
                 return ActionResult("failed", reason=f"no_such_entity:{target}")
-            if self.distance(self.agent, target) > 1.0 + 1e-9:
+            if not within_reach(self.distance(self.agent, target)):
                 return ActionResult("failed", reason="out_of_range")
             target_state = self.entities[target]
             support_id = target if target_state.is_surface() else self.stack_top(target)
@@ -593,7 +619,7 @@ class WorldState:
         if name == "CutPower":
             if target not in self.entities:
                 return ActionResult("failed", reason=f"no_such_entity:{target}")
-            if self.distance(self.agent, target) > 1.0 + 1e-9:
+            if not within_reach(self.distance(self.agent, target)):
                 return ActionResult("failed", reason="out_of_range")
             if "powered" not in self.entities[target].flags:
                 return ActionResult("failed", reason="not_powered")
@@ -603,7 +629,7 @@ class WorldState:
         if name == "FixLeak":
             if target not in self.entities:
                 return ActionResult("failed", reason=f"no_such_entity:{target}")
-            if self.distance(self.agent, target) > 1.0 + 1e-9:
+            if not within_reach(self.distance(self.agent, target)):
                 return ActionResult("failed", reason="out_of_range")
             if "leaking" not in self.entities[target].flags:
                 return ActionResult("failed", reason="not_leaking")
@@ -618,7 +644,7 @@ class WorldState:
             if not (0 <= x < self.width and 0 <= y < self.height):
                 return ActionResult("failed", reason="out_of_bounds")
             ax, ay = agent.position
-            if math.hypot(x - ax, y - ay) > 1.0 + 1e-9:
+            if not within_reach(math.hypot(x - ax, y - ay)):
                 return ActionResult("failed", reason="out_of_range")
             for entity_id in sorted(self.entities):
                 state = self.entities[entity_id]

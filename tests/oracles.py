@@ -6,6 +6,7 @@ shares no code path with the engine implementation it validates.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -165,8 +166,8 @@ def pairwise_spatial_facts(obs, near_distance: float) -> list[tuple[str, str, st
     free-standing readings, in (a, b) id order, by case analysis.
 
     A reading is free-standing unless it rests on something or is carried.
-    Near compares squared distances; y grows southward, so b due south of
-    a makes a Above b.
+    Near is a Euclidean distance below `near_distance`; y grows southward,
+    so b due south of a makes a Above b.
     """
     free = sorted(
         e for e, r in obs.readings.items()
@@ -179,7 +180,7 @@ def pairwise_spatial_facts(obs, near_distance: float) -> list[tuple[str, str, st
             if a == b:
                 continue
             bx, by = obs.readings[b].position
-            if (bx - ax) ** 2 + (by - ay) ** 2 < near_distance**2:
+            if math.hypot(bx - ax, by - ay) < near_distance:
                 facts.append((a, "Near", b))
             if ay == by and bx > ax:
                 facts.append((a, "LeftOf", b))

@@ -324,8 +324,9 @@ def test_every_fact_the_engine_keeps_is_valid(monkeypatch, name):
 
 
 def collision_facts(trajectories, epsilon, tick=7):
-    # _collision_facts reads nothing of the runtime but its config
-    runtime = SimpleNamespace(config=EngineConfig(collision_epsilon=epsilon))
+    # _collision_facts reads nothing of the runtime but its config's epsilon;
+    # a stand-in config holds an epsilon finer than the six-decimal echo
+    runtime = SimpleNamespace(config=SimpleNamespace(collision_epsilon=epsilon))
     return AgentRuntime._collision_facts(runtime, trajectories, tick)
 
 

@@ -458,6 +458,8 @@ def test_failed_planner_trace_replays_equal(tmp_path, capsys, mode):
         ("wm_decay", 1.5), ("prediction_decay", -0.5), ("weight_min", 0.5), ("weight_max", 0.2),
         ("planner_timeout", 0), ("planner_timeout", -1), ("planner_timeout", 86400.5),
         ("planner_timeout", 1e12), ("planner_timeout", 1e308),
+        ("near_distance", -3), ("stale_ttl", -1), ("mismatch_distance", 0), ("mismatch_distance", -2.5),
+        ("replan_limit", 0),
     ],
 )
 def test_config_value_out_of_range_exit_three(tmp_path, capsys, field, value):
@@ -466,6 +468,28 @@ def test_config_value_out_of_range_exit_three(tmp_path, capsys, field, value):
     assert main(["run", scenario_path("fetch_close"), "--config", str(config),
                  "--trace", str(tmp_path / "out.trace")]) == 3
     assert capsys.readouterr().err.startswith(f"error: bad value for {field}: ")
+
+
+def test_config_value_that_rounds_out_of_range_is_named_as_given(tmp_path, capsys):
+    # the bound is checked on the six-decimal value the trace would echo,
+    # and the error names the value the user wrote, not its rounded form
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"collision_epsilon": 1e-7}))
+    assert main(["run", scenario_path("crossing"), "--config", str(config),
+                 "--trace", str(tmp_path / "out.trace")]) == 3
+    assert capsys.readouterr().err == "error: bad value for collision_epsilon: 1e-07 (must be > 0)\n"
+
+
+@pytest.mark.parametrize(
+    "lines",
+    ["entity a 1 1 contains=b\nentity b 1 1 contains=a", "entity a 1 1 contains=c\nentity b 1 1 contains=c\nentity c 1 1"],
+    ids=["cycle", "two-containers"],
+)
+def test_scenario_containment_that_is_no_tree_exit_three(tmp_path, capsys, lines):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(f"grid 6 6\nagent robot1 0 0\n{lines}\n")
+    assert main(["run", str(bad), "--trace", str(tmp_path / "out.trace")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 @pytest.mark.parametrize("value", [-1, 1e12])

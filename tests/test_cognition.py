@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmind.cognition import aggregate, assess_hazards, detect_contradictions
-from gridmind.kb import Fact, SemanticGraph, ValidationError
-from gridmind.rulefmt import parse_hazard_rules
+from gridmind.kb import Fact, SemanticGraph
 from oracles import SPATIAL_VOCABULARY, all_pairs_contradictions
 
 
@@ -138,23 +137,6 @@ class TestHazards:
             [], facts(("coffee1", "Near", "edge1")), facts(("edge1", "isa", "table_edge"))
         )
         assert assess_hazards(unified, rule_data.hazard_rules) == []
-
-    def test_single_dimension_rule_rejected(self):
-        rules = parse_hazard_rules(
-            "rule ok 1.0: has_state(?x, wet)@C, Near(?x, ?y)@S -> hazard(?x, slip)"
-        )
-        # force the tag set down to one dimension to hit the re-check
-        from dataclasses import replace
-
-        flat = [
-            replace(
-                rules[0],
-                premises=tuple(replace(p, dim="conceptual") for p in rules[0].premises),
-            )
-        ]
-        unified = aggregate([], [], [])
-        with pytest.raises(ValidationError):
-            assess_hazards(unified, flat)
 
     def test_no_phantom_hazards_vs_rule_oracle(self, rule_data):
         """Every hazard must be re-derivable by plain forward chaining."""

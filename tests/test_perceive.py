@@ -277,7 +277,8 @@ class TestGraphEmission:
 def scenes(draw):
     """Up to 30 entities on grids of 1x1 to 30x30, most of them on a few
     rows and columns, with random supports, carried flags and occlusion;
-    and a near_distance from 0 up to the grid's size (beyond, too)."""
+    and any finite near_distance from 0 up, often within the grid's size,
+    subnormal and huge ones too."""
     width, height = draw(st.integers(1, 30)), draw(st.integers(1, 30))
     rows = draw(st.lists(st.integers(0, height - 1), min_size=1, max_size=3))
     columns = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=3))
@@ -294,10 +295,10 @@ def scenes(draw):
         if carried:
             spec["flags"] = ["carried"]
         entities[f"e{i:02d}"] = spec
-    # eighths, so that the oracle's squared distances compare exactly
     near_distance = draw(
-        st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.5, 1e9])
-        | st.integers(0, 8 * max(width, height)).map(lambda k: k / 8)
+        st.sampled_from([0.0, 5e-324, 1.0, 2**0.5, 1.5, 2.0, 2.5, 1e9, 1.7976931348623157e308])
+        | st.floats(min_value=0.0, max_value=float(max(width, height)))
+        | st.floats(min_value=0.0, allow_infinity=False)
     )
     return obs(0, **entities), near_distance
 

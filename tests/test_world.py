@@ -326,6 +326,37 @@ def test_contained_entity_cannot_be_picked_up():
     assert result.failed and result.reason == "contained"
 
 
+def test_contents_follow_their_container_at_any_depth():
+    # n11 holds n10, which holds n09, and so on down to n00; the outermost
+    # box sorts last, so carrying the contents along in id order would
+    # move each level only one step per sweep
+    boxes = "".join(
+        f"entity n{k:02d} 1 1 category=box" + (f" contains=n{k - 1:02d}" if k else "") + "\n"
+        for k in range(12)
+    )
+    w = world(f"grid 8 8\nagent robot1 6 6\n{boxes}at 1 velocity n11 1 0\n")
+    w.step(Action("Wait"))
+    w.step(Action("Wait"))
+    assert {w.entities[f"n{k:02d}"].position for k in range(12)} == {(2, 1)}
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("entity a 1 1 contains=b\nentity b 1 1 contains=a\n", "containment cycle through entity"),
+        ("entity a 1 1 contains=a\n", "containment cycle through entity 'a'"),
+        (
+            "entity a 1 1 contains=c\nentity b 1 1 contains=c\nentity c 1 1\n",
+            "entity 'c' is contained by both 'a' and 'b'",
+        ),
+    ],
+    ids=["two-cycle", "self", "two-containers"],
+)
+def test_containment_cycle_or_second_container_rejected(lines, message):
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(f"grid 4 4\nagent robot1 0 0\n{lines}")
+
+
 @pytest.mark.parametrize("noise", [False, True], ids=["exact", "noise-seed-4"])
 @pytest.mark.parametrize("name", ["arrange", "knockover", "vase_room"])
 def test_observe_occludes_like_the_brute_force_oracle_and_reuses_equal_readings(
