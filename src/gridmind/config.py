@@ -31,6 +31,7 @@ _PLANNER_TIMEOUT = (lambda v: 0.0 < v <= 86400.0, "must lie in (0, 86400]")
 
 # the range of each bounded field; every float must also be finite
 BOUNDS = {
+    "attention_threshold": _UNIT,  # attention scores lie in [0, 1]
     "near_distance": _NON_NEGATIVE,  # a negative one drops every Near fact
     "window_size": _AT_LEAST_ONE,
     "markov_order": _AT_LEAST_ONE,
@@ -52,6 +53,7 @@ BOUNDS = {
     "weight_max": _WEIGHT_MAX,
     "replan_limit": _AT_LEAST_ONE,  # at 0 a run aborts with no decision cycle
     "planner_timeout": _PLANNER_TIMEOUT,
+    "max_ticks": _AT_LEAST_ONE,  # below 1 a run aborts before its first tick
 }
 
 

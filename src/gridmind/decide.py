@@ -39,7 +39,6 @@ from .world import (
     ActionResult,
     GRID_DIRECTIONS,
     Scenario,
-    SURFACE_CATEGORIES,
     TaskSpec,
     WorldState,
     within_reach,
@@ -154,7 +153,7 @@ def interpret_task(spec: TaskSpec, scenario: Scenario) -> TaskInstruction:
         surface = params.get("surface")
         if not surface or surface not in scenario.entities:
             raise TaskError("arrange: missing or unknown 'surface' parameter")
-        if scenario.entities[surface].attributes.get("category") not in SURFACE_CATEGORIES:
+        if not scenario.entities[surface].is_surface():
             raise TaskError(f"arrange: {surface!r} is not a surface")
         sort_keys = tuple(k for k in params.get("sort", "color,size").split(",") if k)
         unknown = [k for k in sort_keys if k not in ARRANGE_SORT_KEYS]
@@ -176,7 +175,7 @@ def interpret_task(spec: TaskSpec, scenario: Scenario) -> TaskInstruction:
                     if e != agent
                     and "color" in s.attributes
                     and "size" in s.attributes
-                    and s.attributes.get("category") not in SURFACE_CATEGORIES
+                    and not s.is_surface()
                 )
             )
         if not objects:

@@ -5,8 +5,9 @@ on one another (each stacked entity has exactly one support below it;
 surface categories such as tables may hold several independent stacks) or
 lie inside one another (containers may nest to any depth, and contents
 follow their container when it moves). Actions have physics-lite effects,
-on what is `within_reach` of the agent; scripted exogenous events fire
-after the action each tick. A step returns the action's result, whose
+on what is `within_reach` of the agent; picking up a contained entity, or
+placing onto one, fails with reason `contained`. Scripted exogenous events
+fire after the action each tick. A step returns the action's result, whose
 delta holds the tick's newly set flags and new positions as facts.
 Observations cover every entity, synthesized with stack/containment
 occlusion and optional seeded position noise.
@@ -27,8 +28,14 @@ Scenario file grammar (line oriented, `#` comments)::
     config <key> <value>
 
 Entity keys: category, color, size, material, shape, flags (comma list),
-contains (comma list), on (supporting entity). Supports and containers
-may not form a cycle, and no entity is in two containers.
+contains (comma list), on (supporting entity). An entity rides on at most
+one anchor: the agent while carried, else its support, else its
+container. It sits where the free entity at the end of that chain sits,
+so the cell declared for a stacked or contained entity is ignored. A
+scenario is refused if supports and containers form a cycle, if an
+entity is in two containers, if an entity both rests on another and is
+contained, if the agent rests on or is contained by another entity, or
+if a region id is declared twice.
 
 Entity ids, region ids, attribute values, flags and the terms of a fact
 line become the terms of facts, so each must be a valid fact literal (no
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import canonical
 from .kb import Fact, parse_literal
@@ -71,6 +78,10 @@ ACTION_CATALOG: dict[str, int] = {
     "FixLeak": 1,
     "Wait": 0,
 }
+
+# actions that clear one flag of an entity within reach, failing with
+# reason not_<flag> if it is not set
+_FLAG_CLEARING = {"CutPower": "powered", "FixLeak": "leaking"}
 
 
 class ScenarioError(canonical.InputError):
@@ -125,13 +136,17 @@ class Region:
 
 
 @dataclass
-class EntitySpec:
+class Entity:
     entity_id: str
     position: tuple[int, int]
     attributes: dict[str, object] = field(default_factory=dict)
     flags: set[str] = field(default_factory=set)
     contains: tuple[str, ...] = ()
     on: str | None = None
+    velocity: tuple[int, int] = (0, 0)
+
+    def is_surface(self) -> bool:
+        return self.attributes.get("category") in SURFACE_CATEGORIES
 
 
 @dataclass
@@ -153,7 +168,7 @@ class Scenario:
     width: int
     height: int
     regions: list[Region]
-    entities: dict[str, EntitySpec]
+    entities: dict[str, Entity]
     agent: str
     events: list[ExogenousEvent]
     tasks: list[TaskSpec]
@@ -165,7 +180,7 @@ class Scenario:
 def parse_scenario(text: str, path: str | None = None) -> Scenario:
     width = height = None
     regions: list[Region] = []
-    entities: dict[str, EntitySpec] = {}
+    entities: dict[str, Entity] = {}
     agent: str | None = None
     events: list[ExogenousEvent] = []
     tasks: list[TaskSpec] = []
@@ -196,7 +211,10 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
             coords = [_int(p, line_no, path) for p in parts[2:]]
             if coords[0] > coords[2] or coords[1] > coords[3]:
                 raise err("region corners out of order", line_no)
-            regions.append(Region(_symbol(parts[1], line_no, path), *coords))
+            region_id = _symbol(parts[1], line_no, path)
+            if any(r.region_id == region_id for r in regions):
+                raise err(f"duplicate region id {region_id!r}", line_no)
+            regions.append(Region(region_id, *coords))
         elif head in ("agent", "entity"):
             if len(parts) < 4:
                 raise err(f"expected '{head} <id> <x> <y> [key=value ...]'", line_no)
@@ -204,7 +222,7 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
             if entity_id in entities:
                 raise err(f"duplicate entity id {entity_id!r}", line_no)
             x, y = _int(parts[2], line_no, path), _int(parts[3], line_no, path)
-            spec = EntitySpec(entity_id=entity_id, position=(x, y))
+            spec = Entity(entity_id=entity_id, position=(x, y))
             for pair in parts[4:]:
                 key, eq, value = pair.partition("=")
                 if not eq:
@@ -252,18 +270,10 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                     raise err(f"expected 'at <tick> {kind} <entity> <flag>'", line_no)
                 flag = _symbol(rest[0], line_no, path)
                 events.append(ExogenousEvent(tick, kind, entity_id, (flag,)))
-            elif kind == "teleport":
+            elif kind in ("teleport", "velocity"):
                 if len(rest) != 2:
-                    raise err("expected 'at <tick> teleport <entity> <x> <y>'", line_no)
-                events.append(
-                    ExogenousEvent(
-                        tick, kind, entity_id,
-                        (_int(rest[0], line_no, path), _int(rest[1], line_no, path)),
-                    )
-                )
-            elif kind == "velocity":
-                if len(rest) != 2:
-                    raise err("expected 'at <tick> velocity <entity> <dx> <dy>'", line_no)
+                    operands = "<x> <y>" if kind == "teleport" else "<dx> <dy>"
+                    raise err(f"expected 'at <tick> {kind} <entity> {operands}'", line_no)
                 events.append(
                     ExogenousEvent(
                         tick, kind, entity_id,
@@ -305,16 +315,6 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
             raise ScenarioError(
                 f"entity {spec.entity_id!r} rests on unknown entity {spec.on!r}", path=path
             )
-        if spec.on is not None:
-            seen = {spec.entity_id}
-            cursor = spec.on
-            while cursor is not None:
-                if cursor in seen:
-                    raise ScenarioError(
-                        f"support cycle through entity {spec.entity_id!r}", path=path
-                    )
-                seen.add(cursor)
-                cursor = entities[cursor].on if cursor in entities else None
         for contained in spec.contains:
             if contained not in entities:
                 raise ScenarioError(
@@ -328,14 +328,34 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                     path=path,
                 )
             holder[contained] = spec.entity_id
-    for entity_id in holder:
-        seen = {entity_id}
-        cursor = holder[entity_id]
-        while cursor in holder:
-            if cursor in seen:
-                raise ScenarioError(f"containment cycle through entity {entity_id!r}", path=path)
-            seen.add(cursor)
-            cursor = holder[cursor]
+    anchors: dict[str, str] = {}  # entity -> the one entity it rides on
+    for entity_id, spec in entities.items():
+        if spec.on is not None and entity_id in holder:
+            raise ScenarioError(
+                f"entity {entity_id!r} both rests on {spec.on!r} and is contained by "
+                f"{holder[entity_id]!r}",
+                path=path,
+            )
+        anchor = spec.on or holder.get(entity_id)
+        if anchor is None:
+            continue
+        if entity_id == agent:
+            raise ScenarioError(
+                f"agent {agent!r} rides on {anchor!r}; the agent must stand free", path=path
+            )
+        anchors[entity_id] = anchor
+    ends: set[str] = set()  # entities whose anchor chain is known to end
+    for entity_id in anchors:
+        walked: set[str] = set()
+        cursor = entity_id
+        while cursor in anchors and cursor not in ends:
+            if cursor in walked:
+                raise ScenarioError(
+                    f"support or containment cycle through entity {cursor!r}", path=path
+                )
+            walked.add(cursor)
+            cursor = anchors[cursor]
+        ends |= walked
     for event in events:
         if event.entity not in entities:
             raise ScenarioError(
@@ -381,64 +401,36 @@ def _int(token: str, line_no: int, path: str | None) -> int:
         raise ScenarioError(f"expected integer, got {token!r}", line_no, path) from None
 
 
-@dataclass
-class EntityState:
-    entity_id: str
-    position: tuple[int, int]
-    attributes: dict[str, object]
-    flags: set[str]
-    contains: tuple[str, ...]
-    on: str | None
-    velocity: tuple[int, int] = (0, 0)
-
-    def is_surface(self) -> bool:
-        return self.attributes.get("category") in SURFACE_CATEGORIES
-
-
 class WorldState:
     """Mutable simulator state; one instance per run, stepped in place."""
 
     def __init__(self, scenario: Scenario, seed: int = 0, noise: bool = False) -> None:
-        self.scenario = scenario
         self.width = scenario.width
         self.height = scenario.height
         self.regions = list(scenario.regions)
         self.agent = scenario.agent
         self.tick = 0
-        self.seed = seed
         self.noise = noise
         self.rng = random.Random(seed)
         self.carrying: str | None = None
-        self.entities: dict[str, EntityState] = {}
-        self._readings: dict[str, Reading] = {}  # the last observation's
+        # built in id order and never given a new key, so iterating it
+        # visits the entities in id order
+        self.entities: dict[str, Entity] = {}
         for entity_id in sorted(scenario.entities):
             spec = scenario.entities[entity_id]
-            position = spec.position
-            if spec.on is not None:
-                position = scenario.entities[spec.on].position
-            self.entities[entity_id] = EntityState(
-                entity_id=entity_id,
-                position=position,
-                attributes=dict(spec.attributes),
-                flags=set(spec.flags),
-                contains=spec.contains,
-                on=spec.on,
+            self.entities[entity_id] = replace(
+                spec, attributes=dict(spec.attributes), flags=set(spec.flags)
             )
-        # (container, contained) pairs, each container after the one holding
-        # it, so that one pass in this order carries contents at any depth
-        contained = {c for st in self.entities.values() for c in st.contains}
-        self._contents: list[tuple[str, str]] = []
-        containers = [e for e in self.entities if e not in contained]
-        for container in containers:  # grows as it goes: breadth first
-            for inner in self.entities[container].contains:
-                self._contents.append((container, inner))
-                containers.append(inner)
+        # contained entity -> its container; containment never changes
+        self._holder = {c: e for e, st in self.entities.items() for c in st.contains}
+        self._readings: dict[str, Reading] = {}  # the last observation's
         self._schedule: dict[int, list[ExogenousEvent]] = {}
         for event in scenario.events:
             self._schedule.setdefault(event.tick, []).append(event)
         # tick-0 events are initial conditions, applied before the first step
         for event in self._schedule.get(0, []):
             self._apply_event(event)
+        self._settle()
 
     # -- queries ------------------------------------------------------------
 
@@ -483,8 +475,28 @@ class WorldState:
             stacks.append(chain)
         return stacks
 
-    def is_contained(self, entity_id: str) -> bool:
-        return any(entity_id in st.contains for st in self.entities.values())
+    def _anchor(self, entity_id: str) -> str | None:
+        """The one entity `entity_id` rides on: the agent while it is
+        carried, else its support, else its container; None if it is free."""
+        if entity_id == self.carrying:
+            return self.agent
+        return self.entities[entity_id].on or self._holder.get(entity_id)
+
+    def _rides_on(self, entity_id: str, anchor: str) -> bool:
+        """Whether `anchor` is on the anchor chain of `entity_id`."""
+        cursor = self._anchor(entity_id)
+        while cursor is not None and cursor != anchor:
+            cursor = self._anchor(cursor)
+        return cursor is not None
+
+    def _settle(self) -> None:
+        """Move every entity to the cell of the free entity at the end of
+        its anchor chain. Parsing and PlaceOn keep every chain finite."""
+        for state in self.entities.values():
+            root = state.entity_id
+            while (anchor := self._anchor(root)) is not None:
+                root = anchor
+            state.position = self.entities[root].position
 
     # -- stepping -----------------------------------------------------------
 
@@ -500,7 +512,8 @@ class WorldState:
             state.velocity = (int(event.args[0]), int(event.args[1]))
 
     def step(self, action: Action) -> ActionResult:
-        """Advance one tick: action, then motion, then scripted events.
+        """Advance one tick: action, then motion, then scripted events, then
+        every carried, stacked or contained entity settles onto its anchor.
 
         The result's delta holds, per entity in id order, a has_state fact
         for each newly set flag (sorted), then an at fact if it moved.
@@ -510,30 +523,16 @@ class WorldState:
         prev_flags = {e: set(st.flags) for e, st in self.entities.items()}
         result = self._apply_action(action)
 
-        for entity_id in sorted(self.entities):
-            state = self.entities[entity_id]
+        for state in self.entities.values():
             if state.velocity != (0, 0):
                 x = min(max(state.position[0] + state.velocity[0], 0), self.width - 1)
                 y = min(max(state.position[1] + state.velocity[1], 0), self.height - 1)
                 state.position = (x, y)
         for event in self._schedule.get(self.tick, []):
             self._apply_event(event)
+        self._settle()
 
-        if self.carrying is not None:
-            self.entities[self.carrying].position = self.entities[self.agent].position
-        for entity_id in sorted(self.entities):
-            state = self.entities[entity_id]
-            if state.on is not None:
-                root = state.on
-                while self.entities[root].on is not None:
-                    root = self.entities[root].on
-                state.position = self.entities[root].position
-        # contents travel with their container (containers may nest)
-        for container, contained in self._contents:
-            self.entities[contained].position = self.entities[container].position
-
-        for entity_id in sorted(self.entities):
-            state = self.entities[entity_id]
+        for entity_id, state in self.entities.items():
             moved = state.position != prev_positions[entity_id]
             if moved:
                 state.flags.add("moving")
@@ -580,12 +579,11 @@ class WorldState:
                 return ActionResult("failed", reason="out_of_range")
             if self.supported_by(target):
                 return ActionResult("failed", reason="stacked_under")
-            if self.is_contained(target):
+            if target in self._holder:
                 return ActionResult("failed", reason="contained")
             state = self.entities[target]
             state.on = None
             state.flags.add("carried")
-            state.position = agent.position
             self.carrying = target
             return ActionResult("ok")
 
@@ -599,10 +597,13 @@ class WorldState:
                 return ActionResult("failed", reason="out_of_range")
             target_state = self.entities[target]
             support_id = target if target_state.is_surface() else self.stack_top(target)
+            # a support inside the moved entity, or riding on what it holds,
+            # would close an anchor cycle
+            if target in self._holder or self._rides_on(support_id, moved):
+                return ActionResult("failed", reason="contained")
             support = self.entities[support_id]
             state = self.entities[moved]
             state.on = support_id
-            state.position = support.position
             state.flags.discard("carried")
             self.carrying = None
             flags: tuple[str, ...] = ()
@@ -615,44 +616,31 @@ class WorldState:
                 flags = ("instability",)
             return ActionResult("ok", flags=flags)
 
-        target = action.args[0] if name != "Mop" else None
-        if name == "CutPower":
+        if name in _FLAG_CLEARING:
+            target, flag = action.args[0], _FLAG_CLEARING[name]
             if target not in self.entities:
                 return ActionResult("failed", reason=f"no_such_entity:{target}")
             if not within_reach(self.distance(self.agent, target)):
                 return ActionResult("failed", reason="out_of_range")
-            if "powered" not in self.entities[target].flags:
-                return ActionResult("failed", reason="not_powered")
-            self.entities[target].flags.discard("powered")
+            if flag not in self.entities[target].flags:
+                return ActionResult("failed", reason=f"not_{flag}")
+            self.entities[target].flags.discard(flag)
             return ActionResult("ok")
 
-        if name == "FixLeak":
-            if target not in self.entities:
-                return ActionResult("failed", reason=f"no_such_entity:{target}")
-            if not within_reach(self.distance(self.agent, target)):
-                return ActionResult("failed", reason="out_of_range")
-            if "leaking" not in self.entities[target].flags:
-                return ActionResult("failed", reason="not_leaking")
-            self.entities[target].flags.discard("leaking")
-            return ActionResult("ok")
-
-        if name == "Mop":
-            try:
-                x, y = int(action.args[0]), int(action.args[1])
-            except ValueError:
-                return ActionResult("failed", reason="bad_cell")
-            if not (0 <= x < self.width and 0 <= y < self.height):
-                return ActionResult("failed", reason="out_of_bounds")
-            ax, ay = agent.position
-            if not within_reach(math.hypot(x - ax, y - ay)):
-                return ActionResult("failed", reason="out_of_range")
-            for entity_id in sorted(self.entities):
-                state = self.entities[entity_id]
-                if state.position == (x, y):
-                    state.flags.discard("wet")
-            return ActionResult("ok")
-
-        return ActionResult("failed", reason=f"unknown_action:{name}")
+        # Mop
+        try:
+            x, y = int(action.args[0]), int(action.args[1])
+        except ValueError:
+            return ActionResult("failed", reason="bad_cell")
+        if not (0 <= x < self.width and 0 <= y < self.height):
+            return ActionResult("failed", reason="out_of_bounds")
+        ax, ay = agent.position
+        if not within_reach(math.hypot(x - ax, y - ay)):
+            return ActionResult("failed", reason="out_of_range")
+        for state in self.entities.values():
+            if state.position == (x, y):
+                state.flags.discard("wet")
+        return ActionResult("ok")
 
     # -- observation --------------------------------------------------------
 
@@ -665,15 +653,13 @@ class WorldState:
         equal to the entity's previous one is that same object, so what is
         cached on it (its digest text) carries over.
         """
-        occluded: set[str] = set()
+        occluded = set(self._holder)
         for state in self.entities.values():
             if state.on is not None:
                 occluded.add(state.on)
-            occluded.update(state.contains)
         readings: dict[str, Reading] = {}
         last = self._readings
-        for entity_id in sorted(self.entities):
-            state = self.entities[entity_id]
+        for entity_id, state in self.entities.items():
             reported = state.position
             if self.noise and entity_id != self.agent:
                 dx = self.rng.randint(-1, 1)

@@ -224,9 +224,36 @@ def digest_payload(obs) -> dict[str, object]:
 
 
 def occluded_entities(world) -> set[str]:
-    """Entities that support another or sit in a container, asked of the
-    world one entity at a time."""
-    return {e for e in world.entities if world.supported_by(e) or world.is_contained(e)}
+    """Entities that support another or sit in a container, found by
+    scanning every entity's `on` and `contains` for each one."""
+    states = world.entities.values()
+    return {
+        e for e in world.entities
+        if any(st.on == e or e in st.contains for st in states)
+    }
+
+
+def anchor_roots(world) -> dict[str, str]:
+    """Each entity's chain root: follow the one thing it rides on (the agent
+    while carried, else its support, else the entity whose `contains`
+    lists it) until a free entity. Raises AssertionError on a cycle."""
+    def anchor(e):
+        if e == world.carrying:
+            return world.agent
+        if world.entities[e].on is not None:
+            return world.entities[e].on
+        holders = [h for h, st in world.entities.items() if e in st.contains]
+        assert len(holders) <= 1, f"{e} is in {holders}"
+        return holders[0] if holders else None
+
+    roots = {}
+    for entity in world.entities:
+        chain = [entity]
+        while (nxt := anchor(chain[-1])) is not None:
+            assert nxt not in chain, f"anchor cycle {chain + [nxt]}"
+            chain.append(nxt)
+        roots[entity] = chain[-1]
+    return roots
 
 
 def random_dag(rng: random.Random, max_nodes: int = 8) -> set[tuple[str, str]]:

@@ -459,7 +459,8 @@ def test_failed_planner_trace_replays_equal(tmp_path, capsys, mode):
         ("planner_timeout", 0), ("planner_timeout", -1), ("planner_timeout", 86400.5),
         ("planner_timeout", 1e12), ("planner_timeout", 1e308),
         ("near_distance", -3), ("stale_ttl", -1), ("mismatch_distance", 0), ("mismatch_distance", -2.5),
-        ("replan_limit", 0),
+        ("replan_limit", 0), ("attention_threshold", 5), ("attention_threshold", -0.1),
+        ("max_ticks", 0), ("max_ticks", -5),
     ],
 )
 def test_config_value_out_of_range_exit_three(tmp_path, capsys, field, value):
@@ -490,6 +491,32 @@ def test_scenario_containment_that_is_no_tree_exit_three(tmp_path, capsys, lines
     bad.write_text(f"grid 6 6\nagent robot1 0 0\n{lines}\n")
     assert main(["run", str(bad), "--trace", str(tmp_path / "out.trace")]) == 3
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_max_ticks_flag_of_zero_exit_three(tmp_path, capsys):
+    assert main(["run", scenario_path("fetch_close"), "--max-ticks", "0",
+                 "--trace", str(tmp_path / "out.trace")]) == 3
+    assert capsys.readouterr().err == "error: bad value for max_ticks: 0 (must be >= 1)\n"
+
+
+@pytest.mark.parametrize(
+    "lines, located",
+    [
+        ("agent robot1 0 0\nentity c 1 1 on=a contains=b\nentity a 2 2 on=b\nentity b 3 3", ""),
+        ("agent robot1 0 0\nentity s 1 1 category=table\nentity x 2 2 contains=c\nentity c 1 1 on=s", ""),
+        ("entity s 1 1 category=table\nagent robot1 1 1 on=s", ""),
+        ("agent robot1 0 0\nentity r 3 3 on=robot1\nentity b 4 4 contains=robot1", ""),
+        ("agent robot1 0 0\nregion room 0 0 2 2\nregion room 3 3 5 5", "4:"),
+    ],
+    ids=["mixed-cycle", "on-and-contained", "agent-on", "agent-contained", "duplicate-region"],
+)
+def test_scenario_with_no_single_anchor_or_a_twice_declared_region_exit_three(
+    tmp_path, capsys, lines, located
+):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(f"grid 6 6\n{lines}\n")
+    assert main(["run", str(bad), "--trace", str(tmp_path / "out.trace")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{located} ")
 
 
 @pytest.mark.parametrize("value", [-1, 1e12])

@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_bundled, scenario_path
 from gridmind.world import (
+    GRID_DIRECTIONS,
     Action,
     ScenarioError,
     WorldState,
     load_scenario,
     parse_scenario,
 )
-from oracles import occluded_entities
+from oracles import anchor_roots, occluded_entities
 
 MINIMAL = """
 grid 6 6
@@ -160,6 +165,8 @@ class TestStep:
         assert r3.status == "ok" and "leaking" not in w.entities["sink1"].flags
         r4 = w.step(Action("CutPower", ("wire1",)))
         assert r4.failed and r4.reason == "not_powered"
+        r5 = w.step(Action("FixLeak", ("sink1",)))
+        assert r5.failed and r5.reason == "not_leaking"
 
     def test_scripted_events_fire_after_action(self):
         text = MINIMAL + "at 2 set cup1 hot\nat 3 teleport cup1 5 5\n"
@@ -403,3 +410,169 @@ def test_a_move_a_pick_up_and_a_teleport_each_make_a_new_reading():
     assert fourth["cup1"] is not third["cup1"]  # carried along
     assert fourth["table1"] is not third["table1"]  # its `moving` flag cleared
     assert fourth["plate1"] is third["plate1"]
+
+
+def test_riders_start_at_their_root_cell_and_stay_on_a_wait():
+    # declared cells of stacked and contained entities are ignored: each
+    # sits where the free entity at the end of its chain sits from tick 0
+    text = (
+        "grid 8 8\nagent robot1 7 7\n"
+        "entity c 3 3 category=table\nentity b 1 1 on=c\nentity a 1 1 on=b\n"
+        "entity x 5 5 contains=y\nentity y 0 5\n"
+    )
+    w = world(text)
+    positions = {e: s.position for e, s in w.entities.items()}
+    assert positions == {
+        "a": (3, 3), "b": (3, 3), "c": (3, 3), "robot1": (7, 7), "x": (5, 5), "y": (5, 5),
+    }
+    assert w.step(Action("Wait")).delta == []
+    assert {e: s.position for e, s in w.entities.items()} == positions
+
+
+def test_riders_follow_a_tick_zero_teleport_of_their_root():
+    text = (
+        "grid 8 8\nagent robot1 7 7\nentity c 3 3 category=table contains=y\n"
+        "entity b 3 3 on=c\nentity y 3 3\nat 0 teleport c 6 1\nat 0 teleport b 0 0\n"
+    )
+    w = world(text)
+    assert {w.entities[e].position for e in "bcy"} == {(6, 1)}
+    assert w.step(Action("Wait")).delta == []
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            "agent robot1 0 0\nentity c 1 1 on=a contains=b\nentity a 2 2 on=b\nentity b 3 3\n",
+            "support or containment cycle through entity",
+        ),
+        (
+            "agent robot1 0 0\nentity s 1 1 category=table\nentity x 2 2 contains=c\n"
+            "entity c 1 1 on=s\n",
+            "entity 'c' both rests on 's' and is contained by 'x'",
+        ),
+        ("entity s 1 1 category=table\nagent robot1 1 1 on=s\n", "agent 'robot1' rides on 's'"),
+        ("entity b 1 1 category=box contains=robot1\nagent robot1 1 1\n", "agent 'robot1' rides on 'b'"),
+    ],
+    ids=["mixed-cycle", "on-and-contained", "agent-on", "agent-contained"],
+)
+def test_entity_with_no_single_finite_anchor_chain_rejected(lines, message):
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(f"grid 4 4\n{lines}")
+
+
+def test_duplicate_region_id_rejected_with_its_line():
+    text = "grid 4 4\nregion room 0 0 1 1\nregion room 2 2 3 3\nagent robot1 0 0\n"
+    with pytest.raises(ScenarioError, match="duplicate region id 'room'") as exc:
+        parse_scenario(text, "two.scn")
+    assert str(exc.value).startswith("two.scn:3: ")
+
+
+@contextmanager
+def returns_within(lines):
+    """Fail the block once it has run `lines` traced Python lines, so a loop
+    that never ends fails at once instead of hanging the suite."""
+    left = lines
+
+    def trace(frame, event, arg):
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise AssertionError(f"no return within {lines} lines")
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["liq1", "jar1", "lid1"],
+    ids=["own-contents", "contained-elsewhere", "rides-on-own-contents"],
+)
+def test_place_on_a_contained_target_fails_and_changes_nothing(target):
+    text = (
+        "grid 6 6\nagent robot1 2 2\n"
+        "entity cup1 2 2 category=cup contains=liq1,tray1\nentity liq1 2 2 category=liquid\n"
+        "entity tray1 2 2 category=tray\nentity lid1 2 2 category=lid on=tray1\n"
+        "entity box1 2 3 category=box contains=jar1\nentity jar1 2 3 category=jar\n"
+    )
+    w = world(text)
+    assert w.step(Action("PickUp", ("cup1",))).status == "ok"
+    with returns_within(100_000):
+        result = w.step(Action("PlaceOn", ("cup1", target)))
+    assert result.failed and result.reason == "contained"
+    assert w.carrying == "cup1" and w.entities["cup1"].on is None
+    w.step(Action("Move", ("E",)))
+    assert {w.entities[e].position for e in ("cup1", "liq1", "tray1", "lid1")} == {(3, 2)}
+
+
+@st.composite
+def riding_scenes(draw):
+    """A 3x3 scene, so that most pairs are within reach, whose entities
+    rest on or sit in earlier-drawn ones (or the agent), each declared on
+    any cell, with scripted velocity and teleport events; and its ids."""
+    cell = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    names = draw(st.permutations([f"e{k}" for k in range(draw(st.integers(1, 7)))]))
+    ids = ["robot1", *names]
+    on: dict[str, str] = {}
+    contains: dict[str, list[str]] = {e: [] for e in ids}
+    for k, name in enumerate(names):
+        kind = draw(st.sampled_from(["free", "on", "in", "in"]))
+        if kind != "free":
+            # often the one drawn just before, so that chains grow deep
+            anchor = draw(st.sampled_from(ids[: k + 1]) | st.just(ids[k]))
+            if kind == "on":
+                on[name] = anchor
+            else:
+                contains[anchor].append(name)
+    lines = ["grid 3 3"]
+    for e in ids:
+        x, y = draw(cell)
+        keys = [f"category={draw(st.sampled_from(['table', 'cup', 'box']))}"]
+        keys += ["flags=fragile"] * draw(st.booleans())
+        keys += [f"on={on[e]}"] if e in on else []
+        keys += [f"contains={','.join(contains[e])}"] if contains[e] else []
+        lines.append(f"{'agent' if e == 'robot1' else 'entity'} {e} {x} {y} {' '.join(keys)}")
+    for _ in range(draw(st.integers(0, 4))):
+        tick, e = draw(st.integers(0, 6)), draw(st.sampled_from(ids))
+        if draw(st.booleans()):
+            lines.append("at {} teleport {} {} {}".format(tick, e, *draw(cell)))
+        else:
+            dx, dy = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+            lines.append(f"at {tick} velocity {e} {dx} {dy}")
+    return "\n".join(lines) + "\n", ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(riding_scenes(), st.data())
+def test_every_entity_sits_at_its_anchor_chain_root(scene, data):
+    text, ids = scene
+    entity = st.sampled_from(ids)
+
+    def check(w):
+        roots = anchor_roots(w)
+        for e, state in w.entities.items():
+            assert state.position == w.entities[roots[e]].position, e
+        assert {e for e, r in w.observe().readings.items() if r.occluded} == occluded_entities(w)
+
+    with returns_within(100_000):
+        w = world(text)
+    check(w)
+    for _ in range(data.draw(st.integers(0, 40))):
+        kind = data.draw(st.sampled_from(["Move", "PickUp", "PickUp", "PlaceOn", "PlaceOn", "Wait"]))
+        if kind == "Move":
+            action = Action(kind, (data.draw(st.sampled_from(sorted(GRID_DIRECTIONS))),))
+        elif kind == "PickUp":
+            action = Action(kind, (data.draw(entity),))
+        elif kind == "PlaceOn":  # mostly of what is carried, onto anything
+            action = Action(kind, (w.carrying or data.draw(entity), data.draw(entity)))
+        else:
+            action = Action(kind)
+        with returns_within(100_000):
+            w.step(action)
+        check(w)
