@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import cache
 from importlib import resources
 from itertools import combinations
+from types import MappingProxyType
 
 from . import canonical, cells, cognition, decide, metacog, perceive, reason
 from .canonical import InputError
 from .cognition import UnifiedCognition, aggregate, assess_hazards
 from .config import EngineConfig
 from .decide import Plan, PlannerError, PlannerQuery, TaskInstruction
-from .kb import Atom, Fact, graph_from_lines
+from .kb import Atom, Fact, Rule, graph_from_lines
 from .memory import Episode, LongTermMemory, WorkingMemory, consolidate, ltm_retrieve, retrieve_episodes
 from .metacog import Anomaly, Directive, TickState
 from .reason import EventSequenceModel
@@ -44,19 +47,30 @@ def data_root():
     return resources.files("gridmind").joinpath("data")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RuleData:
-    """The engine's declarative knowledge, loaded from the data files."""
+    """The engine's declarative knowledge, loaded from the data files.
 
-    dependency_rules: list = field(default_factory=list)
-    concept_rules: list = field(default_factory=list)
-    hazard_rules: list = field(default_factory=list)
-    composition: list = field(default_factory=list)  # one rule per table entry
-    exclusions: list[tuple[str, str]] = field(default_factory=list)
-    lexicon: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    Immutable: each field is held as a tuple, the lexicon as a read-only
+    mapping, so the one packaged instance can be shared by every run.
+    """
+
+    dependency_rules: tuple[Rule, ...] = ()
+    concept_rules: tuple[Rule, ...] = ()
+    hazard_rules: tuple[Rule, ...] = ()
+    composition: tuple[Rule, ...] = ()  # one rule per table entry
+    exclusions: tuple[tuple[str, str], ...] = ()
+    lexicon: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("dependency_rules", "concept_rules", "hazard_rules", "composition", "exclusions"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "lexicon", MappingProxyType(dict(self.lexicon)))
 
     @classmethod
-    def load_default(cls) -> "RuleData":
+    @cache
+    def load_default(cls) -> RuleData:
+        """The packaged rules, read and parsed once per process."""
         root = data_root()
         return cls(
             dependency_rules=parse_rules(root.joinpath("rules_dependency.txt").read_text()),
@@ -336,19 +350,19 @@ class AgentRuntime:
         hazards: list[Fact],
         tick: int,
     ) -> None:
+        insert = self.wm.insert
         for bo in bound:
             if bo.below_threshold:
                 continue
             salience = min(1.0, max(0.0, bo.score))
-            for fact in facts_by_entity.get(bo.entity, []):
-                self.wm.insert(fact, salience=salience, tick=tick)
+            for fact in facts_by_entity.get(bo.entity, ()):
+                insert(fact, salience, tick)
         hazard_keys = {f.key() for f in hazards}
         for fact in new_facts:
-            if fact.key() in hazard_keys:
-                continue
-            self.wm.insert(fact, salience=min(1.0, fact.confidence), tick=tick)
+            if fact.key() not in hazard_keys:
+                insert(fact, min(1.0, fact.confidence), tick)
         for fact in hazards:
-            self.wm.insert(fact, salience=1.0, tick=tick)
+            insert(fact, 1.0, tick)
 
     def _trace_row(
         self,

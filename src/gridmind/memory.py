@@ -10,16 +10,21 @@ episode.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .kb import Atom, Fact, SemanticGraph, ValidationError, match
 
 
-@dataclass
+Rank = tuple[float, int, tuple[str, str, str]]
+
+
+@dataclass(slots=True)
 class WorkingMemoryItem:
     fact: Fact
     salience: float
     touched: int
+    # rank at the tick of the memory's eviction order (see WorkingMemory)
+    rank: Rank | None = field(default=None, compare=False, repr=False)
 
     def effective_salience(self, now: int, decay: float) -> float:
         age = max(0, now - self.touched)
@@ -34,13 +39,29 @@ class WorkingMemory:
     no ties. Eviction removes the worst-ordered item.
 
     Within one tick no rank changes except that of the item an insert
-    touches, so the first eviction at tick `t` sorts the ranks of all
-    items once into an ascending list, and every eviction at `t` pops its
-    last entry. While that order belongs to `t`, each insert at `t` keeps
-    it current: a new item's rank is insorted, and a merge removes the
-    item's old rank before changing the item and insorts the new one. An
-    insert at any other tick drops the order, evicting or not, since ranks
-    decay with `now` and a merge at another tick would leave a stale rank.
+    touches, so the first eviction at tick `t` ranks every item once
+    (`decay ** age` once per distinct age), stores each rank on its item
+    and sorts the ranks into an ascending list; every eviction at `t` pops
+    its last entry. While that order belongs to `t`, each insert at `t`
+    keeps it and the stored ranks current. An item an insert at `t`
+    touches has age 0, so its rank is `(-salience, -touched, key)` with no
+    power: a new item's rank is insorted, and a merge removes the stored
+    rank with one bisect and insorts the new one. A new key that would
+    rank below the last entry while the memory is full is the item the
+    eviction would pop at once, so the insert returns before building it.
+    An insert at any other tick drops the order, evicting or not, since
+    ranks decay with `now` and a merge at another tick would leave a
+    stale rank.
+
+    A merge keeps the fact with the larger confidence (the held one on a
+    tie) at the larger tick, and the larger salience and touch tick. When
+    the incoming fact already is that fact (a tick no older, and a larger
+    confidence, or the same confidence, origin and object), it is stored
+    as it is; otherwise the kept fact is copied with the larger tick. Two
+    objects of one identity key that compare equal are of one type: `5`
+    and `"5"` share the key "5" but differ, and an int's token never
+    equals a float's. (0.0 and -0.0 compare equal, and the canonical
+    encoders render both as 0.000000.)
     """
 
     def __init__(self, capacity: int = 64, decay: float = 0.95) -> None:
@@ -51,7 +72,7 @@ class WorkingMemory:
         self._items: dict[tuple[str, str, str], WorkingMemoryItem] = {}
         # ascending ranks of all items at tick self._now, or None
         self._now: int | None = None
-        self._order_now: list[tuple[float, int, tuple[str, str, str]]] | None = None
+        self._order_now: list[Rank] | None = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -68,39 +89,61 @@ class WorkingMemory:
         if tick != self._now:
             self._now, self._order_now = tick, None
         order = self._order_now
-        rank = self._rank(tick)
         key = fact.key()
-        existing = self._items.get(key)
-        if existing is not None:
+        item = self._items.get(key)
+        if item is not None:
+            held = item.fact
+            if fact.tick >= held.tick and (
+                fact.confidence > held.confidence
+                or fact.confidence == held.confidence
+                and fact.origin == held.origin
+                and fact.obj == held.obj
+            ):
+                item.fact = fact
+            else:
+                keep = fact if fact.confidence > held.confidence else held
+                item.fact = replace(keep, tick=max(held.tick, fact.tick))
+            item.salience = max(item.salience, salience)
+            item.touched = max(item.touched, tick)
             if order is not None:
-                del order[bisect_left(order, rank(existing))]
-            merged_tick = max(existing.fact.tick, fact.tick)
-            keep = fact if fact.confidence > existing.fact.confidence else existing.fact
-            existing.fact = replace(keep, tick=merged_tick)
-            existing.salience = max(existing.salience, salience)
-            existing.touched = max(existing.touched, tick)
-            if order is not None:
-                insort(order, rank(existing))
+                del order[bisect_left(order, item.rank)]
+                item.rank = rank = (-item.salience, -item.touched, key)
+                insort(order, rank)
             return
-        item = self._items[key] = WorkingMemoryItem(fact=fact, salience=salience, touched=tick)
+        rank = (-salience, -tick, key)
+        if order is not None and len(self._items) >= self.capacity and rank > order[-1]:
+            return
+        self._items[key] = WorkingMemoryItem(fact, salience, tick, rank)
         if order is not None:
-            insort(order, rank(item))
+            insort(order, rank)
         elif len(self._items) > self.capacity:
-            order = self._order_now = sorted(map(rank, self._items.values()))
+            order = self._order_now = self._build_order(tick)
         while len(self._items) > self.capacity:
             del self._items[order.pop()[2]]
 
     def ordered(self, now: int) -> list[WorkingMemoryItem]:
-        return sorted(self._items.values(), key=self._rank(now))
+        ranked = self._ranked(now)
+        return [ranked[rank] for rank in sorted(ranked)]
 
-    def _rank(self, now: int):
-        """Sort key of an item at tick `now`: smaller ranks first."""
+    def _build_order(self, now: int) -> list[Rank]:
+        """Store every item's rank at tick `now`; return them ascending."""
+        ranked = self._ranked(now)
+        for rank, item in ranked.items():
+            item.rank = rank
+        return sorted(ranked)
+
+    def _ranked(self, now: int) -> dict[Rank, WorkingMemoryItem]:
+        """Every item by its rank at tick `now`: smaller ranks first."""
         decay = self.decay
-        return lambda item: (
-            -item.effective_salience(now, decay),
-            -item.touched,
-            item.fact.key(),
-        )
+        powers: dict[int, float] = {}
+        ranked = {}
+        for key, item in self._items.items():
+            age = max(0, now - item.touched)
+            power = powers.get(age)
+            if power is None:
+                power = powers[age] = decay ** age
+            ranked[(-(item.salience * power), -item.touched, key)] = item
+        return ranked
 
     def snapshot_facts(self) -> list[Fact]:
         """Facts in canonical (identity key) order; byte-stable."""

@@ -2,14 +2,16 @@
 
 Entities occupy grid cells, carry attributes and state flags, and may rest
 on one another (each stacked entity has exactly one support below it;
-surface categories such as tables may hold several independent stacks) or
-lie inside one another (containers may nest to any depth, and contents
-follow their container when it moves). Actions have physics-lite effects,
-on what is `within_reach` of the agent; picking up a contained entity, or
-placing onto one, fails with reason `contained`. Scripted exogenous events
-fire after the action each tick. A step returns the action's result, whose
-delta holds the tick's newly set flags and new positions as facts.
-Observations cover every entity, synthesized with stack/containment
+surface categories such as tables may hold several independent stacks,
+any other entity at most one entity) or lie inside one another
+(containers may nest to any depth, and contents follow their container
+when it moves). Actions have physics-lite effects, on what is
+`within_reach` of the agent; picking up a contained entity, or placing
+onto one, fails with reason `contained`, and picking up the agent, or
+placing onto it, fails with reason `no_such_entity`. Scripted exogenous
+events fire after the action each tick. A step returns the action's
+result, whose delta holds the tick's newly set flags and new positions as
+facts. Observations cover every entity, synthesized with stack/containment
 occlusion and optional seeded position noise.
 
 Scenario file grammar (line oriented, `#` comments)::
@@ -34,8 +36,9 @@ container. It sits where the free entity at the end of that chain sits,
 so the cell declared for a stacked or contained entity is ignored. A
 scenario is refused if supports and containers form a cycle, if an
 entity is in two containers, if an entity both rests on another and is
-contained, if the agent rests on or is contained by another entity, or
-if a region id is declared twice.
+contained, if the agent rests on or is contained by another entity, if
+a second entity rests on one that is not a surface (at the line of the
+later one), or if a region id is declared twice.
 
 Entity ids, region ids, attribute values, flags and the terms of a fact
 line become the terms of facts, so each must be a valid fact literal (no
@@ -186,6 +189,7 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
     tasks: list[TaskSpec] = []
     facts: list[Fact] = []
     overrides: dict[str, str] = {}
+    line_of: dict[str, int] = {}  # entity id -> the line that declares it
 
     def err(message: str, line_no: int) -> ScenarioError:
         return ScenarioError(message, line_no, path)
@@ -246,6 +250,7 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                 agent = entity_id
                 spec.attributes.setdefault("category", "agent")
             entities[entity_id] = spec
+            line_of[entity_id] = line_no
         elif head == "fact":
             if len(parts) not in (4, 5):
                 raise err("expected 'fact <subject> <relation> <object> [conf]'", line_no)
@@ -329,7 +334,16 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
                 )
             holder[contained] = spec.entity_id
     anchors: dict[str, str] = {}  # entity -> the one entity it rides on
+    rider: dict[str, str] = {}  # non-surface support -> the entity resting on it
     for entity_id, spec in entities.items():
+        if spec.on is not None and not entities[spec.on].is_surface():
+            if spec.on in rider:
+                raise err(
+                    f"entity {entity_id!r} rests on {spec.on!r}, which already holds "
+                    f"{rider[spec.on]!r}; only a surface holds more than one entity",
+                    line_of[entity_id],
+                )
+            rider[spec.on] = entity_id
         if spec.on is not None and entity_id in holder:
             raise ScenarioError(
                 f"entity {entity_id!r} both rests on {spec.on!r} and is contained by "
@@ -591,7 +605,7 @@ class WorldState:
             moved, target = action.args
             if self.carrying != moved:
                 return ActionResult("failed", reason="not_carrying")
-            if target not in self.entities or target == moved:
+            if target not in self.entities or target in (moved, self.agent):
                 return ActionResult("failed", reason=f"no_such_entity:{target}")
             if not within_reach(self.distance(self.agent, target)):
                 return ActionResult("failed", reason="out_of_range")

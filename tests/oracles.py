@@ -340,6 +340,13 @@ class SortingWorkingMemory:
         while len(self.items) > self.capacity:
             del self.items[self.ordered(tick)[-1]]
 
+    def rows(self) -> list[tuple]:
+        """(fact, type of its object, salience, touched) per item, by key."""
+        return [
+            (fact, type(fact.obj), salience, touched)
+            for fact, salience, touched in (self.items[k] for k in sorted(self.items))
+        ]
+
     def ordered(self, now: int) -> list[tuple[str, str, str]]:
         """Keys best first: decayed salience desc, touched desc, key asc."""
 

@@ -15,9 +15,10 @@ from conftest import BUNDLED, run_bundled, scenario_path
 from gridmind import canonical, reason
 from gridmind.agent import AgentRuntime, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
+from gridmind.memory import WorkingMemory
 from gridmind.reason import EventSequenceModel, predict_trajectory, train_sequence_model
 from gridmind.world import parse_scenario
-from oracles import all_pairs_collision_facts
+from oracles import SortingWorkingMemory, all_pairs_collision_facts
 
 
 def rows(result):
@@ -288,14 +289,14 @@ def test_sequence_model_equals_training_on_whole_stream(name):
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _generated_run(name: str):
+def _generated_run(name: str, seed: int = 1):
     import workloads  # perfbench's seeded scenario generators
 
-    text = {"crowded": workloads.crowded_text, "traffic": workloads.traffic_text}[name](1)
+    text = {"crowded": workloads.crowded_text, "traffic": workloads.traffic_text}[name](seed)
     scenario = parse_scenario(text)
     config = EngineConfig().with_overrides(dict(scenario.config_overrides))
     return run_scenario(
-        scenario, config, seed=1, planner_factory=scripted_planner_factory, scenario_text=text
+        scenario, config, seed=seed, planner_factory=scripted_planner_factory, scenario_text=text
     )
 
 
@@ -321,6 +322,28 @@ def test_every_fact_the_engine_keeps_is_valid(monkeypatch, name):
     for fact in facts:
         fact.validate()
         assert fact.key() == (fact.subject, fact.relation, canonical.fmt_literal(fact.obj))
+
+
+@pytest.mark.parametrize(
+    "name, seed", [(n, 0) for n in BUNDLED] + [(k, s) for k in ("crowded", "traffic") for s in (1, 2, 3)]
+)
+def test_working_memory_matches_the_sorting_oracle_after_every_insert(monkeypatch, name, seed):
+    # WM contents reach the trace only through its size, plans and LTM, so
+    # the golden hashes alone could miss a wrong item: every insert is
+    # mirrored into the oracle and the two compared item for item
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    insert = WorkingMemory.insert
+    mirrors: dict[WorkingMemory, SortingWorkingMemory] = {}
+
+    def mirrored(wm, fact, salience, tick):
+        insert(wm, fact, salience, tick)
+        oracle = mirrors.setdefault(wm, SortingWorkingMemory(wm.capacity, wm.decay))
+        oracle.insert(fact, salience, tick)
+        assert [(i.fact, type(i.fact.obj), i.salience, i.touched) for i in wm.items()] == oracle.rows()
+
+    monkeypatch.setattr(WorkingMemory, "insert", mirrored)
+    result = run_bundled(name) if name in BUNDLED else _generated_run(name, seed)
+    assert list(mirrors) == [result.runtime.wm]
 
 
 def collision_facts(trajectories, epsilon, tick=7):

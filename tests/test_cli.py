@@ -493,6 +493,16 @@ def test_scenario_containment_that_is_no_tree_exit_three(tmp_path, capsys, lines
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+def test_scenario_with_two_entities_on_one_non_surface_exit_three(tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(
+        "grid 6 6\nagent robot1 0 0\nentity t 1 1 category=table\n"
+        "entity b 1 1 category=cup on=t\nentity x 1 1 on=b\nentity y 1 1 on=b\n"
+    )
+    assert main(["run", str(bad), "--trace", str(tmp_path / "out.trace")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}:6: entity 'y' rests on 'b'")
+
+
 def test_max_ticks_flag_of_zero_exit_three(tmp_path, capsys):
     assert main(["run", scenario_path("fetch_close"), "--max-ticks", "0",
                  "--trace", str(tmp_path / "out.trace")]) == 3

@@ -18,6 +18,11 @@ golden traces with enough free entities and movers for perception's and
 collision's cell buckets to replace the full pair scan, so they pin the
 bucketed paths byte for byte.
 
+Each bundled scenario's semantic LTM snapshot, the file `gridmind run
+--ltm-save` writes, is pinned as well: working memory reaches the trace
+only through its size, plans and what it consolidates into LTM, so the
+snapshot pins what consolidation kept.
+
 A change that alters trace bytes on purpose is a behaviour change: it
 updates these hashes and says so in CHANGES.md. Running this file with
 `PYTHONPATH=src:tests python tests/test_golden_traces.py` prints the
@@ -116,6 +121,30 @@ GOLDEN_GENERATED = {
     ("traffic", 3, True): "4a165d28dcf5ecd54c03e7115b7d0eff7087dbc0befd0c67c10a2b9ad9fc47eb",
 }
 
+GOLDEN_LTM = {
+    # (scenario, noise): sha256 of the semantic LTM snapshot `--ltm-save` writes
+    ("arrange", False): "3083bc76c63af2d435a7e37c6c28fde577b0e400482832e1725bd6c3684b866a",
+    ("arrange", True): "519c67764d379669bc057da7d9ab780a14ee81a0cef17cadd9ae03408be57853",
+    ("crossing", False): "8625c7beb2fca7540902806f071e3b8512c017be008e267c1cef5ec70175aeaf",
+    ("crossing", True): "956fc1a82d1e896180c132157ac96d7bd50cc425b736071e4acdcaa3a69f6cf7",
+    ("driving_salience", False): "3895f5dd7cb83810257d9680b6fa7f131549bae5f8bc7cbd8d5a9e8fcc4c7141",
+    ("driving_salience", True): "7dcfa40d8a510b4ac385da406f7b2be830309ba4c110d5a34d1cadfa8cd7e303",
+    ("fetch_close", False): "4b9be6567007b154177a04e98443d4ab83b911c157bcb88eb79524d9eee78c9c",
+    ("fetch_close", True): "d2abf4858068e97bf3dcf7cf47ebd63084e28a7734d83ba20a12f7eae5859871",
+    ("hotcoffee", False): "33319f676ba677dae6b0b043624461acec85e805b30ff6780e6debed596e0180",
+    ("hotcoffee", True): "2988391c04402c53e764c7338b49ae0b839df650c322e7bb2bbe630bb9faca35",
+    ("knockover", False): "7d98d1a784583d2e76b8194301011688216dffb5ddf30f38f3d0f39aaa7fb5ee",
+    ("knockover", True): "f99a82c0cb1697a35a50e6e8aaf76dd03182e9dbe5d29d653eca97b184725ad9",
+    ("pickup_fail", False): "5117bc2e3d8d1259e82cd26e76551ce156f614d9fcd5a050b0972a3cf41c79c1",
+    ("pickup_fail", True): "6a284dc1a56861e4705b2a5877349c60365626ac442441aee5e031d8983f9200",
+    ("teleport_fault", False): "0d889af6fe7c02a72447c3e2d8d463310e80a1932f84b204150a4ab782b49a12",
+    ("teleport_fault", True): "7337452aba4f59a44c6b29a4d27bce4aa31f35dc6ab37a95e98af7832452155f",
+    ("vase_room", False): "c003db783246a46e83b31f8b5365d00096ebd76e17979e52cc0601499879df9b",
+    ("vase_room", True): "91f8643019a3210bda2c8d47c3a068d367d26cb53fb6fc6ce4fa21ff34d44a06",
+    ("waterleak", False): "f812d33f273ea34ed6f088a70fa64e3dff9e3eaed9d438f74acdda98a914d07a",
+    ("waterleak", True): "93a39dee266c2544a7e77a59c4eb557e32fc39a92ccb3958105da1cf76f0d3ef",
+}
+
 GENERATED = [(kind, seed) for kind in ("crowded", "traffic") for seed in (1, 2, 3)]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -129,27 +158,39 @@ def _workloads():
     return module
 
 
-def _sha256(text: str, path: str, seed: int, noise: bool) -> str:
+def _run(text: str, path: str, seed: int, noise: bool):
     scenario = parse_scenario(text, path)
     config = EngineConfig()
     if scenario.config_overrides:
         config = config.with_overrides(dict(scenario.config_overrides))
-    result = run_scenario(
+    return run_scenario(
         scenario, config, seed=seed, planner_factory=scripted_planner_factory,
         noise=noise, scenario_text=text,
     )
-    data = "".join(line + "\n" for line in result.lines).encode("utf-8")
+
+
+def _sha256(lines: list[str]) -> str:
+    """sha256 of the lines as `write_trace` and `--ltm-save` write them."""
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
     return hashlib.sha256(data).hexdigest()
 
 
-def trace_sha256(name: str, noise: bool, extra: str = "") -> str:
+def _bundled_run(name: str, noise: bool, extra: str = ""):
     text = data_root().joinpath("scenarios", f"{name}.scn").read_text(encoding="utf-8") + extra
-    return _sha256(text, f"scenarios/{name}.scn", 0, noise)
+    return _run(text, f"scenarios/{name}.scn", 0, noise)
+
+
+def trace_sha256(name: str, noise: bool, extra: str = "") -> str:
+    return _sha256(_bundled_run(name, noise, extra).lines)
+
+
+def ltm_sha256(name: str, noise: bool) -> str:
+    return _sha256(_bundled_run(name, noise).runtime.ltm.semantic.to_lines())
 
 
 def generated_trace_sha256(kind: str, seed: int, noise: bool) -> str:
     text = getattr(_workloads(), f"{kind}_text")(seed)
-    return _sha256(text, f"generated/{kind}-{seed}.scn", seed, noise)
+    return _sha256(_run(text, f"generated/{kind}-{seed}.scn", seed, noise).lines)
 
 
 @pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noisy"])
@@ -170,12 +211,22 @@ def test_generated_trace_matches_golden_hash(kind, seed, noise):
     assert generated_trace_sha256(kind, seed, noise) == GOLDEN_GENERATED[(kind, seed, noise)]
 
 
+@pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noisy"])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_ltm_snapshot_matches_golden_hash(name, noise):
+    assert ltm_sha256(name, noise) == GOLDEN_LTM[(name, noise)]
+
+
 if __name__ == "__main__":
     for table, extra in (("GOLDEN", ""), ("GOLDEN_ASSERTED", ASSERTED)):
         print(f"{table}:")
         for name in BUNDLED:
             for noise in (False, True):
                 print(f'    ("{name}", {noise}): "{trace_sha256(name, noise, extra)}",')
+    print("GOLDEN_LTM:")
+    for name in BUNDLED:
+        for noise in (False, True):
+            print(f'    ("{name}", {noise}): "{ltm_sha256(name, noise)}",')
     print("GOLDEN_GENERATED:")
     for kind, seed in GENERATED:
         for noise in (False, True):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmind.kb import Atom, Fact
+from gridmind import memory
+from gridmind.kb import ORIGINS, Atom, Fact
 from gridmind.memory import (
     Episode,
     LongTermMemory,
@@ -84,6 +85,12 @@ def test_capacity_bound_holds_under_random_streams(ops):
         assert len(wm) <= 8
 
 
+def rows(wm: WorkingMemory) -> list[tuple]:
+    """(fact, type of its object, salience, touched) per item, by key: the
+    form of `SortingWorkingMemory.rows`."""
+    return [(i.fact, type(i.fact.obj), i.salience, i.touched) for i in wm.items()]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     capacity=st.integers(1, 6),
@@ -94,6 +101,8 @@ def test_capacity_bound_holds_under_random_streams(ops):
             st.sampled_from(["a", "b", "c", "d", "e", "f"]),
             st.sampled_from(["x", 5, 5.0, "5"]),
             st.sampled_from([0.25, 0.5, 1.0]),
+            st.sampled_from(ORIGINS),
+            st.sampled_from([0, 0, 1, -1]),
             st.sampled_from([0.0, 0.5, 1.0]),
             st.sampled_from([0, 1, -1]),
         ),
@@ -104,18 +113,56 @@ def test_capacity_bound_holds_under_random_streams(ops):
 def test_eviction_scan_matches_sorting_reference(capacity, decay, start, ops):
     """Tied saliences and ticks, evicted keys inserted again, and ticks that
     step back and forth, so inserts return to a tick whose eviction order
-    was built before an insert at another tick."""
+    was built before an insert at another tick. Tied confidences meet other
+    origins, `5` meets `"5"` and facts are older or newer than the insert's
+    tick, so a merge stores the incoming fact only where that is the merged
+    result."""
     wm = WorkingMemory(capacity=capacity, decay=decay)
     reference = SortingWorkingMemory(capacity, decay)
     tick = start
-    for subject, obj, confidence, salience, step in ops:
+    for subject, obj, confidence, origin, age, salience, step in ops:
         tick = max(0, tick + step)
-        item = fact(subject, "at", obj, confidence, tick)
+        item = fact(subject, "at", obj, confidence, max(0, tick - age), origin)
         wm.insert(item, salience, tick)
         reference.insert(item, salience, tick)
-        assert [(i.fact, i.salience, i.touched) for i in wm.items()] == [
-            tuple(reference.items[k]) for k in sorted(reference.items)
-        ]
+        assert rows(wm) == reference.rows()
+
+
+def test_new_key_below_every_item_of_a_full_memory_is_not_built(monkeypatch):
+    wm = WorkingMemory(capacity=2)
+    reference = SortingWorkingMemory(2, 0.95)
+    for subject, salience in (("a", 0.5), ("b", 0.6), ("c", 0.4)):  # c builds the order
+        wm.insert(fact(subject, "isa", "x"), salience, 3)
+        reference.insert(fact(subject, "isa", "x"), salience, 3)
+    built = []
+    item_class = memory.WorkingMemoryItem
+    monkeypatch.setattr(memory, "WorkingMemoryItem", lambda *args: built.append(args) or item_class(*args))
+    # d and e rank below a, the worst held item, on salience and on the key
+    # at a tie, so only A, above it on the key, is built (and evicts a)
+    for subject, salience in (("d", 0.3), ("e", 0.5), ("A", 0.5)):
+        wm.insert(fact(subject, "isa", "x"), salience, 3)
+        reference.insert(fact(subject, "isa", "x"), salience, 3)
+        assert rows(wm) == reference.rows()
+    assert [args[0].subject for args in built] == ["A"]
+    assert [f.subject for f in wm.snapshot_facts()] == ["A", "b"]
+
+
+def test_merge_copies_the_held_fact_unless_the_incoming_one_is_the_result():
+    wm = WorkingMemory(capacity=4)
+    held = fact("a", "at", 5, 0.5, 1, "perceived")
+    wm.insert(held, 0.5, 1)
+    same = fact("a", "at", 5, 0.5, 2, "perceived")
+    wm.insert(same, 0.5, 2)
+    assert wm.get(held.key()).fact is same
+    # a tied confidence keeps the held origin and object, at the later tick
+    for other in (fact("a", "at", 5, 0.5, 3, "derived"), fact("a", "at", "5", 0.5, 3, "perceived")):
+        wm.insert(other, 0.5, 3)
+        stored = wm.get(held.key()).fact
+        assert stored is not other
+        assert stored == fact("a", "at", 5, 0.5, 3, "perceived") and type(stored.obj) is int
+    # an older fact never replaces the tick
+    wm.insert(fact("a", "at", "5", 0.9, 1, "derived"), 0.5, 4)
+    assert wm.get(held.key()).fact == fact("a", "at", "5", 0.9, 3, "derived")
 
 
 def test_merge_at_another_tick_does_not_leave_a_stale_eviction_order():

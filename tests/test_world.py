@@ -461,6 +461,35 @@ def test_entity_with_no_single_finite_anchor_chain_rejected(lines, message):
         parse_scenario(f"grid 4 4\n{lines}")
 
 
+def test_second_entity_on_a_non_surface_rejected_with_its_line():
+    text = (
+        "grid 4 4\nagent robot1 0 0\nentity x 1 1 on=b\nentity t 1 1 category=table\n"
+        "entity b 1 1 category=cup on=t\nentity y 1 1 on=b\n"
+    )
+    with pytest.raises(ScenarioError, match="entity 'y' rests on 'b', which already holds 'x'") as exc:
+        parse_scenario(text, "two.scn")
+    assert str(exc.value).startswith("two.scn:6: ")
+
+
+def test_surface_holds_several_stacks_each_followed_to_its_top():
+    text = (
+        "grid 4 4\nagent robot1 0 0\nentity t 1 1 category=table\n"
+        "entity b 1 1 category=cup on=t\nentity x 1 1 on=b\nentity y 1 1 on=t\n"
+    )
+    w = world(text)
+    assert w.stacks_on("t") == [["b", "x"], ["y"]]
+    assert w.stack_top("b") == "x"
+
+
+def test_place_on_the_agent_fails_like_picking_it_up():
+    w = world("grid 4 4\nagent robot1 1 1\nentity cup1 1 1 category=cup\n")
+    assert w.step(Action("PickUp", ("cup1",))).status == "ok"
+    result = w.step(Action("PlaceOn", ("cup1", "robot1")))
+    assert result.failed and result.reason == "no_such_entity:robot1"
+    assert w.carrying == "cup1" and w.entities["cup1"].on is None
+    assert not w.observe().readings["robot1"].occluded
+
+
 def test_duplicate_region_id_rejected_with_its_line():
     text = "grid 4 4\nregion room 0 0 1 1\nregion room 2 2 3 3\nagent robot1 0 0\n"
     with pytest.raises(ScenarioError, match="duplicate region id 'room'") as exc:
@@ -519,7 +548,9 @@ def riding_scenes(draw):
     cell = st.tuples(st.integers(0, 2), st.integers(0, 2))
     names = draw(st.permutations([f"e{k}" for k in range(draw(st.integers(1, 7)))]))
     ids = ["robot1", *names]
+    category = {e: draw(st.sampled_from(["table", "cup", "box"])) for e in ids}
     on: dict[str, str] = {}
+    rider: dict[str, str] = {}
     contains: dict[str, list[str]] = {e: [] for e in ids}
     for k, name in enumerate(names):
         kind = draw(st.sampled_from(["free", "on", "in", "in"]))
@@ -527,13 +558,17 @@ def riding_scenes(draw):
             # often the one drawn just before, so that chains grow deep
             anchor = draw(st.sampled_from(ids[: k + 1]) | st.just(ids[k]))
             if kind == "on":
-                on[name] = anchor
+                # only a table holds two; on anything else, rest on the
+                # top of its stack, as PlaceOn does
+                while category[anchor] != "table" and anchor in rider:
+                    anchor = rider[anchor]
+                on[name], rider[anchor] = anchor, name
             else:
                 contains[anchor].append(name)
     lines = ["grid 3 3"]
     for e in ids:
         x, y = draw(cell)
-        keys = [f"category={draw(st.sampled_from(['table', 'cup', 'box']))}"]
+        keys = [f"category={category[e]}"]
         keys += ["flags=fragile"] * draw(st.booleans())
         keys += [f"on={on[e]}"] if e in on else []
         keys += [f"contains={','.join(contains[e])}"] if contains[e] else []
