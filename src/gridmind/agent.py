@@ -47,12 +47,13 @@ def data_root():
     return resources.files("gridmind").joinpath("data")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RuleData:
     """The engine's declarative knowledge, loaded from the data files.
 
     Immutable: each field is held as a tuple, the lexicon as a read-only
     mapping, so the one packaged instance can be shared by every run.
+    Compared and hashed by identity.
     """
 
     dependency_rules: tuple[Rule, ...] = ()

@@ -26,10 +26,6 @@ class WorkingMemoryItem:
     # rank at the tick of the memory's eviction order (see WorkingMemory)
     rank: Rank | None = field(default=None, compare=False, repr=False)
 
-    def effective_salience(self, now: int, decay: float) -> float:
-        age = max(0, now - self.touched)
-        return self.salience * (decay ** age)
-
 
 class WorkingMemory:
     """Salience-ordered buffer, never larger than its capacity.
@@ -57,11 +53,10 @@ class WorkingMemory:
     tie) at the larger tick, and the larger salience and touch tick. When
     the incoming fact already is that fact (a tick no older, and a larger
     confidence, or the same confidence, origin and object), it is stored
-    as it is; otherwise the kept fact is copied with the larger tick. Two
-    objects of one identity key that compare equal are of one type: `5`
-    and `"5"` share the key "5" but differ, and an int's token never
-    equals a float's. (0.0 and -0.0 compare equal, and the canonical
-    encoders render both as 0.000000.)
+    as it is, which is nearly every merge; otherwise the kept fact is
+    copied with the larger tick. Objects of one identity key that compare
+    equal are of one type and render alike (`5 != "5"`, and an int's key
+    token never equals a float's).
     """
 
     def __init__(self, capacity: int = 64, decay: float = 0.95) -> None:

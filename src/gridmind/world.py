@@ -37,8 +37,9 @@ so the cell declared for a stacked or contained entity is ignored. A
 scenario is refused if supports and containers form a cycle, if an
 entity is in two containers, if an entity both rests on another and is
 contained, if the agent rests on or is contained by another entity, if
-a second entity rests on one that is not a surface (at the line of the
-later one), or if a region id is declared twice.
+an entity rests on the agent (at that entity's line), if a second entity
+rests on one that is not a surface (at the line of the later one), or if
+a region id is declared twice.
 
 Entity ids, region ids, attribute values, flags and the terms of a fact
 line become the terms of facts, so each must be a valid fact literal (no
@@ -336,6 +337,11 @@ def parse_scenario(text: str, path: str | None = None) -> Scenario:
     anchors: dict[str, str] = {}  # entity -> the one entity it rides on
     rider: dict[str, str] = {}  # non-surface support -> the entity resting on it
     for entity_id, spec in entities.items():
+        if spec.on == agent:
+            raise err(
+                f"entity {entity_id!r} rests on the agent {agent!r}; the agent only carries",
+                line_of[entity_id],
+            )
         if spec.on is not None and not entities[spec.on].is_surface():
             if spec.on in rider:
                 raise err(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import gridmind.agent as agent_module
 from conftest import BUNDLED, run_bundled, scenario_path
 from gridmind import canonical, reason
-from gridmind.agent import AgentRuntime, run_scenario, scripted_planner_factory
+from gridmind.agent import AgentRuntime, RuleData, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
 from gridmind.memory import WorkingMemory
 from gridmind.reason import EventSequenceModel, predict_trajectory, train_sequence_model
@@ -344,6 +345,17 @@ def test_working_memory_matches_the_sorting_oracle_after_every_insert(monkeypatc
     monkeypatch.setattr(WorkingMemory, "insert", mirrored)
     result = run_bundled(name) if name in BUNDLED else _generated_run(name, seed)
     assert list(mirrors) == [result.runtime.wm]
+
+
+def test_packaged_rules_are_loaded_once_and_cannot_be_changed():
+    data = RuleData.load_default()
+    assert RuleData.load_default() is data
+    assert {data: 1}[RuleData.load_default()] == 1  # hashed by identity
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.hazard_rules = ()
+    with pytest.raises(TypeError):
+        data.lexicon["cup"] = ()
+    assert type(data.dependency_rules) is tuple and type(data.exclusions) is tuple
 
 
 def collision_facts(trajectories, epsilon, tick=7):

@@ -516,9 +516,11 @@ def test_max_ticks_flag_of_zero_exit_three(tmp_path, capsys):
         ("agent robot1 0 0\nentity s 1 1 category=table\nentity x 2 2 contains=c\nentity c 1 1 on=s", ""),
         ("entity s 1 1 category=table\nagent robot1 1 1 on=s", ""),
         ("agent robot1 0 0\nentity r 3 3 on=robot1\nentity b 4 4 contains=robot1", ""),
+        ("agent robot1 0 0\nentity c 1 1 category=cup on=robot1", "3:"),
         ("agent robot1 0 0\nregion room 0 0 2 2\nregion room 3 3 5 5", "4:"),
     ],
-    ids=["mixed-cycle", "on-and-contained", "agent-on", "agent-contained", "duplicate-region"],
+    ids=["mixed-cycle", "on-and-contained", "agent-on", "agent-contained", "on-the-agent",
+         "duplicate-region"],
 )
 def test_scenario_with_no_single_anchor_or_a_twice_declared_region_exit_three(
     tmp_path, capsys, lines, located

@@ -58,10 +58,13 @@ class TestWorkingMemory:
         assert ("a", "isa", "x") in wm and ("b", "isa", "x") in wm
 
     def test_salience_decays_with_age(self):
+        # at tick 10, "a" (salience 1.0, touched at 0) ranks as 0.95 ** 10:
+        # between fresh items just above and just below that salience
         wm = WorkingMemory(capacity=8, decay=0.95)
         wm.insert(fact("a", "isa", "x"), salience=1.0, tick=0)
-        item = wm.get(("a", "isa", "x"))
-        assert item.effective_salience(10, 0.95) == pytest.approx(0.95 ** 10)
+        wm.insert(fact("b", "isa", "x"), salience=0.95 ** 10 - 1e-9, tick=10)
+        wm.insert(fact("c", "isa", "x"), salience=0.95 ** 10 + 1e-9, tick=10)
+        assert [i.fact.subject for i in wm.ordered(10)] == ["c", "a", "b"]
 
     def test_snapshot_is_canonically_ordered(self):
         wm = WorkingMemory(capacity=8)

@@ -453,8 +453,9 @@ def test_riders_follow_a_tick_zero_teleport_of_their_root():
         ),
         ("entity s 1 1 category=table\nagent robot1 1 1 on=s\n", "agent 'robot1' rides on 's'"),
         ("entity b 1 1 category=box contains=robot1\nagent robot1 1 1\n", "agent 'robot1' rides on 'b'"),
+        ("agent robot1 1 1\nentity c 1 1 category=cup on=robot1\n", "entity 'c' rests on the agent 'robot1'"),
     ],
-    ids=["mixed-cycle", "on-and-contained", "agent-on", "agent-contained"],
+    ids=["mixed-cycle", "on-and-contained", "agent-on", "agent-contained", "on-the-agent"],
 )
 def test_entity_with_no_single_finite_anchor_chain_rejected(lines, message):
     with pytest.raises(ScenarioError, match=message):
@@ -543,8 +544,9 @@ def test_place_on_a_contained_target_fails_and_changes_nothing(target):
 @st.composite
 def riding_scenes(draw):
     """A 3x3 scene, so that most pairs are within reach, whose entities
-    rest on or sit in earlier-drawn ones (or the agent), each declared on
-    any cell, with scripted velocity and teleport events; and its ids."""
+    rest on or sit in earlier-drawn ones (or sit in the agent), each
+    declared on any cell, with scripted velocity and teleport events; and
+    its ids."""
     cell = st.tuples(st.integers(0, 2), st.integers(0, 2))
     names = draw(st.permutations([f"e{k}" for k in range(draw(st.integers(1, 7)))]))
     ids = ["robot1", *names]
@@ -557,9 +559,9 @@ def riding_scenes(draw):
         if kind != "free":
             # often the one drawn just before, so that chains grow deep
             anchor = draw(st.sampled_from(ids[: k + 1]) | st.just(ids[k]))
-            if kind == "on":
-                # only a table holds two; on anything else, rest on the
-                # top of its stack, as PlaceOn does
+            if kind == "on" and anchor != "robot1":
+                # nothing rests on the agent; only a table holds two, so on
+                # anything else, rest on the top of its stack, as PlaceOn does
                 while category[anchor] != "table" and anchor in rider:
                     anchor = rider[anchor]
                 on[name], rider[anchor] = anchor, name
