@@ -181,7 +181,7 @@ class AgentRuntime:
         unified = aggregate(t_facts, s_facts, c_facts)
         graph = unified.graph
         for fact in self.scenario.facts:
-            graph.insert(replace(fact, tick=tick))
+            graph.insert(fact.at_tick(tick))
 
         # reasoning extends the unified graph in place
         dep_derived = reason.apply_dependency_rules(

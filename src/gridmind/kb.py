@@ -13,6 +13,10 @@ Semantics that everything else relies on:
 * identity key = (subject, relation, object token), made once when the
   fact is built; re-assertion max-merges confidence and keeps the latest
   tick,
+* `Fact.at_tick` is the one way a fact moves to another tick (graph and
+  working-memory merges, the scenario's facts asserted each tick, the
+  perceived facts a reading keeps): a copy that keeps the key, which does
+  not depend on the tick,
 * derived confidence = rule weight x product of premise confidences,
 * derivation is monotone and its fixpoint is independent of rule and fact
   order (max-merge makes confidence collisions commutative),
@@ -26,7 +30,7 @@ Semantics that everything else relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import canonical
 
@@ -37,6 +41,9 @@ Literal = str | int | float
 
 class ValidationError(ValueError):
     pass
+
+
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -59,10 +66,19 @@ class Fact:
         A symbol object is its own token, unchecked here (`validate` checks
         it where the fact enters); a number is canonicalized, and any other
         object raises TypeError or ValueError at construction. The key is
-        not a dataclass field, so eq, hash, repr and `replace` ignore it;
-        a copy made by `replace` makes its own.
+        not a dataclass field, so eq, hash and repr ignore it.
         """
         return self._key
+
+    def at_tick(self, tick: int) -> Fact:
+        """This fact at `tick`: a copy, equal to `replace(self, tick=tick)`,
+        that keeps this fact's key, since the key does not depend on the
+        tick. The one way a fact moves to another tick."""
+        copy = _new(Fact)
+        state = copy.__dict__
+        state.update(self.__dict__)
+        state["tick"] = tick
+        return copy
 
     def validate(self) -> None:
         if not self.subject:
@@ -166,9 +182,9 @@ class SemanticGraph:
         if old is None:
             stored = fact
         elif fact.confidence > old.confidence:
-            stored = replace(fact, tick=max(old.tick, fact.tick))
+            stored = fact.at_tick(max(old.tick, fact.tick))
         elif fact.tick > old.tick:
-            stored = replace(old, tick=fact.tick)
+            stored = old.at_tick(fact.tick)
         else:
             return False
         # a replaced fact keeps its slot, so both maps keep insertion order

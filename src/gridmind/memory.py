@@ -10,7 +10,7 @@ episode.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .kb import Atom, Fact, SemanticGraph, ValidationError, match
 
@@ -97,7 +97,7 @@ class WorkingMemory:
                 item.fact = fact
             else:
                 keep = fact if fact.confidence > held.confidence else held
-                item.fact = replace(keep, tick=max(held.tick, fact.tick))
+                item.fact = keep.at_tick(max(held.tick, fact.tick))
             item.salience = max(item.salience, salience)
             item.touched = max(item.touched, tick)
             if order is not None:

@@ -21,15 +21,29 @@ list, the movement state to the temporal one, the rest is spatial):
   column, or neighbouring cells of width ceil(near_distance),
 * containment is sensed on the container: Contains(c, x) and Inside(x, c),
 * an open movement event yields has_state(e, moving).
+
+Perception costs what changed. `WorldState.observe` hands back the same
+Reading object while an entity's reading is unchanged, and a reading
+keeps what it alone implies: its digest text, its ConceptRecord (per
+lexicon object) with that record's conceptual facts, and its own spatial
+facts (at, located_in, Contains and the Inside of each item it
+contains). A new reading builds its facts once, at the tick it is first
+perceived; a reused one restamps them with `Fact.at_tick`, because only
+the tick differs. What depends on more than one reading is made fresh
+every tick: has_state(moving), which depends on the window, OnTopOf and
+the pairwise Near and cardinal facts. The kept state is not a field, so
+eq and repr ignore it and a copy of a reading starts without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations, permutations
 from json.encoder import encode_basestring
+from types import MappingProxyType
 
 from . import canonical, cells
 from .kb import Fact, ValidationError
@@ -51,6 +65,9 @@ class Reading:
     """One entity's sensor reading for a tick.
 
     Occluded entities expose position only: attributes and flags are None.
+    What the reading implies is made on first use and kept on it (not a
+    field: eq and repr ignore it, and a copy drops it): its digest text,
+    its concept record per lexicon and its own spatial facts.
     """
 
     entity: str
@@ -62,25 +79,99 @@ class Reading:
     contains: tuple[str, ...] = ()
     on: str | None = None
 
+    def __getstate__(self) -> dict[str, object]:
+        """The fields alone: a copy or a pickle starts without kept state."""
+        return {name: self.__dict__[name] for name in _READING_FIELDS}
+
     def visible_flags(self) -> frozenset[str]:
-        return self.flags if self.flags is not None else frozenset()
+        return self.flags if self.flags is not None else _NO_FLAGS
 
     @cached_property
     def text(self) -> str:
-        """This reading's canonical JSON in the observation digest, encoded
-        on first use and kept (not a field: eq and repr ignore it)."""
+        """This reading's canonical JSON in the observation digest, written
+        on first use and kept."""
+        x, y = self.position
         attrs = self.attributes
-        return canonical.dumps(
-            {
-                "pos": list(self.position),
-                "region": self.region,
-                "occluded": self.occluded,
-                "attrs": {k: attrs[k] for k in sorted(attrs)} if attrs else None,
-                "flags": sorted(self.flags) if self.flags is not None else None,
-                "contains": list(self.contains),
-                "on": self.on,
-            }
+        flags = self.flags
+        attrs_text = (
+            "{" + ",".join(f"{encode_basestring(k)}:{_json(attrs[k])}" for k in sorted(attrs)) + "}"
+            if attrs
+            else "null"
         )
+        flags_text = "[" + ",".join(map(_json, sorted(flags))) + "]" if flags is not None else "null"
+        return (
+            f'{{"pos":[{_json(x)},{_json(y)}],"region":{_json(self.region)},'
+            f'"occluded":{_json(self.occluded)},"attrs":{attrs_text},"flags":{flags_text},'
+            f'"contains":[{",".join(map(_json, self.contains))}],"on":{_json(self.on)}}}'
+        )
+
+    def concept(self, lexicon: Mapping[str, tuple[str, ...]]) -> ConceptRecord | None:
+        """This reading's concept record under `lexicon`, None if occluded;
+        made once per lexicon object and kept."""
+        kept = self.__dict__.get("_concept")
+        if kept is not None and kept[0] is lexicon:
+            return kept[1]
+        record = None
+        if not self.occluded:
+            attrs = self.attributes or {}
+            category = attrs.get("category")
+            if not isinstance(category, str):
+                category = None
+            record = ConceptRecord(
+                entity=self.entity,
+                category=category,
+                material=attrs.get("material"),  # type: ignore[arg-type]
+                shape=attrs.get("shape"),  # type: ignore[arg-type]
+                color=attrs.get("color"),  # type: ignore[arg-type]
+                size=attrs.get("size"),  # type: ignore[arg-type]
+                flags=self.visible_flags(),
+                functions=tuple(lexicon.get(category, ())) if category is not None else (),
+            )
+        self.__dict__["_concept"] = (lexicon, record)
+        return record
+
+    def spatial_facts(self, tick: int) -> list[Fact]:
+        """at(e, "x,y"), located_in(e, region), then Contains(e, x) and
+        Inside(x, e) for each x it contains, at `tick`."""
+        kept = self.__dict__.get("_spatial")
+        if kept is None:
+            entity = self.entity
+            x, y = self.position
+            kept = [Fact(entity, "at", f"{x},{y}", 1.0, tick, _PERCEIVED)]
+            if self.region is not None:
+                kept.append(Fact(entity, "located_in", self.region, 1.0, tick, _PERCEIVED))
+            for contained in self.contains:
+                kept.append(Fact(entity, "Contains", contained, 1.0, tick, _PERCEIVED))
+                kept.append(Fact(contained, "Inside", entity, 1.0, tick, _PERCEIVED))
+        elif kept[0].tick == tick:
+            return kept
+        else:
+            kept = [fact.at_tick(tick) for fact in kept]
+        self.__dict__["_spatial"] = kept
+        return kept
+
+
+_READING_FIELDS = tuple(f.name for f in fields(Reading))
+_NO_FLAGS: frozenset[str] = frozenset()
+_NO_LEXICON: Mapping[str, tuple[str, ...]] = MappingProxyType({})
+_PERCEIVED = "perceived"
+
+
+def _json(value: object) -> str:
+    """Canonical JSON of a scalar in a reading: the symbols, sizes, flags
+    and positions readings hold are written here, anything else by
+    `canonical.dumps`, so the bytes are the same either way."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if type(value) is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return canonical.dumps(value)
 
 
 @dataclass(frozen=True)
@@ -88,8 +179,13 @@ class Observation:
     tick: int
     readings: dict[str, Reading]
 
-    def entities(self) -> list[str]:
-        return sorted(self.readings)
+    def entities(self) -> tuple[str, ...]:
+        """The entity ids in sorted order, sorted on first use and kept."""
+        return self._entities
+
+    @cached_property
+    def _entities(self) -> tuple[str, ...]:
+        return tuple(sorted(self.readings))
 
     def digest_text(self) -> str:
         """Canonical JSON of the tick and every reading by entity id: the
@@ -129,9 +225,6 @@ class TemporalFeatures:
     def events_for(self, entity: str) -> list[Event]:
         return self.by_entity.get(entity, [])
 
-    def open_events_for(self, entity: str) -> list[Event]:
-        return [e for e in self.events_for(entity) if not e.closed]
-
     def starting_at(self, tick: int) -> list[Event]:
         return [e for e in self.events if e.start == tick]
 
@@ -154,6 +247,36 @@ class ConceptRecord:
     flags: frozenset[str]
     functions: tuple[str, ...]
 
+    def facts(self, tick: int) -> list[Fact]:
+        """isa, color, size, material, shape, has_state (but moving, which
+        is the temporal pathway's) and affords, at `tick`; made on first
+        use and kept (not a field), restamped for a later tick."""
+        kept = self.__dict__.get("_facts")
+        if kept is None:
+            entity = self.entity
+            kept = []
+            if self.category:
+                kept.append(Fact(entity, "isa", self.category, 1.0, tick, _PERCEIVED))
+            if self.color:
+                kept.append(Fact(entity, "color", self.color, 1.0, tick, _PERCEIVED))
+            if self.size is not None:
+                kept.append(Fact(entity, "size", self.size, 1.0, tick, _PERCEIVED))
+            if self.material:
+                kept.append(Fact(entity, "material", self.material, 1.0, tick, _PERCEIVED))
+            if self.shape:
+                kept.append(Fact(entity, "shape", self.shape, 1.0, tick, _PERCEIVED))
+            for flag in sorted(self.flags):
+                if flag != "moving":
+                    kept.append(Fact(entity, "has_state", flag, 1.0, tick, _PERCEIVED))
+            for function in self.functions:
+                kept.append(Fact(entity, "affords", function, 1.0, tick, _PERCEIVED))
+        elif not kept or kept[0].tick == tick:
+            return kept
+        else:
+            kept = [fact.at_tick(tick) for fact in kept]
+        self.__dict__["_facts"] = kept
+        return kept
+
 
 @dataclass
 class ConceptualFeatures:
@@ -172,7 +295,11 @@ def extract_temporal(window: list[Observation]) -> TemporalFeatures:
 
     A flag that is already on at the first observation opens an event at
     the window start; a rising edge opens one; a falling edge closes it at
-    the first off tick. The movement flag maps to event kind "move".
+    the first off tick (an absent entity has no flags). The movement flag
+    maps to event kind "move". One pass per entity compares each reading's
+    flags with the previous one's, skipping a reading that is the same
+    object as the previous. Events are numbered by (start, entity, kind,
+    flag); only the flags "move" and "moving" share a kind.
     """
     if not window:
         raise ValidationError("observation window must be non-empty")
@@ -181,31 +308,31 @@ def extract_temporal(window: list[Observation]) -> TemporalFeatures:
             raise ValidationError(
                 f"observation window ticks not consecutive: {prev.tick} -> {cur.tick}"
             )
-    entities = sorted({e for obs in window for e in obs.readings})
-    raw: list[tuple[int, str, str, int | None]] = []
-    for entity in entities:
-        seen_flags: set[str] = set()
+    raw: list[tuple[int, str, str, str, int | None]] = []
+    for entity in set().union(*(obs.readings for obs in window)):
+        previous: Reading | None = None
+        flags_before = _NO_FLAGS
+        opened: dict[str, int] = {}
         for obs in window:
             reading = obs.readings.get(entity)
-            if reading is not None:
-                seen_flags |= reading.visible_flags()
-        for flag in sorted(seen_flags):
-            open_start: int | None = None
-            for obs in window:
-                reading = obs.readings.get(entity)
-                on = reading is not None and flag in reading.visible_flags()
-                if on and open_start is None:
-                    open_start = obs.tick
-                elif not on and open_start is not None:
-                    raw.append((open_start, entity, _event_kind(flag), obs.tick))
-                    open_start = None
-            if open_start is not None:
-                raw.append((open_start, entity, _event_kind(flag), None))
-    raw.sort(key=lambda r: (r[0], r[1], r[2]))
+            if reading is previous:
+                continue
+            previous = reading
+            flags = _NO_FLAGS if reading is None else reading.visible_flags()
+            if flags == flags_before:
+                continue
+            for flag in flags - flags_before:
+                opened[flag] = obs.tick
+            for flag in flags_before - flags:
+                raw.append((opened.pop(flag), entity, _event_kind(flag), flag, obs.tick))
+            flags_before = flags
+        for flag, start in opened.items():
+            raw.append((start, entity, _event_kind(flag), flag, None))
+    raw.sort()  # (start, entity, kind, flag) is unique, so `end` is never compared
     return TemporalFeatures(
         events=[
             Event(event_id=f"ev{n}", entity=entity, kind=kind, start=start, end=end)
-            for n, (start, entity, kind, end) in enumerate(raw, start=1)
+            for n, (start, entity, kind, _, end) in enumerate(raw, start=1)
         ]
     )
 
@@ -233,28 +360,21 @@ def extract_spatial(obs: Observation, agent: str) -> SpatialFeatures:
 
 
 def extract_conceptual(
-    obs: Observation, lexicon: dict[str, tuple[str, ...]] | None = None
+    obs: Observation, lexicon: Mapping[str, tuple[str, ...]] | None = None
 ) -> ConceptualFeatures:
-    """Copy appearance attributes; affordances come from the lexicon."""
-    lexicon = lexicon or {}
+    """Copy appearance attributes; affordances come from the lexicon.
+
+    Each reading keeps its record per lexicon object, so pass the same
+    lexicon every tick (RuleData holds one per process)."""
+    if lexicon is None:
+        lexicon = _NO_LEXICON
     features = ConceptualFeatures()
+    records = features.records
+    readings = obs.readings
     for entity in obs.entities():
-        reading = obs.readings[entity]
-        if reading.occluded:
-            continue
-        attrs = reading.attributes or {}
-        category = attrs.get("category")
-        functions = lexicon.get(category, ()) if isinstance(category, str) else ()
-        features.records[entity] = ConceptRecord(
-            entity=entity,
-            category=category if isinstance(category, str) else None,
-            material=attrs.get("material"),  # type: ignore[arg-type]
-            shape=attrs.get("shape"),  # type: ignore[arg-type]
-            color=attrs.get("color"),  # type: ignore[arg-type]
-            size=attrs.get("size"),  # type: ignore[arg-type]
-            flags=reading.visible_flags(),
-            functions=tuple(functions),
-        )
+        record = readings[entity].concept(lexicon)
+        if record is not None:
+            records[entity] = record
     return features
 
 
@@ -338,65 +458,66 @@ def build_dimension_graphs(
 ) -> tuple[list[Fact], list[Fact], list[Fact], dict[str, list[Fact]]]:
     """This tick's temporal, spatial and conceptual facts, one list each.
 
-    Also returns the facts grouped by owning entity so working-memory
-    salience can follow the attention scores.
+    Also returns the facts grouped by owning entity (each fact's subject)
+    so working-memory salience can follow the attention scores. A
+    reading's own spatial facts and its record's conceptual facts are
+    the ones it keeps (see the module docstring).
     """
     tick = obs.tick
-    t_facts, s_facts, c_facts = [], [], []
-    by_entity: dict[str, list[Fact]] = {e: [] for e in obs.entities()}
-
-    def emit(facts: list[Fact], owner: str, subject: str, relation: str, obj) -> None:
-        fact = Fact(subject, relation, obj, 1.0, tick, "perceived")
-        facts.append(fact)
-        by_entity.setdefault(owner, []).append(fact)
-
-    for entity in obs.entities():
-        reading = obs.readings[entity]
-        x, y = reading.position
-        emit(s_facts, entity, entity, "at", f"{x},{y}")
-        if reading.region is not None:
-            emit(s_facts, entity, entity, "located_in", reading.region)
-        for contained in reading.contains:
-            emit(s_facts, entity, entity, "Contains", contained)
-            emit(s_facts, contained, contained, "Inside", entity)
-        record = fc.records.get(entity)
+    readings = obs.readings
+    entities = obs.entities()
+    records = fc.records
+    t_facts: list[Fact] = []
+    s_facts: list[Fact] = []
+    c_facts: list[Fact] = []
+    by_entity: dict[str, list[Fact]] = {e: [] for e in entities}
+    moving = {e.entity for e in ft.events if e.kind == "move" and not e.closed}
+    for entity in entities:
+        reading = readings[entity]
+        own = by_entity[entity]
+        spatial = reading.spatial_facts(tick)
+        s_facts += spatial
+        if reading.contains:  # each Inside(x, e) is x's
+            for fact in spatial:
+                if fact.subject == entity:
+                    own.append(fact)
+                else:
+                    by_entity.setdefault(fact.subject, []).append(fact)
+        else:
+            own += spatial
+        record = records.get(entity)
         if record is not None:
-            if record.category:
-                emit(c_facts, entity, entity, "isa", record.category)
-            if record.color:
-                emit(c_facts, entity, entity, "color", record.color)
-            if record.size is not None:
-                emit(c_facts, entity, entity, "size", record.size)
-            if record.material:
-                emit(c_facts, entity, entity, "material", record.material)
-            if record.shape:
-                emit(c_facts, entity, entity, "shape", record.shape)
-            for flag in sorted(record.flags):
-                if flag != "moving":
-                    emit(c_facts, entity, entity, "has_state", flag)
-            for function in record.functions:
-                emit(c_facts, entity, entity, "affords", function)
-        if any(e.kind == "move" for e in ft.open_events_for(entity)):
-            emit(t_facts, entity, entity, "has_state", "moving")
+            conceptual = record.facts(tick)
+            c_facts += conceptual
+            own += conceptual
+        if entity in moving:
+            fact = Fact(entity, "has_state", "moving", 1.0, tick, _PERCEIVED)
+            t_facts.append(fact)
+            own.append(fact)
 
+    supports = fs.supports
+    for entity, support in sorted(supports.items()):
+        fact = Fact(entity, "OnTopOf", support, 1.0, tick, _PERCEIVED)
+        s_facts.append(fact)
+        by_entity.setdefault(entity, []).append(fact)
     free = [
-        e
-        for e in obs.entities()
-        if e not in fs.supports and "carried" not in obs.readings[e].visible_flags()
+        e for e in entities if e not in supports and "carried" not in readings[e].visible_flags()
     ]
-    for entity, support in sorted(fs.supports.items()):
-        emit(s_facts, entity, entity, "OnTopOf", support)
-    positions = [obs.readings[e].position for e in free]
+    positions = [readings[e].position for e in free]
     for i, j in _candidate_pairs(positions, near_distance):
-        a = free[i]
+        a, b = free[i], free[j]
         ax, ay = positions[i]
         bx, by = positions[j]
         dx, dy = bx - ax, by - ay
         if math.hypot(dx, dy) < near_distance:
-            emit(s_facts, a, a, "Near", free[j])
+            fact = Fact(a, "Near", b, 1.0, tick, _PERCEIVED)
+            s_facts.append(fact)
+            by_entity[a].append(fact)
         relation = _CARDINAL.get(((dx > 0) - (dx < 0), (dy > 0) - (dy < 0)))
         if relation:
-            emit(s_facts, a, a, relation, free[j])
+            fact = Fact(a, relation, b, 1.0, tick, _PERCEIVED)
+            s_facts.append(fact)
+            by_entity[a].append(fact)
     return t_facts, s_facts, c_facts, by_entity
 
 

@@ -112,9 +112,15 @@ def replay(trace_path: str) -> ReplayReport:
             raise TraceError(f"header missing field {key!r}")
     if type(header["seed"]) is not int:
         raise TraceError("header field 'seed' must be an integer")
+    for key in ("noise", "hazards_enabled"):
+        if type(header[key]) is not bool:
+            raise TraceError(f"header field {key!r} must be a boolean")
+    for key in ("scenario", "planner"):
+        if not isinstance(header[key], str):
+            raise TraceError(f"header field {key!r} must be a string")
     if not isinstance(header["config"], dict):
         raise TraceError("header field 'config' must be an object")
-    scenario_path = str(header["scenario"])
+    scenario_path = header["scenario"]
     scenario_text = read_text(scenario_path, TraceError, "scenario")
     digest = hashlib.sha256(scenario_text.encode("utf-8")).hexdigest()
     if digest != header.get("scenario_sha256"):
@@ -133,9 +139,9 @@ def replay(trace_path: str) -> ReplayReport:
         config,
         seed=header["seed"],
         planner_factory=factory,
-        noise=bool(header["noise"]),
-        hazards_enabled=bool(header["hazards_enabled"]),
-        planner_name=str(header["planner"]),
+        noise=header["noise"],
+        hazards_enabled=header["hazards_enabled"],
+        planner_name=header["planner"],
         scenario_text=scenario_text,
         ltm_lines=ltm_lines,
     )

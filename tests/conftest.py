@@ -10,7 +10,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from gridmind.agent import RuleData, data_root, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
-from gridmind.world import load_scenario
+from gridmind.world import load_scenario, parse_scenario
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def scenario_path(name: str) -> str:
@@ -34,6 +36,19 @@ def run_bundled(name: str, seed: int = 0, hazards: bool = True, noise: bool = Fa
         noise=noise,
         hazards_enabled=hazards,
         scenario_text=text,
+    )
+
+
+def run_generated(name: str, seed: int = 1):
+    """A run of the benchmark's generated `crowded` or `traffic` scenario;
+    the caller puts PERFBENCH on sys.path (`monkeypatch.syspath_prepend`)."""
+    import workloads  # perfbench's seeded scenario generators
+
+    text = {"crowded": workloads.crowded_text, "traffic": workloads.traffic_text}[name](seed)
+    scenario = parse_scenario(text)
+    config = EngineConfig().with_overrides(dict(scenario.config_overrides))
+    return run_scenario(
+        scenario, config, seed=seed, planner_factory=scripted_planner_factory, scenario_text=text
     )
 
 

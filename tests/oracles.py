@@ -205,6 +205,38 @@ def all_pairs_collision_facts(trajectories, epsilon: float, tick: int) -> list[F
     ]
 
 
+def window_events(window) -> list[tuple[str, str, str, int, int | None]]:
+    """(event_id, entity, kind, start, end) of every flag event in a
+    consecutive-tick window, found by rescanning the whole window for each
+    flag of each entity: a flag on at the first tick or switched on opens
+    an event, and the first tick without it (an absent entity has no
+    flags) closes it. Numbered by (start, entity, kind), ties in flag
+    order; the flag "moving" is the event kind "move"."""
+    def flags_at(obs, entity):
+        reading = obs.readings.get(entity)
+        return set() if reading is None or reading.flags is None else set(reading.flags)
+
+    raw = []
+    for entity in sorted({e for obs in window for e in obs.readings}):
+        seen = set()
+        for obs in window:
+            seen |= flags_at(obs, entity)
+        for flag in sorted(seen):
+            kind = "move" if flag == "moving" else flag
+            start = None
+            for obs in window:
+                on = flag in flags_at(obs, entity)
+                if on and start is None:
+                    start = obs.tick
+                elif not on and start is not None:
+                    raw.append((start, entity, kind, obs.tick))
+                    start = None
+            if start is not None:
+                raw.append((start, entity, kind, None))
+    raw.sort(key=lambda r: (r[0], r[1], r[2]))
+    return [(f"ev{n}", entity, kind, start, end) for n, (start, entity, kind, end) in enumerate(raw, 1)]
+
+
 def digest_payload(obs) -> dict[str, object]:
     """The observation digest as one dict, whose canonical JSON the trace's
     `obs` field hashes: every reading by entity id, attributes by key."""

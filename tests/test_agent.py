@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridmind.agent as agent_module
-from conftest import BUNDLED, run_bundled, scenario_path
+from conftest import BUNDLED, PERFBENCH, run_bundled, scenario_path
+from conftest import run_generated as _generated_run
 from gridmind import canonical, reason
 from gridmind.agent import AgentRuntime, RuleData, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
@@ -285,20 +285,6 @@ def test_sequence_model_equals_training_on_whole_stream(name):
     model = train_sequence_model(EventSequenceModel(runtime.seq_model.order), runtime.stream)
     assert runtime.seq_model.counts == model.counts
     assert runtime.seq_model.kinds == model.kinds
-
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _generated_run(name: str, seed: int = 1):
-    import workloads  # perfbench's seeded scenario generators
-
-    text = {"crowded": workloads.crowded_text, "traffic": workloads.traffic_text}[name](seed)
-    scenario = parse_scenario(text)
-    config = EngineConfig().with_overrides(dict(scenario.config_overrides))
-    return run_scenario(
-        scenario, config, seed=seed, planner_factory=scripted_planner_factory, scenario_text=text
-    )
 
 
 @pytest.mark.parametrize("name", BUNDLED + ["crowded", "traffic"])

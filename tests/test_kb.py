@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,45 @@ class TestKeyCache:
         assert f.key() == ("cup1", "isa", "a|b")
         with pytest.raises(ValueError):
             f.validate()
+
+
+class TestAtTick:
+    @pytest.mark.parametrize("obj", ["red", 5, 2.5, -0.0], ids=["str", "int", "float", "negative-zero"])
+    @pytest.mark.parametrize("tick", [0, 7, 10**12])
+    def test_restamped_copy_equals_the_replaced_one(self, obj, tick):
+        f = fact("cup1", "size", obj, conf=0.75, tick=3, origin="derived")
+        moved, expected = f.at_tick(tick), replace(f, tick=tick)
+        assert moved == expected and hash(moved) == hash(expected)
+        assert repr(moved) == repr(expected)
+        assert moved.key() == expected.key() and type(moved.obj) is type(obj)
+        assert moved is not f and f.tick == 3
+
+    def test_restamped_copy_is_frozen_and_keeps_the_key_object(self):
+        f = fact("cup1", "at", 3.5)
+        moved = f.at_tick(9)
+        assert moved.key() is f.key()
+        with pytest.raises(AttributeError):
+            moved.tick = 1
+
+
+def _tick_only_replace_calls(path: Path) -> list[int]:
+    """Line numbers of `replace(x, tick=...)` calls: a copy moved to another
+    tick that bypasses `Fact.at_tick`."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "replace" and [k.arg for k in node.keywords] == ["tick"]:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_fact_moves_to_another_tick_but_through_at_tick():
+    sources = sorted((Path(__file__).resolve().parent.parent / "src" / "gridmind").glob("*.py"))
+    assert sources
+    found = {p.name: lines for p in sources if (lines := _tick_only_replace_calls(p))}
+    assert found == {}
 
 
 SYMBOLS = st.text(min_size=1, max_size=8).filter(lambda t: not any(c in t for c in "|\n\r "))

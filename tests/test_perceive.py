@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
 
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BUNDLED, run_bundled
-from gridmind import canonical, cells
+from conftest import BUNDLED, PERFBENCH, run_bundled, run_generated
+from gridmind import canonical, cells, perceive
+from gridmind.agent import RuleData
 from gridmind.kb import ValidationError
 from gridmind.perceive import (
     Observation,
@@ -23,7 +26,7 @@ from gridmind.perceive import (
     extract_temporal,
 )
 from gridmind.world import WorldState
-from oracles import digest_payload, pairwise_spatial_facts
+from oracles import digest_payload, pairwise_spatial_facts, window_events
 
 UNIFORM = {"temporal": 1 / 3, "spatial": 1 / 3, "conceptual": 1 / 3}
 PAIRWISE = ("Near", "LeftOf", "RightOf", "Above", "Below")
@@ -105,6 +108,54 @@ class TestTemporal:
             extract_temporal([])
 
 
+FLAG_NAMES = ("move", "moving", "hot", "wet")
+
+
+@st.composite
+def windows(draw):
+    """Windows of 1 to 12 consecutive ticks over up to four entities. At
+    each tick an entity is absent, occluded, has new flags (both "move" and
+    "moving" among them), or has the same Reading object as at its last
+    tick, or an equal but separate one."""
+    start = draw(st.integers(0, 100))
+    entities = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    last: dict[str, Reading] = {}
+    window = []
+    for tick in range(start, start + draw(st.integers(1, 12))):
+        readings = {}
+        for entity in entities:
+            choice = draw(st.sampled_from(["absent", "occluded", "flags", "flags", "same", "same", "equal"]))
+            if choice == "absent":
+                continue
+            if choice in ("same", "equal") and entity in last:
+                reading = last[entity] if choice == "same" else copy.copy(last[entity])
+            elif choice == "occluded":
+                reading = Reading(entity, (0, 0), occluded=True)
+            else:
+                flags = draw(st.frozensets(st.sampled_from(FLAG_NAMES)))
+                reading = Reading(entity, (0, 0), attributes={}, flags=flags)
+            readings[entity] = last[entity] = reading
+        window.append(Observation(tick=tick, readings=readings))
+    return window
+
+
+@settings(max_examples=400, deadline=None)
+@given(windows())
+def test_temporal_events_match_the_window_rescan_oracle(window):
+    events = extract_temporal(window).events
+    assert [(e.event_id, e.entity, e.kind, e.start, e.end) for e in events] == window_events(window)
+
+
+def test_move_and_moving_flags_opened_together_keep_flag_order():
+    window = [obs(t, a={"flags": ["move", "moving"] if t < 2 else ["moving"]}) for t in range(4)]
+    events = extract_temporal(window).events
+    # ev1 is the "move" flag's event, closed at 2; ev2 the "moving" flag's
+    assert [(e.event_id, e.kind, e.start, e.end) for e in events] == [
+        ("ev1", "move", 0, 2),
+        ("ev2", "move", 0, None),
+    ]
+
+
 def pairwise_facts(o: Observation, near_distance: float = 2.0) -> list[tuple]:
     fs = extract_spatial(o, "agent")
     ft, fc = extract_temporal([o]), extract_conceptual(o)
@@ -144,6 +195,15 @@ class TestConceptual:
         o = obs(0, cup1={"attrs": {"category": "cup"}})
         fc = extract_conceptual(o, rule_data.lexicon)
         assert fc.records["cup1"].functions == ("hold_liquid",)
+
+    def test_record_is_kept_per_lexicon_object(self):
+        o = obs(0, cup1={"attrs": {"category": "cup"}})
+        first = extract_conceptual(o, {"cup": ("hold_liquid",)}).records["cup1"]
+        second = extract_conceptual(o, {"cup": ("drink_from",)}).records["cup1"]
+        assert (first.functions, second.functions) == (("hold_liquid",), ("drink_from",))
+        lexicon = {"cup": ("stack",)}
+        kept = extract_conceptual(o, lexicon).records["cup1"]
+        assert extract_conceptual(o, lexicon).records["cup1"] is kept
 
     def test_occluded_entity_absent(self):
         o = obs(0, hidden={"occluded": True})
@@ -371,3 +431,83 @@ def test_digest_text_matches_the_oracle_on_every_bundled_tick(monkeypatch, name,
         text = canonical.dumps(digest_payload(obs))
         assert obs.digest_text() == text
         assert row["obs"] == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_a_copied_reading_equals_the_original_and_keeps_nothing():
+    o = obs(3, agent={"pos": (1, 2), "region": "hall", "attrs": {"category": "cup"}, "contains": ["x1"]})
+    reading = o.readings["agent"]
+    assert o.digest_text() and reading.concept({}) and reading.spatial_facts(3)
+    fields = {f.name for f in dataclasses.fields(Reading)}
+    assert set(vars(reading)) > fields
+    for twin in (copy.copy(reading), copy.deepcopy(reading)):
+        assert twin == reading and repr(twin) == repr(reading)
+        assert set(vars(twin)) == fields
+
+
+def test_a_reused_reading_restamps_its_facts_and_leaves_the_earlier_ones():
+    reading = Reading("cup1", (1, 2), "hall", attributes={}, flags=frozenset(), contains=("x1",))
+    first = reading.spatial_facts(3)
+    rows = _rows(first)
+    later = reading.spatial_facts(4)
+    assert [f.tick for f in later] == [4, 4, 4, 4]
+    assert [f.key() for f in later] == [f.key() for f in first]
+    assert _rows(first) == rows
+    assert reading.spatial_facts(4) is later
+
+
+def _rows(facts):
+    return [(f, repr(f), type(f.obj), f.key(), f.tick) for f in facts]
+
+
+def _graph_rows(out):
+    t_facts, s_facts, c_facts, by_entity = out
+    return (
+        _rows(t_facts),
+        _rows(s_facts),
+        _rows(c_facts),
+        [(entity, _rows(facts)) for entity, facts in by_entity.items()],
+    )
+
+
+@pytest.mark.parametrize(
+    "name, seed, noise",
+    [(n, 0, False) for n in BUNDLED]
+    + [(n, 4, True) for n in BUNDLED]
+    + [(k, s, False) for k in ("crowded", "traffic") for s in (1, 2, 3)],
+)
+def test_carried_facts_equal_the_facts_of_cold_readings(monkeypatch, name, seed, noise):
+    """Each tick's perceived facts, from readings that keep their facts and
+    restamp them on later ticks, equal the facts built from deep copies of
+    the readings, which keep nothing yet; and a tick's facts are still as
+    they were after the next tick is perceived, so no kept fact is shared
+    with a later tick."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    build = perceive.build_dimension_graphs
+    lexicon = RuleData.load_default().lexicon
+    previous: list = []  # the last tick's observation, output and its rows
+    reused = 0
+
+    def checked(o, ft, fs, fc, near_distance=2.0):
+        nonlocal reused
+        out = build(o, ft, fs, fc, near_distance)
+        cold = copy.deepcopy(o)
+        cold_fc = extract_conceptual(cold, lexicon)
+        assert cold_fc.records == fc.records
+        cold_out = build(cold, ft, extract_spatial(cold, fs.agent), cold_fc, near_distance)
+        rows = _graph_rows(out)
+        assert rows == _graph_rows(cold_out)
+        if previous:
+            last_obs, last_out, last_rows = previous.pop()
+            assert _graph_rows(last_out) == last_rows
+            reused += sum(o.readings[e] is last_obs.readings.get(e) for e in o.readings)
+        previous.append((o, out, rows))
+        return out
+
+    monkeypatch.setattr(perceive, "build_dimension_graphs", checked)
+    if name in BUNDLED:
+        result = run_bundled(name, seed=seed, noise=noise)
+    else:
+        result = run_generated(name, seed)
+    assert previous and result.runtime.world.tick > 0
+    if not noise:
+        assert reused > 0  # the carried facts were exercised
