@@ -425,12 +425,12 @@ def test_malformed_recorded_plan_exit_three(tmp_path, capsys, external_trace, ed
     "field, value, message",
     [
         ("seed", "zero", "header field 'seed' must be an integer"),
+        ("config", ["max_ticks", 1], "header field 'config' must be an object"),
+        ("episodes", ["episode"], "summary field 'episodes' must be a list of objects"),
         ("noise", "false", "header field 'noise' must be a boolean"),
         ("hazards_enabled", 1, "header field 'hazards_enabled' must be a boolean"),
         ("planner", ["x"], "header field 'planner' must be a string"),
         ("scenario", None, "header field 'scenario' must be a string"),
-        ("config", ["max_ticks", 1], "header field 'config' must be an object"),
-        ("episodes", ["episode"], "summary field 'episodes' must be a list of objects"),
     ],
 )
 def test_malformed_trace_field_exit_three(tmp_path, capsys, external_trace, field, value, message):
