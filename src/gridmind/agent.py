@@ -318,15 +318,18 @@ class AgentRuntime:
                 self.last_position_predictions[entity] = trajectory.positions[next_tick]
 
     def _stale_keys(self, tick: int) -> tuple[str, ...]:
+        """The keys, in key order, of WM items about a task ref that went
+        untouched for more than stale_ttl ticks."""
         refs = self._task_refs()
+        ttl = self.config.stale_ttl
         stale = []
-        for item in self.wm.items():
-            fact = item.fact
-            if tick - item.touched > self.config.stale_ttl and (
-                fact.subject in refs or (isinstance(fact.obj, str) and fact.obj in refs)
-            ):
-                stale.append("|".join(fact.key()))
-        return tuple(stale)
+        for item in self.wm:
+            if tick - item.touched > ttl:
+                fact = item.fact
+                if fact.subject in refs or (isinstance(fact.obj, str) and fact.obj in refs):
+                    stale.append(fact.key())
+        stale.sort()
+        return tuple("|".join(key) for key in stale)
 
     def _apply_directives(self, directives: list[Directive], tick: int) -> bool:
         replan = False

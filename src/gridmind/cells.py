@@ -35,7 +35,10 @@ def close_pairs(
     items with two points in one layer that are less than `size` apart on
     both axes, and so every pair closer than `size`: their cells differ by
     at most one on each axis. It may hold pairs farther apart, which the
-    caller's exact test drops.
+    caller's exact test drops. Coordinates are integers, so with `size` 1
+    two points less than 1 apart on both axes are one point, in one cell:
+    then only the pairs sharing a cell are returned, and no neighbouring
+    cell is looked at.
     """
     cells: dict[tuple[Hashable, int, int], list[int]] = {}
     for item, layer, x, y in points:
@@ -50,6 +53,8 @@ def close_pairs(
     for (layer, cx, cy), here in cells.items():
         if len(here) > 1:
             _add_pairs(pairs, combinations(here, 2))
+        if size == 1:
+            continue
         # each pair of neighbouring cells once: the four that come after this one
         east = cx + 1
         for there in (

@@ -10,6 +10,7 @@ episode.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .kb import Atom, Fact, SemanticGraph, ValidationError, match
@@ -74,6 +75,10 @@ class WorkingMemory:
 
     def __contains__(self, key: tuple[str, str, str]) -> bool:
         return key in self._items
+
+    def __iter__(self) -> Iterator[WorkingMemoryItem]:
+        """The items in no particular order; `items()` sorts them by key."""
+        return iter(self._items.values())
 
     def get(self, key: tuple[str, str, str]) -> WorkingMemoryItem | None:
         return self._items.get(key)

@@ -22,22 +22,36 @@ list, the movement state to the temporal one, the rest is spatial):
 * containment is sensed on the container: Contains(c, x) and Inside(x, c),
 * an open movement event yields has_state(e, moving).
 
-Perception costs what changed. `WorldState.observe` hands back the same
-Reading object while an entity's reading is unchanged, and a reading
-keeps what it alone implies: its digest text, its ConceptRecord (per
-lexicon object) with that record's conceptual facts, and its own spatial
-facts (at, located_in, Contains and the Inside of each item it
-contains). A new reading builds its facts once, at the tick it is first
-perceived; a reused one restamps them with `Fact.at_tick`, because only
-the tick differs. What depends on more than one reading is made fresh
+Perception costs what changed. `WorldState.observe` compares each
+entity's state with its previous reading before it builds anything, and
+hands back the same Reading object while nothing the reading shows has
+changed, so an unchanged reading is never rebuilt. A reading keeps what
+it alone implies: its digest text, its ConceptRecord (per lexicon
+object) with that record's conceptual facts, and its own spatial facts
+(at, located_in, Contains and the Inside of each item it contains). A
+new reading builds its facts once, at the tick it is first perceived; a
+reused one restamps them with `Fact.at_tick`, because only the tick
+differs. When a changed reading supersedes one, `Reading.release` drops
+what the old one kept, since only the latest observation's readings are
+perceived again. What depends on more than one reading is made fresh
 every tick: has_state(moving), which depends on the window, OnTopOf and
-the pairwise Near and cardinal facts. The kept state is not a field, so
-eq and repr ignore it and a copy of a reading starts without it.
+the pairwise Near and cardinal facts.
+
+An observation keeps the flag changes from its predecessor in the
+window (`Observation.flag_changes`): found once, when the observation
+first follows that predecessor, so the temporal pathway walks only the
+changes of a window instead of rescanning every reading in it. The
+predecessor is held by a weak reference, so a kept change list never
+keeps an old observation alive.
+
+Kept state is not a field: eq and repr ignore it, and a copy of a
+reading or an observation starts without it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -85,6 +99,13 @@ class Reading:
 
     def visible_flags(self) -> frozenset[str]:
         return self.flags if self.flags is not None else _NO_FLAGS
+
+    def release(self) -> None:
+        """Drop what this reading keeps; a later use makes it again. Called
+        on a reading that a changed one supersedes."""
+        state = self.__dict__
+        for name in _KEPT:
+            state.pop(name, None)
 
     @cached_property
     def text(self) -> str:
@@ -152,6 +173,7 @@ class Reading:
 
 
 _READING_FIELDS = tuple(f.name for f in fields(Reading))
+_KEPT = ("text", "_concept", "_spatial")  # what a Reading makes on first use
 _NO_FLAGS: frozenset[str] = frozenset()
 _NO_LEXICON: Mapping[str, tuple[str, ...]] = MappingProxyType({})
 _PERCEIVED = "perceived"
@@ -174,10 +196,38 @@ def _json(value: object) -> str:
     return canonical.dumps(value)
 
 
+FlagChange = tuple[str, frozenset[str], frozenset[str]]  # entity, rising, falling
+
+
 @dataclass(frozen=True)
 class Observation:
     tick: int
     readings: dict[str, Reading]
+
+    def __getstate__(self) -> dict[str, object]:
+        """The fields alone: a copy or a pickle starts without kept state."""
+        return {"tick": self.tick, "readings": self.readings}
+
+    def flag_changes(self, previous: Observation) -> list[FlagChange]:
+        """(entity, rising flags, falling flags) for each entity whose
+        visible flags differ from those in `previous` (an absent entity
+        has none), in no particular order. Found once per predecessor and
+        kept, with the predecessor held by a weak reference."""
+        kept = self.__dict__.get("_flag_changes")
+        if kept is not None and kept[0]() is previous:
+            return kept[1]
+        changes = []
+        before, after = previous.readings, self.readings
+        for entity in before.keys() | after.keys():
+            old, new = before.get(entity), after.get(entity)
+            if old is new:
+                continue
+            flags_before = _NO_FLAGS if old is None else old.visible_flags()
+            flags = _NO_FLAGS if new is None else new.visible_flags()
+            if flags != flags_before:
+                changes.append((entity, flags - flags_before, flags_before - flags))
+        self.__dict__["_flag_changes"] = (weakref.ref(previous), changes)
+        return changes
 
     def entities(self) -> tuple[str, ...]:
         """The entity ids in sorted order, sorted on first use and kept."""
@@ -221,9 +271,6 @@ class TemporalFeatures:
         for event in self.events:
             index.setdefault(event.entity, []).append(event)
         return index
-
-    def events_for(self, entity: str) -> list[Event]:
-        return self.by_entity.get(entity, [])
 
     def starting_at(self, tick: int) -> list[Event]:
         return [e for e in self.events if e.start == tick]
@@ -296,10 +343,10 @@ def extract_temporal(window: list[Observation]) -> TemporalFeatures:
     A flag that is already on at the first observation opens an event at
     the window start; a rising edge opens one; a falling edge closes it at
     the first off tick (an absent entity has no flags). The movement flag
-    maps to event kind "move". One pass per entity compares each reading's
-    flags with the previous one's, skipping a reading that is the same
-    object as the previous. Events are numbered by (start, entity, kind,
-    flag); only the flags "move" and "moving" share a kind.
+    maps to event kind "move". Past the first observation only the flag
+    changes each observation keeps are walked (`Observation.flag_changes`).
+    Events are numbered by (start, entity, kind, flag); only the flags
+    "move" and "moving" share a kind.
     """
     if not window:
         raise ValidationError("observation window must be non-empty")
@@ -308,26 +355,21 @@ def extract_temporal(window: list[Observation]) -> TemporalFeatures:
             raise ValidationError(
                 f"observation window ticks not consecutive: {prev.tick} -> {cur.tick}"
             )
+    first = window[0]
+    opened: dict[tuple[str, str], int] = {}
+    for entity, reading in first.readings.items():
+        for flag in reading.visible_flags():
+            opened[entity, flag] = first.tick
     raw: list[tuple[int, str, str, str, int | None]] = []
-    for entity in set().union(*(obs.readings for obs in window)):
-        previous: Reading | None = None
-        flags_before = _NO_FLAGS
-        opened: dict[str, int] = {}
-        for obs in window:
-            reading = obs.readings.get(entity)
-            if reading is previous:
-                continue
-            previous = reading
-            flags = _NO_FLAGS if reading is None else reading.visible_flags()
-            if flags == flags_before:
-                continue
-            for flag in flags - flags_before:
-                opened[flag] = obs.tick
-            for flag in flags_before - flags:
-                raw.append((opened.pop(flag), entity, _event_kind(flag), flag, obs.tick))
-            flags_before = flags
-        for flag, start in opened.items():
-            raw.append((start, entity, _event_kind(flag), flag, None))
+    for prev, cur in zip(window, window[1:]):
+        tick = cur.tick
+        for entity, rising, falling in cur.flag_changes(prev):
+            for flag in rising:
+                opened[entity, flag] = tick
+            for flag in falling:
+                raw.append((opened.pop((entity, flag)), entity, _event_kind(flag), flag, tick))
+    for (entity, flag), start in opened.items():
+        raw.append((start, entity, _event_kind(flag), flag, None))
     raw.sort()  # (start, entity, kind, flag) is unique, so `end` is never compared
     return TemporalFeatures(
         events=[
@@ -378,17 +420,6 @@ def extract_conceptual(
     return features
 
 
-def attention_score(
-    presence: dict[str, bool], salience: dict[str, float], weights: dict[str, float]
-) -> float:
-    """score = sum over dimensions of weight * presence * salience."""
-    total = 0.0
-    for dim in ("temporal", "spatial", "conceptual"):
-        if presence.get(dim):
-            total += weights[dim] * salience.get(dim, 0.0)
-    return total
-
-
 def validate_weights(weights: dict[str, float]) -> None:
     expected = {"temporal", "spatial", "conceptual"}
     if set(weights) != expected:
@@ -414,38 +445,40 @@ def attend_and_bind(
     entity id ascending.
     """
     validate_weights(weights)
-    entities = sorted(set(ft.by_entity) | set(fs.locations) | set(fc.records))
+    weight_t, weight_s, weight_c = weights["temporal"], weights["spatial"], weights["conceptual"]
+    by_entity, locations, records, agent = ft.by_entity, fs.locations, fc.records, fs.agent
     bound: list[BoundObject] = []
-    for entity in entities:
-        events = ft.events_for(entity)
-        open_events = [e for e in events if not e.closed]
-        record = fc.records.get(entity)
-        ego = fs.locations.get(entity)
-        presence = {
-            "temporal": bool(events),
-            "spatial": ego is not None,
-            "conceptual": record is not None,
-        }
-        task_ref = entity in task_refs or entity == fs.agent
-
-        sal_t = SALIENCE_DEFAULT
-        if any(e.kind == "move" for e in open_events):
-            sal_t = SALIENCE_MOVING
-        elif open_events:
-            sal_t = SALIENCE_STATE_FLAG
-        sal_s = SALIENCE_DEFAULT
-        if ego is not None and math.hypot(*ego) < 2.0:
-            sal_s = SALIENCE_ADJACENT
-        sal_c = SALIENCE_DEFAULT
-        if record is not None and record.flags & STATE_SALIENCE_FLAGS:
-            sal_c = SALIENCE_STATE_FLAG
-        salience = {"temporal": sal_t, "spatial": sal_s, "conceptual": sal_c}
-        if task_ref:
-            salience = {d: max(s, SALIENCE_TASK) for d, s in salience.items()}
-
-        score = attention_score(presence, salience, weights)
+    # score = the sum, over the dimensions the entity is present in, of
+    # weight * salience, added temporal, spatial, conceptual from 0.0
+    for entity in sorted({*by_entity, *locations, *records}):
+        task_ref = entity in task_refs or entity == agent
+        score = 0.0
+        events = by_entity.get(entity)
+        if events:
+            salience = SALIENCE_DEFAULT
+            for event in events:
+                if event.end is None:
+                    if event.kind == "move":
+                        salience = SALIENCE_MOVING
+                        break
+                    salience = SALIENCE_STATE_FLAG
+            if task_ref:
+                salience = max(salience, SALIENCE_TASK)
+            score += weight_t * salience
+        ego = locations.get(entity)
+        if ego is not None:
+            salience = SALIENCE_ADJACENT if math.hypot(*ego) < 2.0 else SALIENCE_DEFAULT
+            if task_ref:
+                salience = max(salience, SALIENCE_TASK)
+            score += weight_s * salience
+        record = records.get(entity)
+        if record is not None:
+            salience = SALIENCE_STATE_FLAG if record.flags & STATE_SALIENCE_FLAGS else SALIENCE_DEFAULT
+            if task_ref:
+                salience = max(salience, SALIENCE_TASK)
+            score += weight_c * salience
         bound.append(BoundObject(entity, score, below_threshold=score < threshold))
-    bound.sort(key=lambda b: (-b.score, b.entity))
+    bound.sort(key=lambda b: -b.score)  # stable: ties stay in entity order
     return bound
 
 

@@ -214,26 +214,33 @@ def predict_trajectory(
         raise ValidationError("horizon must be >= 1")
     width, height = bounds
     history = sorted(history)
-    (t1, p1) = history[-1]
+    t1, (x1, y1) = history[-1]
     if len(history) == 1:
-        velocity = (0.0, 0.0)
+        vx = vy = 0.0
         low = True
     else:
-        (t0, p0) = history[-2]
+        t0, (x0, y0) = history[-2]
         if t1 != t0 + 1:
             raise ValidationError("trajectory history positions must be at consecutive ticks")
-        velocity = (float(p1[0] - p0[0]), float(p1[1] - p0[1]))
+        vx, vy = float(x1 - x0), float(y1 - y0)
         low = False
-    trajectory = Trajectory(entity=entity, low_confidence=low)
+    right, bottom = width - 1, height - 1
+    positions: dict[int, tuple[int, int]] = {}
     # from step max(width, height) on, every cell is clamped to where it stays,
     # so a longer horizon would add only copies of the last cell
     for step in range(1, min(horizon, max(width, height)) + 1):
-        x = p1[0] + velocity[0] * step
-        y = p1[1] + velocity[1] * step
-        cx = min(max(int(math.floor(x + 0.5)), 0), width - 1)
-        cy = min(max(int(math.floor(y + 0.5)), 0), height - 1)
-        trajectory.positions[t1 + step] = (cx, cy)
-    return trajectory
+        cx = math.floor(x1 + vx * step + 0.5)
+        cy = math.floor(y1 + vy * step + 0.5)
+        if cx < 0:
+            cx = 0
+        if cx > right:
+            cx = right
+        if cy < 0:
+            cy = 0
+        if cy > bottom:
+            cy = bottom
+        positions[t1 + step] = (cx, cy)
+    return Trajectory(entity, positions, low)
 
 
 def detect_collision(a: Trajectory, b: Trajectory, epsilon: float) -> CollisionReport:

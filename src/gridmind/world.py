@@ -669,9 +669,12 @@ class WorldState:
 
         Stacked-under and contained entities are occluded (position only).
         With noise enabled, non-agent reported positions get independent
-        uniform {-1, 0, 1} offsets per axis from the seeded rng. A reading
-        equal to the entity's previous one is that same object, so what is
-        cached on it (its digest text) carries over.
+        uniform {-1, 0, 1} offsets per axis from the seeded rng, two draws
+        per non-agent entity in id order. An entity whose reported position,
+        occlusion and (when visible) flags, attributes, contents and support
+        match its previous reading gets that same Reading object back, so
+        what is kept on it carries over; only a changed entity gets a new
+        Reading built, and the one it supersedes is released.
         """
         occluded = set(self._holder)
         for state in self.entities.values():
@@ -688,7 +691,14 @@ class WorldState:
                     min(max(reported[0] + dx, 0), self.width - 1),
                     min(max(reported[1] + dy, 0), self.height - 1),
                 )
-            if entity_id in occluded:
+            hidden = entity_id in occluded
+            previous = last.get(entity_id)
+            if previous is not None:
+                if _shows(previous, reported, hidden, state):
+                    readings[entity_id] = previous
+                    continue
+                previous.release()
+            if hidden:
                 reading = Reading(
                     entity=entity_id,
                     position=reported,
@@ -706,7 +716,20 @@ class WorldState:
                     contains=state.contains,
                     on=state.on,
                 )
-            previous = last.get(entity_id)
-            readings[entity_id] = previous if reading == previous else reading
+            readings[entity_id] = reading
         self._readings = readings
         return Observation(tick=self.tick, readings=readings)
+
+
+def _shows(reading: Reading, position: tuple[int, int], occluded: bool, state: Entity) -> bool:
+    """Whether `reading` equals the reading `observe` would build for `state`
+    reported at `position`: the region follows from the position, and an
+    occluded reading shows nothing else."""
+    if reading.position != position or reading.occluded != occluded:
+        return False
+    return occluded or (
+        reading.flags == state.flags
+        and reading.attributes == state.attributes
+        and reading.contains == state.contains
+        and reading.on == state.on
+    )

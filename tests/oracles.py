@@ -13,6 +13,14 @@ from fractions import Fraction
 
 from gridmind import canonical
 from gridmind.kb import Fact, SemanticGraph
+from gridmind.perceive import (
+    SALIENCE_ADJACENT,
+    SALIENCE_DEFAULT,
+    SALIENCE_MOVING,
+    SALIENCE_STATE_FLAG,
+    SALIENCE_TASK,
+    STATE_SALIENCE_FLAGS,
+)
 from gridmind.reason import detect_collision
 
 # the relations the spatial oracles draw from
@@ -235,6 +243,53 @@ def window_events(window) -> list[tuple[str, str, str, int, int | None]]:
                 raw.append((start, entity, kind, None))
     raw.sort(key=lambda r: (r[0], r[1], r[2]))
     return [(f"ev{n}", entity, kind, start, end) for n, (start, entity, kind, end) in enumerate(raw, 1)]
+
+
+def attention_score(
+    presence: dict[str, bool], salience: dict[str, float], weights: dict[str, float]
+) -> float:
+    """score = sum over dimensions of weight * presence * salience."""
+    total = 0.0
+    for dim in ("temporal", "spatial", "conceptual"):
+        if presence.get(dim):
+            total += weights[dim] * salience.get(dim, 0.0)
+    return total
+
+
+def bind_reference(ft, fs, fc, weights, task_refs=frozenset(), threshold=0.25):
+    """(entity, score, below_threshold) per entity, score descending then
+    entity id ascending, from a presence dict and a salience dict per
+    entity scored by `attention_score`: the binding the engine computes
+    without building either dict."""
+    rows = []
+    for entity in sorted(set(ft.by_entity) | set(fs.locations) | set(fc.records)):
+        events = ft.by_entity.get(entity, [])
+        open_events = [e for e in events if not e.closed]
+        record = fc.records.get(entity)
+        ego = fs.locations.get(entity)
+        presence = {
+            "temporal": bool(events),
+            "spatial": ego is not None,
+            "conceptual": record is not None,
+        }
+        sal_t = SALIENCE_DEFAULT
+        if any(e.kind == "move" for e in open_events):
+            sal_t = SALIENCE_MOVING
+        elif open_events:
+            sal_t = SALIENCE_STATE_FLAG
+        sal_s = SALIENCE_DEFAULT
+        if ego is not None and math.hypot(*ego) < 2.0:
+            sal_s = SALIENCE_ADJACENT
+        sal_c = SALIENCE_DEFAULT
+        if record is not None and record.flags & STATE_SALIENCE_FLAGS:
+            sal_c = SALIENCE_STATE_FLAG
+        salience = {"temporal": sal_t, "spatial": sal_s, "conceptual": sal_c}
+        if entity in task_refs or entity == fs.agent:
+            salience = {d: max(s, SALIENCE_TASK) for d, s in salience.items()}
+        score = attention_score(presence, salience, weights)
+        rows.append((entity, score, score < threshold))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    return rows
 
 
 def digest_payload(obs) -> dict[str, object]:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -13,20 +15,32 @@ from hypothesis import strategies as st
 
 from conftest import BUNDLED, PERFBENCH, run_bundled, run_generated
 from gridmind import canonical, cells, perceive
-from gridmind.agent import RuleData
+from gridmind.agent import AgentRuntime, RuleData
+from gridmind.config import EngineConfig
 from gridmind.kb import ValidationError
+from gridmind.metacog import Anomaly, normalize_weights, regulate
 from gridmind.perceive import (
+    ConceptRecord,
+    ConceptualFeatures,
+    Event,
     Observation,
     Reading,
+    SpatialFeatures,
+    TemporalFeatures,
     attend_and_bind,
-    attention_score,
     build_dimension_graphs,
     extract_conceptual,
     extract_spatial,
     extract_temporal,
 )
 from gridmind.world import WorldState
-from oracles import digest_payload, pairwise_spatial_facts, window_events
+from oracles import (
+    attention_score,
+    bind_reference,
+    digest_payload,
+    pairwise_spatial_facts,
+    window_events,
+)
 
 UNIFORM = {"temporal": 1 / 3, "spatial": 1 / 3, "conceptual": 1 / 3}
 PAIRWISE = ("Near", "LeftOf", "RightOf", "Above", "Below")
@@ -156,6 +170,72 @@ def test_move_and_moving_flags_opened_together_keep_flag_order():
     ]
 
 
+def _events(window):
+    return [(e.event_id, e.entity, e.kind, e.start, e.end) for e in extract_temporal(window).events]
+
+
+def test_temporal_events_match_the_oracle_on_every_sliding_window_of_a_traffic_run(monkeypatch):
+    """Every window of one to window_size consecutive observations of a
+    traffic run, so each observation's kept flag changes are read by
+    windows that start before it, at its predecessor and at itself."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    observed = []
+    observe = WorldState.observe
+
+    def recording(world):
+        o = observe(world)
+        observed.append(o)
+        return o
+
+    monkeypatch.setattr(WorldState, "observe", recording)
+    result = run_generated("traffic", 1)
+    size = result.runtime.config.window_size
+    assert len(observed) > size
+    events = 0
+    for end in range(1, len(observed) + 1):
+        for start in range(max(0, end - size), end):
+            window = observed[start:end]
+            expected = window_events(window)
+            assert _events(window) == expected
+            events += len(expected)
+    assert events
+
+
+def test_an_observation_after_a_different_predecessor_finds_its_changes_again():
+    a = obs(0, e1={"flags": ["hot"]}, e2={})
+    b = obs(1, e1={}, e2={"flags": ["wet"]})
+    c = obs(2, e1={"flags": ["hot"]}, e2={"flags": ["wet"]})
+    other_b = obs(1, e1={"flags": ["hot", "moving"]}, e3={"flags": ["wet"]})
+    windows = ([a, b, c], [b, c], [other_b, c], [a, other_b, c], [a, b, c], [c])
+    for window in windows + windows:
+        assert _events(window) == window_events(window)
+    # a deep copy starts without kept changes, and finds the same events
+    for window in windows:
+        copied = copy.deepcopy(window)
+        assert "_flag_changes" not in vars(copied[-1])
+        assert _events(copied) == window_events(window)
+
+
+def test_kept_flag_changes_do_not_keep_their_predecessor_alive():
+    a = obs(0, e1={"flags": ["hot"]})
+    b = obs(1, e1={})
+    assert _events([a, b]) == [("ev1", "e1", "hot", 0, 1)]
+    gone = weakref.ref(a)
+    del a
+    gc.collect()
+    assert gone() is None
+    assert _events([obs(0, e1={}), b]) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows())
+def test_every_sub_window_matches_the_rescan_oracle(window):
+    for start in range(len(window)):
+        for end in range(start + 1, len(window) + 1):
+            sub = window[start:end]
+            assert _events(sub) == window_events(sub)
+
+
 def pairwise_facts(o: Observation, near_distance: float = 2.0) -> list[tuple]:
     fs = extract_spatial(o, "agent")
     ft, fc = extract_temporal([o]), extract_conceptual(o)
@@ -283,6 +363,66 @@ def test_attention_score_monotone_in_present_dimension_weight(w, delta, sal):
     raised = dict(base, temporal=w + delta)
     assert attention_score(presence, salience, raised) >= attention_score(
         presence, salience, base
+    )
+
+
+BIND_ENTITIES = ("agent", "a", "b", "c", "d")
+BIND_FLAGS = ("hot", "wet", "powered", "fragile", "moving")
+
+
+@st.composite
+def bind_cases(draw):
+    """Features as the pathways hand them to binding: open and closed
+    "move" and flag events, ego offsets up to three cells each way (so
+    that the distance falls below, at and above 2.0), records with and
+    without the hot, wet and powered flags, task refs with and without
+    the agent, and weights that `metacog.regulate` has reweighted."""
+    present = draw(st.lists(st.sampled_from(BIND_ENTITIES), unique=True))
+    events = []
+    for k in range(draw(st.integers(0, 8))):
+        start = draw(st.integers(0, 5))
+        closed = draw(st.booleans())
+        events.append(
+            Event(
+                event_id=f"ev{k + 1}",
+                entity=draw(st.sampled_from(BIND_ENTITIES)),
+                kind=draw(st.sampled_from(("move", "hot", "wet", "powered", "open"))),
+                start=start,
+                end=start + draw(st.integers(1, 3)) if closed else None,
+            )
+        )
+    offset = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    locations = {e: draw(offset) for e in present}
+    records = {
+        e: ConceptRecord(e, "cup", None, None, None, None, draw(st.frozensets(st.sampled_from(BIND_FLAGS))), ())
+        for e in present
+        if draw(st.booleans())
+    }
+    cfg = EngineConfig()
+    weights = normalize_weights(cfg.weights(), cfg.weight_min, cfg.weight_max)
+    for _ in range(draw(st.integers(0, 4))):
+        kinds = draw(st.lists(st.sampled_from(("PredictionMismatch", "Contradiction")), max_size=2))
+        anomalies = [Anomaly(kind, 0, ("x", "Near", "y"), 0.5) for kind in kinds]
+        _, weights = regulate(anomalies, weights, cfg)
+    task_refs = frozenset(draw(st.lists(st.sampled_from(BIND_ENTITIES))))
+    threshold = draw(st.sampled_from([0.0, 0.25, 0.3, 1 / 3]) | st.floats(0.0, 1.0))
+    return (
+        TemporalFeatures(events=events),
+        SpatialFeatures(locations=locations, agent="agent"),
+        ConceptualFeatures(records=records),
+        weights,
+        task_refs,
+        threshold,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(bind_cases())
+def test_binding_equals_the_dict_based_reference(case):
+    ft, fs, fc, weights, task_refs, threshold = case
+    bound = attend_and_bind(ft, fs, fc, weights, task_refs=task_refs, threshold=threshold)
+    assert [(b.entity, b.score, b.below_threshold) for b in bound] == bind_reference(
+        ft, fs, fc, weights, task_refs, threshold
     )
 
 
@@ -511,3 +651,36 @@ def test_carried_facts_equal_the_facts_of_cold_readings(monkeypatch, name, seed,
     assert previous and result.runtime.world.tick > 0
     if not noise:
         assert reused > 0  # the carried facts were exercised
+
+
+@pytest.mark.parametrize("name, seed", [(k, s) for k in ("crowded", "traffic") for s in (1, 2)])
+def test_only_the_latest_observations_readings_keep_state(monkeypatch, name, seed):
+    """After every tick, a reading that is not in the latest observation
+    holds nothing but its fields, and releasing superseded readings leaves
+    the trace as it was."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    fields = {f.name for f in dataclasses.fields(Reading)}
+    seen: dict[int, Reading] = {}  # every reading of the run, kept alive
+    pipeline = AgentRuntime._pipeline
+    ticks = 0
+
+    def checked_pipeline(runtime, *args, **kwargs):
+        nonlocal ticks
+        outcome = pipeline(runtime, *args, **kwargs)
+        for o in runtime.window:
+            seen.update((id(r), r) for r in o.readings.values())
+        latest = {id(r) for r in runtime.window[-1].readings.values()}
+        for key, reading in seen.items():
+            if key not in latest:
+                assert set(vars(reading)) == fields, (runtime.world.tick, reading.entity)
+        ticks += 1
+        return outcome
+
+    monkeypatch.setattr(AgentRuntime, "_pipeline", checked_pipeline)
+    result = run_generated(name, seed)
+    lines = result.lines
+    # some readings were superseded, and so released
+    assert ticks > 1 and len(seen) > len(result.runtime.window[-1].readings)
+    monkeypatch.setattr(AgentRuntime, "_pipeline", pipeline)
+    monkeypatch.setattr(Reading, "release", lambda reading: None)
+    assert run_generated(name, seed).lines == lines

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 import sys
 from contextlib import contextmanager
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_bundled, scenario_path
+from conftest import BUNDLED, run_bundled, scenario_path
 from gridmind.world import (
     GRID_DIRECTIONS,
     Action,
@@ -365,7 +366,7 @@ def test_containment_cycle_or_second_container_rejected(lines, message):
 
 
 @pytest.mark.parametrize("noise", [False, True], ids=["exact", "noise-seed-4"])
-@pytest.mark.parametrize("name", ["arrange", "knockover", "vase_room"])
+@pytest.mark.parametrize("name", BUNDLED)
 def test_observe_occludes_like_the_brute_force_oracle_and_reuses_equal_readings(
     monkeypatch, name, noise
 ):
@@ -388,7 +389,9 @@ def test_observe_occludes_like_the_brute_force_oracle_and_reuses_equal_readings(
             previous = before.readings[entity]
             assert (reading is previous) == (reading == previous)
             reused += reading is previous
-    assert reused
+    # under seed-4 noise every teleport_fault reading changes each tick: the
+    # agent walks, the ball rolls, and the marker's reported cell jitters
+    assert reused or (name, noise) == ("teleport_fault", True)
 
 
 def test_a_move_a_pick_up_and_a_teleport_each_make_a_new_reading():
@@ -410,6 +413,89 @@ def test_a_move_a_pick_up_and_a_teleport_each_make_a_new_reading():
     assert fourth["cup1"] is not third["cup1"]  # carried along
     assert fourth["table1"] is not third["table1"]  # its `moving` flag cleared
     assert fourth["plate1"] is third["plate1"]
+
+
+STATE_CHANGES = """
+grid 6 6
+region room 0 0 5 5
+agent robot1 1 1
+entity cup1 1 1 category=cup
+entity plate1 1 2 category=plate
+entity box1 4 4 category=crate contains=pen1
+entity pen1 0 0 category=pen
+entity lamp1 5 0 category=lamp
+at 2 set lamp1 powered
+at 3 clear lamp1 powered
+at 9 teleport box1 3 4
+"""
+
+
+def test_each_state_change_makes_a_new_reading_and_nothing_else_does():
+    w = world(STATE_CHANGES)
+    last = w.observe().readings
+    steps = [
+        (Action("Wait"), set()),
+        (Action("Wait"), {"lamp1"}),  # set lamp1 powered
+        (Action("Wait"), {"lamp1"}),  # clear it
+        (Action("PickUp", ("cup1",)), {"cup1"}),  # carried, in the agent's cell
+        (Action("PlaceOn", ("cup1", "plate1")), {"cup1", "plate1"}),  # moved onto plate1, now occluded
+        (Action("Wait"), {"cup1"}),  # its moving flag cleared
+        (Action("PickUp", ("cup1",)), {"cup1", "plate1"}),  # carried back; plate1 visible
+        (Action("Wait"), {"cup1"}),
+        (Action("Wait"), {"box1", "pen1"}),  # a teleported container takes its contents along
+        (Action("Wait"), {"box1"}),  # the occluded pen1 shows no moving flag to clear
+        (Action("Wait"), set()),
+    ]
+    for action, changed in steps:
+        assert not w.step(action).failed, action
+        readings = w.observe().readings
+        assert {e for e in readings if readings[e] is not last[e]} == changed, (w.tick, action)
+        for entity in changed:
+            assert readings[entity] != last[entity]
+            # the superseded reading keeps nothing but its fields
+            assert set(vars(last[entity])) == set(vars(copy.copy(last[entity])))
+        last = readings
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda cup: setattr(cup, "position", (3, 3)),
+        lambda cup: cup.flags.add("hot"),
+        lambda cup: cup.attributes.update(color="red"),
+        lambda cup: setattr(cup, "contains", ("pen1",)),
+        lambda cup: setattr(cup, "on", "lamp1"),
+    ],
+    ids=["position", "flags", "attributes", "contains", "on"],
+)
+def test_a_change_to_any_one_field_a_reading_shows_makes_a_new_reading(change):
+    w = world(STATE_CHANGES)
+    first = w.observe().readings
+    assert w.observe().readings["cup1"] is first["cup1"]
+    change(w.entities["cup1"])
+    second = w.observe().readings
+    assert second["cup1"] is not first["cup1"] and second["cup1"] != first["cup1"]
+    assert all(second[e] is first[e] for e in first if e not in ("cup1", "lamp1"))
+
+
+def test_a_noisy_still_entity_gets_a_new_reading_exactly_when_its_reported_cell_moves():
+    w = world(STATE_CHANGES, seed=3, noise=True)
+    history = [w.observe().readings]
+    for _ in range(40):
+        w.step(Action("Wait"))
+        history.append(w.observe().readings)
+    reused = back = 0
+    for before, latest, after in zip(history, history[1:], history[2:]):
+        for entity in ("cup1", "plate1", "lamp1"):
+            moved = after[entity].position != latest[entity].position
+            assert (after[entity] is not latest[entity]) == moved
+            reused += not moved
+            # jittered off the cell and back onto it: equal to the reading
+            # two ticks before, yet a new one, since the one before differs
+            if moved and after[entity].position == before[entity].position:
+                assert after[entity] == before[entity] and after[entity] is not before[entity]
+                back += 1
+    assert reused and back
 
 
 def test_riders_start_at_their_root_cell_and_stay_on_a_wait():
