@@ -23,9 +23,34 @@ Semantics that everything else relies on:
 * facts are validated where they enter (scenario, KB and LTM lines,
   planner effects), not on insert: what is derived from them is valid,
 * a rule is validated where it is built (`Rule.__post_init__`), so
-  chaining trusts its rules,
+  chaining trusts its rules; a rule whose constants could not make a fact
+  (a non-finite number, a number as the conclusion's subject) is refused
+  there, and a binding that puts a number in a conclusion's subject is a
+  `RuleBindingError`, bad input rather than a crash,
 * nothing here depends on insertion order: the relation index keeps it,
   the derived lists are sorted by key and queries sort their results.
+
+How chaining matches (cost follows what matches, not what the graph holds):
+
+* each rule compiles its premises once, when it is built, into a join plan:
+  every subject and object is a constant, a variable an earlier premise
+  bound, a new variable, or the object repeating the subject's new
+  variable (`r(?x, ?x)`); `match` runs the same matcher on a one-premise
+  plan,
+* a premise with a known subject probes a subject bucket and checks a known
+  object inline, one with only a known object probes an object bucket, and
+  only one with two new variables scans its relation group,
+* the buckets split a relation group by subject or by object, each in
+  insertion order. One table of them serves every rule of a `forward_chain`
+  pass: a bucket is made on its first probe and the table is dropped when
+  the pass merges its conclusions, the only time the graph changes,
+* the buckets change what a match costs, not what it finds or in which
+  order: a bucket is the insertion-ordered part of its group that a scan
+  comparing with `==` would accept (dict lookup agrees with `==` on every
+  literal a Fact can hold, and a Fact refuses a bool, NaN or infinity
+  where it is built), so the matches come in the scan's order. Derived
+  confidences multiply in declared premise order, and the pass count,
+  which `truncated` reads, does not depend on the buckets either.
 """
 
 from __future__ import annotations
@@ -46,7 +71,7 @@ class ValidationError(ValueError):
 _new = object.__new__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Fact:
     subject: str
     relation: str
@@ -55,10 +80,27 @@ class Fact:
     tick: int
     origin: str = "asserted"
 
-    def __post_init__(self) -> None:
-        obj = self.obj
-        token = obj if isinstance(obj, str) else canonical.fmt_literal(obj)
-        object.__setattr__(self, "_key", (self.subject, self.relation, token))
+    def __init__(
+        self,
+        subject: str,
+        relation: str,
+        obj: Literal,
+        confidence: float,
+        tick: int,
+        origin: str = "asserted",
+    ) -> None:
+        # the six fields and the key go straight into the instance dict, in
+        # field order, so every fact shares one key table; the frozen
+        # dataclass's own __init__ would call object.__setattr__ for each
+        key = (subject, relation, obj if isinstance(obj, str) else canonical.fmt_literal(obj))
+        state = self.__dict__
+        state["subject"] = subject
+        state["relation"] = relation
+        state["obj"] = obj
+        state["confidence"] = confidence
+        state["tick"] = tick
+        state["origin"] = origin
+        state["_key"] = key
 
     def key(self) -> tuple[str, str, str]:
         """Identity key, made at construction and kept on the instance.
@@ -293,12 +335,35 @@ class Rule:
 
     def __post_init__(self) -> None:
         self.validate()
+        # compiled once, and not fields, so eq, hash and repr ignore them: the
+        # premises' join plan, and the conclusion as (relation, subject term,
+        # subject is a variable, object term, object is a variable)
+        head = self.conclusion
+        object.__setattr__(self, "_plan", _compile(self.premises))
+        object.__setattr__(
+            self, "_head", (head.relation, head.subject, is_var(head.subject), head.obj, is_var(head.obj))
+        )
 
     def validate(self) -> None:
         if not 0.0 < self.weight <= 1.0:
             raise ValidationError(f"rule {self.name}: weight must be in (0, 1]")
         if not self.premises:
             raise ValidationError(f"rule {self.name}: needs at least one premise")
+        for atom in (*self.premises, self.conclusion):
+            for term in (atom.subject, atom.obj):
+                if not is_var(term):
+                    try:
+                        canonical.fmt_literal(term)
+                    except (TypeError, ValueError) as exc:
+                        raise ValidationError(
+                            f"rule {self.name}: constant {term!r} in {atom.relation} "
+                            f"is not a fact literal ({exc})"
+                        ) from None
+        subject = self.conclusion.subject
+        if not is_var(subject) and not isinstance(subject, str):
+            raise ValidationError(
+                f"rule {self.name}: conclusion subject {subject!r} is not a symbol"
+            )
         bound = set()
         for premise in self.premises:
             bound |= premise.variables()
@@ -319,49 +384,117 @@ class Rule:
         return {p.dim for p in self.premises if p.dim is not None}
 
 
-def _unify(atom: Atom, fact: Fact, binding: dict[str, Literal]) -> dict[str, Literal] | None:
-    """`binding` extended to match `fact` (whose relation is the atom's), or
-    None; it is copied only when a variable gets bound, and never changed."""
-    out = binding
-    for term, value in ((atom.subject, fact.subject), (atom.obj, fact.obj)):
-        if not is_var(term):
-            if term != value:
-                return None
-        elif term in out:
-            if out[term] != value:
-                return None
+class RuleBindingError(canonical.InputError, ValidationError):
+    """A rule bound its conclusion's subject to a non-symbol: the facts it
+    matched (a scenario's, a KB's) cannot make the fact it concludes."""
+
+
+# How a compiled premise finds a term's value: a constant, a variable an
+# earlier premise bound, a new variable, or (object only) the subject's new
+# variable repeated, as in r(?x, ?x).
+_CONST, _BOUND, _NEW, _SAME = range(4)
+
+_Step = tuple[str, int, Literal, int, Literal]
+
+
+def _compile(premises: tuple[Atom, ...]) -> tuple[_Step, ...]:
+    """The join plan of `premises`: each premise, in declared order, as
+    (relation, subject kind, subject term, object kind, object term), where
+    a term is the atom's own constant or variable name."""
+    bound: set[str] = set()
+    plan = []
+    for atom in premises:
+        subject, obj = atom.subject, atom.obj
+        s_kind = _CONST if not is_var(subject) else _BOUND if subject in bound else _NEW
+        if s_kind == _NEW and obj == subject:
+            o_kind = _SAME
         else:
-            if out is binding:
-                out = dict(binding)
-            out[term] = value
-    return out
+            o_kind = _CONST if not is_var(obj) else _BOUND if obj in bound else _NEW
+        bound |= atom.variables()
+        plan.append((atom.relation, s_kind, subject, o_kind, obj))
+    return tuple(plan)
+
+
+def _split(
+    buckets: dict[tuple[str, int], dict[Literal, list[Fact]]],
+    relation: str,
+    position: int,
+    group: dict[tuple[str, str, str], Fact],
+) -> dict[Literal, list[Fact]]:
+    """`group`'s facts by subject (position 0) or object (1), each bucket in
+    insertion order; made on the first probe and kept in `buckets`."""
+    table = buckets.get((relation, position))
+    if table is None:
+        table = buckets[relation, position] = {}
+        for fact in group.values():
+            value = fact.obj if position else fact.subject
+            facts = table.get(value)
+            if facts is None:
+                table[value] = [fact]
+            else:
+                facts.append(fact)
+    return table
 
 
 def _match_premises(
-    premises: tuple[Atom, ...], index: dict[str, dict[tuple[str, str, str], Fact]]
-) -> list[tuple[dict[str, Literal], list[Fact]]]:
-    results: list[tuple[dict[str, Literal], list[Fact]]] = [({}, [])]
-    for premise in premises:
-        group = index.get(premise.relation)
-        candidates = group.values() if group else ()
-        next_results = []
-        for binding, used in results:
-            for fact in candidates:
-                extended = _unify(premise, fact, binding)
-                if extended is not None:
-                    next_results.append((extended, used + [fact]))
-        results = next_results
+    plan: tuple[_Step, ...],
+    index: dict[str, dict[tuple[str, str, str], Fact]],
+    buckets: dict[tuple[str, int], dict[Literal, list[Fact]]],
+) -> list[tuple[dict[str, Literal], tuple[Fact, ...]]]:
+    """Every binding of the plan's premises to the facts of `index` (a
+    graph's relation index), with the facts each premise used, in a nested
+    loop's order: premises in declared order, each relation group in
+    insertion order, which the buckets keep (see the module docstring).
+    `buckets` is the bucket table of the graph as it stands: drop it when
+    the graph changes."""
+    results: list[tuple[dict[str, Literal], tuple[Fact, ...]]] = [({}, ())]
+    for relation, s_kind, s_term, o_kind, o_term in plan:
+        group = index.get(relation)
+        if not group:
+            return []
+        found = []
+        add = found.append
+        if s_kind != _NEW:
+            by_subject = _split(buckets, relation, 0, group)
+            for binding, used in results:
+                facts = by_subject.get(binding[s_term] if s_kind == _BOUND else s_term)
+                if facts is None:
+                    continue
+                if o_kind == _NEW:
+                    for fact in facts:
+                        extended = binding.copy()
+                        extended[o_term] = fact.obj
+                        add((extended, used + (fact,)))
+                else:
+                    value = binding[o_term] if o_kind == _BOUND else o_term
+                    for fact in facts:
+                        if fact.obj == value:
+                            add((binding, used + (fact,)))
+        elif o_kind in (_CONST, _BOUND):
+            by_object = _split(buckets, relation, 1, group)
+            for binding, used in results:
+                facts = by_object.get(binding[o_term] if o_kind == _BOUND else o_term)
+                if facts is None:
+                    continue
+                for fact in facts:
+                    extended = binding.copy()
+                    extended[s_term] = fact.subject
+                    add((extended, used + (fact,)))
+        else:
+            same = o_kind == _SAME
+            for binding, used in results:
+                for fact in group.values():
+                    if same and fact.obj != fact.subject:
+                        continue
+                    extended = binding.copy()
+                    extended[s_term] = fact.subject
+                    if not same:
+                        extended[o_term] = fact.obj
+                    add((extended, used + (fact,)))
+        results = found
         if not results:
             break
     return results
-
-
-def _instantiate(atom: Atom, binding: dict[str, Literal]) -> tuple[str, Literal]:
-    subject = binding[atom.subject] if is_var(atom.subject) else atom.subject
-    obj = binding[atom.obj] if is_var(atom.obj) else atom.obj
-    if not isinstance(subject, str):
-        raise ValidationError(f"conclusion subject bound to non-symbol: {subject!r}")
-    return subject, obj
 
 
 @dataclass
@@ -389,19 +522,36 @@ def forward_chain(
     index = graph.by_relation()  # live: each pass reads the facts as they stand
     for _ in range(max_iterations):
         iterations += 1
+        # the pass's buckets, shared by its rules: the graph changes only
+        # when the pass merges its conclusions below
+        buckets: dict[tuple[str, int], dict[Literal, list[Fact]]] = {}
         fresh: list[Fact] = []
         for rule in rules:
-            for binding, used in _match_premises(rule.premises, index):
-                if not all(g.holds(binding) for g in rule.guards):
+            relation, subject_term, s_var, obj_term, o_var = rule._head
+            guards = rule.guards
+            for binding, used in _match_premises(rule._plan, index, buckets):
+                if guards and not all(g.holds(binding) for g in guards):
                     continue
-                subject, obj = _instantiate(rule.conclusion, binding)
+                subject = binding[subject_term] if s_var else subject_term
+                if not isinstance(subject, str):
+                    raise RuleBindingError(
+                        f"rule {rule.name}: conclusion subject {subject_term} "
+                        f"bound to non-symbol {subject!r}"
+                    )
                 confidence = rule.weight
                 tick = 0
                 for fact in used:
                     confidence *= fact.confidence
                     tick = max(tick, fact.tick)
                 fresh.append(
-                    Fact(subject, rule.conclusion.relation, obj, confidence, tick, "derived")
+                    Fact(
+                        subject,
+                        relation,
+                        binding[obj_term] if o_var else obj_term,
+                        confidence,
+                        tick,
+                        "derived",
+                    )
                 )
         changed = False
         for fact in fresh:
@@ -418,7 +568,8 @@ def forward_chain(
 
 def match(graph: SemanticGraph, atom: Atom) -> list[tuple[dict[str, Literal], Fact]]:
     """Each fact that `atom` matches, with the binding; in insertion order."""
-    return [(binding, used[0]) for binding, used in _match_premises((atom,), graph.by_relation())]
+    plan = _compile((atom,))
+    return [(binding, used[0]) for binding, used in _match_premises(plan, graph.by_relation(), {})]
 
 
 def query(graph: SemanticGraph, pattern: Atom) -> list[dict[str, Literal]]:

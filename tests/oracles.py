@@ -169,6 +169,49 @@ def _bindings(premises, items, values):
     return results
 
 
+def _is_var(term) -> bool:
+    return isinstance(term, str) and term.startswith("?")
+
+
+def reference_unify(atom, fact, binding):
+    """`binding` extended to match `fact` (whose relation is the atom's), or
+    None; it is copied only when a variable gets bound, and never changed."""
+    out = binding
+    for term, value in ((atom.subject, fact.subject), (atom.obj, fact.obj)):
+        if not _is_var(term):
+            if term != value:
+                return None
+        elif term in out:
+            if out[term] != value:
+                return None
+        else:
+            if out is binding:
+                out = dict(binding)
+            out[term] = value
+    return out
+
+
+def reference_match_premises(premises, index):
+    """Every binding of `premises` to the facts of `index` (a graph's
+    relation index), with the facts used: a nested loop over the premises
+    in declared order and each relation group in insertion order, trying
+    every fact of the group. The reference for `kb._match_premises`."""
+    results = [({}, [])]
+    for premise in premises:
+        group = index.get(premise.relation)
+        candidates = group.values() if group else ()
+        next_results = []
+        for binding, used in results:
+            for fact in candidates:
+                extended = reference_unify(premise, fact, binding)
+                if extended is not None:
+                    next_results.append((extended, used + [fact]))
+        results = next_results
+        if not results:
+            break
+    return results
+
+
 def pairwise_spatial_facts(obs, near_distance: float) -> list[tuple[str, str, str]]:
     """Near and exact cardinal (subject, relation, object) triples between
     free-standing readings, in (a, b) id order, by case analysis.

@@ -91,6 +91,38 @@ def test_query_composition_entry_outside_spatial_relations_applies(tmp_path, cap
     assert capsys.readouterr().out.splitlines() == ["x=engine", "x=piston"]
 
 
+@pytest.mark.parametrize(
+    "conclusion, message",
+    [
+        ("Near(5, ?y)", "conclusion subject 5 is not a symbol"),
+        ("Near(?y, nan)", "constant nan in Near is not a fact literal (cannot canonicalize non-finite float nan)"),
+        ("size(?x, 1e400)", "constant inf in size is not a fact literal (cannot canonicalize non-finite float inf)"),
+    ],
+    ids=["number-subject", "nan-object", "overflowing-object"],
+)
+def test_query_rule_that_cannot_make_a_fact_exit_three(tmp_path, capsys, conclusion, message):
+    rules = tmp_path / "r.txt"
+    rules.write_text(f"rule r 1.0: LeftOf(?x, ?y) -> {conclusion}\n")
+    kb = str(data_root().joinpath("kbs", "vase_room.kb"))
+    assert main(["query", kb, "Near(?a, ?b)", "--rules", str(rules)]) == 3
+    assert capsys.readouterr().err == f"error: {rules}:1: rule r: {message}\n"
+
+
+def test_rule_that_binds_a_number_as_conclusion_subject_exit_three(tmp_path, capsys):
+    # knockover-spill binds ?y to 5, the subject of has_state(?y, spilled)
+    scenario = tmp_path / "spill.scn"
+    scenario.write_text(
+        Path(scenario_path("fetch_close")).read_text(encoding="utf-8")
+        + "fact cup1 has_state knocked_over\nfact cup1 Contains 5\nfact cup1 isa cup\n"
+    )
+    trace = tmp_path / "spill.trace"
+    assert main(["run", str(scenario), "--trace", str(trace)]) == 3
+    assert capsys.readouterr().err == (
+        "error: rule knockover-spill: conclusion subject ?y bound to non-symbol 5\n"
+    )
+    assert not trace.exists()
+
+
 def test_query_empty_kb(tmp_path, capsys):
     kb = tmp_path / "empty.kb"
     kb.write_text("")

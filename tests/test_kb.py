@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import ast
+import copy
+import inspect
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmind import canonical
+from conftest import BUNDLED
+from gridmind import canonical, kb
+from gridmind.agent import data_root, run_scenario, scripted_planner_factory
+from gridmind.config import EngineConfig
 from gridmind.kb import (
     Atom,
     Fact,
@@ -21,9 +27,11 @@ from gridmind.kb import (
     fact_from_line,
     forward_chain,
     graph_from_lines,
+    is_var,
     query,
 )
-from oracles import chaotic_forward_chain
+from gridmind.world import parse_scenario
+from oracles import chaotic_forward_chain, reference_match_premises
 
 
 def fact(s, r, o, conf=1.0, tick=0, origin="perceived"):
@@ -125,6 +133,40 @@ class TestKeyCache:
         assert f.key() == ("cup1", "isa", "a|b")
         with pytest.raises(ValueError):
             f.validate()
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("name", ["subject", "relation", "obj", "confidence", "tick", "origin", "_key"])
+    def test_no_field_and_not_the_key_can_be_assigned(self, name):
+        f = fact("cup1", "size", 5)
+        with pytest.raises(FrozenInstanceError):
+            setattr(f, name, "x")
+        assert f == fact("cup1", "size", 5) and f.key() == ("cup1", "size", "5")
+
+    def test_keywords_positions_and_the_default_origin_build_one_fact(self):
+        by_keyword = Fact(subject="cup1", relation="size", obj=5, confidence=0.5, tick=2)
+        assert by_keyword == Fact("cup1", "size", 5, 0.5, 2, "asserted")
+        assert by_keyword.origin == "asserted" and by_keyword.key() == ("cup1", "size", "5")
+        assert list(inspect.signature(Fact).parameters) == [f.name for f in fields(Fact)]
+
+    @pytest.mark.parametrize("obj", ["red", 5, 5.0, -0.0, 2.5], ids=["str", "int", "float", "negative-zero", "fraction"])
+    def test_pickle_and_deepcopy_keep_eq_hash_and_key(self, obj):
+        f = fact("cup1", "size", obj, 0.75, 3, "derived")
+        for restored in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert restored == f and hash(restored) == hash(f) and repr(restored) == repr(f)
+            assert restored.key() == f.key() and type(restored.obj) is type(obj)
+            assert restored.at_tick(4) == replace(restored, tick=4) == f.at_tick(4)
+            with pytest.raises(FrozenInstanceError):
+                restored.tick = 1
+
+    def test_int_and_float_objects_keep_distinct_key_tokens(self):
+        as_int, as_float = fact("cup1", "size", 5), fact("cup1", "size", 5.0)
+        assert as_int.key() == ("cup1", "size", "5")
+        assert as_float.key() == ("cup1", "size", "5.000000")
+        graph = SemanticGraph()
+        graph.insert(as_int)
+        graph.insert(as_float)
+        assert [f.obj for f in graph] == [5, 5.0] and [type(f.obj) for f in graph] == [int, float]
 
 
 class TestAtTick:
@@ -433,3 +475,148 @@ def test_chaining_is_independent_of_fact_insertion_order(rule_data, facts, data)
         return [repr(f) for f in derived], [repr(f) for f in graph.facts()]
 
     assert outcome(data.draw(st.permutations(facts))) == outcome(facts)
+
+
+# ---------------------------------------------------------------------------
+# the compiled matcher against the reference nested loop
+
+MATCH_FACTS = st.builds(
+    Fact,
+    subject=st.sampled_from(["a", "b", "c"]),
+    relation=st.sampled_from(["p", "q"]),
+    obj=st.sampled_from(["a", "b", "c", "5", 5, 5.0, 2.5]),
+    confidence=st.sampled_from([0.25, 0.5, 1.0]),
+    tick=st.integers(0, 3),
+)
+MATCH_TERMS = st.sampled_from(["?x", "?y", "?z", "a", "b", "5", 5, 5.0])
+MATCH_ATOMS = st.builds(Atom, st.sampled_from(["p", "q", "absent"]), MATCH_TERMS, MATCH_TERMS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    facts=st.lists(MATCH_FACTS, max_size=14),
+    bodies=st.lists(st.lists(MATCH_ATOMS, min_size=1, max_size=3), min_size=1, max_size=3),
+)
+def test_compiled_matcher_returns_the_reference_matches_in_order(facts, bodies):
+    # constants in either place, bound-bound premises, r(?x, ?x), and the
+    # objects 5, 5.0 and "5"; the rules of one pass share one bucket table
+    graph = SemanticGraph()
+    for f in facts:
+        graph.insert(f)
+    index = graph.by_relation()
+    buckets: dict = {}
+    for n, body in enumerate(bodies):
+        rule = Rule(f"r{n}", tuple(body), Atom("out", "a", "a"))
+        got = kb._match_premises(rule._plan, index, buckets)
+        expected = reference_match_premises(rule.premises, index)
+        assert [repr(binding) for binding, _ in got] == [repr(binding) for binding, _ in expected]
+        assert [[id(f) for f in used] for _, used in got] == [[id(f) for f in used] for _, used in expected]
+
+
+def _random_rules(bodies, heads):
+    """A rule per body, whose conclusion subject is a symbol whenever it
+    fires: a constant, or a variable some premise has in subject position."""
+    rules = []
+    for n, (premises, (relation, subject_pick, obj_pick, weight)) in enumerate(zip(bodies, heads)):
+        subjects = [p.subject for p in premises if is_var(p.subject)]
+        variables = sorted(set().union(*(p.variables() for p in premises)))
+        subject = subjects[subject_pick % len(subjects)] if subjects else "a"
+        obj = variables[obj_pick % len(variables)] if variables and obj_pick >= 0 else "b"
+        rules.append(Rule(f"r{n}", tuple(premises), Atom(relation, subject, obj), weight))
+    return rules
+
+
+# "5" and 5 share an identity key but not a match, so which of them a
+# graph keeps would depend on arrival order; these facts never hold "5"
+CHAIN_FACTS = MATCH_FACTS.filter(lambda f: f.obj != "5")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    facts=st.lists(CHAIN_FACTS, max_size=10, unique_by=Fact.key),
+    bodies=st.lists(st.lists(MATCH_ATOMS, min_size=1, max_size=3), min_size=1, max_size=4),
+    heads=st.lists(
+        st.tuples(st.sampled_from(["p", "q"]), st.integers(0, 2), st.integers(-1, 3), st.sampled_from([0.5, 0.9, 1.0])),
+        min_size=4, max_size=4,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_chaining_random_rules_reaches_the_chaotic_fixpoint(facts, bodies, heads, seed):
+    rules = _random_rules(bodies, heads)
+    graph = SemanticGraph()
+    for f in facts:
+        graph.insert(f)
+    result = forward_chain(graph, rules, max_iterations=1000)
+    assert not result.truncated
+    oracle = chaotic_forward_chain(list(facts), rules, random.Random(seed))
+    assert {k: round(v, 12) for k, v in oracle.items()} == {
+        f.key(): round(f.confidence, 12) for f in graph.facts()
+    }
+
+
+CROWD_CATEGORIES = ("cup", "mug", "plate", "bowl", "vase", "mop", "box")
+
+
+def _crowded_scene(fillers: int, seed: int) -> str:
+    """A crowded-style fetch on a 40x40 grid: the agent, a box, a ball and
+    fillers at distinct seeded cells at least three off the diagonal the
+    agent walks. Fillers may touch, so there are Near facts; every eighth
+    filler is a table with a vase on it, whose OnTopOf composes with the
+    table's relations; one knocked-over cup spills what it holds."""
+    rng = random.Random(seed)
+    free = [(x, y) for x in range(4, 36) for y in range(4, 36) if abs(x - y) >= 3]
+    lines = [
+        "version 1",
+        "grid 40 40",
+        "region room 0 0 39 39",
+        "agent robot1 1 1",
+        "entity box1 3 1 category=box",
+        "entity ball1 37 37 category=ball",
+    ]
+    for n, (x, y) in enumerate(rng.sample(free, fillers)):
+        category = "table" if n % 8 == 0 else rng.choice(CROWD_CATEGORIES)
+        lines.append(
+            f"entity f{n:02d} {x} {y} category={category}"
+            f" color={rng.choice(('red', 'blue', 'green'))} size={rng.randint(1, 5)}"
+        )
+        if category == "table":
+            lines.append(f"entity v{n:02d} {x} {y} category=vase on=f{n:02d}")
+    lines += [
+        "fact f01 isa cup",
+        "fact f01 has_state knocked_over",
+        "fact f01 Contains liq1",
+        "task fetch object=ball1 to=box1",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _trace_lines(text: str, noise: bool) -> list[str]:
+    scenario = parse_scenario(text, "scene.scn")
+    config = EngineConfig()
+    if scenario.config_overrides:
+        config = config.with_overrides(dict(scenario.config_overrides))
+    return run_scenario(
+        scenario, config, seed=0, planner_factory=scripted_planner_factory,
+        noise=noise, scenario_text=text,
+    ).lines
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noisy"])
+@pytest.mark.parametrize("name", BUNDLED + ["crowded-60"])
+def test_trace_is_the_same_with_the_reference_matcher(name, noise, monkeypatch):
+    if name == "crowded-60":
+        text = _crowded_scene(50, seed=3)
+    else:
+        text = data_root().joinpath("scenarios", f"{name}.scn").read_text(encoding="utf-8")
+    compiled = _trace_lines(text, noise)
+    calls = []
+
+    def reference(plan, index, buckets):
+        # the plan's premises, rebuilt from the terms each step keeps
+        calls.append(plan)
+        premises = tuple(Atom(relation, s_term, o_term) for relation, _, s_term, _, o_term in plan)
+        return reference_match_premises(premises, index)
+
+    monkeypatch.setattr(kb, "_match_premises", reference)
+    assert _trace_lines(text, noise) == compiled
+    assert calls

@@ -48,6 +48,23 @@ def test_rule_errors_carry_line_numbers():
     assert ":2:" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "body, constant",
+    [
+        ("isa(?x, nan) -> has_state(?x, odd)", "nan"),
+        ("isa(inf, ?x) -> has_state(?x, odd)", "inf"),
+        ("isa(?x, cup) -> size(?x, -inf)", "-inf"),
+        ("isa(?x, cup) -> has_state(?x, a|b)", "'a|b'"),
+    ],
+    ids=["premise-object", "premise-subject", "conclusion-object", "conclusion-symbol"],
+)
+def test_constant_that_is_no_fact_literal_rejected_at_its_line(body, constant):
+    with pytest.raises(RuleFileError) as exc:
+        parse_rules(f"# fine\nrule broken 1.0: {body}\n")
+    assert str(exc.value).startswith(f":2: rule broken: constant {constant} in ")
+    assert "is not a fact literal" in str(exc.value)
+
+
 def test_unbound_conclusion_rejected():
     with pytest.raises(RuleFileError):
         parse_rule_line("rule bad 1.0: isa(?x, cup) -> has_state(?y, spilled)")
