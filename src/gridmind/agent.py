@@ -8,9 +8,9 @@ the tick's only graph. The reasoning engines extend
 that graph in place (dependency chaining, concept inference, spatial
 composition, collision facts); contradictions are then detected on it,
 and hazards are assessed over it. Metacognition monitors and regulates,
-and working memory is refreshed. The decision cycle plans between ticks,
-executes one step per tick, and replans on failure or on a TriggerReplan
-directive.
+and working memory is refreshed. `run_task` runs the decision cycles: each
+plans between ticks, executes one step per tick, and ends in success,
+failure (the next cycle replans) or abort.
 """
 
 from __future__ import annotations
@@ -83,10 +83,9 @@ class RuleData:
         )
 
 
-@dataclass
-class TickOutcome:
-    result: ActionResult | None
-    replan: bool
+def _about(fact: Fact, refs: frozenset[str]) -> bool:
+    """Whether the fact's subject, or its symbol object, is one of `refs`."""
+    return fact.subject in refs or (isinstance(fact.obj, str) and fact.obj in refs)
 
 
 class AgentRuntime:
@@ -123,14 +122,9 @@ class AgentRuntime:
         self.last_hazards: list[Fact] = []
         self.unified: UnifiedCognition | None = None
 
-    # -- plumbing for decide.execute -----------------------------------------
-
-    def ticks_left(self) -> bool:
-        return self.world.tick < self.config.max_ticks
-
-    def bootstrap(self) -> TickOutcome:
+    def bootstrap(self) -> None:
         """Tick 0: perceive the initial world before any action."""
-        return self._pipeline(action=None, result=None)
+        self._pipeline(action=None, result=None)
 
     def refresh_focus(self) -> None:
         """Pull current facts about task-referenced entities into WM.
@@ -143,11 +137,13 @@ class AgentRuntime:
         refs = self._task_refs()
         tick = self.world.tick
         for fact in self.unified.graph.facts():
-            if fact.subject in refs or (isinstance(fact.obj, str) and fact.obj in refs):
+            if _about(fact, refs):
                 self.wm.insert(fact, salience=1.0, tick=tick)
 
-    def tick(self, action: Action) -> TickOutcome:
-        return self._pipeline(action=action, result=self.world.step(action))
+    def tick(self, action: Action) -> tuple[ActionResult, bool]:
+        """One plan step: its result, and whether a directive asks for a replan."""
+        result = self.world.step(action)
+        return result, self._pipeline(action=action, result=result)
 
     # -- the pipeline ---------------------------------------------------------
 
@@ -156,7 +152,7 @@ class AgentRuntime:
             return frozenset({self.world.agent})
         return self.task.task_refs
 
-    def _pipeline(self, action: Action | None, result: ActionResult | None) -> TickOutcome:
+    def _pipeline(self, action: Action | None, result: ActionResult | None) -> bool:
         cfg = self.config
         tick = self.world.tick
         obs = self.world.observe()
@@ -201,11 +197,12 @@ class AgentRuntime:
         observed_kinds = tuple(
             e.kind for e in sorted(ft.starting_at(tick), key=lambda e: (e.entity, e.kind))
         )
-        # train on the new kinds with the k kinds before them as context
+        # train on the new kinds with the k kinds before them as context;
+        # training and prediction read no further back, so keep only k
+        order = self.seq_model.order
         self.stream.extend(observed_kinds)
-        reason.train_sequence_model(
-            self.seq_model, self.stream[-(len(observed_kinds) + self.seq_model.order) :]
-        )
+        reason.train_sequence_model(self.seq_model, self.stream[-(len(observed_kinds) + order) :])
+        del self.stream[:-order]
 
         hazards = (
             assess_hazards(unified, self.data.hazard_rules, cfg.chain_max_iterations)
@@ -246,7 +243,7 @@ class AgentRuntime:
         self.rows.append(
             self._trace_row(tick, obs, bound, new_facts, anomalies, directives, action, result)
         )
-        return TickOutcome(result=result, replan=replan)
+        return replan
 
     def _predict_trajectories(self, obs: perceive.Observation) -> dict[str, reason.Trajectory]:
         """Constant-velocity trajectories for entities currently moving."""
@@ -325,9 +322,8 @@ class AgentRuntime:
         stale = []
         for item in self.wm:
             if tick - item.touched > ttl:
-                fact = item.fact
-                if fact.subject in refs or (isinstance(fact.obj, str) and fact.obj in refs):
-                    stale.append(fact.key())
+                if _about(item.fact, refs):
+                    stale.append(item.fact.key())
         stale.sort()
         return tuple("|".join(key) for key in stale)
 
@@ -413,13 +409,17 @@ class RunResult:
 
 
 def run_task(runtime: AgentRuntime, task: TaskInstruction, planner) -> TaskRun:
-    """Decision cycles for one task, bounded by the replan limit."""
+    """Decision cycles for one task, bounded by the replan limit.
+
+    A cycle succeeds once the goal holds, after a step or when its plan
+    runs out. A failed step, a TriggerReplan directive, a plan run out
+    short of the goal or a planner error fails it, and the next cycle
+    replans; on the last cycle, or once the tick budget is spent, it aborts.
+    """
     cfg = runtime.config
     runtime.task = task
     episodes: list[Episode] = []
-    outcome = "aborted"
     for cycle in range(cfg.replan_limit):
-        last_cycle = cycle == cfg.replan_limit - 1
         runtime.cycle_anomalies = []
         runtime.refresh_focus()
         start_tick = runtime.world.tick
@@ -431,10 +431,9 @@ def run_task(runtime: AgentRuntime, task: TaskInstruction, planner) -> TaskRun:
         )
         plan_records: list[dict[str, object]] = []
         results: list[ActionResult] = []
+        outcome = "failure"
         try:
             plan = planner(query)
-            plan_records = plan.to_records()
-            results, status = decide.execute(plan, runtime, task)
         except PlannerError as exc:
             anomaly = Anomaly(
                 kind="ActionFailure",
@@ -442,31 +441,36 @@ def run_task(runtime: AgentRuntime, task: TaskInstruction, planner) -> TaskRun:
                 payload=(exc.code, exc.detail[:120]),
                 severity=cfg.severity_action_failure,
             )
-            directives, runtime.weights = metacog.regulate(
-                [anomaly], runtime.weights, cfg
-            )
+            # the directives go unused, but the renormalized weights are kept
+            _, runtime.weights = metacog.regulate([anomaly], runtime.weights, cfg)
             runtime.cycle_anomalies.append(anomaly)
-            status = "planner_failed"
-        if status == "success":
-            cycle_outcome = "success"
-        elif status == "out_of_ticks" or last_cycle:
-            cycle_outcome = "aborted"
         else:
-            cycle_outcome = "failure"
+            plan_records = plan.to_records()
+            for step in plan.steps:
+                if runtime.world.tick >= cfg.max_ticks:
+                    outcome = "aborted"
+                    break
+                result, replan = runtime.tick(step.action)
+                results.append(result)
+                if task.goal_satisfied(runtime.world) or result.failed or replan:
+                    break
+            if outcome == "failure" and task.goal_satisfied(runtime.world):
+                outcome = "success"
+        if outcome == "failure" and cycle == cfg.replan_limit - 1:
+            outcome = "aborted"
         episode = Episode(
             task_kind=task.kind,
             task_params=dict(task.params),
             plan_steps=plan_records,
             results=[r.to_record() for r in results],
             anomalies=[a.to_record() for a in runtime.cycle_anomalies],
-            outcome=cycle_outcome,
+            outcome=outcome,
             start_tick=start_tick,
             end_tick=runtime.world.tick,
         )
         consolidate(runtime.ltm, runtime.wm, episode, cfg.consolidate_threshold)
         episodes.append(episode)
-        if cycle_outcome in ("success", "aborted"):
-            outcome = cycle_outcome
+        if outcome != "failure":
             break
     return TaskRun(task=task, outcome=outcome, episodes=episodes)
 

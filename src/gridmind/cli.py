@@ -8,6 +8,8 @@ Subcommands:
 
 Exit codes for ``run``: 0 task success, 2 abort, 3 load/config error.
 Exit codes for ``replay``: 0 fully equal, 1 divergence, 3 malformed input.
+Exit codes for ``query``: 0 answered (no match included), 3 a bad KB, rule
+file or pattern.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 from . import agent, decide, trace
 from .canonical import InputError, read_text
 from .config import ConfigError, EngineConfig, load_config_file
-from .kb import Rule, forward_chain, graph_from_lines, query as kb_query
+from .kb import Rule, ValidationError, forward_chain, graph_from_lines, is_var, query as kb_query
 from .reason import compose_spatial
 from .rulefmt import load_composition, load_rules, parse_atom, parse_rule_line
 from .world import ScenarioError, parse_scenario
@@ -136,9 +138,7 @@ def cmd_run(args) -> int:
     trace_path = args.trace or (Path(args.scenario).stem + ".trace")
     trace.write_trace(str(trace_path), result.lines)
     if args.ltm_save:
-        with open(args.ltm_save, "w", encoding="utf-8", newline="\n") as fh:
-            for line in result.runtime.ltm.semantic.to_lines():
-                fh.write(line + "\n")
+        trace.write_trace(args.ltm_save, result.runtime.ltm.semantic.to_lines())
     print(f"{result.outcome}: {result.runtime.world.tick} ticks, trace -> {trace_path}")
     return result.exit_code
 
@@ -164,6 +164,13 @@ def cmd_query(args) -> int:
     composition = args.composition or str(agent.data_root().joinpath("composition.txt"))
     compose_spatial(graph, load_composition(composition))
     pattern = parse_atom(args.pattern, path="<pattern>")
+    # a pattern no fact could match is an error, not an empty answer
+    try:
+        pattern.check_constants()
+    except ValidationError as exc:
+        raise InputError(str(exc), path="<pattern>") from None
+    if not is_var(pattern.subject) and not isinstance(pattern.subject, str):
+        raise InputError(f"subject {pattern.subject!r} is not a symbol", path="<pattern>")
     bindings = kb_query(graph, pattern)
     ground = not pattern.variables()
     for binding in bindings:

@@ -4,7 +4,8 @@ Task records from scenarios are interpreted into checkable goal
 predicates; a planner query is a byte-exact snapshot of working memory
 plus task/hazard/episode context; plans come from the bundled scripted
 planner or from an external planner speaking a newline-delimited JSON
-protocol over a subprocess's standard streams or a TCP socket.
+protocol over a subprocess's standard streams or a TCP socket. Running a
+plan, one step per tick, is `agent.run_task`'s.
 
 Wire protocol (version 1, UTF-8, one message per line, floats at six
 decimals, canonical field order)::
@@ -36,7 +37,6 @@ from .memory import Episode, WorkingMemory
 from .world import (
     ACTION_CATALOG,
     Action,
-    ActionResult,
     GRID_DIRECTIONS,
     Scenario,
     TaskSpec,
@@ -601,30 +601,3 @@ class TcpPlanner(_LinePlanner):
                 self._sock.close()
             finally:
                 self._sock = None
-
-
-# ---------------------------------------------------------------------------
-# execution
-
-def execute(plan: Plan, runtime, task: TaskInstruction) -> tuple[list[ActionResult], str]:
-    """Run plan steps, one tick each, through the full cognitive pipeline.
-
-    Stops early on goal satisfaction, on a failed step, on a TriggerReplan
-    directive, or when the tick budget runs out. A failed step never has
-    successors executed within the same cycle.
-    """
-    results: list[ActionResult] = []
-    for step in plan.steps:
-        if not runtime.ticks_left():
-            return results, "out_of_ticks"
-        outcome = runtime.tick(step.action)
-        results.append(outcome.result)
-        if task.goal_satisfied(runtime.world):
-            return results, "success"
-        if outcome.result.failed:
-            return results, "failed_step"
-        if outcome.replan:
-            return results, "replan"
-    if task.goal_satisfied(runtime.world):
-        return results, "success"
-    return results, "exhausted"

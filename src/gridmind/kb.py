@@ -285,6 +285,17 @@ class Atom:
             out.add(self.obj)
         return out
 
+    def check_constants(self) -> None:
+        """Each constant term must be a literal a fact can hold."""
+        for term in (self.subject, self.obj):
+            if not is_var(term):
+                try:
+                    canonical.fmt_literal(term)
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(
+                        f"constant {term!r} in {self.relation} is not a fact literal ({exc})"
+                    ) from None
+
     def __str__(self) -> str:
         subject = self.subject if isinstance(self.subject, str) else canonical.fmt_literal(self.subject)
         obj = self.obj if isinstance(self.obj, str) else canonical.fmt_literal(self.obj)
@@ -350,15 +361,10 @@ class Rule:
         if not self.premises:
             raise ValidationError(f"rule {self.name}: needs at least one premise")
         for atom in (*self.premises, self.conclusion):
-            for term in (atom.subject, atom.obj):
-                if not is_var(term):
-                    try:
-                        canonical.fmt_literal(term)
-                    except (TypeError, ValueError) as exc:
-                        raise ValidationError(
-                            f"rule {self.name}: constant {term!r} in {atom.relation} "
-                            f"is not a fact literal ({exc})"
-                        ) from None
+            try:
+                atom.check_constants()
+            except ValidationError as exc:
+                raise ValidationError(f"rule {self.name}: {exc}") from None
         subject = self.conclusion.subject
         if not is_var(subject) and not isinstance(subject, str):
             raise ValidationError(

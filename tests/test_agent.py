@@ -277,14 +277,38 @@ task fetch object=ball1 to=box1
         assert result.runtime.world.entities["ball1"].on == "box1"
 
 
+def run_recording_kinds(monkeypatch, name, config=None):
+    """A bundled run, and every event kind it observed, in order, as each
+    tick hands its new kinds to metacognition."""
+    kinds: list[str] = []
+    monitor = agent_module.metacog.monitor
+
+    def recording(state, cfg):
+        kinds.extend(state.observed_events)
+        return monitor(state, cfg)
+
+    monkeypatch.setattr(agent_module.metacog, "monitor", recording)
+    return run_bundled(name, config=config).runtime, kinds
+
+
 @pytest.mark.parametrize("name", BUNDLED)
-def test_sequence_model_equals_training_on_whole_stream(name):
+def test_sequence_model_equals_training_on_whole_stream(monkeypatch, name):
     # the runtime trains on each tick's new kinds as they arrive; the
     # counts must be those of one pass over everything it observed
-    runtime = run_bundled(name).runtime
-    model = train_sequence_model(EventSequenceModel(runtime.seq_model.order), runtime.stream)
+    runtime, kinds = run_recording_kinds(monkeypatch, name)
+    model = train_sequence_model(EventSequenceModel(runtime.seq_model.order), kinds)
     assert runtime.seq_model.counts == model.counts
     assert runtime.seq_model.kinds == model.kinds
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_event_kind_stream_keeps_only_the_model_context(monkeypatch, order):
+    # training and prediction read at most the last `order` kinds
+    config = EngineConfig(markov_order=order)
+    runtime, kinds = run_recording_kinds(monkeypatch, "arrange", config)
+    assert len(kinds) > order
+    assert len(runtime.stream) <= config.markov_order
+    assert runtime.stream == kinds[-order:]
 
 
 @pytest.mark.parametrize("name", BUNDLED + ["crowded", "traffic"])

@@ -108,6 +108,23 @@ def test_query_rule_that_cannot_make_a_fact_exit_three(tmp_path, capsys, conclus
     assert capsys.readouterr().err == f"error: {rules}:1: rule r: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "pattern, message",
+    [
+        ("Near(?a, nan)", "constant nan in Near is not a fact literal (cannot canonicalize non-finite float nan)"),
+        ("size(?a, 1e400)", "constant inf in size is not a fact literal (cannot canonicalize non-finite float inf)"),
+        ("LeftOf(5, ?x)", "subject 5 is not a symbol"),
+    ],
+    ids=["nan-object", "overflowing-object", "number-subject"],
+)
+def test_query_pattern_that_no_fact_can_match_exit_three(capsys, pattern, message):
+    kb = str(data_root().joinpath("kbs", "vase_room.kb"))
+    assert main(["query", kb, pattern]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: <pattern>: {message}\n"
+
+
 def test_rule_that_binds_a_number_as_conclusion_subject_exit_three(tmp_path, capsys):
     # knockover-spill binds ?y to 5, the subject of has_state(?y, spilled)
     scenario = tmp_path / "spill.scn"

@@ -187,6 +187,27 @@ class TestScriptedPlanner:
 
 
 class TestExecution:
+    # a fetch_close run_task, its task line swapped for `task_line`
+    @staticmethod
+    def _run_task(planner, task_line="task fetch object=ball1 to=box1", **config):
+        from gridmind.agent import AgentRuntime, run_task
+        from gridmind.config import EngineConfig
+        from gridmind.world import parse_scenario
+
+        with open(scenario_path("fetch_close"), encoding="utf-8") as fh:
+            text = fh.read().replace("task fetch object=ball1 to=box1", task_line)
+        scenario = parse_scenario(text)
+        runtime = AgentRuntime(scenario, EngineConfig(**config))
+        runtime.bootstrap()
+        return run_task(runtime, interpret_task(scenario.tasks[0], scenario), planner)
+
+    @staticmethod
+    def _waits(n):
+        from gridmind.decide import Plan, PlanStep
+        from gridmind.world import Action
+
+        return Plan(steps=[PlanStep(action=Action("Wait")) for _ in range(n)])
+
     def test_happy_path_single_episode(self):
         result = run_bundled("fetch_close")
         assert result.outcome == "success"
@@ -207,23 +228,61 @@ class TestExecution:
 
     def test_replan_limit_aborts(self):
         # planner that always fails validation -> five failed cycles -> abort
-        from gridmind.agent import AgentRuntime, run_task
         from gridmind.config import EngineConfig
-        from gridmind.decide import PlannerError, interpret_task
-
-        scenario = load_scenario(scenario_path("fetch_close"))
-        runtime = AgentRuntime(scenario, EngineConfig())
-        runtime.bootstrap()
-        task = interpret_task(scenario.tasks[0], scenario)
+        from gridmind.decide import PlannerError
 
         def broken_planner(query):
             raise PlannerError("planner_error", "stub refuses")
 
-        task_run = run_task(runtime, task, broken_planner)
+        task_run = self._run_task(broken_planner)
         assert task_run.outcome == "aborted"
         assert len(task_run.episodes) == EngineConfig().replan_limit
         assert [e.outcome for e in task_run.episodes[:-1]] == ["failure"] * 4
         assert task_run.episodes[-1].outcome == "aborted"
+
+    def test_empty_plan_whose_goal_holds_is_success(self):
+        # robot1 starts within reach of box1
+        task_run = self._run_task(lambda query: self._waits(0), "task navigate target=box1")
+        assert task_run.outcome == "success"
+        (episode,) = task_run.episodes
+        assert episode.outcome == "success"
+        assert episode.results == []
+        assert episode.start_tick == episode.end_tick == 0
+
+    def test_plan_run_out_short_of_goal_fails_then_aborts_on_last_cycle(self):
+        task_run = self._run_task(lambda query: self._waits(1), replan_limit=3)
+        assert task_run.outcome == "aborted"
+        assert [e.outcome for e in task_run.episodes] == ["failure", "failure", "aborted"]
+        assert [len(e.results) for e in task_run.episodes] == [1, 1, 1]
+        assert [e.end_tick for e in task_run.episodes] == [1, 2, 3]
+
+    def test_planner_error_fails_cycle_and_success_beats_last_cycle_abort(self):
+        from gridmind.decide import PlannerError
+
+        calls = []
+
+        def flaky_planner(query):
+            calls.append(query)
+            if len(calls) == 1:
+                raise PlannerError("planner_error", "stub refuses once")
+            return plan_scripted(query)
+
+        task_run = self._run_task(flaky_planner, replan_limit=2)
+        assert task_run.outcome == "success"
+        assert [e.outcome for e in task_run.episodes] == ["failure", "success"]
+        first = task_run.episodes[0]
+        assert first.plan_steps == [] and first.results == []
+        assert first.start_tick == first.end_tick == 0
+        assert [a["kind"] for a in first.anomalies] == ["ActionFailure"]
+
+    def test_tick_budget_spent_mid_plan_aborts(self):
+        task_run = self._run_task(lambda query: self._waits(5), max_ticks=3)
+        assert task_run.outcome == "aborted"
+        (episode,) = task_run.episodes
+        assert episode.outcome == "aborted"
+        assert len(episode.plan_steps) == 5
+        assert len(episode.results) == 3
+        assert episode.end_tick == 3
 
     def test_goal_checked_against_ground_truth(self):
         result = run_bundled("arrange")
