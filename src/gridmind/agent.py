@@ -213,7 +213,6 @@ class AgentRuntime:
         self.last_hazards = hazards
 
         state = TickState(
-            tick=tick,
             predicted_event=self.last_event_prediction,
             observed_events=observed_kinds,
             predicted_positions=self.last_position_predictions,
@@ -332,9 +331,9 @@ class AgentRuntime:
         for directive in directives:
             if directive.kind == "TriggerReplan":
                 replan = True
-            elif directive.kind == "DecayPredictionConfidence" and directive.factor:
+            elif directive.kind == "DecayPredictionConfidence":
                 self.prediction_confidence *= directive.factor
-            elif directive.kind == "RetrieveFromLTM" and directive.pattern:
+            elif directive.kind == "RetrieveFromLTM":
                 relation, subject, obj = directive.pattern
                 pattern = Atom(relation=relation, subject=subject, obj=obj)
                 for fact in ltm_retrieve(self.ltm, pattern, self.config.ltm_retrieve_k):
@@ -435,12 +434,7 @@ def run_task(runtime: AgentRuntime, task: TaskInstruction, planner) -> TaskRun:
         try:
             plan = planner(query)
         except PlannerError as exc:
-            anomaly = Anomaly(
-                kind="ActionFailure",
-                tick=runtime.world.tick,
-                payload=(exc.code, exc.detail[:120]),
-                severity=cfg.severity_action_failure,
-            )
+            anomaly = Anomaly("ActionFailure", (exc.code, exc.detail[:120]), cfg.severity_action_failure)
             # the directives go unused, but the renormalized weights are kept
             _, runtime.weights = metacog.regulate([anomaly], runtime.weights, cfg)
             runtime.cycle_anomalies.append(anomaly)

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import agent, decide, trace
 from .canonical import InputError, read_text
 from .config import ConfigError, EngineConfig, load_config_file
-from .kb import Rule, ValidationError, forward_chain, graph_from_lines, is_var, query as kb_query
+from .kb import Rule, ValidationError, forward_chain, graph_from_lines, query as kb_query
 from .reason import compose_spatial
 from .rulefmt import load_composition, load_rules, parse_atom, parse_rule_line
 from .world import ScenarioError, parse_scenario
@@ -169,8 +169,6 @@ def cmd_query(args) -> int:
         pattern.check_constants()
     except ValidationError as exc:
         raise InputError(str(exc), path="<pattern>") from None
-    if not is_var(pattern.subject) and not isinstance(pattern.subject, str):
-        raise InputError(f"subject {pattern.subject!r} is not a symbol", path="<pattern>")
     bindings = kb_query(graph, pattern)
     ground = not pattern.variables()
     for binding in bindings:

@@ -119,9 +119,6 @@ class GoalCondition:
             return True
         raise TaskError(f"unknown goal condition {self.kind!r}")
 
-    def to_record(self) -> dict[str, object]:
-        return {"kind": self.kind, "args": list(self.args)}
-
 
 @dataclass
 class TaskInstruction:
@@ -200,10 +197,8 @@ def interpret_task(spec: TaskSpec, scenario: Scenario) -> TaskInstruction:
             GoalCondition("zone_clear", (zone, "leaking")),
             GoalCondition("zone_clear", (zone, "wet")),
         )
-        zone_region = next(r for r in scenario.regions if r.region_id == zone)
-        refs = frozenset(
-            e for e, s in scenario.entities.items() if zone_region.contains(s.position)
-        ) | {agent}
+        # the entities the goal checks: those whose settled cell lies in the zone
+        refs = frozenset(WorldState(scenario).entities_in_region(zone)) | {agent}
         return TaskInstruction(spec.kind, params, goal, agent, refs)
 
     if spec.kind == "navigate":

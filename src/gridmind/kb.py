@@ -286,7 +286,8 @@ class Atom:
         return out
 
     def check_constants(self) -> None:
-        """Each constant term must be a literal a fact can hold."""
+        """Each constant term must be a literal a fact can hold, and a
+        constant subject a symbol, as every fact's subject is."""
         for term in (self.subject, self.obj):
             if not is_var(term):
                 try:
@@ -295,6 +296,8 @@ class Atom:
                     raise ValidationError(
                         f"constant {term!r} in {self.relation} is not a fact literal ({exc})"
                     ) from None
+        if not isinstance(self.subject, str):
+            raise ValidationError(f"subject {self.subject!r} in {self.relation} is not a symbol")
 
     def __str__(self) -> str:
         subject = self.subject if isinstance(self.subject, str) else canonical.fmt_literal(self.subject)
@@ -365,11 +368,6 @@ class Rule:
                 atom.check_constants()
             except ValidationError as exc:
                 raise ValidationError(f"rule {self.name}: {exc}") from None
-        subject = self.conclusion.subject
-        if not is_var(subject) and not isinstance(subject, str):
-            raise ValidationError(
-                f"rule {self.name}: conclusion subject {subject!r} is not a symbol"
-            )
         bound = set()
         for premise in self.premises:
             bound |= premise.variables()

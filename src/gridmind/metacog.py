@@ -4,8 +4,10 @@ Monitoring compares the previous tick's predictions against what actually
 happened, forwards contradictions and execution failures, and watches
 working-memory staleness. Regulation maps each anomaly class onto a fixed
 directive policy and re-balances the attention weights inside their clamp
-bounds. Both passes are pure given the tick state, so a replayed trace
-reproduces them exactly.
+bounds. A directive is equal to another that asks for the same thing,
+whatever anomaly caused it, so each tick keeps one of each, citing the
+first cause. Both passes are pure given the tick state, so a replayed
+trace reproduces them exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ WEIGHT_DIMS = ("temporal", "spatial", "conceptual")
 @dataclass(frozen=True)
 class Anomaly:
     kind: str
-    tick: int
     payload: tuple[str, ...]
     severity: float
 
@@ -53,15 +54,11 @@ class Anomaly:
 @dataclass(frozen=True)
 class Directive:
     kind: str
-    tick: int
-    cause: Anomaly
+    cause: Anomaly = field(compare=False)
     dimension: str | None = None
     delta: float | None = None
     factor: float | None = None
     pattern: tuple[str, str, str] | None = None
-
-    def params_key(self) -> tuple:
-        return (self.kind, self.dimension, self.delta, self.factor, self.pattern)
 
     def to_record(self) -> dict[str, object]:
         record: dict[str, object] = {"kind": self.kind, "cause": self.cause.kind}
@@ -80,7 +77,6 @@ class Directive:
 class TickState:
     """Everything the monitor looks at for one tick."""
 
-    tick: int
     predicted_event: tuple[str, float] | None = None
     observed_events: tuple[str, ...] = ()
     predicted_positions: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -93,89 +89,47 @@ class TickState:
     stale_keys: tuple[str, ...] = ()
 
 
-def monitor(state: TickState, config: EngineConfig | None = None) -> list[Anomaly]:
+def monitor(state: TickState, config: EngineConfig) -> list[Anomaly]:
     """Deterministic anomaly detection for one tick."""
-    cfg = config or EngineConfig()
     anomalies: list[Anomaly] = []
 
     # kind prediction concerns the next event that occurs; a tick without
     # any new event is not evidence against it
     if state.predicted_event is not None and state.observed_events:
         kind, prob = state.predicted_event
-        if prob >= cfg.prediction_threshold and kind not in state.observed_events:
+        if prob >= config.prediction_threshold and kind not in state.observed_events:
             observed = ",".join(state.observed_events)
-            anomalies.append(
-                Anomaly(
-                    kind="PredictionMismatch",
-                    tick=state.tick,
-                    payload=(f"predicted:{kind}", f"observed:{observed}"),
-                    severity=min(prob, 1.0),
-                )
-            )
+            payload = (f"predicted:{kind}", f"observed:{observed}")
+            anomalies.append(Anomaly("PredictionMismatch", payload, min(prob, 1.0)))
     for entity in sorted(state.predicted_positions):
         predicted = state.predicted_positions[entity]
         observed = state.observed_positions.get(entity)
         if observed is None:
             continue
         deviation = math.hypot(observed[0] - predicted[0], observed[1] - predicted[1])
-        if deviation >= cfg.mismatch_distance:
-            anomalies.append(
-                Anomaly(
-                    kind="PredictionMismatch",
-                    tick=state.tick,
-                    payload=(
-                        entity,
-                        f"predicted:{predicted[0]},{predicted[1]}",
-                        f"observed:{observed[0]},{observed[1]}",
-                    ),
-                    severity=1.0,
-                )
+        if deviation >= config.mismatch_distance:
+            payload = (
+                entity,
+                f"predicted:{predicted[0]},{predicted[1]}",
+                f"observed:{observed[0]},{observed[1]}",
             )
+            anomalies.append(Anomaly("PredictionMismatch", payload, 1.0))
     for first, second in state.contradictions:
-        anomalies.append(
-            Anomaly(
-                kind="Contradiction",
-                tick=state.tick,
-                payload=("|".join(first.key()), "|".join(second.key())),
-                severity=cfg.severity_contradiction,
-            )
-        )
+        payload = ("|".join(first.key()), "|".join(second.key()))
+        anomalies.append(Anomaly("Contradiction", payload, config.severity_contradiction))
     if state.action_failure is not None:
         anomalies.append(
-            Anomaly(
-                kind="ActionFailure",
-                tick=state.tick,
-                payload=state.action_failure,
-                severity=cfg.severity_action_failure,
-            )
+            Anomaly("ActionFailure", state.action_failure, config.severity_action_failure)
         )
     elif state.instability:
-        anomalies.append(
-            Anomaly(
-                kind="ActionFailure",
-                tick=state.tick,
-                payload=(state.action_name or "action", "instability"),
-                severity=cfg.severity_action_failure,
-            )
-        )
+        payload = (state.action_name or "action", "instability")
+        anomalies.append(Anomaly("ActionFailure", payload, config.severity_action_failure))
     if state.temporal_cycle is not None:
         anomalies.append(
-            Anomaly(
-                kind="TemporalCycle",
-                tick=state.tick,
-                payload=state.temporal_cycle,
-                severity=cfg.severity_temporal_cycle,
-            )
+            Anomaly("TemporalCycle", state.temporal_cycle, config.severity_temporal_cycle)
         )
     for key in state.stale_keys:
-        anomalies.append(
-            Anomaly(
-                kind="StaleWorkingMemory",
-                tick=state.tick,
-                payload=(key,),
-                severity=cfg.severity_stale,
-            )
-        )
+        anomalies.append(Anomaly("StaleWorkingMemory", (key,), config.severity_stale))
     return anomalies
 
 
@@ -189,53 +143,39 @@ def _pattern_from_payload(payload: tuple[str, ...]) -> tuple[str, str, str]:
 
 
 def regulate(
-    anomalies: list[Anomaly],
-    weights: dict[str, float],
-    config: EngineConfig | None = None,
+    anomalies: list[Anomaly], weights: dict[str, float], config: EngineConfig
 ) -> tuple[list[Directive], dict[str, float]]:
     """Fixed anomaly -> directive policy plus attention re-weighting.
 
-    Directives are deduplicated by (kind, parameters) within the tick;
-    weight deltas are applied once per surviving ReweightAttention and the
-    result is clamped to [weight_min, weight_max] and renormalized to 1.
+    Equal directives within the tick collapse into the first, which keeps
+    its cause; weight deltas are applied once per surviving
+    ReweightAttention and the result is clamped to [weight_min, weight_max]
+    and renormalized to 1.
     """
-    cfg = config or EngineConfig()
-    directives: list[Directive] = []
-    seen: set[tuple] = set()
-
-    def add(directive: Directive) -> None:
-        key = directive.params_key()
-        if key not in seen:
-            seen.add(key)
-            directives.append(directive)
-
+    proposed: list[Directive] = []
     for anomaly in anomalies:
         if anomaly.kind == "PredictionMismatch":
-            add(Directive("DecayPredictionConfidence", anomaly.tick, anomaly, factor=cfg.prediction_decay))
-            add(Directive("ReweightAttention", anomaly.tick, anomaly, dimension="temporal", delta=cfg.reweight_delta))
+            proposed.append(Directive("DecayPredictionConfidence", anomaly, factor=config.prediction_decay))
+            proposed.append(Directive("ReweightAttention", anomaly, dimension="temporal", delta=config.reweight_delta))
         elif anomaly.kind == "Contradiction":
-            add(Directive("RetrieveFromLTM", anomaly.tick, anomaly, pattern=_pattern_from_payload(anomaly.payload)))
-            add(Directive("ReweightAttention", anomaly.tick, anomaly, dimension="spatial", delta=cfg.reweight_delta))
-        elif anomaly.kind == "ActionFailure":
-            add(Directive("TriggerReplan", anomaly.tick, anomaly))
-        elif anomaly.kind == "TemporalCycle":
-            add(Directive("TriggerReplan", anomaly.tick, anomaly))
+            proposed.append(Directive("RetrieveFromLTM", anomaly, pattern=_pattern_from_payload(anomaly.payload)))
+            proposed.append(Directive("ReweightAttention", anomaly, dimension="spatial", delta=config.reweight_delta))
+        elif anomaly.kind in ("ActionFailure", "TemporalCycle"):
+            proposed.append(Directive("TriggerReplan", anomaly))
         elif anomaly.kind == "StaleWorkingMemory":
-            add(Directive("RetrieveFromLTM", anomaly.tick, anomaly, pattern=_pattern_from_payload(anomaly.payload)))
+            proposed.append(Directive("RetrieveFromLTM", anomaly, pattern=_pattern_from_payload(anomaly.payload)))
+    # a dict keeps the first of equal keys, and so the first cause
+    directives = list(dict.fromkeys(proposed))
 
     new_weights = dict(weights)
     for directive in directives:
-        if directive.kind == "ReweightAttention" and directive.dimension:
-            new_weights[directive.dimension] = new_weights.get(directive.dimension, 0.0) + (
-                directive.delta or 0.0
-            )
-    new_weights = normalize_weights(new_weights, cfg.weight_min, cfg.weight_max)
-    return directives, new_weights
+        if directive.kind == "ReweightAttention":
+            dim = directive.dimension
+            new_weights[dim] = new_weights.get(dim, 0.0) + directive.delta
+    return directives, normalize_weights(new_weights, config.weight_min, config.weight_max)
 
 
-def normalize_weights(
-    weights: dict[str, float], low: float = 0.1, high: float = 0.8
-) -> dict[str, float]:
+def normalize_weights(weights: dict[str, float], low: float, high: float) -> dict[str, float]:
     """Project onto the clamped simplex: each dim in [low, high], sum 1.
 
     Alternates proportional rescaling (sum to 1) with clamping until both

@@ -194,7 +194,6 @@ class Trajectory:
 @dataclass
 class CollisionReport:
     risks: list[tuple[int, float]] = field(default_factory=list)
-    no_overlap: bool = False
 
 
 def predict_trajectory(
@@ -247,15 +246,12 @@ def detect_collision(a: Trajectory, b: Trajectory, epsilon: float) -> CollisionR
     """Ticks (ascending) where the two predicted paths come within epsilon.
 
     Strict inequality, symmetric in (a, b). Disjoint tick ranges yield an
-    empty report with the no_overlap flag set.
+    empty report.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    shared = sorted(set(a.positions) & set(b.positions))
-    if not shared:
-        return CollisionReport(no_overlap=True)
     report = CollisionReport()
-    for tick in shared:
+    for tick in sorted(set(a.positions) & set(b.positions)):
         pa, pb = a.positions[tick], b.positions[tick]
         dist = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
         if dist < epsilon:

@@ -486,3 +486,68 @@ class SortingWorkingMemory:
             return (-effective, -touched, key)
 
         return sorted(self.items, key=rank)
+
+
+def reference_regulate(anomalies, weights, config):
+    """The regulation policy with an explicit (kind, parameters) key per
+    directive and a seen set, as it was written before directives compared
+    by value. Returns each surviving directive as (record, cause), and the
+    re-weighted attention, projected back onto the clamped simplex by the
+    same alternating rescale-and-clamp."""
+
+    def pattern_from_payload(payload):
+        parts = payload[0].split("|")
+        if len(parts) >= 2:
+            return (parts[1], parts[0], "?x")
+        return ("isa", payload[0], "?x")
+
+    directives = []
+    seen = set()
+
+    def add(kind, cause, dimension=None, delta=None, factor=None, pattern=None):
+        key = (kind, dimension, delta, factor, pattern)
+        if key not in seen:
+            seen.add(key)
+            directives.append((key, cause))
+
+    for anomaly in anomalies:
+        if anomaly.kind == "PredictionMismatch":
+            add("DecayPredictionConfidence", anomaly, factor=config.prediction_decay)
+            add("ReweightAttention", anomaly, dimension="temporal", delta=config.reweight_delta)
+        elif anomaly.kind == "Contradiction":
+            add("RetrieveFromLTM", anomaly, pattern=pattern_from_payload(anomaly.payload))
+            add("ReweightAttention", anomaly, dimension="spatial", delta=config.reweight_delta)
+        elif anomaly.kind == "ActionFailure":
+            add("TriggerReplan", anomaly)
+        elif anomaly.kind == "TemporalCycle":
+            add("TriggerReplan", anomaly)
+        elif anomaly.kind == "StaleWorkingMemory":
+            add("RetrieveFromLTM", anomaly, pattern=pattern_from_payload(anomaly.payload))
+
+    new_weights = dict(weights)
+    for (kind, dimension, delta, _, _), _ in directives:
+        if kind == "ReweightAttention" and dimension:
+            new_weights[dimension] = new_weights.get(dimension, 0.0) + (delta or 0.0)
+    dims = ("temporal", "spatial", "conceptual")
+    low, high = config.weight_min, config.weight_max
+    values = {d: min(high, max(low, float(new_weights.get(d, low)))) for d in dims}
+    for _ in range(200):
+        total = sum(values[d] for d in dims)
+        if abs(total - 1.0) <= 1e-12:
+            break
+        values = {d: values[d] / total for d in dims}
+        values = {d: min(high, max(low, values[d])) for d in dims}
+
+    out = []
+    for (kind, dimension, delta, factor, pattern), cause in directives:
+        record = {"kind": kind, "cause": cause.kind}
+        if dimension is not None:
+            record["dimension"] = dimension
+        if delta is not None:
+            record["delta"] = delta
+        if factor is not None:
+            record["factor"] = factor
+        if pattern is not None:
+            record["pattern"] = list(pattern)
+        out.append((record, cause))
+    return out, values

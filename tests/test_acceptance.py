@@ -20,6 +20,7 @@ import pytest
 
 import gridmind
 from conftest import BUNDLED, run_bundled, scenario_path
+from gridmind.config import EngineConfig
 from gridmind.kb import Fact
 from gridmind.memory import WorkingMemory
 from gridmind.metacog import Anomaly, regulate
@@ -260,7 +261,7 @@ def test_c09_teleport_fault_flags_mismatch_with_directive_same_tick():
         for kind, directive_kind in sorted(mapped.items()):
             payload = ("a|LeftOf|b", "b|LeftOf|a") if kind == "Contradiction" else ("x", "y")
             directives, weights = regulate(
-                [Anomaly(kind=kind, tick=0, payload=payload, severity=0.9)], weights
+                [Anomaly(kind=kind, payload=payload, severity=0.9)], weights, EngineConfig()
             )
             assert directive_kind in {d.kind for d in directives}, kind
 

@@ -432,3 +432,9 @@ def test_collision_checks_only_pairs_in_neighbouring_cells(monkeypatch):
     assert collision_facts({k: trajectories[k] for k in ("m00", "m01", "m02", "m03")}, 1.5) == []
     assert len(checked) == 6
 
+
+def test_zero_prediction_decay_zeroes_prediction_confidence():
+    # teleport_fault's jump raises a PredictionMismatch; a decay factor of 0
+    # is applied like any other, not skipped as if it were missing
+    runtime = run_bundled("teleport_fault", config=EngineConfig(prediction_decay=0.0)).runtime
+    assert runtime.prediction_confidence == 0.0

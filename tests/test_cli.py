@@ -94,7 +94,7 @@ def test_query_composition_entry_outside_spatial_relations_applies(tmp_path, cap
 @pytest.mark.parametrize(
     "conclusion, message",
     [
-        ("Near(5, ?y)", "conclusion subject 5 is not a symbol"),
+        ("Near(5, ?y)", "subject 5 in Near is not a symbol"),
         ("Near(?y, nan)", "constant nan in Near is not a fact literal (cannot canonicalize non-finite float nan)"),
         ("size(?x, 1e400)", "constant inf in size is not a fact literal (cannot canonicalize non-finite float inf)"),
     ],
@@ -113,7 +113,7 @@ def test_query_rule_that_cannot_make_a_fact_exit_three(tmp_path, capsys, conclus
     [
         ("Near(?a, nan)", "constant nan in Near is not a fact literal (cannot canonicalize non-finite float nan)"),
         ("size(?a, 1e400)", "constant inf in size is not a fact literal (cannot canonicalize non-finite float inf)"),
-        ("LeftOf(5, ?x)", "subject 5 is not a symbol"),
+        ("LeftOf(5, ?x)", "subject 5 in LeftOf is not a symbol"),
     ],
     ids=["nan-object", "overflowing-object", "number-subject"],
 )

@@ -16,7 +16,7 @@ from gridmind.decide import (
 )
 from gridmind.kb import Fact
 from gridmind.memory import WorkingMemory
-from gridmind.world import TaskSpec, load_scenario
+from gridmind.world import TaskSpec, WorldState, load_scenario, parse_scenario
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,19 @@ class TestInterpretTask:
             ("zone_clear", ("kitchen", "wet")),
         }
         assert {"sink1", "water1", "wire1"} <= task.task_refs
+
+    def test_fix_hazard_refs_are_the_entities_the_goal_checks(self):
+        # cup1 is declared in the hall but settles onto table1 in the kitchen,
+        # where the goal needs it dry
+        scenario = parse_scenario(
+            "version 1\ngrid 10 8\nregion kitchen 0 0 4 7\nregion hall 5 0 9 7\n"
+            "agent robot1 4 6\nentity table1 2 2 category=table\n"
+            "entity cup1 7 2 category=cup flags=wet on=table1\ntask fix_hazard zone=kitchen\n"
+        )
+        task = interpret_task(scenario.tasks[0], scenario)
+        assert WorldState(scenario).entities_in_region("kitchen") == ["cup1", "robot1", "table1"]
+        assert not task.goal_satisfied(WorldState(scenario))
+        assert task.task_refs == {"cup1", "robot1", "table1"}
 
     def test_unknown_sort_key_rejected(self, arrange_scenario):
         spec = TaskSpec(kind="arrange", params={"surface": "table1", "sort": "weight"})

@@ -15,36 +15,36 @@ from gridmind.metacog import (
     normalize_weights,
     regulate,
 )
+from oracles import reference_regulate
 
 CFG = EngineConfig()
 UNIFORM = {"temporal": 1 / 3, "spatial": 1 / 3, "conceptual": 1 / 3}
 
 
-def anomaly(kind, tick=1, payload=("x",), severity=0.5):
-    return Anomaly(kind=kind, tick=tick, payload=payload, severity=severity)
+def anomaly(kind, payload=("x",), severity=0.5):
+    return Anomaly(kind=kind, payload=payload, severity=severity)
 
 
 class TestMonitor:
     def test_event_mismatch_severity_is_predicted_probability(self):
-        state = TickState(tick=4, predicted_event=("move", 0.9), observed_events=("stop",))
+        state = TickState(predicted_event=("move", 0.9), observed_events=("stop",))
         found = monitor(state, CFG)
         assert [a.kind for a in found] == ["PredictionMismatch"]
         assert found[0].severity == 0.9
 
     def test_clean_tick_yields_nothing(self):
-        assert monitor(TickState(tick=3), CFG) == []
+        assert monitor(TickState(), CFG) == []
 
     def test_low_probability_prediction_not_flagged(self):
-        state = TickState(tick=4, predicted_event=("move", 0.5), observed_events=("stop",))
+        state = TickState(predicted_event=("move", 0.5), observed_events=("stop",))
         assert monitor(state, CFG) == []
 
     def test_quiet_tick_does_not_contradict_prediction(self):
-        state = TickState(tick=4, predicted_event=("move", 0.9), observed_events=())
+        state = TickState(predicted_event=("move", 0.9), observed_events=())
         assert monitor(state, CFG) == []
 
     def test_position_jump_flagged_within_tick(self):
         state = TickState(
-            tick=6,
             predicted_positions={"ball1": (5, 1)},
             observed_positions={"ball1": (7, 5)},
         )
@@ -54,7 +54,6 @@ class TestMonitor:
 
     def test_small_deviation_tolerated(self):
         state = TickState(
-            tick=6,
             predicted_positions={"ball1": (5, 1)},
             observed_positions={"ball1": (6, 1)},
         )
@@ -64,7 +63,6 @@ class TestMonitor:
         f1 = Fact("a", "LeftOf", "b", 1.0, 0, "perceived")
         f2 = Fact("a", "RightOf", "b", 1.0, 0, "perceived")
         state = TickState(
-            tick=9,
             contradictions=[(f1, f2)],
             action_failure=("PickUp", "out_of_range"),
             temporal_cycle=("ev1", "ev2", "ev1"),
@@ -80,7 +78,7 @@ class TestMonitor:
         assert found["StaleWorkingMemory"].severity == 0.3
 
     def test_instability_counts_as_action_failure(self):
-        state = TickState(tick=2, instability=True, action_name="PlaceOn")
+        state = TickState(instability=True, action_name="PlaceOn")
         found = monitor(state, CFG)
         assert [a.kind for a in found] == ["ActionFailure"]
         assert found[0].payload == ("PlaceOn", "instability")
@@ -121,6 +119,8 @@ class TestRegulate:
         reweights = [d for d in directives if d.kind == "ReweightAttention"]
         assert len(decays) == 1
         assert len(reweights) == 1
+        assert decays[0].cause is anomalies[0]
+        assert reweights[0].cause is anomalies[0]
         # (1/3 + 0.1, 1/3, 1/3) renormalized: 13/33, 10/33, 10/33
         assert weights["temporal"] == pytest.approx(13 / 33, abs=1e-9)
         assert weights["spatial"] == pytest.approx(10 / 33, abs=1e-9)
@@ -143,11 +143,13 @@ class TestRegulate:
 
 class TestNormalizeWeights:
     def test_uniform_is_stable(self):
-        w = normalize_weights(dict(UNIFORM))
+        w = normalize_weights(dict(UNIFORM), CFG.weight_min, CFG.weight_max)
         assert sum(w.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_clamps_respected_after_extreme_push(self):
-        w = normalize_weights({"temporal": 5.0, "spatial": 0.0, "conceptual": 0.0})
+        w = normalize_weights(
+            {"temporal": 5.0, "spatial": 0.0, "conceptual": 0.0}, CFG.weight_min, CFG.weight_max
+        )
         assert w["temporal"] <= 0.8 + 1e-12
         assert w["spatial"] >= 0.1 - 1e-12
         assert sum(w.values()) == pytest.approx(1.0, abs=1e-9)
@@ -165,19 +167,53 @@ class TestNormalizeWeights:
 )
 def test_weights_stay_on_clamped_simplex_under_random_streams(stream):
     weights = dict(UNIFORM)
-    for tick, (kind, severity) in enumerate(stream):
+    for kind, severity in stream:
         payload = ("a|LeftOf|b", "b|LeftOf|a") if kind == "Contradiction" else ("x",)
         _, weights = regulate(
-            [anomaly(kind, tick=tick, payload=payload, severity=severity)], weights, CFG
+            [anomaly(kind, payload=payload, severity=severity)], weights, CFG
         )
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
         for value in weights.values():
             assert 0.1 - 1e-9 <= value <= 0.8 + 1e-9
 
 
+# few kinds and payloads, so that equal directives with different causes
+# are common; the payloads cover both retrieval patterns
+DRAWN_ANOMALIES = st.lists(
+    st.builds(
+        Anomaly,
+        st.sampled_from(sorted(MAPPED)),
+        st.sampled_from([("a|LeftOf|b", "a|RightOf|b"), ("c|Above|d",), ("x",), ("x", "y")]),
+        st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+    ),
+    max_size=10,
+)
+DRAWN_CONFIGS = st.sampled_from(
+    [
+        CFG,
+        EngineConfig(prediction_decay=0.0),
+        EngineConfig(reweight_delta=0.3),
+        EngineConfig(weight_min=0.2, weight_max=0.5),
+    ]
+)
+
+
+@settings(max_examples=300)
+@given(
+    anomalies=DRAWN_ANOMALIES,
+    weights=st.fixed_dictionaries({d: st.floats(0.0, 1.0) for d in UNIFORM}),
+    config=DRAWN_CONFIGS,
+)
+def test_regulate_matches_the_keyed_reference(anomalies, weights, config):
+    directives, new_weights = regulate(anomalies, dict(weights), config)
+    expected, expected_weights = reference_regulate(anomalies, dict(weights), config)
+    assert [d.to_record() for d in directives] == [record for record, _ in expected]
+    assert [id(d.cause) for d in directives] == [id(cause) for _, cause in expected]
+    assert new_weights == expected_weights
+
+
 def test_monitor_and_regulate_are_pure():
     state = TickState(
-        tick=4,
         predicted_event=("move", 0.95),
         observed_events=("stop",),
         action_failure=("Move", "out_of_bounds"),

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridmind.agent import data_root
+from gridmind.cli import main
 from gridmind.rulefmt import (
     RuleFileError,
     parse_atom,
@@ -63,6 +65,17 @@ def test_constant_that_is_no_fact_literal_rejected_at_its_line(body, constant):
         parse_rules(f"# fine\nrule broken 1.0: {body}\n")
     assert str(exc.value).startswith(f":2: rule broken: constant {constant} in ")
     assert "is not a fact literal" in str(exc.value)
+
+
+def test_premise_with_a_number_subject_refused_at_its_line(tmp_path, capsys):
+    # no fact has a number subject, so the premise could never match
+    rules = tmp_path / "r.txt"
+    rules.write_text("# fine\nrule r 1.0: Near(5, ?x) -> isa(?x, thing)\n")
+    kb = str(data_root().joinpath("kbs", "vase_room.kb"))
+    assert main(["query", kb, "isa(?a, ?b)", "--rules", str(rules)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {rules}:2: rule r: subject 5 in Near is not a symbol\n"
 
 
 def test_unbound_conclusion_rejected():
