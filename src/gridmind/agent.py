@@ -292,7 +292,7 @@ class AgentRuntime:
         facts = []
         for i, j in pairs:
             a, b = names[i], names[j]
-            if reason.detect_collision(trajectories[a], trajectories[b], epsilon).risks:
+            if reason.detect_collision(trajectories[a], trajectories[b], epsilon):
                 facts.append(Fact(a, "CollisionRisk", b, 1.0, tick, "derived"))
         return facts
 

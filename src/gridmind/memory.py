@@ -37,10 +37,12 @@ class WorkingMemory:
 
     Within one tick no rank changes except that of the item an insert
     touches, so the first eviction at tick `t` ranks every item once
-    (`decay ** age` once per distinct age), stores each rank on its item
-    and sorts the ranks into an ascending list; every eviction at `t` pops
-    its last entry. While that order belongs to `t`, each insert at `t`
-    keeps it and the stored ranks current. An item an insert at `t`
+    (`decay ** age` once per distinct age, in `_ranked`, the one place
+    that decays), storing each rank on its item and collecting it in the
+    same loop, and sorts the ranks into an ascending list; every eviction
+    at `t` pops its last entry. An item inserted while no order is live
+    holds no rank until one is built. While that order belongs to `t`,
+    each insert at `t` keeps it and the stored ranks current. An item an insert at `t`
     touches has age 0, so its rank is `(-salience, -touched, key)` with no
     power: a new item's rank is insorted, and a merge removes the stored
     rank with one bisect and insorts the new one. A new key that would
@@ -89,8 +91,9 @@ class WorkingMemory:
         if tick != self._now:
             self._now, self._order_now = tick, None
         order = self._order_now
+        items = self._items
         key = fact.key()
-        item = self._items.get(key)
+        item = items.get(key)
         if item is not None:
             held = item.fact
             if fact.tick >= held.tick and (
@@ -102,48 +105,54 @@ class WorkingMemory:
                 item.fact = fact
             else:
                 keep = fact if fact.confidence > held.confidence else held
-                item.fact = keep.at_tick(max(held.tick, fact.tick))
-            item.salience = max(item.salience, salience)
-            item.touched = max(item.touched, tick)
+                item.fact = keep.at_tick(held.tick if held.tick > fact.tick else fact.tick)
+            if salience > item.salience:
+                item.salience = salience
+            if tick > item.touched:
+                item.touched = tick
             if order is not None:
                 del order[bisect_left(order, item.rank)]
                 item.rank = rank = (-item.salience, -item.touched, key)
                 insort(order, rank)
             return
-        rank = (-salience, -tick, key)
-        if order is not None and len(self._items) >= self.capacity and rank > order[-1]:
+        if order is None:
+            items[key] = WorkingMemoryItem(fact, salience, tick)
+            if len(items) > self.capacity:
+                order = self._order_now = self._build_order(tick)
+                del items[order.pop()[2]]
             return
-        self._items[key] = WorkingMemoryItem(fact, salience, tick, rank)
-        if order is not None:
-            insort(order, rank)
-        elif len(self._items) > self.capacity:
-            order = self._order_now = self._build_order(tick)
-        while len(self._items) > self.capacity:
-            del self._items[order.pop()[2]]
+        rank = (-salience, -tick, key)
+        if len(items) >= self.capacity:
+            if rank > order[-1]:
+                return
+            del items[order.pop()[2]]
+        items[key] = WorkingMemoryItem(fact, salience, tick, rank)
+        insort(order, rank)
 
     def ordered(self, now: int) -> list[WorkingMemoryItem]:
-        ranked = self._ranked(now)
-        return [ranked[rank] for rank in sorted(ranked)]
+        return [item for _, item in sorted(self._ranked(now))]
 
     def _build_order(self, now: int) -> list[Rank]:
         """Store every item's rank at tick `now`; return them ascending."""
-        ranked = self._ranked(now)
-        for rank, item in ranked.items():
+        order = []
+        for rank, item in self._ranked(now):
             item.rank = rank
-        return sorted(ranked)
+            order.append(rank)
+        order.sort()
+        return order
 
-    def _ranked(self, now: int) -> dict[Rank, WorkingMemoryItem]:
-        """Every item by its rank at tick `now`: smaller ranks first."""
+    def _ranked(self, now: int) -> Iterator[tuple[Rank, WorkingMemoryItem]]:
+        """(rank at tick `now`, item) for every item: smaller ranks first
+        once sorted, and no two items share a rank."""
         decay = self.decay
         powers: dict[int, float] = {}
-        ranked = {}
         for key, item in self._items.items():
-            age = max(0, now - item.touched)
+            touched = item.touched
+            age = now - touched if now > touched else 0
             power = powers.get(age)
             if power is None:
                 power = powers[age] = decay ** age
-            ranked[(-(item.salience * power), -item.touched, key)] = item
-        return ranked
+            yield (-(item.salience * power), -touched, key), item
 
     def snapshot_facts(self) -> list[Fact]:
         """Facts in canonical (identity key) order; byte-stable."""

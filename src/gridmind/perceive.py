@@ -31,11 +31,16 @@ object) with that record's conceptual facts, and its own spatial facts
 (at, located_in, Contains and the Inside of each item it contains). A
 new reading builds its facts once, at the tick it is first perceived; a
 reused one restamps them with `Fact.at_tick`, because only the tick
-differs. When a changed reading supersedes one, `Reading.release` drops
-what the old one kept, since only the latest observation's readings are
-perceived again. What depends on more than one reading is made fresh
-every tick: has_state(moving), which depends on the window, OnTopOf and
-the pairwise Near and cardinal facts.
+differs. An entity that changed only its reported position gets the
+reading `Reading.moved_to` makes from its previous one: it shares that
+reading's attribute dict and flag set, and takes over its ConceptRecord
+with the record's facts, the digest text after the region, and its
+located_in (same region), Contains and Inside facts; only `at` (and
+located_in in another region) is built. When a new reading supersedes
+one, `Reading.release` drops what the old one kept, since only the
+latest observation's readings are perceived again. What depends on more
+than one reading is made fresh every tick: has_state(moving), which
+depends on the window, OnTopOf and the pairwise Near and cardinal facts.
 
 An observation keeps the flag changes from its predecessor in the
 window (`Observation.flag_changes`): found once, when the observation
@@ -53,7 +58,7 @@ from __future__ import annotations
 import math
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from itertools import combinations, permutations
 from json.encoder import encode_basestring
@@ -74,6 +79,43 @@ STATE_SALIENCE_FLAGS = frozenset({"hot", "wet", "powered"})
 _CARDINAL = {(1, 0): "LeftOf", (-1, 0): "RightOf", (0, 1): "Above", (0, -1): "Below"}
 
 
+def _direct_init(cls):
+    """Give a frozen dataclass an `__init__` that writes the fields straight
+    into the instance dict, in field order, as `Fact` does: the dataclass's
+    own calls object.__setattr__ for each field, which costs about twice as
+    much. Eq, hash, repr, `fields` and `replace` stay the dataclass's; a
+    copy or a pickle carries the fields alone, so what an instance keeps on
+    first use (not a field) starts afresh."""
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__}: a direct init runs no __post_init__")
+    names = [f.name for f in fields(cls)]
+    defaults: dict[str, object] = {}
+    params = []
+    for f in fields(cls):
+        if not f.init or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a direct init writes plain fields only")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            defaults[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    writes = "".join(f"\n    state[{name!r}] = {name}" for name in names)
+    source = f"def __init__(self, {', '.join(params)}):\n    state = self.__dict__{writes}"
+    namespace: dict[str, object] = {}
+    exec(source, defaults, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"  # type: ignore[attr-defined]
+
+    def __getstate__(self) -> dict[str, object]:
+        state = self.__dict__
+        return {name: state[name] for name in names}
+
+    cls.__init__ = init
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_direct_init
 @dataclass(frozen=True)
 class Reading:
     """One entity's sensor reading for a tick.
@@ -81,7 +123,8 @@ class Reading:
     Occluded entities expose position only: attributes and flags are None.
     What the reading implies is made on first use and kept on it (not a
     field: eq and repr ignore it, and a copy drops it): its digest text,
-    its concept record per lexicon and its own spatial facts.
+    its concept record per lexicon and its own spatial facts. A reading
+    that `moved_to` makes takes over what does not depend on the position.
     """
 
     entity: str
@@ -93,10 +136,6 @@ class Reading:
     contains: tuple[str, ...] = ()
     on: str | None = None
 
-    def __getstate__(self) -> dict[str, object]:
-        """The fields alone: a copy or a pickle starts without kept state."""
-        return {name: self.__dict__[name] for name in _READING_FIELDS}
-
     def visible_flags(self) -> frozenset[str]:
         return self.flags if self.flags is not None else _NO_FLAGS
 
@@ -107,11 +146,50 @@ class Reading:
         for name in _KEPT:
             state.pop(name, None)
 
+    def moved_to(self, position: tuple[int, int], region: str | None) -> Reading:
+        """This reading with the entity reported at `position` in `region`.
+
+        The other fields are this reading's own objects, and the new reading
+        takes over what this one kept that does not depend on where the
+        entity is: the concept record with its facts, the digest text after
+        the region, and the spatial facts but `at`, which is made afresh
+        (and `located_in`, when the region differs). The taken-over facts
+        keep their tick until `spatial_facts` restamps them."""
+        moved = Reading(
+            self.entity, position, region, self.occluded,
+            self.attributes, self.flags, self.contains, self.on,
+        )
+        kept, state = self.__dict__, moved.__dict__
+        for name in _POSITION_FREE:
+            if name in kept:
+                state[name] = kept[name]
+        spatial = kept.get("_spatial")
+        if spatial is not None:
+            entity, tick = self.entity, spatial[0].tick
+            x, y = position
+            facts = [Fact(entity, "at", f"{x},{y}", 1.0, tick, _PERCEIVED)]
+            if region is not None:
+                facts.append(
+                    spatial[1]
+                    if region == self.region
+                    else Fact(entity, "located_in", region, 1.0, tick, _PERCEIVED)
+                )
+            # past at and, if there is one, located_in: Contains and Inside
+            facts += spatial[1 if self.region is None else 2 :]
+            state["_spatial"] = facts
+        return moved
+
     @cached_property
     def text(self) -> str:
         """This reading's canonical JSON in the observation digest, written
         on first use and kept."""
         x, y = self.position
+        return f'{{"pos":[{_json(x)},{_json(y)}],"region":{_json(self.region)}' + self._text_tail
+
+    @cached_property
+    def _text_tail(self) -> str:
+        """The digest text after the region: what does not depend on where
+        the entity is."""
         attrs = self.attributes
         flags = self.flags
         attrs_text = (
@@ -121,8 +199,7 @@ class Reading:
         )
         flags_text = "[" + ",".join(map(_json, sorted(flags))) + "]" if flags is not None else "null"
         return (
-            f'{{"pos":[{_json(x)},{_json(y)}],"region":{_json(self.region)},'
-            f'"occluded":{_json(self.occluded)},"attrs":{attrs_text},"flags":{flags_text},'
+            f',"occluded":{_json(self.occluded)},"attrs":{attrs_text},"flags":{flags_text},'
             f'"contains":[{",".join(map(_json, self.contains))}],"on":{_json(self.on)}}}'
         )
 
@@ -172,8 +249,9 @@ class Reading:
         return kept
 
 
-_READING_FIELDS = tuple(f.name for f in fields(Reading))
-_KEPT = ("text", "_concept", "_spatial")  # what a Reading makes on first use
+# what a Reading makes on first use; a moved reading takes over the first two
+_POSITION_FREE = ("_concept", "_text_tail")
+_KEPT = (*_POSITION_FREE, "text", "_spatial")
 _NO_FLAGS: frozenset[str] = frozenset()
 _NO_LEXICON: Mapping[str, tuple[str, ...]] = MappingProxyType({})
 _PERCEIVED = "perceived"
@@ -199,14 +277,11 @@ def _json(value: object) -> str:
 FlagChange = tuple[str, frozenset[str], frozenset[str]]  # entity, rising, falling
 
 
+@_direct_init
 @dataclass(frozen=True)
 class Observation:
     tick: int
     readings: dict[str, Reading]
-
-    def __getstate__(self) -> dict[str, object]:
-        """The fields alone: a copy or a pickle starts without kept state."""
-        return {"tick": self.tick, "readings": self.readings}
 
     def flag_changes(self, previous: Observation) -> list[FlagChange]:
         """(entity, rising flags, falling flags) for each entity whose
@@ -246,6 +321,7 @@ class Observation:
         return f'{{"tick":{self.tick},"readings":{{{readings}}}}}'
 
 
+@_direct_init
 @dataclass(frozen=True)
 class Event:
     event_id: str
@@ -283,6 +359,7 @@ class SpatialFeatures:
     agent: str = ""
 
 
+@_direct_init
 @dataclass(frozen=True)
 class ConceptRecord:
     entity: str
@@ -330,6 +407,7 @@ class ConceptualFeatures:
     records: dict[str, ConceptRecord] = field(default_factory=dict)
 
 
+@_direct_init
 @dataclass(frozen=True)
 class BoundObject:
     entity: str

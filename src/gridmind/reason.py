@@ -191,11 +191,6 @@ class Trajectory:
     low_confidence: bool = False
 
 
-@dataclass
-class CollisionReport:
-    risks: list[tuple[int, float]] = field(default_factory=list)
-
-
 def predict_trajectory(
     entity: str,
     history: list[tuple[int, tuple[int, int]]],
@@ -205,7 +200,9 @@ def predict_trajectory(
     """Constant-velocity extrapolation from the last two observations.
 
     A single observed position yields a stationary trajectory flagged
-    low_confidence. Cells are clamped to the grid.
+    low_confidence. Cells are clamped to the grid. Positions and so
+    velocities are integers, so each step is exact in integers: the cell
+    a float extrapolation would round to (`tests/oracles.py` keeps it).
     """
     if not history:
         raise ValidationError("cannot predict a trajectory from no observations")
@@ -215,48 +212,44 @@ def predict_trajectory(
     history = sorted(history)
     t1, (x1, y1) = history[-1]
     if len(history) == 1:
-        vx = vy = 0.0
+        dx = dy = 0
         low = True
     else:
         t0, (x0, y0) = history[-2]
         if t1 != t0 + 1:
             raise ValidationError("trajectory history positions must be at consecutive ticks")
-        vx, vy = float(x1 - x0), float(y1 - y0)
+        dx, dy = x1 - x0, y1 - y0
         low = False
     right, bottom = width - 1, height - 1
     positions: dict[int, tuple[int, int]] = {}
+    cx, cy = x1, y1
     # from step max(width, height) on, every cell is clamped to where it stays,
     # so a longer horizon would add only copies of the last cell
-    for step in range(1, min(horizon, max(width, height)) + 1):
-        cx = math.floor(x1 + vx * step + 0.5)
-        cy = math.floor(y1 + vy * step + 0.5)
-        if cx < 0:
-            cx = 0
-        if cx > right:
-            cx = right
-        if cy < 0:
-            cy = 0
-        if cy > bottom:
-            cy = bottom
-        positions[t1 + step] = (cx, cy)
+    for tick in range(t1 + 1, t1 + min(horizon, max(width, height)) + 1):
+        cx += dx
+        cy += dy
+        x = 0 if cx < 0 else right if cx > right else cx
+        y = 0 if cy < 0 else bottom if cy > bottom else cy
+        positions[tick] = (x, y)
     return Trajectory(entity, positions, low)
 
 
-def detect_collision(a: Trajectory, b: Trajectory, epsilon: float) -> CollisionReport:
-    """Ticks (ascending) where the two predicted paths come within epsilon.
+def detect_collision(a: Trajectory, b: Trajectory, epsilon: float) -> list[tuple[int, float]]:
+    """(tick, distance) for each tick, ascending, where the two predicted
+    paths come within epsilon.
 
-    Strict inequality, symmetric in (a, b). Disjoint tick ranges yield an
-    empty report.
+    Strict inequality, symmetric in (a, b). Disjoint tick ranges yield no
+    risks.
     """
     if epsilon <= 0:
         raise ValidationError("epsilon must be positive")
-    report = CollisionReport()
+    risks = []
     for tick in sorted(set(a.positions) & set(b.positions)):
         pa, pb = a.positions[tick], b.positions[tick]
         dist = math.hypot(pb[0] - pa[0], pb[1] - pa[1])
         if dist < epsilon:
-            report.risks.append((tick, dist))
-    return report
+            risks.append((tick, dist))
+    return risks
 
 
 def order_from_events(events) -> TemporalOrder:

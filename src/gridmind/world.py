@@ -670,11 +670,14 @@ class WorldState:
         Stacked-under and contained entities are occluded (position only).
         With noise enabled, non-agent reported positions get independent
         uniform {-1, 0, 1} offsets per axis from the seeded rng, two draws
-        per non-agent entity in id order. An entity whose reported position,
-        occlusion and (when visible) flags, attributes, contents and support
-        match its previous reading gets that same Reading object back, so
-        what is kept on it carries over; only a changed entity gets a new
-        Reading built, and the one it supersedes is released.
+        per non-agent entity in id order. An entity whose occlusion and
+        (when visible) flags, attributes, contents and support match its
+        previous reading gets that same Reading object back if its reported
+        position matches too, so what is kept on it carries over, and else
+        one the previous reading makes with `Reading.moved_to`, which takes
+        over what does not depend on the position. Only an entity changed
+        in more than its position gets a Reading built from its state, and
+        the one a new reading supersedes is released.
         """
         occluded = set(self._holder)
         for state in self.entities.values():
@@ -694,38 +697,37 @@ class WorldState:
             hidden = entity_id in occluded
             previous = last.get(entity_id)
             if previous is not None:
-                if _shows(previous, reported, hidden, state):
-                    readings[entity_id] = previous
+                if _shows(previous, hidden, state):
+                    if previous.position == reported:
+                        readings[entity_id] = previous
+                        continue
+                    readings[entity_id] = previous.moved_to(reported, self.region_of(reported))
+                    previous.release()
                     continue
                 previous.release()
             if hidden:
-                reading = Reading(
-                    entity=entity_id,
-                    position=reported,
-                    region=self.region_of(reported),
-                    occluded=True,
-                )
+                reading = Reading(entity_id, reported, self.region_of(reported), True)
             else:
                 reading = Reading(
-                    entity=entity_id,
-                    position=reported,
-                    region=self.region_of(reported),
-                    occluded=False,
-                    attributes=dict(state.attributes),
-                    flags=frozenset(state.flags),
-                    contains=state.contains,
-                    on=state.on,
+                    entity_id,
+                    reported,
+                    self.region_of(reported),
+                    False,
+                    dict(state.attributes),
+                    frozenset(state.flags),
+                    state.contains,
+                    state.on,
                 )
             readings[entity_id] = reading
         self._readings = readings
-        return Observation(tick=self.tick, readings=readings)
+        return Observation(self.tick, readings)
 
 
-def _shows(reading: Reading, position: tuple[int, int], occluded: bool, state: Entity) -> bool:
-    """Whether `reading` equals the reading `observe` would build for `state`
-    reported at `position`: the region follows from the position, and an
-    occluded reading shows nothing else."""
-    if reading.position != position or reading.occluded != occluded:
+def _shows(reading: Reading, occluded: bool, state: Entity) -> bool:
+    """Whether `reading` shows `state` as the reading `observe` would build
+    for it, but for the reported position and the region that follows from
+    it: an occluded reading shows nothing else."""
+    if reading.occluded != occluded:
         return False
     return occluded or (
         reading.flags == state.flags

@@ -39,7 +39,7 @@ def run_bundled(name: str, seed: int = 0, hazards: bool = True, noise: bool = Fa
     )
 
 
-def run_generated(name: str, seed: int = 1):
+def run_generated(name: str, seed: int = 1, noise: bool = False):
     """A run of the benchmark's generated `crowded` or `traffic` scenario;
     the caller puts PERFBENCH on sys.path (`monkeypatch.syspath_prepend`)."""
     import workloads  # perfbench's seeded scenario generators
@@ -48,7 +48,8 @@ def run_generated(name: str, seed: int = 1):
     scenario = parse_scenario(text)
     config = EngineConfig().with_overrides(dict(scenario.config_overrides))
     return run_scenario(
-        scenario, config, seed=seed, planner_factory=scripted_planner_factory, scenario_text=text
+        scenario, config, seed=seed, planner_factory=scripted_planner_factory, noise=noise,
+        scenario_text=text,
     )
 
 

@@ -21,7 +21,7 @@ from gridmind.perceive import (
     SALIENCE_TASK,
     STATE_SALIENCE_FLAGS,
 )
-from gridmind.reason import detect_collision
+from gridmind.reason import Trajectory, detect_collision
 
 # the relations the spatial oracles draw from
 SPATIAL_VOCABULARY = frozenset(
@@ -244,6 +244,26 @@ def pairwise_spatial_facts(obs, near_distance: float) -> list[tuple[str, str, st
     return facts
 
 
+def reference_predict_trajectory(entity, history, horizon, bounds) -> Trajectory:
+    """Constant-velocity extrapolation in floats: each step's cell is the
+    extrapolated point rounded half up, `floor(x + vx * step + 0.5)`,
+    clamped to the grid, up to step max(width, height) of the horizon."""
+    width, height = bounds
+    history = sorted(history)
+    t1, (x1, y1) = history[-1]
+    if len(history) == 1:
+        vx = vy = 0.0
+    else:
+        _, (x0, y0) = history[-2]
+        vx, vy = float(x1 - x0), float(y1 - y0)
+    positions = {}
+    for step in range(1, min(horizon, max(width, height)) + 1):
+        cx = min(max(math.floor(x1 + vx * step + 0.5), 0), width - 1)
+        cy = min(max(math.floor(y1 + vy * step + 0.5), 0), height - 1)
+        positions[t1 + step] = (cx, cy)
+    return Trajectory(entity, positions, low_confidence=len(history) == 1)
+
+
 def all_pairs_collision_facts(trajectories, epsilon: float, tick: int) -> list[Fact]:
     """CollisionRisk(a, b) for every pair of trajectories, a before b by
     name, that `detect_collision` flags: each pair is tested."""
@@ -252,7 +272,7 @@ def all_pairs_collision_facts(trajectories, epsilon: float, tick: int) -> list[F
         Fact(a, "CollisionRisk", b, 1.0, tick, "derived")
         for i, a in enumerate(names)
         for b in names[i + 1 :]
-        if detect_collision(trajectories[a], trajectories[b], epsilon).risks
+        if detect_collision(trajectories[a], trajectories[b], epsilon)
     ]
 
 

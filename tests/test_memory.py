@@ -129,6 +129,26 @@ def test_eviction_scan_matches_sorting_reference(capacity, decay, start, ops):
         wm.insert(item, salience, tick)
         reference.insert(item, salience, tick)
         assert rows(wm) == reference.rows()
+        assert_ranks_current(wm, tick)
+
+
+def assert_ranks_current(wm: WorkingMemory, now: int) -> None:
+    """While an eviction order is live for `now`, it is the sorted stored
+    ranks, and each item's stored rank is its rank at `now`."""
+    order = wm._order_now
+    if order is None or wm._now != now:
+        return
+    assert order == sorted(item.rank for item in wm)
+    for rank, item in wm._ranked(now):
+        assert item.rank == rank
+
+
+def test_rank_bookkeeping_is_checked_while_an_order_is_live():
+    wm = WorkingMemory(capacity=2)
+    for subject, salience in (("a", 0.5), ("b", 0.6), ("c", 0.4), ("a", 0.9), ("d", 0.7)):
+        wm.insert(fact(subject, "isa", "x", tick=3), salience, 3)
+        assert_ranks_current(wm, 3)
+    assert wm._order_now is not None and len(wm._order_now) == 2
 
 
 def test_new_key_below_every_item_of_a_full_memory_is_not_built(monkeypatch):

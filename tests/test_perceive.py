@@ -6,7 +6,9 @@ import copy
 import dataclasses
 import gc
 import hashlib
+import inspect
 import json
+import pickle
 import weakref
 
 import pytest
@@ -20,6 +22,7 @@ from gridmind.config import EngineConfig
 from gridmind.kb import ValidationError
 from gridmind.metacog import Anomaly, normalize_weights, regulate
 from gridmind.perceive import (
+    BoundObject,
     ConceptRecord,
     ConceptualFeatures,
     Event,
@@ -579,7 +582,7 @@ def test_a_copied_reading_equals_the_original_and_keeps_nothing():
     assert o.digest_text() and reading.concept({}) and reading.spatial_facts(3)
     fields = {f.name for f in dataclasses.fields(Reading)}
     assert set(vars(reading)) > fields
-    for twin in (copy.copy(reading), copy.deepcopy(reading)):
+    for twin in (copy.copy(reading), copy.deepcopy(reading), pickle.loads(pickle.dumps(reading))):
         assert twin == reading and repr(twin) == repr(reading)
         assert set(vars(twin)) == fields
 
@@ -651,6 +654,140 @@ def test_carried_facts_equal_the_facts_of_cold_readings(monkeypatch, name, seed,
     assert previous and result.runtime.world.tick > 0
     if not noise:
         assert reused > 0  # the carried facts were exercised
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["exact", "noise"])
+@pytest.mark.parametrize("name", [*BUNDLED, "traffic"])
+def test_inherited_readings_imply_what_cold_readings_do(monkeypatch, name, noise):
+    """On every tick, each reading's digest text, concept record with its
+    facts, and spatial facts equal those of a copy of it, which keeps
+    nothing; some readings of the run took over state from the reading
+    of their entity at a cell they left (`Reading.moved_to`)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    lexicon = RuleData.load_default().lexicon
+    fields = {f.name for f in dataclasses.fields(Reading)}
+    observe, build = WorldState.observe, perceive.build_dimension_graphs
+    inherited = ticks = 0
+
+    def observing(world):
+        nonlocal inherited
+        last = world._readings
+        o = observe(world)
+        for entity, reading in o.readings.items():
+            if reading is not last.get(entity) and set(vars(reading)) > fields:
+                inherited += 1
+        return o
+
+    def checked(o, ft, fs, fc, near_distance=2.0):
+        nonlocal ticks
+        out = build(o, ft, fs, fc, near_distance)
+        for reading in o.readings.values():
+            cold = copy.copy(reading)
+            assert set(vars(cold)) == fields
+            assert reading.text == cold.text
+            record, cold_record = reading.concept(lexicon), cold.concept(lexicon)
+            assert record == cold_record
+            if record is not None:
+                assert _rows(record.facts(o.tick)) == _rows(cold_record.facts(o.tick))
+            assert _rows(reading.spatial_facts(o.tick)) == _rows(cold.spatial_facts(o.tick))
+        ticks += 1
+        return out
+
+    monkeypatch.setattr(WorldState, "observe", observing)
+    monkeypatch.setattr(perceive, "build_dimension_graphs", checked)
+    if name in BUNDLED:
+        run_bundled(name, seed=4 if noise else 0, noise=noise)
+    else:
+        run_generated(name, 1, noise=noise)
+    assert ticks > 0
+    # fetch_close's agent moves only on ticks that also set or clear "moving"
+    if noise or name != "fetch_close":
+        assert inherited > 0
+
+
+def test_a_moved_reading_takes_over_what_its_position_does_not_change():
+    lexicon = {"box": ("store",)}
+    attrs, flags = {"category": "box"}, frozenset({"hot"})
+    box = Reading("box1", (1, 2), "hall", False, attrs, flags, ("x1",))
+    assert box.text and box.concept(lexicon).facts(3) and box.spatial_facts(3)
+    for position, region in (((2, 2), "hall"), ((9, 9), "yard"), ((9, 9), None)):
+        moved = box.moved_to(position, region)
+        cold = Reading("box1", position, region, False, dict(attrs), flags, ("x1",))
+        assert moved == cold
+        assert moved.attributes is box.attributes and moved.flags is box.flags
+        assert moved.concept(lexicon) is box.concept(lexicon)
+        assert moved.text == cold.text
+        facts = moved.spatial_facts(4)
+        assert _rows(facts) == _rows(cold.spatial_facts(4))
+        kept = box.spatial_facts(3)
+        assert (facts[1].key() == kept[1].key()) == (region == "hall")
+    bare = Reading("box1", (1, 2)).moved_to((3, 3), "hall")
+    assert _rows(bare.spatial_facts(0)) == _rows(Reading("box1", (3, 3), "hall").spatial_facts(0))
+
+
+def _dataclass_built(cls, *args, **kwargs):
+    """An instance of `cls` made by the frozen dataclass's own __init__,
+    which sets each field with object.__setattr__."""
+    spec = [
+        (f.name, f.type) if f.default is dataclasses.MISSING
+        else (f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(cls)
+    ]
+    twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+    instance = object.__new__(cls)
+    twin.__init__(instance, *args, **kwargs)
+    return instance, twin
+
+
+RECORDS = [
+    (Event, ("ev1", "cart1", "move", 3), {}),
+    (Event, ("ev2", "lamp1", "powered", 1), {"end": 4}),
+    (BoundObject, ("cart1", 0.55), {"below_threshold": False}),
+    (ConceptRecord, ("cup1", "cup", "glass", None, "red", 2, frozenset({"hot"}), ("drink",)), {}),
+    (Reading, ("cup1", (1, 2)), {}),
+    (
+        Reading,
+        ("cup1", (1, 2), "hall", False, {"color": "red"}, frozenset({"wet"}), ("x1",)),
+        {"on": "t1"},
+    ),
+    (Observation, (3,), {"readings": {}}),
+]
+
+
+@pytest.mark.parametrize("cls, args, kwargs", RECORDS)
+def test_a_directly_built_record_is_the_dataclass_built_one(cls, args, kwargs):
+    fast = cls(*args, **kwargs)
+    reference, twin = _dataclass_built(cls, *args, **kwargs)
+    assert fast == reference and repr(fast) == repr(reference)
+    assert list(vars(fast).items()) == list(vars(reference).items())
+    try:
+        expected = hash(reference)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(fast)
+    else:
+        assert hash(fast) == expected
+    ours = inspect.signature(cls).parameters.values()
+    theirs = inspect.signature(twin).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in ours] == [
+        (p.name, p.kind, p.default) for p in theirs
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(fast, dataclasses.fields(cls)[0].name, None)
+    first = dataclasses.fields(cls)[0].name
+    changed = dataclasses.replace(fast, **{first: "other"})
+    assert changed == dataclasses.replace(reference, **{first: "other"}) != fast
+    for twin_copy in (pickle.loads(pickle.dumps(fast)), copy.copy(fast), copy.deepcopy(fast)):
+        assert twin_copy == fast and type(twin_copy) is cls
+
+
+def test_a_copied_or_pickled_concept_record_drops_its_facts():
+    record = ConceptRecord("cup1", "cup", None, None, "red", 2, frozenset(), ())
+    assert record.facts(1)
+    fields = {f.name for f in dataclasses.fields(record)}
+    assert set(vars(record)) > fields
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert twin == record and set(vars(twin)) == fields
 
 
 @pytest.mark.parametrize("name, seed", [(k, s) for k in ("crowded", "traffic") for s in (1, 2)])

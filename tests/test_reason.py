@@ -24,7 +24,13 @@ from gridmind.reason import (
     temporal_closure,
     train_sequence_model,
 )
-from oracles import composition_table, exhaustive_composition, random_dag, reachability_closure
+from oracles import (
+    composition_table,
+    exhaustive_composition,
+    random_dag,
+    reachability_closure,
+    reference_predict_trajectory,
+)
 
 
 class TestTemporalClosure:
@@ -223,6 +229,28 @@ class TestTrajectory:
         assert t.positions == {2: (2, 0), 3: (2, 0), 4: (2, 0)}
 
 
+@settings(max_examples=300)
+@given(
+    bounds=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    horizon=st.integers(1, 20),
+    start=st.integers(0, 50),
+    cell=st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    velocity=st.none() | st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+)
+def test_integer_steps_match_the_rounded_float_reference(bounds, horizon, start, cell, velocity):
+    """Velocities up to past the grid's size in either direction, so steps
+    clamp at every edge; a single observation (no velocity); and horizons
+    longer than the grid."""
+    x, y = min(cell[0], bounds[0] - 1), min(cell[1], bounds[1] - 1)
+    history = [(start + 1, (x, y))]
+    if velocity is not None:
+        history.append((start, (x - velocity[0], y - velocity[1])))
+    made = predict_trajectory("e", history, horizon, bounds)
+    reference = reference_predict_trajectory("e", history, horizon, bounds)
+    assert made == reference
+    assert all(type(c) is int for cell in made.positions.values() for c in cell)
+
+
 def _unclamped_horizon(entity, history, horizon, bounds):
     """Reference: every step of the horizon, with no stop at the grid's size."""
     (t0, p0), (t1, p1) = history
@@ -251,7 +279,7 @@ def test_horizon_past_the_grid_changes_no_prediction(bounds, horizon, moves, eps
         reference.append(_unclamped_horizon(name, history, horizon, bounds))
     for t, ref in zip(made, reference):
         assert t.positions[2] == ref.positions[2]
-    assert bool(detect_collision(*made, eps).risks) == bool(detect_collision(*reference, eps).risks)
+    assert bool(detect_collision(*made, eps)) == bool(detect_collision(*reference, eps))
 
 
 def _traj(entity, cells, start=0):
@@ -262,23 +290,22 @@ class TestCollision:
     def test_identical_position_always_below_epsilon(self):
         a = _traj("a", [(1, 1)], start=5)
         b = _traj("b", [(1, 1)], start=5)
-        assert detect_collision(a, b, 1.0).risks == [(5, 0.0)]
+        assert detect_collision(a, b, 1.0) == [(5, 0.0)]
 
     def test_crossing_paths_meet_at_middle_tick(self):
         a = _traj("a", [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
         b = _traj("b", [(4, 0), (3, 0), (2, 0), (1, 0), (0, 0)])
-        report = detect_collision(a, b, 1.0)
-        assert report.risks == [(2, 0.0)]
+        assert detect_collision(a, b, 1.0) == [(2, 0.0)]
 
     def test_parallel_lanes_never_flag(self):
         a = _traj("a", [(0, 0), (1, 0), (2, 0)])
         b = _traj("b", [(0, 3), (1, 3), (2, 3)])
-        assert detect_collision(a, b, 1.0).risks == []
+        assert detect_collision(a, b, 1.0) == []
 
     def test_disjoint_tick_ranges_yield_no_risks(self):
         a = _traj("a", [(0, 0)], start=0)
         b = _traj("b", [(0, 0)], start=9)
-        assert detect_collision(a, b, 1.0).risks == []
+        assert detect_collision(a, b, 1.0) == []
 
     def test_non_positive_epsilon_rejected(self):
         with pytest.raises(ValidationError):
@@ -291,7 +318,7 @@ class TestCollision:
             b = _traj("b", [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(6)],
                       start=rng.randint(0, 3))
             eps = rng.choice([0.5, 1.0, 1.5, 2.5])
-            assert detect_collision(a, b, eps).risks == detect_collision(b, a, eps).risks
+            assert detect_collision(a, b, eps) == detect_collision(b, a, eps)
 
 
 class TestInferConcepts:
