@@ -248,19 +248,16 @@ class AgentRuntime:
         """Constant-velocity trajectories for entities currently moving."""
         if len(self.window) < 2:
             return {}
-        prev = self.window[-2]
+        previous = self.window[-2].readings  # every entity's, one tick before
+        horizon = self.config.trajectory_horizon
         bounds = (self.world.width, self.world.height)
         trajectories: dict[str, reason.Trajectory] = {}
         for entity in obs.entities():
             reading = obs.readings[entity]
             if "moving" not in reading.visible_flags():
                 continue
-            history = []
-            if entity in prev.readings:
-                history.append((prev.tick, prev.readings[entity].position))
-            history.append((obs.tick, reading.position))
             trajectories[entity] = reason.predict_trajectory(
-                entity, history, self.config.trajectory_horizon, bounds
+                entity, obs.tick, previous[entity].position, reading.position, horizon, bounds
             )
         return trajectories
 
@@ -305,13 +302,11 @@ class AgentRuntime:
             if not prediction.uninformed:
                 kind, prob = prediction.top()
                 self.last_event_prediction = (kind, prob * self.prediction_confidence)
-        self.last_position_predictions = {}
         next_tick = obs.tick + 1
-        for entity, trajectory in sorted(trajectories.items()):
-            if trajectory.low_confidence:
-                continue
-            if next_tick in trajectory.positions:
-                self.last_position_predictions[entity] = trajectory.positions[next_tick]
+        self.last_position_predictions = {
+            entity: trajectory.positions[next_tick]
+            for entity, trajectory in sorted(trajectories.items())
+        }
 
     def _stale_keys(self, tick: int) -> tuple[str, ...]:
         """The keys, in key order, of WM items about a task ref that went

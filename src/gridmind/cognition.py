@@ -45,32 +45,34 @@ def detect_contradictions(
       together with LeftOf(b, a) (antisymmetry violation).
 
     Detection never deletes anything; the pairs are reported in
-    deterministic (key, key) order.
+    deterministic (key, key) order, whatever the partner sets' order.
 
     Both patterns are key lookups, not a scan over all pairs: each relation
-    maps to its exclusion partners, and for every string-object fact whose
-    relation has partners the graph is asked for (subject, partner,
-    object) and for the reverse (object, relation, subject). An opposite
-    must have a string object too: the symbol "5" and the int 5 share a
-    key token but are not the same object.
+    maps to its exclusion partners, only the graph's groups of relations
+    with partners are walked, and for every string-object fact in them the
+    graph is asked for (subject, partner, object) and for the reverse
+    (object, relation, subject). An opposite must have a string object
+    too: the symbol "5" and the int 5 share a key token but are not the
+    same object.
     """
     partners: dict[str, set[str]] = {}
     for a, b in exclusion_pairs:
         partners.setdefault(a, set()).add(b)
         partners.setdefault(b, set()).add(a)
+    index = graph.by_relation()
     found: dict[tuple, tuple[Fact, Fact]] = {}
-    for fact in graph:
-        subject, relation, obj = fact.subject, fact.relation, fact.obj
-        if not isinstance(obj, str) or relation not in partners:
-            continue
-        key = fact.key()
-        for partner in partners[relation]:
-            other = graph.lookup((subject, partner, obj))
-            if other is not None and isinstance(other.obj, str) and key < other.key():
-                found[(key, other.key())] = (fact, other)
-        reverse = graph.lookup((obj, relation, subject))
-        if reverse is not None and key < reverse.key():
-            found[(key, reverse.key())] = (fact, reverse)
+    for relation, opposites in partners.items():
+        for key, fact in index.get(relation, {}).items():
+            subject, obj = fact.subject, fact.obj
+            if not isinstance(obj, str):
+                continue
+            for partner in opposites:
+                other = graph.lookup((subject, partner, obj))
+                if other is not None and isinstance(other.obj, str) and key < other.key():
+                    found[(key, other.key())] = (fact, other)
+            reverse = graph.lookup((obj, relation, subject))
+            if reverse is not None and key < reverse.key():
+                found[(key, reverse.key())] = (fact, reverse)
     return [found[k] for k in sorted(found)]
 
 

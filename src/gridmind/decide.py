@@ -301,6 +301,15 @@ class Plan:
         return [step.to_record() for step in self.steps]
 
 
+def _read_int(value: object, row: list[object]) -> int:
+    """`value`, part of the query fact `row`, as an integer; a belief the
+    planner cannot read fails the cycle like any other planner error."""
+    try:
+        return int(value)  # type: ignore[call-overload]
+    except ValueError:
+        raise PlannerError("planner_error", f"cannot read the belief {row[0]} {row[1]} {row[2]}") from None
+
+
 class _QueryView:
     """Index over a query's fact arrays for the scripted planner."""
 
@@ -314,11 +323,11 @@ class _QueryView:
             subject, relation, obj = str(row[0]), str(row[1]), row[2]
             if relation == "at" and isinstance(obj, str):
                 x_text, _, y_text = obj.partition(",")
-                self.positions[subject] = (int(x_text), int(y_text))
+                self.positions[subject] = (_read_int(x_text, row), _read_int(y_text, row))
             elif relation == "color":
                 self.colors[subject] = str(obj)
             elif relation == "size":
-                self.sizes[subject] = int(obj)  # type: ignore[arg-type]
+                self.sizes[subject] = _read_int(obj, row)
             elif relation == "has_state":
                 self.states.setdefault(subject, set()).add(str(obj))
             elif relation == "located_in":

@@ -12,11 +12,12 @@ Semantics that everything else relies on:
 
 * identity key = (subject, relation, object token), made once when the
   fact is built; re-assertion max-merges confidence and keeps the latest
-  tick,
-* `Fact.at_tick` is the one way a fact moves to another tick (graph and
-  working-memory merges, the scenario's facts asserted each tick, the
-  perceived facts a reading keeps): a copy that keeps the key, which does
-  not depend on the tick,
+  tick, by `merge`, the one merge rule (working memory's too),
+* a graph holds each fact once, in its relation index, which every read
+  goes through,
+* `Fact.at_tick` is the one way a fact moves to another tick (`merge`,
+  the scenario's facts asserted each tick, the perceived facts a reading
+  keeps): a copy that keeps the key, which does not depend on the tick,
 * derived confidence = rule weight x product of premise confidences,
 * derivation is monotone and its fixpoint is independent of rule and fact
   order (max-merge makes confidence collisions commutative),
@@ -28,7 +29,8 @@ Semantics that everything else relies on:
   there, and a binding that puts a number in a conclusion's subject is a
   `RuleBindingError`, bad input rather than a crash,
 * nothing here depends on insertion order: the relation index keeps it,
-  the derived lists are sorted by key and queries sort their results.
+  iteration goes group by group, the derived lists are sorted by key and
+  queries sort their results.
 
 How chaining matches (cost follows what matches, not what the graph holds):
 
@@ -185,61 +187,73 @@ def parse_literal(token: str) -> Literal:
     return token
 
 
+def merge(held: Fact, incoming: Fact) -> Fact:
+    """Two facts of one identity key max-merged: the larger confidence (the
+    held fact's on a tie) at the larger tick. Returns `held` itself when
+    that changes nothing, else `incoming` itself when it already is the
+    merge, else an `at_tick` copy. Objects of one key that compare equal
+    are of one type and render alike (`5 != "5"`, and an int's key token
+    never equals a float's)."""
+    if incoming.confidence > held.confidence:
+        return incoming if incoming.tick >= held.tick else incoming.at_tick(held.tick)
+    if incoming.tick <= held.tick:
+        return held
+    same = incoming.confidence == held.confidence and incoming.origin == held.origin
+    return incoming if same and incoming.obj == held.obj else held.at_tick(incoming.tick)
+
+
 class SemanticGraph:
-    """A set of facts keyed by identity, max-merged on insert."""
+    """A set of facts keyed by identity, held once in their relation's
+    group (`by_relation`) and max-merged on insert by `merge`."""
 
     def __init__(self) -> None:
-        self._facts: dict[tuple[str, str, str], Fact] = {}
         self._by_relation: dict[str, dict[tuple[str, str, str], Fact]] = {}
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return sum(map(len, self._by_relation.values()))
 
     def __contains__(self, key: tuple[str, str, str]) -> bool:
-        return key in self._facts
+        group = self._by_relation.get(key[1])
+        return group is not None and key in group
 
     def __iter__(self):
-        """The stored facts in insertion order, for passes that need no order."""
-        return iter(self._facts.values())
+        """The stored facts group by group, for passes that need no order."""
+        for group in self._by_relation.values():
+            yield from group.values()
 
     def get(self, subject: str, relation: str, obj: Literal) -> Fact | None:
-        return self._facts.get((subject, relation, canonical.fmt_literal(obj)))
+        return self.lookup((subject, relation, canonical.fmt_literal(obj)))
 
     def lookup(self, key: tuple[str, str, str]) -> Fact | None:
-        return self._facts.get(key)
+        group = self._by_relation.get(key[1])
+        return None if group is None else group.get(key)
 
     def facts(self, keys=None) -> list[Fact]:
         """All facts, or those with the given keys, sorted by identity key."""
-        return [self._facts[k] for k in sorted(self._facts if keys is None else keys)]
+        return sorted(self, key=Fact.key) if keys is None else [self.lookup(k) for k in sorted(keys)]
 
     def insert(self, fact: Fact) -> bool:
-        """Insert with max-merge on identity collision; True if the graph changed.
-
-        On collision the stored fact keeps the higher confidence (the new
-        origin wins only on a strict confidence increase) and the latest
-        tick. The fact is not validated here: see the module docstring.
+        """Insert with `merge` on identity collision; True if the graph
+        changed. A replaced fact keeps its slot in its group. The fact is
+        not validated here: see the module docstring.
         """
         key = fact.key()
-        old = self._facts.get(key)
-        if old is None:
-            stored = fact
-        elif fact.confidence > old.confidence:
-            stored = fact.at_tick(max(old.tick, fact.tick))
-        elif fact.tick > old.tick:
-            stored = old.at_tick(fact.tick)
-        else:
+        group = self._by_relation.get(fact.relation)
+        if group is None:
+            group = self._by_relation[fact.relation] = {}
+        held = group.get(key)
+        merged = fact if held is None else merge(held, fact)
+        if merged is held:
             return False
-        # a replaced fact keeps its slot, so both maps keep insertion order
-        self._facts[key] = stored
-        self._by_relation.setdefault(fact.relation, {})[key] = stored
+        group[key] = merged
         return True
 
     def by_relation(self) -> dict[str, dict[tuple[str, str, str], Fact]]:
         """The stored facts grouped by relation and keyed by identity, each
         group in insertion order.
 
-        This is the graph's own index, kept up to date by `insert`: read
-        it, do not change it, and do not insert while iterating over it.
+        This is the graph's one store, kept by `insert`: read it, do not
+        change it, and do not insert while iterating over it.
         """
         return self._by_relation
 

@@ -13,7 +13,7 @@ from bisect import bisect_left, insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .kb import Atom, Fact, SemanticGraph, ValidationError, match
+from .kb import Atom, Fact, SemanticGraph, ValidationError, match, merge
 
 
 Rank = tuple[float, int, tuple[str, str, str]]
@@ -52,14 +52,10 @@ class WorkingMemory:
     ranks decay with `now` and a merge at another tick would leave a
     stale rank.
 
-    A merge keeps the fact with the larger confidence (the held one on a
-    tie) at the larger tick, and the larger salience and touch tick. When
-    the incoming fact already is that fact (a tick no older, and a larger
-    confidence, or the same confidence, origin and object), it is stored
-    as it is, which is nearly every merge; otherwise the kept fact is
-    copied with the larger tick. Objects of one identity key that compare
-    equal are of one type and render alike (`5 != "5"`, and an int's key
-    token never equals a float's).
+    A merge keeps the fact `kb.merge` keeps, the graphs' one merge rule,
+    and the larger salience and touch tick. `merge` copies no fact when
+    the held or the incoming one already is the merged fact, which is
+    nearly every merge.
     """
 
     def __init__(self, capacity: int = 64, decay: float = 0.95) -> None:
@@ -95,17 +91,7 @@ class WorkingMemory:
         key = fact.key()
         item = items.get(key)
         if item is not None:
-            held = item.fact
-            if fact.tick >= held.tick and (
-                fact.confidence > held.confidence
-                or fact.confidence == held.confidence
-                and fact.origin == held.origin
-                and fact.obj == held.obj
-            ):
-                item.fact = fact
-            else:
-                keep = fact if fact.confidence > held.confidence else held
-                item.fact = keep.at_tick(held.tick if held.tick > fact.tick else fact.tick)
+            item.fact = merge(item.fact, fact)
             if salience > item.salience:
                 item.salience = salience
             if tick > item.touched:

@@ -134,12 +134,10 @@ def monitor(state: TickState, config: EngineConfig) -> list[Anomaly]:
 
 
 def _pattern_from_payload(payload: tuple[str, ...]) -> tuple[str, str, str]:
-    """Retrieval pattern over a conflicting/stale triple's subject+relation."""
-    head = payload[0]
-    parts = head.split("|")
-    if len(parts) >= 2:
-        return (parts[1], parts[0], "?x")
-    return ("isa", head, "?x")
+    """Retrieval pattern over the subject and relation of a conflicting or
+    stale fact, whose `s|r|o` key starts the payload."""
+    subject, relation, _ = payload[0].split("|", 2)
+    return (relation, subject, "?x")
 
 
 def regulate(

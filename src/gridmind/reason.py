@@ -188,50 +188,39 @@ def compose_spatial(graph: SemanticGraph, rules: list[Rule], max_iterations: int
 class Trajectory:
     entity: str
     positions: dict[int, tuple[int, int]] = field(default_factory=dict)
-    low_confidence: bool = False
 
 
 def predict_trajectory(
     entity: str,
-    history: list[tuple[int, tuple[int, int]]],
+    tick: int,
+    previous: tuple[int, int],
+    current: tuple[int, int],
     horizon: int,
     bounds: tuple[int, int],
 ) -> Trajectory:
-    """Constant-velocity extrapolation from the last two observations.
+    """Constant-velocity extrapolation from the cells observed at ticks
+    `tick - 1` (`previous`) and `tick` (`current`).
 
-    A single observed position yields a stationary trajectory flagged
-    low_confidence. Cells are clamped to the grid. Positions and so
-    velocities are integers, so each step is exact in integers: the cell
-    a float extrapolation would round to (`tests/oracles.py` keeps it).
+    Cells are clamped to the grid. Positions and so velocities are
+    integers, so each step is exact in integers: the cell a float
+    extrapolation would round to (`tests/oracles.py` keeps it).
     """
-    if not history:
-        raise ValidationError("cannot predict a trajectory from no observations")
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     width, height = bounds
-    history = sorted(history)
-    t1, (x1, y1) = history[-1]
-    if len(history) == 1:
-        dx = dy = 0
-        low = True
-    else:
-        t0, (x0, y0) = history[-2]
-        if t1 != t0 + 1:
-            raise ValidationError("trajectory history positions must be at consecutive ticks")
-        dx, dy = x1 - x0, y1 - y0
-        low = False
+    cx, cy = current
+    dx, dy = cx - previous[0], cy - previous[1]
     right, bottom = width - 1, height - 1
     positions: dict[int, tuple[int, int]] = {}
-    cx, cy = x1, y1
     # from step max(width, height) on, every cell is clamped to where it stays,
     # so a longer horizon would add only copies of the last cell
-    for tick in range(t1 + 1, t1 + min(horizon, max(width, height)) + 1):
+    for t in range(tick + 1, tick + min(horizon, max(width, height)) + 1):
         cx += dx
         cy += dy
         x = 0 if cx < 0 else right if cx > right else cx
         y = 0 if cy < 0 else bottom if cy > bottom else cy
-        positions[tick] = (x, y)
-    return Trajectory(entity, positions, low)
+        positions[t] = (x, y)
+    return Trajectory(entity, positions)
 
 
 def detect_collision(a: Trajectory, b: Trajectory, epsilon: float) -> list[tuple[int, float]]:

@@ -244,24 +244,20 @@ def pairwise_spatial_facts(obs, near_distance: float) -> list[tuple[str, str, st
     return facts
 
 
-def reference_predict_trajectory(entity, history, horizon, bounds) -> Trajectory:
-    """Constant-velocity extrapolation in floats: each step's cell is the
-    extrapolated point rounded half up, `floor(x + vx * step + 0.5)`,
-    clamped to the grid, up to step max(width, height) of the horizon."""
+def reference_predict_trajectory(entity, tick, previous, current, horizon, bounds) -> Trajectory:
+    """Constant-velocity extrapolation in floats from the cells at ticks
+    `tick - 1` and `tick`: each step's cell is the extrapolated point
+    rounded half up, `floor(x + vx * step + 0.5)`, clamped to the grid, up
+    to step max(width, height) of the horizon."""
     width, height = bounds
-    history = sorted(history)
-    t1, (x1, y1) = history[-1]
-    if len(history) == 1:
-        vx = vy = 0.0
-    else:
-        _, (x0, y0) = history[-2]
-        vx, vy = float(x1 - x0), float(y1 - y0)
+    x1, y1 = current
+    vx, vy = float(x1 - previous[0]), float(y1 - previous[1])
     positions = {}
     for step in range(1, min(horizon, max(width, height)) + 1):
         cx = min(max(math.floor(x1 + vx * step + 0.5), 0), width - 1)
         cy = min(max(math.floor(y1 + vy * step + 0.5), 0), height - 1)
-        positions[t1 + step] = (cx, cy)
-    return Trajectory(entity, positions, low_confidence=len(history) == 1)
+        positions[tick + step] = (cx, cy)
+    return Trajectory(entity, positions)
 
 
 def all_pairs_collision_facts(trajectories, epsilon: float, tick: int) -> list[Fact]:
@@ -460,6 +456,34 @@ def all_pairs_contradictions(
     return [found[k] for k in sorted(found)]
 
 
+def reference_graph_merge(held: Fact, incoming: Fact) -> Fact:
+    """The semantic graph's max-merge as it was written before `kb.merge`:
+    a strict confidence increase takes the incoming fact at the later
+    tick, else a later tick moves the held fact to it, else the held fact
+    stays as it is and is returned."""
+    if incoming.confidence > held.confidence:
+        return replace(incoming, tick=max(held.tick, incoming.tick))
+    if incoming.tick > held.tick:
+        return replace(held, tick=incoming.tick)
+    return held
+
+
+def reference_wm_merge(held: Fact, incoming: Fact) -> Fact:
+    """Working memory's max-merge as it was written before `kb.merge`: the
+    incoming fact as it is when it is no older and more confident, or as
+    confident with the same origin and object; else the more confident
+    fact (the held one on a tie) at the later tick."""
+    if incoming.tick >= held.tick and (
+        incoming.confidence > held.confidence
+        or incoming.confidence == held.confidence
+        and incoming.origin == held.origin
+        and incoming.obj == held.obj
+    ):
+        return incoming
+    keep = incoming if incoming.confidence > held.confidence else held
+    return replace(keep, tick=max(held.tick, incoming.tick))
+
+
 class SortingWorkingMemory:
     """Working memory that sorts every item to find the one to evict.
 
@@ -517,9 +541,7 @@ def reference_regulate(anomalies, weights, config):
 
     def pattern_from_payload(payload):
         parts = payload[0].split("|")
-        if len(parts) >= 2:
-            return (parts[1], parts[0], "?x")
-        return ("isa", payload[0], "?x")
+        return (parts[1], parts[0], "?x")
 
     directives = []
     seen = set()

@@ -259,7 +259,7 @@ def test_c09_teleport_fault_flags_mismatch_with_directive_same_tick():
         }
         weights = {"temporal": 1 / 3, "spatial": 1 / 3, "conceptual": 1 / 3}
         for kind, directive_kind in sorted(mapped.items()):
-            payload = ("a|LeftOf|b", "b|LeftOf|a") if kind == "Contradiction" else ("x", "y")
+            payload = ("a|LeftOf|b", "b|LeftOf|a") if kind == "Contradiction" else ("x|isa|cup",)
             directives, weights = regulate(
                 [Anomaly(kind=kind, payload=payload, severity=0.9)], weights, EngineConfig()
             )

@@ -389,12 +389,10 @@ def movers(draw):
     for k in range(draw(st.integers(0, 25))):
         x, y = draw(start)
         tick = draw(st.integers(1, 3))
-        history = [(tick, (x, y))]
-        if draw(st.booleans()):  # else one observation: a stationary guess
-            dx, dy = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
-            history.insert(0, (tick - 1, (x - dx, y - dy)))
+        dx, dy = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
         name = f"m{k:02d}"
-        trajectories[name] = predict_trajectory(name, history, horizon, (width, height))
+        previous = (x - dx, y - dy)
+        trajectories[name] = predict_trajectory(name, tick, previous, (x, y), horizon, (width, height))
     epsilon = draw(
         st.sampled_from([1e-9, 0.5, 1.0, 2**0.5, 2.0, 3.0])
         | st.floats(min_value=1e-9, max_value=float(max(width, height)))
@@ -420,10 +418,10 @@ def test_collision_checks_only_pairs_in_neighbouring_cells(monkeypatch):
     monkeypatch.setattr(reason, "detect_collision", counting)
     # twelve movers in lanes five apart, and one beside the first
     trajectories = {
-        f"m{k:02d}": predict_trajectory(f"m{k:02d}", [(0, (5 * k, 0)), (1, (5 * k, 1))], 5, (60, 40))
+        f"m{k:02d}": predict_trajectory(f"m{k:02d}", 1, (5 * k, 0), (5 * k, 1), 5, (60, 40))
         for k in range(12)
     }
-    trajectories["m99"] = predict_trajectory("m99", [(0, (1, 0)), (1, (1, 1))], 5, (60, 40))
+    trajectories["m99"] = predict_trajectory("m99", 1, (1, 0), (1, 1), 5, (60, 40))
     facts = collision_facts(trajectories, 1.5)
     assert checked == [("m00", "m99")]
     assert [(f.subject, f.obj) for f in facts] == [("m00", "m99")]

@@ -617,6 +617,35 @@ def test_planner_effect_tick_that_overflows_fails_the_cycle(tmp_path, capsys):
     assert "replay equal" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "lines,belief",
+    [
+        (
+            "entity ball1 2 3 category=ball\nentity box1 3 2 category=box\n"
+            "fact ball1 at nowhere\ntask fetch object=ball1 to=box1\n",
+            "ball1 at nowhere",
+        ),
+        (
+            "entity table1 5 3 category=table\nentity ball2 2 1 category=ball color=blue size=3\n"
+            "fact ball2 size big\ntask arrange surface=table1 sort=color,size\n",
+            "ball2 size big",
+        ),
+    ],
+)
+def test_belief_the_scripted_planner_cannot_read_aborts_the_run(tmp_path, capsys, lines, belief):
+    # a scenario fact the planner cannot read fails each cycle, not the process
+    scenario = tmp_path / "unreadable.scn"
+    scenario.write_text("version 1\ngrid 10 8\nregion room 0 0 9 7\nagent robot1 4 4\n" + lines)
+    trace = tmp_path / "unreadable.trace"
+    assert main(["run", str(scenario), "--trace", str(trace)]) == 2
+    summary = json.loads(trace.read_text().splitlines()[-1])
+    assert summary["outcome"] == "aborted"
+    payload = summary["episodes"][0]["anomalies"][0]["payload"]
+    assert payload == ["planner_error", f"cannot read the belief {belief}"]
+    assert main(["replay", str(trace)]) == 0
+    assert "replay equal" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("tick_text", ["1e400", "Infinity", "-Infinity"])
 def test_recorded_effect_tick_that_overflows_exit_three(tmp_path, capsys, external_trace, tick_text):
     trace = tmp_path / "external.trace"

@@ -30,8 +30,14 @@ from gridmind.kb import (
     is_var,
     query,
 )
+from gridmind.memory import WorkingMemory
 from gridmind.world import parse_scenario
-from oracles import chaotic_forward_chain, reference_match_premises
+from oracles import (
+    chaotic_forward_chain,
+    reference_graph_merge,
+    reference_match_premises,
+    reference_wm_merge,
+)
 
 
 def fact(s, r, o, conf=1.0, tick=0, origin="perceived"):
@@ -77,7 +83,8 @@ class TestInsert:
     )
 )
 def test_relation_index_is_the_stored_facts_grouped_in_insertion_order(inserts):
-    # the index is kept by insert; a replaced fact keeps its first slot
+    # the index is the one store, kept by insert; a replaced fact keeps its
+    # first slot, and iteration goes group by group
     graph = SemanticGraph()
     first_seen: list[tuple[str, str, str]] = []
     for s, r, o, conf, tick in inserts:
@@ -91,7 +98,45 @@ def test_relation_index_is_the_stored_facts_grouped_in_insertion_order(inserts):
     index = graph.by_relation()
     assert {r: list(group.values()) for r, group in index.items()} == expected
     assert all(list(group) == [f.key() for f in group.values()] for group in index.values())
-    assert list(graph) == [graph.lookup(key) for key in first_seen]
+    assert list(graph) == [f for group in expected.values() for f in group]
+    assert len(graph) == len(first_seen)
+
+
+@settings(max_examples=400)
+@given(
+    # objects of one key: equal symbols, equal ints, and floats that render
+    # alike but differ (one key holding two numbers)
+    objects=st.sampled_from(
+        [("cup", "cup"), (5, 5), (0.1234561, 0.1234561), (0.1234561, 0.1234564), (0.1234564, 0.1234561)]
+    ),
+    confidences=st.tuples(st.sampled_from([0.2, 0.5, 0.9]), st.sampled_from([0.2, 0.5, 0.9])),
+    ticks=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    origins=st.tuples(st.sampled_from(kb.ORIGINS), st.sampled_from(kb.ORIGINS)),
+)
+def test_merge_is_both_old_merge_rules(objects, confidences, ticks, origins):
+    held, incoming = (
+        Fact("cup1", "at", obj, conf, tick, origin)
+        for obj, conf, tick, origin in zip(objects, confidences, ticks, origins)
+    )
+    assert held.key() == incoming.key()
+    merged = kb.merge(held, incoming)
+    expected = reference_graph_merge(held, incoming)
+    assert merged == expected == reference_wm_merge(held, incoming)
+    # no copy when the held or the incoming fact already is the merge
+    if expected == held:
+        assert merged is held
+    elif expected == incoming:
+        assert merged is incoming
+    else:
+        assert merged is not held and merged is not incoming
+    graph = SemanticGraph()
+    graph.insert(held)
+    assert graph.insert(incoming) == (expected != held)
+    assert graph.lookup(held.key()) == expected and len(graph) == 1
+    wm = WorkingMemory()
+    wm.insert(held, 0.5, 0)
+    wm.insert(incoming, 0.5, 0)
+    assert wm.get(held.key()).fact == expected
 
 
 class TestKeyCache:

@@ -96,7 +96,7 @@ MAPPED = {
 class TestRegulate:
     @pytest.mark.parametrize("kind,expected", sorted(MAPPED.items()))
     def test_every_class_maps_to_its_directive(self, kind, expected):
-        payload = ("a|LeftOf|b", "b|LeftOf|a") if kind == "Contradiction" else ("x", "y")
+        payload = ("a|LeftOf|b", "b|LeftOf|a") if kind == "Contradiction" else ("x|isa|cup",)
         directives, _ = regulate([anomaly(kind, payload=payload)], dict(UNIFORM), CFG)
         assert expected in {d.kind for d in directives}
 
@@ -168,7 +168,7 @@ class TestNormalizeWeights:
 def test_weights_stay_on_clamped_simplex_under_random_streams(stream):
     weights = dict(UNIFORM)
     for kind, severity in stream:
-        payload = ("a|LeftOf|b", "b|LeftOf|a") if kind == "Contradiction" else ("x",)
+        payload = ("a|LeftOf|b", "b|LeftOf|a") if kind == "Contradiction" else ("x|isa|cup",)
         _, weights = regulate(
             [anomaly(kind, payload=payload, severity=severity)], weights, CFG
         )
@@ -178,12 +178,15 @@ def test_weights_stay_on_clamped_simplex_under_random_streams(stream):
 
 
 # few kinds and payloads, so that equal directives with different causes
-# are common; the payloads cover both retrieval patterns
+# are common; each payload starts with an s|r|o key, as monitor makes them,
+# and the last two share a retrieval pattern
 DRAWN_ANOMALIES = st.lists(
     st.builds(
         Anomaly,
         st.sampled_from(sorted(MAPPED)),
-        st.sampled_from([("a|LeftOf|b", "a|RightOf|b"), ("c|Above|d",), ("x",), ("x", "y")]),
+        st.sampled_from(
+            [("a|LeftOf|b", "a|RightOf|b"), ("c|Above|d",), ("x|isa|cup",), ("x|isa|cup", "y|isa|cup")]
+        ),
         st.sampled_from([0.1, 0.5, 0.9, 1.0]),
     ),
     max_size=10,

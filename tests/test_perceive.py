@@ -405,7 +405,7 @@ def bind_cases(draw):
     weights = normalize_weights(cfg.weights(), cfg.weight_min, cfg.weight_max)
     for _ in range(draw(st.integers(0, 4))):
         kinds = draw(st.lists(st.sampled_from(("PredictionMismatch", "Contradiction")), max_size=2))
-        anomalies = [Anomaly(kind, ("x", "Near", "y"), 0.5) for kind in kinds]
+        anomalies = [Anomaly(kind, ("x|Near|y", "y|Near|x"), 0.5) for kind in kinds]
         _, weights = regulate(anomalies, weights, cfg)
     task_refs = frozenset(draw(st.lists(st.sampled_from(BIND_ENTITIES))))
     threshold = draw(st.sampled_from([0.0, 0.25, 0.3, 1 / 3]) | st.floats(0.0, 1.0))

@@ -207,25 +207,19 @@ class TestComposeSpatial:
 
 class TestTrajectory:
     def test_constant_velocity_extrapolation(self):
-        t = predict_trajectory("e", [(0, (0, 0)), (1, (1, 0))], horizon=3, bounds=(10, 10))
+        t = predict_trajectory("e", 1, (0, 0), (1, 0), horizon=3, bounds=(10, 10))
         assert t.positions == {2: (2, 0), 3: (3, 0), 4: (4, 0)}
-        assert not t.low_confidence
-
-    def test_single_observation_is_stationary_low_confidence(self):
-        t = predict_trajectory("e", [(4, (2, 3))], horizon=2, bounds=(10, 10))
-        assert t.positions == {5: (2, 3), 6: (2, 3)}
-        assert t.low_confidence
 
     def test_clamped_to_grid(self):
-        t = predict_trajectory("e", [(0, (0, 0)), (1, (2, 1))], horizon=2, bounds=(5, 5))
+        t = predict_trajectory("e", 1, (0, 0), (2, 1), horizon=2, bounds=(5, 5))
         assert t.positions == {2: (4, 2), 3: (4, 3)}
 
     def test_stationary_history_repeats_cell(self):
-        t = predict_trajectory("e", [(0, (3, 3)), (1, (3, 3))], horizon=2, bounds=(8, 8))
+        t = predict_trajectory("e", 1, (3, 3), (3, 3), horizon=2, bounds=(8, 8))
         assert t.positions == {2: (3, 3), 3: (3, 3)}
 
     def test_horizon_stops_where_every_cell_is_clamped(self):
-        t = predict_trajectory("e", [(0, (0, 0)), (1, (1, 0))], horizon=10**5, bounds=(3, 2))
+        t = predict_trajectory("e", 1, (0, 0), (1, 0), horizon=10**5, bounds=(3, 2))
         assert t.positions == {2: (2, 0), 3: (2, 0), 4: (2, 0)}
 
 
@@ -235,25 +229,21 @@ class TestTrajectory:
     horizon=st.integers(1, 20),
     start=st.integers(0, 50),
     cell=st.tuples(st.integers(0, 7), st.integers(0, 7)),
-    velocity=st.none() | st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    velocity=st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
 )
 def test_integer_steps_match_the_rounded_float_reference(bounds, horizon, start, cell, velocity):
     """Velocities up to past the grid's size in either direction, so steps
-    clamp at every edge; a single observation (no velocity); and horizons
-    longer than the grid."""
+    clamp at every edge, and horizons longer than the grid."""
     x, y = min(cell[0], bounds[0] - 1), min(cell[1], bounds[1] - 1)
-    history = [(start + 1, (x, y))]
-    if velocity is not None:
-        history.append((start, (x - velocity[0], y - velocity[1])))
-    made = predict_trajectory("e", history, horizon, bounds)
-    reference = reference_predict_trajectory("e", history, horizon, bounds)
+    previous = (x - velocity[0], y - velocity[1])
+    made = predict_trajectory("e", start + 1, previous, (x, y), horizon, bounds)
+    reference = reference_predict_trajectory("e", start + 1, previous, (x, y), horizon, bounds)
     assert made == reference
     assert all(type(c) is int for cell in made.positions.values() for c in cell)
 
 
-def _unclamped_horizon(entity, history, horizon, bounds):
+def _unclamped_horizon(entity, t1, p0, p1, horizon, bounds):
     """Reference: every step of the horizon, with no stop at the grid's size."""
-    (t0, p0), (t1, p1) = history
     positions = {}
     for step in range(1, horizon + 1):
         x = p1[0] + (p1[0] - p0[0]) * step
@@ -274,9 +264,9 @@ def test_horizon_past_the_grid_changes_no_prediction(bounds, horizon, moves, eps
     made, reference = [], []
     for name, (x, y, dx, dy) in zip("ab", moves):
         x, y = min(x, bounds[0] - 1), min(y, bounds[1] - 1)
-        history = [(0, (x - dx, y - dy)), (1, (x, y))]
-        made.append(predict_trajectory(name, history, horizon, bounds))
-        reference.append(_unclamped_horizon(name, history, horizon, bounds))
+        previous = (x - dx, y - dy)
+        made.append(predict_trajectory(name, 1, previous, (x, y), horizon, bounds))
+        reference.append(_unclamped_horizon(name, 1, previous, (x, y), horizon, bounds))
     for t, ref in zip(made, reference):
         assert t.positions[2] == ref.positions[2]
     assert bool(detect_collision(*made, eps)) == bool(detect_collision(*reference, eps))
