@@ -186,7 +186,9 @@ class AgentRuntime:
         concept_derived = reason.infer_concepts(
             graph, self.data.concept_rules, cfg.chain_max_iterations
         )
-        spatial_derived = reason.compose_spatial(graph, self.data.composition)
+        spatial_derived = reason.compose_spatial(
+            graph, self.data.composition, cfg.chain_max_iterations
+        )
 
         trajectories = self._predict_trajectories(obs)
         collision_facts = self._collision_facts(trajectories, tick)

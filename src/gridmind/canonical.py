@@ -4,6 +4,20 @@ Everything the engine writes out (fact lines, trace records, planner
 requests) must be byte-identical across runs, so all float formatting and
 JSON emission goes through this module instead of repr()/json.dumps().
 
+`dumps` writes a record in one pass. It looks up the value's exact type
+in one table: `str` (`encode_basestring`), `float`, `int`, `bool`, `None`,
+`list` and `tuple`, and `dict`; a list or a dict is one join over its
+items' texts. Float texts come from a memo of at most 1024 entries (a run
+writes few distinct floats many times); 0.0 and -0.0 share a key and a
+text, and a non-finite float raises every time and is never stored. A
+5-item list shaped like a fact row (`str`, `str`, a `str`, `int` or
+`float` object, a `float` confidence and an `int` tick) is written by one
+f-string. A type that is not in the table, a subclass or an unknown type,
+is tested in a fixed `isinstance` order: float, int, str, list or tuple,
+dict, and anything else is a TypeError, as is a key that is not a `str`;
+a non-finite float is a ValueError. The text is the same whichever path
+writes it.
+
 Every file the engine reads in is read by `read_text`, all outside JSON
 (config files, planner responses, trace lines) is parsed by `parse_json`,
 and bad outside input raises an `InputError` (`path:line: message`), which
@@ -14,9 +28,12 @@ from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from json.encoder import encode_basestring
 
 FLOAT_DECIMALS = 6
+_FLOAT_SPEC = f".{FLOAT_DECIMALS}f"
+_NEGATIVE_ZERO = "-0." + "0" * FLOAT_DECIMALS
 
 
 class InputError(ValueError):
@@ -52,8 +69,8 @@ def fmt_float(value: float) -> str:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"cannot canonicalize non-finite float {value!r}")
-    text = format(value, f".{FLOAT_DECIMALS}f")
-    if text == f"-0.{'0' * FLOAT_DECIMALS}":
+    text = format(value, _FLOAT_SPEC)
+    if text == _NEGATIVE_ZERO:
         return text[1:]
     return text
 
@@ -73,47 +90,91 @@ def fmt_literal(value: object) -> str:
     raise TypeError(f"unsupported literal type: {type(value).__name__}")
 
 
+# the encoder's float texts: a traffic run writes 1549 floats, 88 of
+# them distinct
+_float_text = lru_cache(maxsize=1024)(fmt_float)
+
+
 def dumps(value: object) -> str:
     """Canonical JSON: insertion-ordered keys, floats at six decimals.
 
     json.dumps renders floats with repr(), which is not stable enough for
     byte-exact replay, hence this small hand-rolled emitter.
     """
-    parts: list[str] = []
-    _emit(value, parts)
-    return "".join(parts)
+    return _ENCODERS.get(type(value), _encode_other)(value)
 
 
-def _emit(value: object, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, float):
-        out.append(fmt_float(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, str):
-        out.append(encode_basestring(value))
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise TypeError("canonical JSON keys must be strings")
-            if i:
-                out.append(",")
-            out.append(encode_basestring(key))
-            out.append(":")
-            _emit(item, out)
-        out.append("}")
+# the helpers' own reference, not the module attribute: a wrapper patched
+# over `dumps` sees whole records only
+_encode = dumps
+
+
+def _list_text(value: list | tuple) -> str:
+    if len(value) == 5:
+        subject, relation, obj, confidence, tick = value
+        if (
+            type(subject) is str
+            and type(relation) is str
+            and type(confidence) is float
+            and type(tick) is int
+        ):
+            encode = _SCALARS.get(type(obj))
+            if encode is not None:  # a fact row
+                return (
+                    f"[{encode_basestring(subject)},{encode_basestring(relation)},"
+                    f"{encode(obj)},{_float_text(confidence)},{tick}]"
+                )
+    get = _ENCODERS.get
+    return "[" + ",".join([get(type(item), _encode_other)(item) for item in value]) + "]"
+
+
+def _dict_text(value: dict) -> str:
+    get = _ENCODERS.get
+    try:
+        items = [
+            encode_basestring(key) + ":" + get(type(item), _encode_other)(item)
+            for key, item in value.items()
+        ]
+    except TypeError:
+        pass  # a key that is no str, or a value of no JSON type: see below
     else:
-        raise TypeError(f"cannot canonicalize {type(value).__name__}")
+        return "{" + ",".join(items) + "}"
+    # walk the items again in order, so the error is the one met first
+    return _walk_dict(value)
+
+
+def _walk_dict(value: dict) -> str:
+    items = []
+    for key, item in value.items():
+        if not isinstance(key, str):
+            raise TypeError("canonical JSON keys must be strings")
+        items.append(encode_basestring(key) + ":" + _encode(item))
+    return "{" + ",".join(items) + "}"
+
+
+def _encode_other(value: object) -> str:
+    """A value whose exact type is not in the table: a subclass of a JSON
+    type, written as that type, or an unknown type."""
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join([_encode(item) for item in value]) + "]"
+    if isinstance(value, dict):
+        return _walk_dict(value)
+    raise TypeError(f"cannot canonicalize {type(value).__name__}")
+
+
+# a fact row's object: a symbol, an int or a float
+_SCALARS = {str: encode_basestring, int: int.__repr__, float: _float_text}
+_ENCODERS = {
+    **_SCALARS,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    list: _list_text,
+    tuple: _list_text,
+    dict: _dict_text,
+}

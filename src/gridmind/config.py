@@ -132,8 +132,7 @@ class EngineConfig:
 
     def to_echo(self) -> dict[str, object]:
         """Config as a canonical dict (sorted keys) for the trace header."""
-        raw = dataclasses.asdict(self)
-        return {key: raw[key] for key in sorted(raw)}
+        return {name: getattr(self, name) for name in _SORTED_FIELDS}
 
     def with_overrides(self, overrides: dict[str, object]) -> "EngineConfig":
         names = {f.name for f in dataclasses.fields(self)}
@@ -141,6 +140,10 @@ class EngineConfig:
             if key not in names:
                 raise ConfigError(f"unknown config key: {key}")
         return dataclasses.replace(self, **overrides)  # type: ignore[arg-type]
+
+
+# the field names in the order the trace header echoes them
+_SORTED_FIELDS = tuple(sorted(field.name for field in dataclasses.fields(EngineConfig)))
 
 
 def load_config_file(path: str) -> EngineConfig:

@@ -50,7 +50,14 @@ predecessor is held by a weak reference, so a kept change list never
 keeps an old observation alive.
 
 Kept state is not a field: eq and repr ignore it, and a copy of a
-reading or an observation starts without it.
+reading or an observation starts without it. It is kept in the instance
+dict by hand, under a private name: a reading's digest text (`_text`) and
+the part of it after the region (`_text_tail`), an observation's sorted
+entity ids (`_entities`) and the temporal features' events by entity
+(`_by_entity`), as well as the concept record and the facts above, each
+made on first use by the method that returns it. The digest text of an
+observation is a join over its readings' kept texts, keyed by the
+observation's own entity keys.
 """
 
 from __future__ import annotations
@@ -59,7 +66,6 @@ import math
 import weakref
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
 from itertools import combinations, permutations
 from json.encoder import encode_basestring
 from types import MappingProxyType
@@ -179,15 +185,21 @@ class Reading:
             state["_spatial"] = facts
         return moved
 
-    @cached_property
     def text(self) -> str:
         """This reading's canonical JSON in the observation digest, written
-        on first use and kept."""
-        x, y = self.position
-        return f'{{"pos":[{_json(x)},{_json(y)}],"region":{_json(self.region)}' + self._text_tail
+        on first use and kept, as is the part after the region."""
+        state = self.__dict__
+        text = state.get("_text")
+        if text is None:
+            tail = state.get("_text_tail")
+            if tail is None:
+                tail = state["_text_tail"] = self._tail_text()
+            x, y = self.position
+            text = f'{{"pos":[{_json(x)},{_json(y)}],"region":{_json(self.region)}' + tail
+            state["_text"] = text
+        return text
 
-    @cached_property
-    def _text_tail(self) -> str:
+    def _tail_text(self) -> str:
         """The digest text after the region: what does not depend on where
         the entity is."""
         attrs = self.attributes
@@ -251,7 +263,7 @@ class Reading:
 
 # what a Reading makes on first use; a moved reading takes over the first two
 _POSITION_FREE = ("_concept", "_text_tail")
-_KEPT = (*_POSITION_FREE, "text", "_spatial")
+_KEPT = (*_POSITION_FREE, "_text", "_spatial")
 _NO_FLAGS: frozenset[str] = frozenset()
 _NO_LEXICON: Mapping[str, tuple[str, ...]] = MappingProxyType({})
 _PERCEIVED = "perceived"
@@ -306,19 +318,17 @@ class Observation:
 
     def entities(self) -> tuple[str, ...]:
         """The entity ids in sorted order, sorted on first use and kept."""
-        return self._entities
-
-    @cached_property
-    def _entities(self) -> tuple[str, ...]:
-        return tuple(sorted(self.readings))
+        entities = self.__dict__.get("_entities")
+        if entities is None:
+            entities = self.__dict__["_entities"] = tuple(sorted(self.readings))
+        return entities
 
     def digest_text(self) -> str:
         """Canonical JSON of the tick and every reading by entity id: the
         text the trace's observation digest hashes."""
-        readings = ",".join(
-            encode_basestring(e) + ":" + self.readings[e].text for e in self.entities()
-        )
-        return f'{{"tick":{self.tick},"readings":{{{readings}}}}}'
+        readings = self.readings
+        texts = [f"{encode_basestring(e)}:{readings[e].text()}" for e in self.entities()]
+        return f'{{"tick":{self.tick},"readings":{{{",".join(texts)}}}}}'
 
 
 @_direct_init
@@ -339,13 +349,14 @@ class Event:
 class TemporalFeatures:
     events: list[Event] = field(default_factory=list)
 
-    @cached_property
     def by_entity(self) -> dict[str, list[Event]]:
         """The events grouped by entity, each group in event order. Grouped
         on first use and kept: the events do not change once extracted."""
-        index: dict[str, list[Event]] = {}
-        for event in self.events:
-            index.setdefault(event.entity, []).append(event)
+        index = self.__dict__.get("_by_entity")
+        if index is None:
+            index = self.__dict__["_by_entity"] = {}
+            for event in self.events:
+                index.setdefault(event.entity, []).append(event)
         return index
 
     def starting_at(self, tick: int) -> list[Event]:
@@ -524,7 +535,7 @@ def attend_and_bind(
     """
     validate_weights(weights)
     weight_t, weight_s, weight_c = weights["temporal"], weights["spatial"], weights["conceptual"]
-    by_entity, locations, records, agent = ft.by_entity, fs.locations, fc.records, fs.agent
+    by_entity, locations, records, agent = ft.by_entity(), fs.locations, fc.records, fs.agent
     bound: list[BoundObject] = []
     # score = the sum, over the dimensions the entity is present in, of
     # weight * salience, added temporal, spatial, conceptual from 0.0

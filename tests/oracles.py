@@ -10,6 +10,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from gridmind import canonical
 from gridmind.kb import Fact, SemanticGraph
@@ -321,8 +322,8 @@ def bind_reference(ft, fs, fc, weights, task_refs=frozenset(), threshold=0.25):
     entity scored by `attention_score`: the binding the engine computes
     without building either dict."""
     rows = []
-    for entity in sorted(set(ft.by_entity) | set(fs.locations) | set(fc.records)):
-        events = ft.by_entity.get(entity, [])
+    for entity in sorted(set(ft.by_entity()) | set(fs.locations) | set(fc.records)):
+        events = ft.by_entity().get(entity, [])
         open_events = [e for e in events if not e.closed]
         record = fc.records.get(entity)
         ego = fs.locations.get(entity)
@@ -593,3 +594,46 @@ def reference_regulate(anomalies, weights, config):
             record["pattern"] = list(pattern)
         out.append((record, cause))
     return out, values
+
+
+def reference_dumps(value: object) -> str:
+    """`canonical.dumps` as first written: one recursive call per value,
+    types tested in a fixed `isinstance` order."""
+    parts: list[str] = []
+    _reference_emit(value, parts)
+    return "".join(parts)
+
+
+def _reference_emit(value: object, out: list[str]) -> None:
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, float):
+        out.append(canonical.fmt_float(value))
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(value):
+            if i:
+                out.append(",")
+            _reference_emit(item, out)
+        out.append("]")
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError("canonical JSON keys must be strings")
+            if i:
+                out.append(",")
+            out.append(encode_basestring(key))
+            out.append(":")
+            _reference_emit(item, out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot canonicalize {type(value).__name__}")

@@ -130,6 +130,18 @@ task navigate target=p1
             for r in rows(result) for f in r["new_facts"]
         )
 
+    def test_composition_stops_at_the_configured_chain_cap(self):
+        # LeftOf(zz1, zz4) needs a second composing pass: one over the
+        # pairs the first pass derives
+        text = self.SCN + "fact zz1 LeftOf zz2\nfact zz2 LeftOf zz3\nfact zz3 LeftOf zz4\n"
+        for cap, composed in ((1, False), (2, True)):
+            runtime = AgentRuntime(parse_scenario(text), EngineConfig(chain_max_iterations=cap))
+            runtime.bootstrap()
+            graph = runtime.unified.graph
+            assert graph.get("zz1", "LeftOf", "zz3") is not None
+            assert graph.get("zz2", "LeftOf", "zz4") is not None
+            assert (graph.get("zz1", "LeftOf", "zz4") is not None) is composed
+
 
 class TestWorkingMemoryFlow:
     def test_task_objects_present_in_wm_at_planning_time(self):

@@ -46,6 +46,7 @@ def test_overrides_are_refused_by_name_or_held_as_their_echo_rebuilds_them(overr
     except ConfigError as exc:
         assert any(str(exc).startswith(f"bad value for {key}: {value!r}") for key, value in overrides.items())
         return
+    assert list(config.to_echo().items()) == sorted(dataclasses.asdict(config).items())
     assert _echo_rebuilds(config) == config
     for name, kind in FIELDS.items():
         assert type(getattr(config, name)).__name__ == kind

@@ -23,6 +23,10 @@ Each bundled scenario's semantic LTM snapshot, the file `gridmind run
 only through its size, plans and what it consolidates into LTM, so the
 snapshot pins what consolidation kept.
 
+Every line of every golden trace is also checked to be what
+`oracles.reference_dumps`, the encoder as first written, makes of the
+record it encodes.
+
 A change that alters trace bytes on purpose is a behaviour change: it
 updates these hashes and says so in CHANGES.md. Running this file with
 `PYTHONPATH=src:tests python tests/test_golden_traces.py` prints the
@@ -39,9 +43,11 @@ from pathlib import Path
 import pytest
 
 from conftest import BUNDLED
+from gridmind import canonical
 from gridmind.agent import data_root, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
 from gridmind.world import parse_scenario
+from oracles import reference_dumps
 
 GOLDEN = {
     # (scenario, noise): sha256 of the trace
@@ -188,9 +194,13 @@ def ltm_sha256(name: str, noise: bool) -> str:
     return _sha256(_bundled_run(name, noise).runtime.ltm.semantic.to_lines())
 
 
-def generated_trace_sha256(kind: str, seed: int, noise: bool) -> str:
+def _generated_run(kind: str, seed: int, noise: bool):
     text = getattr(_workloads(), f"{kind}_text")(seed)
-    return _sha256(_run(text, f"generated/{kind}-{seed}.scn", seed, noise).lines)
+    return _run(text, f"generated/{kind}-{seed}.scn", seed, noise)
+
+
+def generated_trace_sha256(kind: str, seed: int, noise: bool) -> str:
+    return _sha256(_generated_run(kind, seed, noise).lines)
 
 
 @pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noisy"])
@@ -215,6 +225,36 @@ def test_generated_trace_matches_golden_hash(kind, seed, noise):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_ltm_snapshot_matches_golden_hash(name, noise):
     assert ltm_sha256(name, noise) == GOLDEN_LTM[(name, noise)]
+
+
+GOLDEN_RUNS = [
+    *(("plain", key) for key in GOLDEN),
+    *(("asserted", key) for key in GOLDEN_ASSERTED),
+    *(("generated", key) for key in GOLDEN_GENERATED),
+]
+
+
+@pytest.mark.parametrize(
+    "table, key", GOLDEN_RUNS, ids=["-".join(map(str, (t, *k))) for t, k in GOLDEN_RUNS]
+)
+def test_every_golden_trace_line_is_the_reference_encoding_of_its_record(monkeypatch, table, key):
+    encoded = []  # (text, reference text) of each value the run encodes
+    dumps = canonical.dumps
+
+    def recording(value):
+        text = dumps(value)
+        encoded.append((text, reference_dumps(value)))
+        return text
+
+    monkeypatch.setattr(canonical, "dumps", recording)
+    if table == "generated":
+        result = _generated_run(*key)
+    else:
+        result = _bundled_run(*key, ASSERTED if table == "asserted" else "")
+    assert all(text == reference for text, reference in encoded)
+    # each line is one of the encoded texts, in order
+    texts = iter(text for text, _ in encoded)
+    assert all(any(line == text for text in texts) for line in result.lines)
 
 
 if __name__ == "__main__":

@@ -684,7 +684,7 @@ def test_inherited_readings_imply_what_cold_readings_do(monkeypatch, name, noise
         for reading in o.readings.values():
             cold = copy.copy(reading)
             assert set(vars(cold)) == fields
-            assert reading.text == cold.text
+            assert reading.text() == cold.text()
             record, cold_record = reading.concept(lexicon), cold.concept(lexicon)
             assert record == cold_record
             if record is not None:
@@ -709,14 +709,14 @@ def test_a_moved_reading_takes_over_what_its_position_does_not_change():
     lexicon = {"box": ("store",)}
     attrs, flags = {"category": "box"}, frozenset({"hot"})
     box = Reading("box1", (1, 2), "hall", False, attrs, flags, ("x1",))
-    assert box.text and box.concept(lexicon).facts(3) and box.spatial_facts(3)
+    assert box.text() and box.concept(lexicon).facts(3) and box.spatial_facts(3)
     for position, region in (((2, 2), "hall"), ((9, 9), "yard"), ((9, 9), None)):
         moved = box.moved_to(position, region)
         cold = Reading("box1", position, region, False, dict(attrs), flags, ("x1",))
         assert moved == cold
         assert moved.attributes is box.attributes and moved.flags is box.flags
         assert moved.concept(lexicon) is box.concept(lexicon)
-        assert moved.text == cold.text
+        assert moved.text() == cold.text()
         facts = moved.spatial_facts(4)
         assert _rows(facts) == _rows(cold.spatial_facts(4))
         kept = box.spatial_facts(3)
