@@ -118,7 +118,6 @@ class AgentRuntime:
         self.last_event_prediction: tuple[str, float] | None = None
         self.last_position_predictions: dict[str, tuple[int, int]] = {}
         self.rows: list[dict[str, object]] = []
-        self.cycle_anomalies: list[Anomaly] = []
         self.last_hazards: list[Fact] = []
         self.unified: UnifiedCognition | None = None
 
@@ -232,7 +231,6 @@ class AgentRuntime:
         anomalies = metacog.monitor(state, cfg)
         directives, self.weights = metacog.regulate(anomalies, self.weights, cfg)
         replan = self._apply_directives(directives, tick)
-        self.cycle_anomalies.extend(anomalies)
 
         new_facts = sorted(
             dep_derived + concept_derived + spatial_derived + collision_facts + hazards,
@@ -388,6 +386,10 @@ class AgentRuntime:
         }
 
 
+# the trace format `run_scenario` writes and `trace.replay` reads
+TRACE_VERSION = 2
+
+
 @dataclass
 class TaskRun:
     task: TaskInstruction
@@ -411,12 +413,12 @@ def run_task(runtime: AgentRuntime, task: TaskInstruction, planner) -> TaskRun:
     runs out. A failed step, a TriggerReplan directive, a plan run out
     short of the goal or a planner error fails it, and the next cycle
     replans; on the last cycle, or once the tick budget is spent, it aborts.
+    A planner error is kept as the episode's `planner_error`.
     """
     cfg = runtime.config
     runtime.task = task
     episodes: list[Episode] = []
     for cycle in range(cfg.replan_limit):
-        runtime.cycle_anomalies = []
         runtime.refresh_focus()
         start_tick = runtime.world.tick
         query = decide.formulate_query(
@@ -426,15 +428,15 @@ def run_task(runtime: AgentRuntime, task: TaskInstruction, planner) -> TaskRun:
             retrieve_episodes(runtime.ltm, task.kind, cfg.episode_k),
         )
         plan_records: list[dict[str, object]] = []
-        results: list[ActionResult] = []
+        planner_error = None
         outcome = "failure"
         try:
             plan = planner(query)
         except PlannerError as exc:
-            anomaly = Anomaly("ActionFailure", (exc.code, exc.detail[:120]), cfg.severity_action_failure)
+            planner_error = (exc.code, exc.detail[:120])
+            anomaly = Anomaly("ActionFailure", planner_error, cfg.severity_action_failure)
             # the directives go unused, but the renormalized weights are kept
             _, runtime.weights = metacog.regulate([anomaly], runtime.weights, cfg)
-            runtime.cycle_anomalies.append(anomaly)
         else:
             plan_records = plan.to_records()
             for step in plan.steps:
@@ -442,7 +444,6 @@ def run_task(runtime: AgentRuntime, task: TaskInstruction, planner) -> TaskRun:
                     outcome = "aborted"
                     break
                 result, replan = runtime.tick(step.action)
-                results.append(result)
                 if task.goal_satisfied(runtime.world) or result.failed or replan:
                     break
             if outcome == "failure" and task.goal_satisfied(runtime.world):
@@ -453,8 +454,7 @@ def run_task(runtime: AgentRuntime, task: TaskInstruction, planner) -> TaskRun:
             task_kind=task.kind,
             task_params=dict(task.params),
             plan_steps=plan_records,
-            results=[r.to_record() for r in results],
-            anomalies=[a.to_record() for a in runtime.cycle_anomalies],
+            planner_error=planner_error,
             outcome=outcome,
             start_tick=start_tick,
             end_tick=runtime.world.tick,
@@ -500,7 +500,7 @@ def run_scenario(
     planner = planner_factory(runtime)
     header: dict[str, object] = {
         "record": "header",
-        "version": 1,
+        "version": TRACE_VERSION,
         "scenario": scenario.path or "<inline>",
         "scenario_sha256": hashlib.sha256(
             (scenario_text or "").encode("utf-8")

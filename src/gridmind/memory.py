@@ -150,11 +150,13 @@ class WorkingMemory:
 
 @dataclass
 class Episode:
+    """One decision cycle. Its steps are the trace's tick rows with
+    `start_tick < tick <= end_tick`, which hold their results and anomalies;
+    `planner_error` is `(code, detail)` if the planner failed, else None."""
     task_kind: str
     task_params: dict[str, str]
     plan_steps: list[dict[str, object]]
-    results: list[dict[str, object]]
-    anomalies: list[dict[str, object]]
+    planner_error: tuple[str, str] | None
     outcome: str  # success | failure | aborted
     start_tick: int
     end_tick: int
@@ -164,8 +166,7 @@ class Episode:
             "task": self.task_kind,
             "params": {k: self.task_params[k] for k in sorted(self.task_params)},
             "plan": self.plan_steps,
-            "results": self.results,
-            "anomalies": self.anomalies,
+            "planner_error": self.planner_error,
             "outcome": self.outcome,
             "start_tick": self.start_tick,
             "end_tick": self.end_tick,

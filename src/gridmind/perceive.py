@@ -70,7 +70,8 @@ from itertools import combinations, permutations
 from json.encoder import encode_basestring
 from types import MappingProxyType
 
-from . import canonical, cells
+from . import cells
+from .canonical import dumps
 from .kb import Fact, ValidationError
 
 # fixed salience table for the attention pass
@@ -195,7 +196,7 @@ class Reading:
             if tail is None:
                 tail = state["_text_tail"] = self._tail_text()
             x, y = self.position
-            text = f'{{"pos":[{_json(x)},{_json(y)}],"region":{_json(self.region)}' + tail
+            text = f'{{"pos":[{dumps(x)},{dumps(y)}],"region":{dumps(self.region)}' + tail
             state["_text"] = text
         return text
 
@@ -205,14 +206,14 @@ class Reading:
         attrs = self.attributes
         flags = self.flags
         attrs_text = (
-            "{" + ",".join(f"{encode_basestring(k)}:{_json(attrs[k])}" for k in sorted(attrs)) + "}"
+            "{" + ",".join(f"{encode_basestring(k)}:{dumps(attrs[k])}" for k in sorted(attrs)) + "}"
             if attrs
             else "null"
         )
-        flags_text = "[" + ",".join(map(_json, sorted(flags))) + "]" if flags is not None else "null"
+        flags_text = "[" + ",".join(map(dumps, sorted(flags))) + "]" if flags is not None else "null"
         return (
-            f',"occluded":{_json(self.occluded)},"attrs":{attrs_text},"flags":{flags_text},'
-            f'"contains":[{",".join(map(_json, self.contains))}],"on":{_json(self.on)}}}'
+            f',"occluded":{dumps(self.occluded)},"attrs":{attrs_text},"flags":{flags_text},'
+            f'"contains":[{",".join(map(dumps, self.contains))}],"on":{dumps(self.on)}}}'
         )
 
     def concept(self, lexicon: Mapping[str, tuple[str, ...]]) -> ConceptRecord | None:
@@ -267,23 +268,6 @@ _KEPT = (*_POSITION_FREE, "_text", "_spatial")
 _NO_FLAGS: frozenset[str] = frozenset()
 _NO_LEXICON: Mapping[str, tuple[str, ...]] = MappingProxyType({})
 _PERCEIVED = "perceived"
-
-
-def _json(value: object) -> str:
-    """Canonical JSON of a scalar in a reading: the symbols, sizes, flags
-    and positions readings hold are written here, anything else by
-    `canonical.dumps`, so the bytes are the same either way."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if type(value) is int:
-        return str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return canonical.dumps(value)
 
 
 FlagChange = tuple[str, frozenset[str], frozenset[str]]  # entity, rising, falling

@@ -1,12 +1,14 @@
 """Trace files and replay verification.
 
 A trace is line-delimited canonical JSON: one header record, one record
-per tick, one final summary record. Identical runs produce byte-identical
+per tick, one final summary record. A step is recorded once, in its
+tick's row; a summary episode holds what no row does (task, plan,
+`planner_error`, outcome, tick span). Identical runs produce byte-identical
 traces, so replay re-executes the engine from the header's inputs (the
 LTM seed among them, for a seeded run) and compares line by line;
 external-planner traces are replayed by feeding the recorded plans back
-in (and re-raising the planner failures recorded in their place),
-everything else is recomputed.
+in (and re-raising each `planner_error` in its plan's place), everything
+else is recomputed. A trace of another format version is refused.
 """
 
 from __future__ import annotations
@@ -102,20 +104,25 @@ def replay(trace_path: str) -> ReplayReport:
     The header's `scenario` path is opened as written: a relative path
     resolves against the current directory, not the trace's, so a trace
     recorded with a relative path replays only from the directory it was
-    recorded in. An unreadable scenario, a malformed header field and a
-    malformed recorded plan are each a TraceError.
+    recorded in. A trace of another format version, an unreadable
+    scenario, a malformed header field and a malformed recorded plan are
+    each a TraceError.
     """
     original = read_trace(trace_path)
     header, _, summary = parse_trace(original)
-    for key in ("scenario", "seed", "noise", "hazards_enabled", "planner", "config"):
+    required = ("version", "scenario", "scenario_sha256", "seed", "noise", "hazards_enabled", "planner", "config")
+    for key in required:
         if key not in header:
             raise TraceError(f"header missing field {key!r}")
+    version = header["version"]
+    if type(version) is not int or version != agent.TRACE_VERSION:
+        raise TraceError(f"trace format version {version!r} cannot be replayed, only {agent.TRACE_VERSION}")
     if type(header["seed"]) is not int:
         raise TraceError("header field 'seed' must be an integer")
     for key in ("noise", "hazards_enabled"):
         if type(header[key]) is not bool:
             raise TraceError(f"header field {key!r} must be a boolean")
-    for key in ("scenario", "planner"):
+    for key in ("scenario", "scenario_sha256", "planner"):
         if not isinstance(header[key], str):
             raise TraceError(f"header field {key!r} must be a string")
     if not isinstance(header["config"], dict):
@@ -123,7 +130,7 @@ def replay(trace_path: str) -> ReplayReport:
     scenario_path = header["scenario"]
     scenario_text = read_text(scenario_path, TraceError, "scenario")
     digest = hashlib.sha256(scenario_text.encode("utf-8")).hexdigest()
-    if digest != header.get("scenario_sha256"):
+    if digest != header["scenario_sha256"]:
         raise TraceError(
             f"scenario file {scenario_path} changed since the trace was recorded"
         )
@@ -163,15 +170,14 @@ def _recorded_plans(summary: dict) -> list[Plan | PlannerError]:
 
 
 def _planner_failure(episode: dict) -> PlannerError | None:
-    """The failure of a planner that raised instead of planning: its episode
-    records it as an ActionFailure whose payload is (error code, detail)."""
-    anomalies = episode.get("anomalies")
-    for anomaly in anomalies if isinstance(anomalies, list) else []:
-        payload = anomaly.get("payload") if isinstance(anomaly, dict) else None
-        if isinstance(payload, list) and len(payload) == 2 and anomaly.get("kind") == "ActionFailure":
-            if str(payload[0]).startswith("planner_"):
-                return PlannerError(str(payload[0]), str(payload[1]))
-    return None
+    """The failure of a planner that raised instead of planning: its
+    episode's `planner_error`, (error code, detail)."""
+    error = episode.get("planner_error")
+    if error is None:
+        return None
+    if not (isinstance(error, list) and len(error) == 2 and all(isinstance(x, str) for x in error)):
+        raise PlannerError("planner_malformed", "planner_error must be [code, detail]")
+    return PlannerError(error[0], error[1])
 
 
 def _ltm_seed(header: dict) -> list[str] | None:

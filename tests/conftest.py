@@ -53,6 +53,16 @@ def run_generated(name: str, seed: int = 1, noise: bool = False):
     )
 
 
+def episode_rows(rows, episode):
+    """The tick rows of an episode's steps, those with start_tick < tick <=
+    end_tick; `episode` is a `memory.Episode` or its summary record."""
+    if isinstance(episode, dict):
+        start, end = episode["start_tick"], episode["end_tick"]
+    else:
+        start, end = episode.start_tick, episode.end_tick
+    return [row for row in rows if start < row["tick"] <= end]
+
+
 BUNDLED = [
     "arrange",
     "crossing",

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridmind.agent as agent_module
-from conftest import BUNDLED, PERFBENCH, run_bundled, scenario_path
+from conftest import BUNDLED, PERFBENCH, episode_rows, run_bundled, scenario_path
 from conftest import run_generated as _generated_run
 from gridmind import canonical, reason
 from gridmind.agent import AgentRuntime, RuleData, run_scenario, scripted_planner_factory
@@ -211,9 +211,10 @@ task fetch object=plate1 to=box1
         assert len(task_run.episodes) == EngineConfig().replan_limit
         first = task_run.episodes[0]
         # halted right after the wobble: steps 3 and 4 never executed
-        assert len(first.results) == 2
-        assert first.results[-1]["status"] == "ok"
-        assert first.results[-1]["flags"] == ["instability"]
+        results = [row["result"] for row in episode_rows(runtime.rows, first)]
+        assert len(results) == 2
+        assert results[-1]["status"] == "ok"
+        assert results[-1]["flags"] == ["instability"]
         assert "broken" in runtime.world.entities["cup1"].flags
         replans = [
             d for row in runtime.rows for d in row["directives"]

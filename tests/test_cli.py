@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import scenario_path, stub_planner_spec
+from conftest import episode_rows, scenario_path, stub_planner_spec
 from gridmind.agent import data_root
 from gridmind.cli import main
 from gridmind.trace import TraceError, replay
@@ -386,6 +386,30 @@ def test_bad_ltm_header_field_exit_three(tmp_path, capsys, bad_seed, message):
     assert capsys.readouterr().err.startswith(message)
 
 
+@pytest.mark.parametrize("version", [1, 3, "2"], ids=["older", "newer", "string"])
+def test_trace_of_another_format_version_exit_three_before_any_run(tmp_path, capsys, monkeypatch, version):
+    trace = tmp_path / "run.trace"
+    assert main(["run", scenario_path("fetch_close"), "--trace", str(trace)]) == 0
+    _edit_trace(trace, lambda header, summary: header.update(version=version))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("replay re-ran the engine")
+
+    monkeypatch.setattr("gridmind.agent.run_scenario", no_run)
+    capsys.readouterr()
+    assert main(["replay", str(trace)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: trace format version {version!r} cannot be replayed, only 2")
+
+
+def test_header_without_scenario_digest_exit_three(tmp_path, capsys):
+    trace = tmp_path / "run.trace"
+    assert main(["run", scenario_path("fetch_close"), "--trace", str(trace)]) == 0
+    _edit_trace(trace, lambda header, summary: header.pop("scenario_sha256"))
+    capsys.readouterr()
+    assert main(["replay", str(trace)]) == 3
+    assert capsys.readouterr().err.startswith("error: header missing field 'scenario_sha256'")
+
+
 def test_unknown_planner_spec_exit_three():
     assert main(["run", scenario_path("fetch_close"), "--planner", "psychic"]) == 3
 
@@ -611,8 +635,9 @@ def test_planner_effect_tick_that_overflows_fails_the_cycle(tmp_path, capsys):
     trace = tmp_path / "overflow.trace"
     assert main(["run", scenario_path("fetch_close"), "--trace", str(trace),
                  "--planner", stub_planner_spec("overflow")]) == 2
-    summary = json.loads(trace.read_text().splitlines()[-1])
-    assert summary["episodes"][0]["anomalies"][0]["payload"][0] == "planner_malformed"
+    *rows, summary = map(json.loads, trace.read_text().splitlines()[1:])
+    assert summary["episodes"][0]["planner_error"][0] == "planner_malformed"
+    assert episode_rows(rows, summary["episodes"][0]) == []
     assert main(["replay", str(trace)]) == 0
     assert "replay equal" in capsys.readouterr().out
 
@@ -638,10 +663,10 @@ def test_belief_the_scripted_planner_cannot_read_aborts_the_run(tmp_path, capsys
     scenario.write_text("version 1\ngrid 10 8\nregion room 0 0 9 7\nagent robot1 4 4\n" + lines)
     trace = tmp_path / "unreadable.trace"
     assert main(["run", str(scenario), "--trace", str(trace)]) == 2
-    summary = json.loads(trace.read_text().splitlines()[-1])
+    *rows, summary = map(json.loads, trace.read_text().splitlines()[1:])
     assert summary["outcome"] == "aborted"
-    payload = summary["episodes"][0]["anomalies"][0]["payload"]
-    assert payload == ["planner_error", f"cannot read the belief {belief}"]
+    assert summary["episodes"][0]["planner_error"] == ["planner_error", f"cannot read the belief {belief}"]
+    assert episode_rows(rows, summary["episodes"][0]) == []
     assert main(["replay", str(trace)]) == 0
     assert "replay equal" in capsys.readouterr().out
 
@@ -659,6 +684,17 @@ def test_recorded_effect_tick_that_overflows_exit_three(tmp_path, capsys, extern
     assert main(["replay", str(trace)]) == 3
     assert capsys.readouterr().err.startswith(
         "error: episode 0 records a malformed plan: planner_malformed: bad effect: "
+    )
+
+
+@pytest.mark.parametrize("error", ["planner_error", ["planner_error"], ["planner_error", 7]])
+def test_recorded_planner_error_that_is_no_code_and_detail_exit_three(tmp_path, capsys, external_trace, error):
+    trace = tmp_path / "external.trace"
+    trace.write_bytes(external_trace)
+    _edit_trace(trace, lambda header, summary: summary["episodes"][0].update(planner_error=error))
+    assert main(["replay", str(trace)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: episode 0 records a malformed plan: planner_malformed: planner_error must be [code, detail]"
     )
 
 

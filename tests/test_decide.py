@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import run_bundled, scenario_path
+from conftest import episode_rows, run_bundled, scenario_path
 from gridmind.decide import (
     PlannerQuery,
     TaskError,
@@ -200,7 +200,8 @@ class TestScriptedPlanner:
 
 
 class TestExecution:
-    # a fetch_close run_task, its task line swapped for `task_line`
+    # a fetch_close run_task, its task line swapped for `task_line`, and
+    # the run's tick rows
     @staticmethod
     def _run_task(planner, task_line="task fetch object=ball1 to=box1", **config):
         from gridmind.agent import AgentRuntime, run_task
@@ -212,7 +213,8 @@ class TestExecution:
         scenario = parse_scenario(text)
         runtime = AgentRuntime(scenario, EngineConfig(**config))
         runtime.bootstrap()
-        return run_task(runtime, interpret_task(scenario.tasks[0], scenario), planner)
+        task_run = run_task(runtime, interpret_task(scenario.tasks[0], scenario), planner)
+        return task_run, runtime.rows
 
     @staticmethod
     def _waits(n):
@@ -232,12 +234,12 @@ class TestExecution:
         result = run_bundled("pickup_fail")
         episodes = result.task_runs[0].episodes
         assert [e.outcome for e in episodes] == ["failure", "success"]
-        failed_steps = [r for r in episodes[0].results if r["status"] == "failed"]
+        results = [row["result"] for row in episode_rows(result.runtime.rows, episodes[0])]
+        failed_steps = [r for r in results if r["status"] == "failed"]
         assert len(failed_steps) == 1
         # the failed PickUp is the last executed step of its cycle
-        assert episodes[0].results[-1]["status"] == "failed"
-        executed = len(episodes[0].results)
-        assert executed < len(episodes[0].plan_steps)
+        assert results[-1]["status"] == "failed"
+        assert len(results) < len(episodes[0].plan_steps)
 
     def test_replan_limit_aborts(self):
         # planner that always fails validation -> five failed cycles -> abort
@@ -247,26 +249,28 @@ class TestExecution:
         def broken_planner(query):
             raise PlannerError("planner_error", "stub refuses")
 
-        task_run = self._run_task(broken_planner)
+        task_run, rows = self._run_task(broken_planner)
         assert task_run.outcome == "aborted"
         assert len(task_run.episodes) == EngineConfig().replan_limit
         assert [e.outcome for e in task_run.episodes[:-1]] == ["failure"] * 4
         assert task_run.episodes[-1].outcome == "aborted"
+        assert all(e.planner_error == ("planner_error", "stub refuses") for e in task_run.episodes)
+        assert not any(episode_rows(rows, e) for e in task_run.episodes)
 
     def test_empty_plan_whose_goal_holds_is_success(self):
         # robot1 starts within reach of box1
-        task_run = self._run_task(lambda query: self._waits(0), "task navigate target=box1")
+        task_run, rows = self._run_task(lambda query: self._waits(0), "task navigate target=box1")
         assert task_run.outcome == "success"
         (episode,) = task_run.episodes
         assert episode.outcome == "success"
-        assert episode.results == []
+        assert episode_rows(rows, episode) == []
         assert episode.start_tick == episode.end_tick == 0
 
     def test_plan_run_out_short_of_goal_fails_then_aborts_on_last_cycle(self):
-        task_run = self._run_task(lambda query: self._waits(1), replan_limit=3)
+        task_run, rows = self._run_task(lambda query: self._waits(1), replan_limit=3)
         assert task_run.outcome == "aborted"
         assert [e.outcome for e in task_run.episodes] == ["failure", "failure", "aborted"]
-        assert [len(e.results) for e in task_run.episodes] == [1, 1, 1]
+        assert [len(episode_rows(rows, e)) for e in task_run.episodes] == [1, 1, 1]
         assert [e.end_tick for e in task_run.episodes] == [1, 2, 3]
 
     def test_planner_error_fails_cycle_and_success_beats_last_cycle_abort(self):
@@ -280,21 +284,22 @@ class TestExecution:
                 raise PlannerError("planner_error", "stub refuses once")
             return plan_scripted(query)
 
-        task_run = self._run_task(flaky_planner, replan_limit=2)
+        task_run, rows = self._run_task(flaky_planner, replan_limit=2)
         assert task_run.outcome == "success"
         assert [e.outcome for e in task_run.episodes] == ["failure", "success"]
-        first = task_run.episodes[0]
-        assert first.plan_steps == [] and first.results == []
+        first, second = task_run.episodes
+        assert first.plan_steps == [] and episode_rows(rows, first) == []
         assert first.start_tick == first.end_tick == 0
-        assert [a["kind"] for a in first.anomalies] == ["ActionFailure"]
+        assert first.planner_error == ("planner_error", "stub refuses once")
+        assert second.planner_error is None
 
     def test_tick_budget_spent_mid_plan_aborts(self):
-        task_run = self._run_task(lambda query: self._waits(5), max_ticks=3)
+        task_run, rows = self._run_task(lambda query: self._waits(5), max_ticks=3)
         assert task_run.outcome == "aborted"
         (episode,) = task_run.episodes
         assert episode.outcome == "aborted"
         assert len(episode.plan_steps) == 5
-        assert len(episode.results) == 3
+        assert len(episode_rows(rows, episode)) == 3
         assert episode.end_tick == 3
 
     def test_goal_checked_against_ground_truth(self):

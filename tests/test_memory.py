@@ -27,7 +27,7 @@ def fact(s, r, o, conf=1.0, tick=0, origin="perceived"):
 
 def episode(kind="fetch", outcome="success", start=0, end=3):
     return Episode(
-        task_kind=kind, task_params={}, plan_steps=[], results=[], anomalies=[],
+        task_kind=kind, task_params={}, plan_steps=[], planner_error=None,
         outcome=outcome, start_tick=start, end_tick=end,
     )
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import run_bundled, scenario_path
+from conftest import BUNDLED, PERFBENCH, episode_rows, run_bundled, run_generated, scenario_path
 from gridmind import trace as trace_mod
 from gridmind.trace import TraceError, compare_lines, parse_trace, replay, write_trace
 
@@ -152,3 +152,22 @@ class TestParsing:
             a, b = [a], [b]
         path = trace_mod.diff_path({"x": a}, {"x": b})
         assert path == "$.x" + "[0]" * (sys.getrecursionlimit() * 2 + 1)
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noisy"])
+@pytest.mark.parametrize("name", BUNDLED + ["crowded", "traffic"])
+def test_each_episode_executed_a_prefix_of_its_plan_in_its_tick_span(monkeypatch, name, noise):
+    # the summary holds no copy of a step: an episode's steps are the tick
+    # rows in its span, and every tick after the first is one episode's step
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    result = run_generated(name, noise=noise) if name in ("crowded", "traffic") else run_bundled(name, noise=noise)
+    _, rows, summary = parse_trace(result.lines)
+    spans = []
+    for episode in summary["episodes"]:
+        actions = [row["action"] for row in episode_rows(rows, episode)]
+        plan = [{"name": step["action"], "args": step["args"]} for step in episode["plan"]]
+        assert actions == plan[: len(actions)]
+        if episode["planner_error"] is not None:
+            assert actions == [] and plan == []
+        spans += [row["tick"] for row in episode_rows(rows, episode)]
+    assert spans == [row["tick"] for row in rows[1:]]

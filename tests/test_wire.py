@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scenario_path
+from conftest import episode_rows, scenario_path
 from gridmind.agent import run_scenario
 from gridmind.config import EngineConfig
 from gridmind.decide import (
@@ -125,7 +125,8 @@ class TestFailureModes:
         assert result.exit_code == 2
         # no plan was ever accepted, so no world tick was consumed
         assert result.runtime.world.tick == 0
-        assert all(not e.results for run in result.task_runs for e in run.episodes)
+        rows = result.runtime.rows
+        assert all(not episode_rows(rows, e) for run in result.task_runs for e in run.episodes)
 
     def test_unknown_action_run_aborts_without_partial_execution(self):
         result = _run_fetch_with("unknown-action")
@@ -188,12 +189,10 @@ class TestFailureModes:
     def test_timeout_anomaly_recorded_in_episode(self):
         result = _run_fetch_with("timeout", timeout=0.3)
         assert result.outcome == "aborted"
-        anomalies = [
-            a for run in result.task_runs for e in run.episodes for a in e.anomalies
-        ]
-        assert anomalies
-        assert all(a["kind"] == "ActionFailure" for a in anomalies)
-        assert any("planner_timeout" in a["payload"] for a in anomalies)
+        episodes = [e for run in result.task_runs for e in run.episodes]
+        assert episodes
+        assert all(e.planner_error[0] == "planner_timeout" for e in episodes)
+        assert not any(episode_rows(result.runtime.rows, e) for e in episodes)
 
 
 class TestTcpTransport:
