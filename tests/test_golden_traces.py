@@ -51,26 +51,26 @@ from oracles import reference_dumps
 
 GOLDEN = {
     # (scenario, noise): sha256 of the trace
-    ("arrange", False): "b10ad04f1efb707acef015084776564ba88153251c083ab90c94600c39462a1f",
-    ("arrange", True): "3f921420a92298fdb1ddddb51e8abed8d7bccf1220293bbe6ac800adaf2e4f5d",
-    ("crossing", False): "e5464dc6f8c23efa860b712bec3d369092340c244463228b650c7bc35a0cc99a",
-    ("crossing", True): "1c2d6a2a948f023ed00a6f486a11ec99378b144d7a38fe2dc17585d46a19bddf",
-    ("driving_salience", False): "df313cce4d096f9441d5c2a47b7765b7ed44bad2c4c49a8d50bee9bfa6540094",
-    ("driving_salience", True): "98bbba2d19a5a29da1c8ad8a7537b135d193fce741315c66b4ff297c948a4aab",
-    ("fetch_close", False): "0f8115f8c67c7d84fa890466ba7b235ffd243a3b928a19b1ed59ef2f840bdfc0",
-    ("fetch_close", True): "3c7aae59c4f09939011c1c9baefb0f7abd4ceae61671075ef0f848b05c56ec2a",
-    ("hotcoffee", False): "f6c5ddf7ddebcd20b32f86eb1be2e5c3e77f49cfd195fafc1f0204af64ebc303",
-    ("hotcoffee", True): "93176b10f955871795a8915edd77302e94bc431816b9bf890bd5aadf55aec6b6",
-    ("knockover", False): "b79751767644590363a03686360e2551c48cdcf95a9c450200dc5640340edf03",
-    ("knockover", True): "583e466cc2a4a2aee23ed9de40613ee8b5091e4a80fdd8d60541781aa61a8df4",
-    ("pickup_fail", False): "3fb7dda30fed0ac55b1856892c63a814d8d1ddfd23176fb4a284f0a7ab40b1cf",
-    ("pickup_fail", True): "cc5e87153e319e14aa8ce8222882e80fbf0302e13c72e0e1bf702d34ef63cc29",
-    ("teleport_fault", False): "93c90746a97de6380d1e7d63754aae32baf5129c940dff86040609c2c06aafb5",
-    ("teleport_fault", True): "febdfe737cc8a050451057b59256263abd023126d5571f4d80d74a750d83c3c2",
-    ("vase_room", False): "fee8ef73aa46943d84274f629c558ee2dc39d74f4bff0fc4bc208e25ce232440",
-    ("vase_room", True): "43d9ca1d2e63e96b4704ba0b9c0a86e371235151e153cb88bb8d952f168efe85",
-    ("waterleak", False): "927539eab07e60b7bff94539e4117d7697c34261234ecc97cbcf9a6638291642",
-    ("waterleak", True): "8619f24dd650311b51eeb4f9e0f89ed9845d6b7ad7ae36caa5e5b568b25ceb91",
+    ("arrange", False): "04d70f5fb17721b3724055e6beee6db0faf968a0d2dbe610ab6ae43bbeb1ece1",
+    ("arrange", True): "5a1d428be612b5beeb8b471438c9bdaf246c9410487f696b9db99153fc8f5d12",
+    ("crossing", False): "e263de6a93cecae42b8cdd96d52df39a400450615d44f5b6fb7d3bb80957c888",
+    ("crossing", True): "8216af2b285790bceb2741c10bf6572b7dfeb43beb41a25abf23c518590d5a7a",
+    ("driving_salience", False): "017b9f1719e897186deb2e31fbff2fe898167c82b93f7c39ad64eeae8e9c42a1",
+    ("driving_salience", True): "7e3106b4a0c1afae57ac4ae68f6589743f5f71e19a059b9ea70057ba2b65ba8d",
+    ("fetch_close", False): "6127b851b71597f2f8d9fa7d78937b420f809739767609a1e36029b66db73fa5",
+    ("fetch_close", True): "272bf62f8fc968de1ed64fea2fcc5c5c6729437828446049a01922140f0bdf33",
+    ("hotcoffee", False): "150d00fcb36552febed59edf2d47848cbbea448944c542fb535c17e3e7d087f8",
+    ("hotcoffee", True): "4430d557f8dfb8fc676f4a0288061bb1e0979f6981fc4b17d79105e14ac3accb",
+    ("knockover", False): "0a806184110e91053583c8401cacdab8f4fe76100a06627605f671c049dc4c5a",
+    ("knockover", True): "a591f125c157725f846b380e854aec892ddbe2f52eaec0b57918af703868fd04",
+    ("pickup_fail", False): "09dd8e91c60d429329c0e6e0f0f09be0e85f26d4012b2e738bfc8dc87dcf2050",
+    ("pickup_fail", True): "b4addf57f4785308a5df908649c5dbac65dc015abbb2be29be2441698dde4c0e",
+    ("teleport_fault", False): "0cecd3afb8e8751d081ed32f871dfc5346ff16a7d6fc73ccdb5d3f783fc6561a",
+    ("teleport_fault", True): "25cdb02ff40e76aa35fa6c6613b50f22717e02e7001923b7e20b348ff3a0148d",
+    ("vase_room", False): "387cbf61fb3d8e884260e52350e373accd75ce39e067c9dbc4032ffed4cba0d3",
+    ("vase_room", True): "64d99530ba4bef7043191f7cdefe8e6f6b20c73fb452fc17c0a5e51e5f04be41",
+    ("waterleak", False): "9d6a803bb3d8a7189a0652774cfc5814c312565e684ab53d0186949a83595efe",
+    ("waterleak", True): "52a012f3d3f46c65b535f2395fe5aea1ba4366c4a7b3d41eee6be8f4169855d5",
 }
 
 
@@ -88,43 +88,43 @@ fact zz7 has_state edible 0.9
 
 GOLDEN_ASSERTED = {
     # (scenario, noise): sha256 of the trace with ASSERTED appended
-    ("arrange", False): "95afcc4746b881ca187fb2ad0f0e2b16a684218d8e26acee4aeb0d66c4ea7fcf",
-    ("arrange", True): "b334b31f8ae53daf6c873330318e9089cb31eb431f0c59682e85322b6c526f99",
-    ("crossing", False): "4ea60e6a754491adc5fafffbb9809f0f401365dc7eca4a6cceb51489bd23a748",
-    ("crossing", True): "976c449444996fe4901a4b682336656fb30f14759d52701db5c40105ecdacb22",
-    ("driving_salience", False): "170d666384fba2504667095d7d1ae04e573aa819443744b1681d2c6bbc920034",
-    ("driving_salience", True): "20aaef4b9b3c1348e745bc91fde5566ad974402a39452a0e1ae39978302c4745",
-    ("fetch_close", False): "504aaf204e9e81e4fa241da006bf9588c0108b7d3c72c581d23ae90c98aac6ea",
-    ("fetch_close", True): "eb9b0ae67f33f0e52705d0c8193ec2ea324ce21cfbe257e4c9a31538034758cc",
-    ("hotcoffee", False): "9e98b077def3285c6d5c9b427f3a27d198f884b99b01baab15b02e1e57e87f25",
-    ("hotcoffee", True): "6915fecb84c2689430c27c3e36eb6bb0f1705a054bd875c31781d0a09bcdb737",
-    ("knockover", False): "0286d4108fed3a7be756fce4eec5d41f9e65890863cc44b5c25553ac8408e0ff",
-    ("knockover", True): "6389d6b43f32d83afb9b507f968561996203ac5626a45d497e415fcad940868d",
-    ("pickup_fail", False): "a3b745ec73e94d8db4a5d07e53b388617acdc3ed165445248bef655d79afc417",
-    ("pickup_fail", True): "a2f49fa7b5ed0901507ce985b0581a6de0fb8ef612a33e807c635a20046436b9",
-    ("teleport_fault", False): "7ef0d21c6c03d17d1db35784d062b9ca5ee1a553fa9302b811796d39d90eecfd",
-    ("teleport_fault", True): "7bbefd9c474b446fc6f4ce4fbf91d4611161ab39c1a773bbc86c98369e275f1a",
-    ("vase_room", False): "4ab8ea163910e22c64128ae93b34c5ddcab90ea6f01611ce672b1ab89c16a8e9",
-    ("vase_room", True): "221efbf4d8c637386ce7abb26615391afdc62665e7908b1706808a6a587fc737",
-    ("waterleak", False): "b6ca7ccf86aa15f35e631a2f4c6d4605ec6283e58e90c5baaaf0d6ddd351481f",
-    ("waterleak", True): "0a668609dc65b9576aa50a30259cd25cbbbd2dfff1314562582bcd82c593c6d9",
+    ("arrange", False): "efc5108087b134eb5f5848f9ddd282813e16ca01dea6deda714422885d8de747",
+    ("arrange", True): "6d897afc49a5dd259fee802256907c48beb4d54ed3e5be9e1a069000912ab10c",
+    ("crossing", False): "2ec51a927ee2a7f8875f7882897d7b9018960584b98258747e37aac8397bee3c",
+    ("crossing", True): "71ddbac7739881e532632f263cb39cd8b295453664242dc09d9073764f8abf77",
+    ("driving_salience", False): "353fed5cd19e32e0a74adfc5b81d31635def99b6752960e3b0312a875be23524",
+    ("driving_salience", True): "90b7a3903d255fd1ad67a696352e0b0030c02c1417f2094a4988931c35f981cd",
+    ("fetch_close", False): "358f966fe0b35c1cbe46c79bccedaf05535764297c07dbbe334dbe85e7689ebb",
+    ("fetch_close", True): "2ec7d8f0479b9e1b19022d8eb415162646c53a1f9413ca9385217257f9e47128",
+    ("hotcoffee", False): "eca223156783f269f91776282831ce461a42bd436f2cbd5a59d04912e45305c1",
+    ("hotcoffee", True): "5d7936244c436a312ccc4cf7a97eb8c27df5bafa1d0d6c2f69dfc13f104487bb",
+    ("knockover", False): "8e1f8e5f97f92a615237bd0b0f379e202b9a99f3d6e34b1911127ed73492708c",
+    ("knockover", True): "4c5394e85bd402903801db0eb3cf1ee5996c031f9d9ccce4d2c43d4e91687673",
+    ("pickup_fail", False): "299c62192553c7d5030d5fc70f6cd97aa8b24a1e0caf1c192c045d5d4dfb99ce",
+    ("pickup_fail", True): "4496761d2becd52d942fd759faec43017594fae699d7710b6c500df17752c8d2",
+    ("teleport_fault", False): "bd40da243cb1ba3e16e62934a4879bb43ff93f500a842fcd4fac965f2dac93a1",
+    ("teleport_fault", True): "523262b3402944cfc9b2851742ab145851a4f3cf566d9d20d5d948f74f0a0b3a",
+    ("vase_room", False): "5a8c336653b8128b8ea0180b917c42bfc7856227ca7cf307e68a8628dfbdd419",
+    ("vase_room", True): "c6fdbeb4bb23ab3ccfb6fe4e1404f5cbe881e58be96445716b3efd9699d7810f",
+    ("waterleak", False): "0539611a854b6ea4d86796037b9d418ff920f1219b0670f3c68a1105eee39989",
+    ("waterleak", True): "e4052737886e26348dafbae01a26dfe5d8126f86cb74390523a12871a3ea96c2",
 }
 
 
 GOLDEN_GENERATED = {
     # (workload, workload seed, noise): sha256 of the trace, run at that seed
-    ("crowded", 1, False): "83d2090b11394072f3cb5d6fd8e884674eb675e7a53627737a3f42b04437f7f9",
-    ("crowded", 1, True): "25b2b8fbdc1e7c0e9c0264dbb296990dcad0656107090f7fbb42d7fd335f441f",
-    ("crowded", 2, False): "a8862eaa8fa59bcfbf3619cb8b49e472f8dea015cbd7ebd8a9d1d23b019b6d53",
-    ("crowded", 2, True): "685965874b3b51551dc975b27abcd884819bd6099f9704cf20ac42cafda6ffe1",
-    ("crowded", 3, False): "b866200a08f35a7d3204351f00da7378abdae69f54c5a71a19129155088070e9",
-    ("crowded", 3, True): "75ce1930c9ccb3948a55454f49aa6273814b78d85ce7b4c2ae7b89bfe1ca782f",
-    ("traffic", 1, False): "908ef42e51982182809987118852157ccba705d00978b2856e622d5fa539949f",
-    ("traffic", 1, True): "c87b7fbba1f4535db3c1a766a259cdff5018b39a85036a0069fc76b7aa7a1615",
-    ("traffic", 2, False): "a92e51c6dd9b7973c47e7fef22a6814bcb8ef8bfef07466e68fcf4e10aca7b5a",
-    ("traffic", 2, True): "258985bfce8186720ed24d001af9cec1e1e60009fc5f0fcd97b3f1f90c92ef5a",
-    ("traffic", 3, False): "5d2573cc5c2be5d8a5e731a4dd4748fcb94bdd9fd5e55bc1e816d69580fb0a20",
-    ("traffic", 3, True): "4a165d28dcf5ecd54c03e7115b7d0eff7087dbc0befd0c67c10a2b9ad9fc47eb",
+    ("crowded", 1, False): "d4a3a90b037fe5ffbde6e6a8e4551dac4b41edf70bd00d94bc6ffbe03bb68b24",
+    ("crowded", 1, True): "0195eb030d696ce54689a86617028610b8fc1697fdfd462f3acb82b51f6f31e7",
+    ("crowded", 2, False): "dd9b1579fa421c23d257ab4468e62b58c6a792132d3bc2f170bd9afdc4a46012",
+    ("crowded", 2, True): "3ef409b002e6047cc5e025fcc12f7f8e1d3f74591af0639ca2c50fd699c4451b",
+    ("crowded", 3, False): "0bdabea9fe264ad533b8575f87bf8eb9dda7af9caf06fbb9dc020d698f3e8206",
+    ("crowded", 3, True): "526cde3a4fc60a6ff2ed50eda5d93c4683f48ebfaf351081416c26fd66fc1e6d",
+    ("traffic", 1, False): "948a90a40b66cf57c83a711342a065429ee74887d172b120ebe2967c6fea5da7",
+    ("traffic", 1, True): "8fba766a5b1009c1d6a208f1c16c85740045e4f0cddb269b3e58ce8d6a7508db",
+    ("traffic", 2, False): "2fefd40b1502234c144fb39d700a1ac0fd92d127ca9464dba34df7ab028ff064",
+    ("traffic", 2, True): "42ad60f7cc77aec8c284241e0dcb13f59765e9e8fefb03d9fc461449ccf7c889",
+    ("traffic", 3, False): "d1db24dfab84b6fa290f0de33b9718491a0d446710c59b167d092ad1661ba3ab",
+    ("traffic", 3, True): "04001e74b4c8b1335840f83643b368bd737528c794b8182d7f432e51f6db68c7",
 }
 
 GOLDEN_LTM = {
