@@ -428,7 +428,7 @@ def run_task(runtime: AgentRuntime, task: TaskInstruction, planner) -> TaskRun:
             retrieve_episodes(runtime.ltm, task.kind, cfg.episode_k),
         )
         plan_records: list[dict[str, object]] = []
-        planner_error = None
+        planner_error: tuple[str, str] | None = None
         outcome = "failure"
         try:
             plan = planner(query)
