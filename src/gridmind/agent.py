@@ -112,7 +112,7 @@ class AgentRuntime:
         )
         self.seq_model = EventSequenceModel(order=config.markov_order)
         self.stream: list[str] = []
-        self.window: list[perceive.Observation] = []
+        self.temporal = perceive.TemporalWindow(config.window_size)
         self.task: TaskInstruction | None = None
         self.prediction_confidence = 1.0
         self.last_event_prediction: tuple[str, float] | None = None
@@ -155,11 +155,8 @@ class AgentRuntime:
         cfg = self.config
         tick = self.world.tick
         obs = self.world.observe()
-        self.window.append(obs)
-        if len(self.window) > cfg.window_size:
-            self.window = self.window[-cfg.window_size :]
-
-        ft = perceive.extract_temporal(self.window)
+        previous = self.temporal.last  # before extract_temporal moves it on
+        ft = perceive.extract_temporal(self.temporal, obs)
         fs = perceive.extract_spatial(obs, self.world.agent)
         fc = perceive.extract_conceptual(obs, self.data.lexicon)
         bound = perceive.attend_and_bind(
@@ -189,7 +186,7 @@ class AgentRuntime:
             graph, self.data.composition, cfg.chain_max_iterations
         )
 
-        trajectories = self._predict_trajectories(obs)
+        trajectories = self._predict_trajectories(previous, obs)
         collision_facts = self._collision_facts(trajectories, tick)
         for fact in collision_facts:
             graph.insert(fact)
@@ -244,11 +241,13 @@ class AgentRuntime:
         )
         return replan
 
-    def _predict_trajectories(self, obs: perceive.Observation) -> dict[str, reason.Trajectory]:
-        """Constant-velocity trajectories for entities currently moving."""
-        if len(self.window) < 2:
+    def _predict_trajectories(
+        self, previous: perceive.Observation | None, obs: perceive.Observation
+    ) -> dict[str, reason.Trajectory]:
+        """Constant-velocity trajectories for entities currently moving,
+        from their cells in `previous`, the observation one tick before."""
+        if previous is None:
             return {}
-        previous = self.window[-2].readings  # every entity's, one tick before
         horizon = self.config.trajectory_horizon
         bounds = (self.world.width, self.world.height)
         trajectories: dict[str, reason.Trajectory] = {}
@@ -257,7 +256,8 @@ class AgentRuntime:
             if "moving" not in reading.visible_flags():
                 continue
             trajectories[entity] = reason.predict_trajectory(
-                entity, obs.tick, previous[entity].position, reading.position, horizon, bounds
+                entity, obs.tick, previous.readings[entity].position, reading.position,
+                horizon, bounds,
             )
         return trajectories
 

@@ -36,18 +36,16 @@ reading `Reading.moved_to` makes from its previous one: it shares that
 reading's attribute dict and flag set, and takes over its ConceptRecord
 with the record's facts, the digest text after the region, and its
 located_in (same region), Contains and Inside facts; only `at` (and
-located_in in another region) is built. When a new reading supersedes
-one, `Reading.release` drops what the old one kept, since only the
-latest observation's readings are perceived again. What depends on more
-than one reading is made fresh every tick: has_state(moving), which
-depends on the window, OnTopOf and the pairwise Near and cardinal facts.
+located_in in another region) is built. What depends on more than one
+reading is made fresh every tick: has_state(moving), which depends on the
+window, OnTopOf and the pairwise Near and cardinal facts.
 
-An observation keeps the flag changes from its predecessor in the
-window (`Observation.flag_changes`): found once, when the observation
-first follows that predecessor, so the temporal pathway walks only the
-changes of a window instead of rescanning every reading in it. The
-predecessor is held by a weak reference, so a kept change list never
-keeps an old observation alive.
+The temporal pathway carries its window across ticks (`TemporalWindow`):
+the latest observation, the start tick of each flag on in it, and the
+events that closed within the window. Each new observation is compared
+once with the latest, walking only the readings that changed. No older
+observation is kept, so a superseded reading dies with the observation
+that held it.
 
 Kept state is not a field: eq and repr ignore it, and a copy of a
 reading or an observation starts without it. It is kept in the instance
@@ -63,7 +61,7 @@ observation's own entity keys.
 from __future__ import annotations
 
 import math
-import weakref
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import combinations, permutations
@@ -131,7 +129,9 @@ class Reading:
     What the reading implies is made on first use and kept on it (not a
     field: eq and repr ignore it, and a copy drops it): its digest text,
     its concept record per lexicon and its own spatial facts. A reading
-    that `moved_to` makes takes over what does not depend on the position.
+    that `moved_to` makes takes over what does not depend on the position;
+    one that a changed reading supersedes dies, with what it kept, when the
+    last observation that holds it does.
     """
 
     entity: str
@@ -145,13 +145,6 @@ class Reading:
 
     def visible_flags(self) -> frozenset[str]:
         return self.flags if self.flags is not None else _NO_FLAGS
-
-    def release(self) -> None:
-        """Drop what this reading keeps; a later use makes it again. Called
-        on a reading that a changed one supersedes."""
-        state = self.__dict__
-        for name in _KEPT:
-            state.pop(name, None)
 
     def moved_to(self, position: tuple[int, int], region: str | None) -> Reading:
         """This reading with the entity reported at `position` in `region`.
@@ -262,15 +255,11 @@ class Reading:
         return kept
 
 
-# what a Reading makes on first use; a moved reading takes over the first two
+# what a Reading makes on first use that a moved reading takes over
 _POSITION_FREE = ("_concept", "_text_tail")
-_KEPT = (*_POSITION_FREE, "_text", "_spatial")
 _NO_FLAGS: frozenset[str] = frozenset()
 _NO_LEXICON: Mapping[str, tuple[str, ...]] = MappingProxyType({})
 _PERCEIVED = "perceived"
-
-
-FlagChange = tuple[str, frozenset[str], frozenset[str]]  # entity, rising, falling
 
 
 @_direct_init
@@ -278,27 +267,6 @@ FlagChange = tuple[str, frozenset[str], frozenset[str]]  # entity, rising, falli
 class Observation:
     tick: int
     readings: dict[str, Reading]
-
-    def flag_changes(self, previous: Observation) -> list[FlagChange]:
-        """(entity, rising flags, falling flags) for each entity whose
-        visible flags differ from those in `previous` (an absent entity
-        has none), in no particular order. Found once per predecessor and
-        kept, with the predecessor held by a weak reference."""
-        kept = self.__dict__.get("_flag_changes")
-        if kept is not None and kept[0]() is previous:
-            return kept[1]
-        changes = []
-        before, after = previous.readings, self.readings
-        for entity in before.keys() | after.keys():
-            old, new = before.get(entity), after.get(entity)
-            if old is new:
-                continue
-            flags_before = _NO_FLAGS if old is None else old.visible_flags()
-            flags = _NO_FLAGS if new is None else new.visible_flags()
-            if flags != flags_before:
-                changes.append((entity, flags - flags_before, flags_before - flags))
-        self.__dict__["_flag_changes"] = (weakref.ref(previous), changes)
-        return changes
 
     def entities(self) -> tuple[str, ...]:
         """The entity ids in sorted order, sorted on first use and kept."""
@@ -410,39 +378,64 @@ class BoundObject:
     below_threshold: bool
 
 
-def extract_temporal(window: list[Observation]) -> TemporalFeatures:
-    """Edge-triggered event detection over a consecutive-tick window.
+class TemporalWindow:
+    """What the temporal pathway carries from tick to tick, for events over
+    the last `size` ticks: the latest observation (`last`), the start tick
+    of each (entity, flag) on in it (`opened`), and the events that closed,
+    as (start, entity, kind, flag, end) in the order they closed
+    (`closed`). `extract_temporal` moves it on by one observation."""
 
-    A flag that is already on at the first observation opens an event at
-    the window start; a rising edge opens one; a falling edge closes it at
-    the first off tick (an absent entity has no flags). The movement flag
-    maps to event kind "move". Past the first observation only the flag
-    changes each observation keeps are walked (`Observation.flag_changes`).
-    Events are numbered by (start, entity, kind, flag); only the flags
-    "move" and "moving" share a kind.
+    __slots__ = ("size", "last", "opened", "closed")
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.last: Observation | None = None
+        self.opened: dict[tuple[str, str], int] = {}
+        self.closed: deque[tuple[int, str, str, str, int]] = deque()
+
+
+def extract_temporal(window: TemporalWindow, obs: Observation) -> TemporalFeatures:
+    """Edge-triggered event detection: move `window` on to `obs`, the tick
+    after its latest observation, and return the events of its last
+    `window.size` ticks.
+
+    A rising edge opens an event and a falling edge closes it at the first
+    off tick (an absent entity has no flags); a flag on at the first
+    observation opens one there. Only the readings of `obs` that are not
+    the same objects as in the latest observation are compared. An event
+    that started before the window is reported from the window start, and
+    one that closed at or before it is dropped. The movement flag maps to
+    event kind "move". Events are numbered by (start, entity, kind, flag);
+    only the flags "move" and "moving" share a kind.
     """
-    if not window:
-        raise ValidationError("observation window must be non-empty")
-    for prev, cur in zip(window, window[1:]):
-        if cur.tick != prev.tick + 1:
-            raise ValidationError(
-                f"observation window ticks not consecutive: {prev.tick} -> {cur.tick}"
-            )
-    first = window[0]
-    opened: dict[tuple[str, str], int] = {}
-    for entity, reading in first.readings.items():
-        for flag in reading.visible_flags():
-            opened[entity, flag] = first.tick
-    raw: list[tuple[int, str, str, str, int | None]] = []
-    for prev, cur in zip(window, window[1:]):
-        tick = cur.tick
-        for entity, rising, falling in cur.flag_changes(prev):
-            for flag in rising:
+    last, tick = window.last, obs.tick
+    opened, closed = window.opened, window.closed
+    if last is None:
+        for entity, reading in obs.readings.items():
+            for flag in reading.visible_flags():
                 opened[entity, flag] = tick
-            for flag in falling:
-                raw.append((opened.pop((entity, flag)), entity, _event_kind(flag), flag, tick))
+    elif tick != last.tick + 1:
+        raise ValidationError(f"observation window ticks not consecutive: {last.tick} -> {tick}")
+    else:
+        before, after = last.readings, obs.readings
+        for entity in before.keys() | after.keys():
+            old, new = before.get(entity), after.get(entity)
+            if old is new:
+                continue
+            flags_before = _NO_FLAGS if old is None else old.visible_flags()
+            flags = _NO_FLAGS if new is None else new.visible_flags()
+            if flags != flags_before:
+                for flag in flags - flags_before:
+                    opened[entity, flag] = tick
+                for flag in flags_before - flags:
+                    closed.append((opened.pop((entity, flag)), entity, _event_kind(flag), flag, tick))
+    window.last = obs
+    first = tick - window.size + 1
+    while closed and closed[0][4] <= first:  # off at every tick of the window
+        closed.popleft()
+    raw = [(max(start, first), entity, kind, flag, end) for start, entity, kind, flag, end in closed]
     for (entity, flag), start in opened.items():
-        raw.append((start, entity, _event_kind(flag), flag, None))
+        raw.append((max(start, first), entity, _event_kind(flag), flag, None))
     raw.sort()  # (start, entity, kind, flag) is unique, so `end` is never compared
     return TemporalFeatures(
         events=[

@@ -676,8 +676,7 @@ class WorldState:
         position matches too, so what is kept on it carries over, and else
         one the previous reading makes with `Reading.moved_to`, which takes
         over what does not depend on the position. Only an entity changed
-        in more than its position gets a Reading built from its state, and
-        the one a new reading supersedes is released.
+        in more than its position gets a Reading built from its state.
         """
         occluded = set(self._holder)
         for state in self.entities.values():
@@ -702,9 +701,7 @@ class WorldState:
                         readings[entity_id] = previous
                         continue
                     readings[entity_id] = previous.moved_to(reported, self.region_of(reported))
-                    previous.release()
                     continue
-                previous.release()
             if hidden:
                 reading = Reading(entity_id, reported, self.region_of(reported), True)
             else:

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from gridmind.agent import RuleData, data_root, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
+from gridmind.perceive import TemporalWindow, extract_temporal
 from gridmind.world import load_scenario, parse_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -51,6 +52,16 @@ def run_generated(name: str, seed: int = 1, noise: bool = False):
         scenario, config, seed=seed, planner_factory=scripted_planner_factory, noise=noise,
         scenario_text=text,
     )
+
+
+def temporal_features(window):
+    """The temporal features of a non-empty list of consecutive-tick
+    observations: each fed in turn to a fresh `TemporalWindow` as long as
+    the list, so the last call's events span the whole list."""
+    carried = TemporalWindow(len(window))
+    for obs in window:
+        features = extract_temporal(carried, obs)
+    return features
 
 
 def episode_rows(rows, episode):

@@ -17,6 +17,7 @@ from gridmind import canonical, reason
 from gridmind.agent import AgentRuntime, RuleData, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
 from gridmind.memory import WorkingMemory
+from gridmind.trace import replay, write_trace
 from gridmind.reason import EventSequenceModel, predict_trajectory, train_sequence_model
 from gridmind.world import parse_scenario
 from oracles import SortingWorkingMemory, all_pairs_collision_facts
@@ -442,6 +443,23 @@ def test_collision_checks_only_pairs_in_neighbouring_cells(monkeypatch):
     checked.clear()
     assert collision_facts({k: trajectories[k] for k in ("m00", "m01", "m02", "m03")}, 1.5) == []
     assert len(checked) == 6
+
+
+def test_a_one_tick_window_still_predicts_collisions_from_the_previous_observation(tmp_path):
+    # trajectories read the observation one tick before, which the temporal
+    # window carries whatever its size: crossing's carts are flagged at
+    # ticks 1 and 2 with a one-tick window as with the default one
+    risks = {}
+    for size in (12, 1):
+        result = run_bundled("crossing", config=EngineConfig(window_size=size))
+        risks[size] = [
+            (row["tick"], f[0], f[2])
+            for row in rows(result) for f in row["new_facts"] if f[1] == "CollisionRisk"
+        ]
+    assert risks[1] == risks[12] == [(1, "mover_a", "mover_b"), (2, "mover_a", "mover_b")]
+    path = tmp_path / "crossing.trace"
+    write_trace(str(path), result.lines)
+    assert replay(str(path)).equal
 
 
 def test_zero_prediction_decay_zeroes_prediction_confidence():

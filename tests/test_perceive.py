@@ -10,12 +10,13 @@ import inspect
 import json
 import pickle
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BUNDLED, PERFBENCH, run_bundled, run_generated
+from conftest import BUNDLED, PERFBENCH, run_bundled, run_generated, temporal_features
 from gridmind import canonical, cells, perceive
 from gridmind.agent import AgentRuntime, RuleData
 from gridmind.config import EngineConfig
@@ -30,13 +31,14 @@ from gridmind.perceive import (
     Reading,
     SpatialFeatures,
     TemporalFeatures,
+    TemporalWindow,
     attend_and_bind,
     build_dimension_graphs,
     extract_conceptual,
     extract_spatial,
     extract_temporal,
 )
-from gridmind.world import WorldState
+from gridmind.world import Action, WorldState, parse_scenario
 from oracles import (
     attention_score,
     bind_reference,
@@ -70,7 +72,7 @@ class TestTemporal:
         window = [
             obs(t, e1={"flags": ["moving"] if 3 <= t < 7 else []}) for t in range(10)
         ]
-        ft = extract_temporal(window)
+        ft = temporal_features(window)
         assert len(ft.events) == 1
         event = ft.events[0]
         assert (event.kind, event.start, event.end) == ("move", 3, 7)
@@ -78,7 +80,7 @@ class TestTemporal:
 
     def test_static_window_has_no_events(self):
         window = [obs(t, e1={}) for t in range(5)]
-        assert extract_temporal(window).events == []
+        assert temporal_features(window).events == []
 
     def test_overlapping_events_interval_is_negative(self):
         window = [
@@ -89,7 +91,7 @@ class TestTemporal:
             )
             for t in range(10)
         ]
-        ft = extract_temporal(window)
+        ft = temporal_features(window)
         by_kind = {e.kind: e for e in ft.events}
         tilt, wet = by_kind["tilting"], by_kind["wet"]
         assert (tilt.start, tilt.end) == (2, 5)
@@ -99,7 +101,7 @@ class TestTemporal:
 
     def test_flag_on_at_window_start_opens_event(self):
         window = [obs(t, e1={"flags": ["hot"]}) for t in range(3, 6)]
-        ft = extract_temporal(window)
+        ft = temporal_features(window)
         assert len(ft.events) == 1
         assert ft.events[0].start == 3
         assert not ft.events[0].closed
@@ -113,16 +115,14 @@ class TestTemporal:
             )
             for t in range(3)
         ]
-        ft = extract_temporal(window)
+        ft = temporal_features(window)
         assert [(e.event_id, e.entity) for e in ft.events] == [("ev1", "a"), ("ev2", "b")]
 
     def test_non_consecutive_window_rejected(self):
+        window = TemporalWindow(2)
+        extract_temporal(window, obs(0, e1={}))
         with pytest.raises(ValidationError):
-            extract_temporal([obs(0, e1={}), obs(2, e1={})])
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValidationError):
-            extract_temporal([])
+            extract_temporal(window, obs(2, e1={}))
 
 
 FLAG_NAMES = ("move", "moving", "hot", "wet")
@@ -159,13 +159,13 @@ def windows(draw):
 @settings(max_examples=400, deadline=None)
 @given(windows())
 def test_temporal_events_match_the_window_rescan_oracle(window):
-    events = extract_temporal(window).events
+    events = temporal_features(window).events
     assert [(e.event_id, e.entity, e.kind, e.start, e.end) for e in events] == window_events(window)
 
 
 def test_move_and_moving_flags_opened_together_keep_flag_order():
     window = [obs(t, a={"flags": ["move", "moving"] if t < 2 else ["moving"]}) for t in range(4)]
-    events = extract_temporal(window).events
+    events = temporal_features(window).events
     # ev1 is the "move" flag's event, closed at 2; ev2 the "moving" flag's
     assert [(e.event_id, e.kind, e.start, e.end) for e in events] == [
         ("ev1", "move", 0, 2),
@@ -174,13 +174,13 @@ def test_move_and_moving_flags_opened_together_keep_flag_order():
 
 
 def _events(window):
-    return [(e.event_id, e.entity, e.kind, e.start, e.end) for e in extract_temporal(window).events]
+    return [(e.event_id, e.entity, e.kind, e.start, e.end) for e in temporal_features(window).events]
 
 
 def test_temporal_events_match_the_oracle_on_every_sliding_window_of_a_traffic_run(monkeypatch):
     """Every window of one to window_size consecutive observations of a
-    traffic run, so each observation's kept flag changes are read by
-    windows that start before it, at its predecessor and at itself."""
+    traffic run, so each observation is taken by windows that start before
+    it, at its predecessor and at itself."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     observed = []
     observe = WorldState.observe
@@ -212,22 +212,22 @@ def test_an_observation_after_a_different_predecessor_finds_its_changes_again():
     windows = ([a, b, c], [b, c], [other_b, c], [a, other_b, c], [a, b, c], [c])
     for window in windows + windows:
         assert _events(window) == window_events(window)
-    # a deep copy starts without kept changes, and finds the same events
+    # a deep copy finds the same events
     for window in windows:
-        copied = copy.deepcopy(window)
-        assert "_flag_changes" not in vars(copied[-1])
-        assert _events(copied) == window_events(window)
+        assert _events(copy.deepcopy(window)) == window_events(window)
 
 
-def test_kept_flag_changes_do_not_keep_their_predecessor_alive():
+def test_a_window_lets_go_of_an_observation_two_ticks_back():
     a = obs(0, e1={"flags": ["hot"]})
-    b = obs(1, e1={})
-    assert _events([a, b]) == [("ev1", "e1", "hot", 0, 1)]
+    window = TemporalWindow(3)
+    extract_temporal(window, a)
+    extract_temporal(window, obs(1, e1={}))
+    features = extract_temporal(window, obs(2, e1={}))
+    assert [(e.entity, e.kind, e.start, e.end) for e in features.events] == [("e1", "hot", 0, 1)]
     gone = weakref.ref(a)
     del a
     gc.collect()
     assert gone() is None
-    assert _events([obs(0, e1={}), b]) == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,9 +239,69 @@ def test_every_sub_window_matches_the_rescan_oracle(window):
             assert _events(sub) == window_events(sub)
 
 
+SCRIPTED_FLAGS = ("hot", "wet", "powered", "open")
+SCRIPTED_TICKS = 15
+
+
+@st.composite
+def scripted_worlds(draw):
+    """(scenario text, window size): a grid of 4 to 12 cells a side, an
+    agent and 1 to 6 entities on distinct cells, some with flags, scripted
+    set, clear, velocity and teleport events in the first 15 ticks, and a
+    window of 1 to 5 ticks."""
+    width, height = draw(st.integers(4, 12)), draw(st.integers(4, 12))
+    count = draw(st.integers(1, 6))
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    places = draw(st.lists(cell, min_size=count + 1, max_size=count + 1, unique=True))
+    (ax, ay), *places = places
+    names = [f"e{k}" for k in range(count)]
+    lines = ["version 1", f"grid {width} {height}", f"agent robot1 {ax} {ay}"]
+    for name, (x, y) in zip(names, places):
+        flags = draw(st.sets(st.sampled_from(SCRIPTED_FLAGS)))
+        lines.append(f"entity {name} {x} {y} category=box" + (f" flags={','.join(sorted(flags))}" if flags else ""))
+    for _ in range(draw(st.integers(0, 16))):
+        tick, name = draw(st.integers(0, SCRIPTED_TICKS - 1)), draw(st.sampled_from(names))
+        kind = draw(st.sampled_from(["set", "clear", "velocity", "teleport"]))
+        if kind in ("set", "clear"):
+            operands = draw(st.sampled_from(SCRIPTED_FLAGS))
+        elif kind == "velocity":
+            operands = "{} {}".format(*draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1))))
+        else:
+            operands = "{} {}".format(*draw(cell))
+        lines.append(f"at {tick} {kind} {name} {operands}")
+    return "\n".join(lines) + "\n", draw(st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scripted_worlds(), st.integers(0, 3))
+def test_a_carried_window_matches_the_rescan_oracle_on_every_tick_of_a_scripted_world(world, seed):
+    """An agent that waits through a generated world, noise off and on:
+    on every tick, the events its carried window reports are those the
+    rescan oracle finds in the last window_size observations."""
+    text, size = world
+    extract = perceive.extract_temporal
+    for noise in (False, True):
+        observed, reported = [], []
+
+        def recording(window, o):
+            features = extract(window, o)
+            observed.append(o)
+            reported.append([(e.event_id, e.entity, e.kind, e.start, e.end) for e in features.events])
+            return features
+
+        runtime = AgentRuntime(parse_scenario(text), EngineConfig(window_size=size), seed=seed, noise=noise)
+        with mock.patch.object(perceive, "extract_temporal", recording):
+            runtime.bootstrap()
+            for _ in range(SCRIPTED_TICKS + size):
+                runtime.tick(Action("Wait"))
+        assert len(reported) == SCRIPTED_TICKS + size + 1
+        for end, events in enumerate(reported, start=1):
+            assert events == window_events(observed[max(0, end - size) : end]), end
+
+
 def pairwise_facts(o: Observation, near_distance: float = 2.0) -> list[tuple]:
     fs = extract_spatial(o, "agent")
-    ft, fc = extract_temporal([o]), extract_conceptual(o)
+    ft, fc = temporal_features([o]), extract_conceptual(o)
     _, s_facts, _, _ = build_dimension_graphs(o, ft, fs, fc, near_distance=near_distance)
     return [(f.subject, f.relation, f.obj) for f in s_facts if f.relation in PAIRWISE]
 
@@ -302,7 +362,7 @@ class TestConceptual:
 class TestAttendAndBind:
     def test_full_presence_full_salience_scores_one(self):
         window = [obs(t, agent={"pos": (0, 0)}, e1={"pos": (0, 1), "flags": ["moving"], "attrs": {"category": "cat"}}) for t in range(2)]
-        ft = extract_temporal(window)
+        ft = temporal_features(window)
         fs = extract_spatial(window[-1], "agent")
         fc = extract_conceptual(window[-1])
         bound = attend_and_bind(ft, fs, fc, UNIFORM, task_refs=frozenset({"e1"}))
@@ -311,7 +371,7 @@ class TestAttendAndBind:
 
     def test_zero_weight_on_only_present_dimension(self):
         o = obs(0, agent={"pos": (0, 0)}, ghost={"pos": (5, 5), "occluded": True})
-        ft = extract_temporal([o])
+        ft = temporal_features([o])
         fs = extract_spatial(o, "agent")
         fc = extract_conceptual(o)
         weights = {"temporal": 1.0, "spatial": 0.0, "conceptual": 0.0}
@@ -322,7 +382,7 @@ class TestAttendAndBind:
 
     def test_ties_break_by_entity_id(self):
         o = obs(0, agent={"pos": (0, 0)}, b={"pos": (5, 5)}, a={"pos": (6, 6)})
-        ft = extract_temporal([o])
+        ft = temporal_features([o])
         fs = extract_spatial(o, "agent")
         fc = extract_conceptual(o)
         bound = attend_and_bind(ft, fs, fc, UNIFORM)
@@ -338,7 +398,7 @@ class TestAttendAndBind:
             seen={"pos": (1, 0), "attrs": {"category": "cup"}},
             hidden={"pos": (4, 4), "occluded": True},
         )
-        ft = extract_temporal([o])
+        ft = temporal_features([o])
         fs = extract_spatial(o, "agent")
         fc = extract_conceptual(o)
         bound = attend_and_bind(ft, fs, fc, UNIFORM)
@@ -346,7 +406,7 @@ class TestAttendAndBind:
 
     def test_bad_weight_sum_rejected(self):
         o = obs(0, agent={"pos": (0, 0)})
-        ft = extract_temporal([o])
+        ft = temporal_features([o])
         fs = extract_spatial(o, "agent")
         fc = extract_conceptual(o)
         with pytest.raises(ValidationError):
@@ -438,7 +498,7 @@ class TestGraphEmission:
             vase1={"pos": (2, 4), "attrs": {"category": "vase"}, "on": "table1"},
             bed1={"pos": (5, 4), "attrs": {"category": "bed"}},
         )
-        ft = extract_temporal([o])
+        ft = temporal_features([o])
         fs = extract_spatial(o, "agent")
         fc = extract_conceptual(o)
         _, s_facts, _, _ = build_dimension_graphs(o, ft, fs, fc)
@@ -454,7 +514,7 @@ class TestGraphEmission:
             cup1={"pos": (1, 1), "attrs": {"category": "cup"}, "contains": ["liq1"]},
             liq1={"pos": (1, 1), "occluded": True},
         )
-        ft = extract_temporal([o])
+        ft = temporal_features([o])
         fs = extract_spatial(o, "agent")
         fc = extract_conceptual(o)
         _, s_facts, _, _ = build_dimension_graphs(o, ft, fs, fc)
@@ -467,7 +527,7 @@ class TestGraphEmission:
             obs(t, agent={"pos": (0, 0)}, cat1={"pos": (t, 3), "flags": ["moving"]})
             for t in range(2)
         ]
-        ft = extract_temporal(window)
+        ft = temporal_features(window)
         fs = extract_spatial(window[-1], "agent")
         fc = extract_conceptual(window[-1])
         t_facts, _, c_facts, _ = build_dimension_graphs(window[-1], ft, fs, fc)
@@ -791,33 +851,21 @@ def test_a_copied_or_pickled_concept_record_drops_its_facts():
 
 
 @pytest.mark.parametrize("name, seed", [(k, s) for k in ("crowded", "traffic") for s in (1, 2)])
-def test_only_the_latest_observations_readings_keep_state(monkeypatch, name, seed):
-    """After every tick, a reading that is not in the latest observation
-    holds nothing but its fields, and releasing superseded readings leaves
-    the trace as it was."""
+def test_no_observation_older_than_the_previous_ticks_stays_alive(monkeypatch, name, seed):
+    """Whenever the world is about to observe tick t, the only observation
+    still alive is that of tick t - 1, which the temporal window holds:
+    what an older one's readings kept has gone with it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    fields = {f.name for f in dataclasses.fields(Reading)}
-    seen: dict[int, Reading] = {}  # every reading of the run, kept alive
-    pipeline = AgentRuntime._pipeline
-    ticks = 0
+    observe = WorldState.observe
+    made: list[weakref.ref] = []
 
-    def checked_pipeline(runtime, *args, **kwargs):
-        nonlocal ticks
-        outcome = pipeline(runtime, *args, **kwargs)
-        for o in runtime.window:
-            seen.update((id(r), r) for r in o.readings.values())
-        latest = {id(r) for r in runtime.window[-1].readings.values()}
-        for key, reading in seen.items():
-            if key not in latest:
-                assert set(vars(reading)) == fields, (runtime.world.tick, reading.entity)
-        ticks += 1
-        return outcome
+    def checked_observe(world):
+        alive = [o.tick for o in (ref() for ref in made) if o is not None]
+        assert alive == ([world.tick - 1] if made else []), world.tick
+        o = observe(world)
+        made.append(weakref.ref(o))
+        return o
 
-    monkeypatch.setattr(AgentRuntime, "_pipeline", checked_pipeline)
+    monkeypatch.setattr(WorldState, "observe", checked_observe)
     result = run_generated(name, seed)
-    lines = result.lines
-    # some readings were superseded, and so released
-    assert ticks > 1 and len(seen) > len(result.runtime.window[-1].readings)
-    monkeypatch.setattr(AgentRuntime, "_pipeline", pipeline)
-    monkeypatch.setattr(Reading, "release", lambda reading: None)
-    assert run_generated(name, seed).lines == lines
+    assert len(made) == result.runtime.world.tick + 1 > 2

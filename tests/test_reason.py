@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmind.kb import Fact, SemanticGraph, ValidationError
-from gridmind.perceive import Observation, Reading, extract_temporal
+from gridmind.perceive import Observation, Reading
 from gridmind.reason import (
     EventSequenceModel,
     TemporalInconsistencyError,
@@ -24,6 +24,7 @@ from gridmind.reason import (
     temporal_closure,
     train_sequence_model,
 )
+from conftest import temporal_features
 from oracles import (
     composition_table,
     exhaustive_composition,
@@ -97,7 +98,7 @@ def test_perceived_precedence_is_acyclic_and_already_closed(window):
     # a closed event ends after it starts, so end(i) <= start(j) can never
     # lead back to i: the closure of perceived precedence never raises, and
     # it adds nothing, since end(i) <= start(j) < end(j) <= start(k)
-    events = extract_temporal(window).events
+    events = temporal_features(window).events
     assert all(e.end > e.start for e in events if e.closed)
     order = order_from_events(events)
     assert temporal_closure(order).pairs == order.pairs
