@@ -9,7 +9,8 @@ Subcommands:
 Exit codes for ``run``: 0 task success, 2 abort, 3 load/config error.
 Exit codes for ``replay``: 0 fully equal, 1 divergence, 3 malformed input.
 Exit codes for ``query``: 0 answered (no match included), 3 a bad KB, rule
-file or pattern.
+file or pattern, or inference that stops at its pass cap before a
+fixpoint is confirmed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import agent, decide, trace
 from .canonical import InputError, read_text
 from .config import ConfigError, EngineConfig, load_config_file
 from .kb import Rule, ValidationError, forward_chain, graph_from_lines, query as kb_query
-from .reason import compose_spatial
 from .rulefmt import load_composition, load_rules, parse_atom, parse_rule_line
 from .world import ScenarioError, parse_scenario
 
@@ -160,9 +160,9 @@ def cmd_query(args) -> int:
         rules = load_rules(args.rules)
     # precedence facts close transitively like any other chained relation
     rules.append(parse_rule_line("rule before-transitivity 1.0: Before(?x, ?y), Before(?y, ?z) -> Before(?x, ?z)"))
-    forward_chain(graph, rules)
+    _chain(graph, rules, 100)
     composition = args.composition or str(agent.data_root().joinpath("composition.txt"))
-    compose_spatial(graph, load_composition(composition))
+    _chain(graph, load_composition(composition), 1000)
     pattern = parse_atom(args.pattern, path="<pattern>")
     # a pattern no fact could match is an error, not an empty answer
     try:
@@ -178,6 +178,15 @@ def cmd_query(args) -> int:
             pairs = [f"{var.lstrip('?')}={binding[var]}" for var in sorted(binding)]
             print(", ".join(pairs))
     return 0
+
+
+def _chain(graph, rules: list[Rule], cap: int) -> None:
+    """Chain `rules` over `graph`: an answer that the pass cap may have cut
+    short is no answer."""
+    if forward_chain(graph, rules, cap).truncated:
+        raise InputError(
+            f"inference stopped at its cap of {cap} passes, before a fixpoint was confirmed"
+        )
 
 
 if __name__ == "__main__":

@@ -140,6 +140,26 @@ def test_rule_that_binds_a_number_as_conclusion_subject_exit_three(tmp_path, cap
     assert not trace.exists()
 
 
+def test_query_whose_inference_stops_at_its_pass_cap_exit_three(tmp_path, capsys):
+    # reach(n0, goal) takes 150 passes, one per link, past the rule file's
+    # cap of 100; cut short there, the chain held reach(n60, goal) but not it
+    kb = tmp_path / "chain.kb"
+    kb.write_text("".join(f"n{i}|next|n{i + 1}|1.000000|0|asserted\n" for i in range(150))
+                  + "n150|reach|goal|1.000000|0|asserted\n")
+    rules = tmp_path / "reach.rules"
+    rules.write_text("rule back 1.0: next(?x, ?y), reach(?y, goal) -> reach(?x, goal)\n")
+    for pattern in ("reach(n0, goal)", "reach(n60, goal)"):
+        assert main(["query", str(kb), pattern, "--rules", str(rules)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: inference stopped at its cap of 100 passes, before a fixpoint was confirmed\n"
+        )
+    # 99 links take 99 passes, and one more finds nothing new: answered
+    kb.write_text("".join(f"n{i}|next|n{i + 1}|1.000000|0|asserted\n" for i in range(99))
+                  + "n99|reach|goal|1.000000|0|asserted\n")
+    assert main(["query", str(kb), "reach(n0, goal)", "--rules", str(rules)]) == 0
+    assert capsys.readouterr().out == "match\n"
+
+
 def test_query_empty_kb(tmp_path, capsys):
     kb = tmp_path / "empty.kb"
     kb.write_text("")
