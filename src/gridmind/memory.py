@@ -115,9 +115,6 @@ class WorkingMemory:
         items[key] = WorkingMemoryItem(fact, salience, tick, rank)
         insort(order, rank)
 
-    def ordered(self, now: int) -> list[WorkingMemoryItem]:
-        return [item for _, item in sorted(self._ranked(now))]
-
     def _build_order(self, now: int) -> list[Rank]:
         """Store every item's rank at tick `now`; return them ascending."""
         order = []

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,11 +58,17 @@ class TestWorkingMemory:
     def test_salience_decays_with_age(self):
         # at tick 10, "a" (salience 1.0, touched at 0) ranks as 0.95 ** 10:
         # between fresh items just above and just below that salience
-        wm = WorkingMemory(capacity=8, decay=0.95)
+        # at capacity, each fresh item of salience 1.0 evicts the worst: b, a, c
+        wm = WorkingMemory(capacity=3, decay=0.95)
         wm.insert(fact("a", "isa", "x"), salience=1.0, tick=0)
         wm.insert(fact("b", "isa", "x"), salience=0.95 ** 10 - 1e-9, tick=10)
         wm.insert(fact("c", "isa", "x"), salience=0.95 ** 10 + 1e-9, tick=10)
-        assert [i.fact.subject for i in wm.ordered(10)] == ["c", "a", "b"]
+        evicted = []
+        for subject in ("d", "e", "f"):
+            before = {item.fact.subject for item in wm.items()}
+            wm.insert(fact(subject, "isa", "x"), salience=1.0, tick=10)
+            evicted += before - {item.fact.subject for item in wm.items()}
+        assert evicted == ["b", "a", "c"]
 
     def test_snapshot_is_canonically_ordered(self):
         wm = WorkingMemory(capacity=8)
@@ -204,17 +208,6 @@ def test_merge_at_another_tick_does_not_leave_a_stale_eviction_order():
         reference.insert(item, salience, tick)
     assert [i.fact.key() for i in wm.items()] == sorted(reference.items)
     assert sorted(reference.items) == [("a", "isa", "x"), ("b", "isa", "x")]
-
-
-def test_ordering_is_total_and_reproducible():
-    rng = random.Random(3)
-    wm = WorkingMemory(capacity=64)
-    for i in range(40):
-        wm.insert(fact(f"e{i}", "isa", "thing"), rng.random(), rng.randint(0, 9))
-    once = [item.fact.key() for item in wm.ordered(10)]
-    again = [item.fact.key() for item in wm.ordered(10)]
-    assert once == again
-    assert len(set(once)) == len(once)
 
 
 class TestLongTermMemory:
