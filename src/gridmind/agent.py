@@ -7,17 +7,20 @@ unified graph, which also takes the scenario's asserted facts. This is
 the tick's only graph. The reasoning engines extend
 that graph in place (dependency chaining, concept inference, spatial
 composition, collision facts); contradictions are then detected on it,
-and hazards are assessed over it. Metacognition monitors and regulates,
-and working memory is refreshed. `run_task` runs the decision cycles: each
-plans between ticks, executes one step per tick, and ends in success,
-failure (the next cycle replans) or abort.
+and hazards are assessed over it. Inside the graph a fact keeps the tick
+it was built or became derivable at; the tick dates a fact at the
+current tick only where it records it (`_dated`): working memory, the
+trace row's new facts and the hazards the planner reads. Metacognition
+monitors and regulates, and working memory is refreshed. `run_task` runs
+the decision cycles: each plans between ticks, executes one step per
+tick, and ends in success, failure (the next cycle replans) or abort.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import resources
@@ -83,6 +86,14 @@ class RuleData:
         )
 
 
+def _dated(facts: Iterable[Fact], tick: int) -> list[Fact]:
+    """`facts` dated `tick`, for where the tick records them (working
+    memory, the trace row, the planner's hazards): in the tick's graph a
+    fact keeps the tick it was made or derivable at, which may be earlier.
+    A fact already dated `tick` is itself, any other an `at_tick` copy."""
+    return [fact if fact.tick == tick else fact.at_tick(tick) for fact in facts]
+
+
 def _about(fact: Fact, refs: frozenset[str]) -> bool:
     """Whether the fact's subject, or its symbol object, is one of `refs`."""
     return fact.subject in refs or (isinstance(fact.obj, str) and fact.obj in refs)
@@ -135,9 +146,8 @@ class AgentRuntime:
             return
         refs = self._task_refs()
         tick = self.world.tick
-        for fact in self.unified.graph.facts():
-            if _about(fact, refs):
-                self.wm.insert(fact, salience=1.0, tick=tick)
+        for fact in _dated((f for f in self.unified.graph.facts() if _about(f, refs)), tick):
+            self.wm.insert(fact, salience=1.0, tick=tick)
 
     def tick(self, action: Action) -> tuple[ActionResult, bool]:
         """One plan step: its result, and whether a directive asks for a replan."""
@@ -173,7 +183,7 @@ class AgentRuntime:
         unified = aggregate(t_facts, s_facts, c_facts)
         graph = unified.graph
         for fact in self.scenario.facts:
-            graph.insert(fact.at_tick(tick))
+            graph.insert(fact)
 
         # reasoning extends the unified graph in place
         dep_derived = reason.apply_dependency_rules(
@@ -203,7 +213,7 @@ class AgentRuntime:
         del self.stream[:-order]
 
         hazards = (
-            assess_hazards(unified, self.data.hazard_rules, cfg.chain_max_iterations)
+            _dated(assess_hazards(unified, self.data.hazard_rules, cfg.chain_max_iterations), tick)
             if self.hazards_enabled
             else []
         )
@@ -230,7 +240,7 @@ class AgentRuntime:
         replan = self._apply_directives(directives, tick)
 
         new_facts = sorted(
-            dep_derived + concept_derived + spatial_derived + collision_facts + hazards,
+            _dated(dep_derived + concept_derived + spatial_derived, tick) + collision_facts + hazards,
             key=lambda f: f.key(),
         )
         self._refresh_memory(bound, facts_by_entity, new_facts, hazards, tick)
@@ -349,7 +359,7 @@ class AgentRuntime:
             if bo.below_threshold:
                 continue
             salience = min(1.0, max(0.0, bo.score))
-            for fact in facts_by_entity.get(bo.entity, ()):
+            for fact in _dated(facts_by_entity.get(bo.entity, ()), tick):
                 insert(fact, salience, tick)
         hazard_keys = {f.key() for f in hazards}
         for fact in new_facts:

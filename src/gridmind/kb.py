@@ -16,8 +16,9 @@ Semantics that everything else relies on:
 * a graph holds each fact once, in its relation index, which every read
   goes through,
 * `Fact.at_tick` is the one way a fact moves to another tick (`merge`,
-  the scenario's facts asserted each tick, the perceived facts a reading
-  keeps): a copy that keeps the key, which does not depend on the tick,
+  and the agent dating a fact at the current tick where the tick records
+  it: working memory, the trace row, the planner's hazards): a copy that
+  keeps the key, which does not depend on the tick,
 * derived confidence = rule weight x product of premise confidences,
 * derivation is monotone and its fixpoint is independent of rule and fact
   order (max-merge makes confidence collisions commutative),
@@ -530,7 +531,9 @@ def forward_chain(
     Each pass evaluates every rule against a snapshot of the current facts
     and merges all conclusions at the end of the pass, which makes the
     result independent of rule order and fact insertion order. Returns
-    the facts whose keys are new, sorted by key.
+    the facts whose keys are new, sorted by key. When the last allowed
+    pass changed the graph, one more pass is evaluated, not merged: the
+    result is `truncated` only if merging it would change the graph.
     """
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
@@ -540,39 +543,8 @@ def forward_chain(
     index = graph.by_relation()  # live: each pass reads the facts as they stand
     for _ in range(max_iterations):
         iterations += 1
-        # the pass's buckets, shared by its rules: the graph changes only
-        # when the pass merges its conclusions below
-        buckets: dict[tuple[str, int], dict[Literal, list[Fact]]] = {}
-        fresh: list[Fact] = []
-        for rule in rules:
-            relation, subject_term, s_var, obj_term, o_var = rule._head
-            guards = rule.guards
-            for binding, used in _match_premises(rule._plan, index, buckets):
-                if guards and not all(g.holds(binding) for g in guards):
-                    continue
-                subject = binding[subject_term] if s_var else subject_term
-                if not isinstance(subject, str):
-                    raise RuleBindingError(
-                        f"rule {rule.name}: conclusion subject {subject_term} "
-                        f"bound to non-symbol {subject!r}"
-                    )
-                confidence = rule.weight
-                tick = 0
-                for fact in used:
-                    confidence *= fact.confidence
-                    tick = max(tick, fact.tick)
-                fresh.append(
-                    Fact(
-                        subject,
-                        relation,
-                        binding[obj_term] if o_var else obj_term,
-                        confidence,
-                        tick,
-                        "derived",
-                    )
-                )
         changed = False
-        for fact in fresh:
+        for fact in _conclusions(rules, index):
             if fact.key() not in graph:
                 new_keys.add(fact.key())
             if graph.insert(fact):
@@ -580,8 +552,51 @@ def forward_chain(
         if not changed:
             break
     else:
-        truncated = True
+        for fact in _conclusions(rules, index):
+            held = graph.lookup(fact.key())
+            if held is None or merge(held, fact) is not held:
+                truncated = True
+                break
     return ChainResult(graph.facts(new_keys), truncated=truncated, iterations=iterations)
+
+
+def _conclusions(
+    rules: list[Rule], index: dict[str, dict[tuple[str, str, str], Fact]]
+) -> list[Fact]:
+    """One pass's conclusions: every firing of every rule on the facts of
+    `index` (a graph's relation index) as they stand, in rule order."""
+    # the pass's buckets, shared by its rules: the graph changes only when
+    # the pass's conclusions are merged, after this returns
+    buckets: dict[tuple[str, int], dict[Literal, list[Fact]]] = {}
+    fresh: list[Fact] = []
+    for rule in rules:
+        relation, subject_term, s_var, obj_term, o_var = rule._head
+        guards = rule.guards
+        for binding, used in _match_premises(rule._plan, index, buckets):
+            if guards and not all(g.holds(binding) for g in guards):
+                continue
+            subject = binding[subject_term] if s_var else subject_term
+            if not isinstance(subject, str):
+                raise RuleBindingError(
+                    f"rule {rule.name}: conclusion subject {subject_term} "
+                    f"bound to non-symbol {subject!r}"
+                )
+            confidence = rule.weight
+            tick = 0
+            for fact in used:
+                confidence *= fact.confidence
+                tick = max(tick, fact.tick)
+            fresh.append(
+                Fact(
+                    subject,
+                    relation,
+                    binding[obj_term] if o_var else obj_term,
+                    confidence,
+                    tick,
+                    "derived",
+                )
+            )
+    return fresh
 
 
 def match(graph: SemanticGraph, atom: Atom) -> list[tuple[dict[str, Literal], Fact]]:

@@ -29,16 +29,20 @@ changed, so an unchanged reading is never rebuilt. A reading keeps what
 it alone implies: its digest text, its ConceptRecord (per lexicon
 object) with that record's conceptual facts, and its own spatial facts
 (at, located_in, Contains and the Inside of each item it contains). A
-new reading builds its facts once, at the tick it is first perceived; a
-reused one restamps them with `Fact.at_tick`, because only the tick
-differs. An entity that changed only its reported position gets the
+reading builds its facts once, dated at the tick it is first perceived,
+and hands the same facts back, unchanged, on every later tick that
+reuses it. An entity that changed only its reported position gets the
 reading `Reading.moved_to` makes from its previous one: it shares that
 reading's attribute dict and flag set, and takes over its ConceptRecord
 with the record's facts, the digest text after the region, and its
 located_in (same region), Contains and Inside facts; only `at` (and
-located_in in another region) is built. What depends on more than one
-reading is made fresh every tick: has_state(moving), which depends on the
-window, OnTopOf and the pairwise Near and cardinal facts.
+located_in in another region) is built, dated at the tick of the move.
+So a perceived fact's tick is the tick since which its entity's readings
+have shown it. What depends on more than one reading is made fresh, and
+dated, every tick: has_state(moving), which depends on the window,
+OnTopOf and the pairwise Near and cardinal facts. The agent dates a fact
+at the current tick where the tick records it (working memory, the
+trace row, the hazards the planner reads).
 
 The temporal pathway carries its window across ticks (`TemporalWindow`):
 the latest observation, the start tick of each flag on in it, and the
@@ -128,10 +132,11 @@ class Reading:
     Occluded entities expose position only: attributes and flags are None.
     What the reading implies is made on first use and kept on it (not a
     field: eq and repr ignore it, and a copy drops it): its digest text,
-    its concept record per lexicon and its own spatial facts. A reading
-    that `moved_to` makes takes over what does not depend on the position;
-    one that a changed reading supersedes dies, with what it kept, when the
-    last observation that holds it does.
+    its concept record per lexicon and its own spatial facts, dated at the
+    tick they were made and never redated. A reading that `moved_to` makes
+    takes over what does not depend on the position; one that a changed
+    reading supersedes dies, with what it kept, when the last observation
+    that holds it does.
     """
 
     entity: str
@@ -146,15 +151,16 @@ class Reading:
     def visible_flags(self) -> frozenset[str]:
         return self.flags if self.flags is not None else _NO_FLAGS
 
-    def moved_to(self, position: tuple[int, int], region: str | None) -> Reading:
-        """This reading with the entity reported at `position` in `region`.
+    def moved_to(self, position: tuple[int, int], region: str | None, tick: int) -> Reading:
+        """This reading with the entity reported at `position` in `region`
+        from `tick` on.
 
         The other fields are this reading's own objects, and the new reading
         takes over what this one kept that does not depend on where the
         entity is: the concept record with its facts, the digest text after
-        the region, and the spatial facts but `at`, which is made afresh
-        (and `located_in`, when the region differs). The taken-over facts
-        keep their tick until `spatial_facts` restamps them."""
+        the region, and the spatial facts but `at`, which is made afresh at
+        `tick` (as is `located_in`, when the region differs). The taken-over
+        facts keep the tick they were made at."""
         moved = Reading(
             self.entity, position, region, self.occluded,
             self.attributes, self.flags, self.contains, self.on,
@@ -165,7 +171,7 @@ class Reading:
                 state[name] = kept[name]
         spatial = kept.get("_spatial")
         if spatial is not None:
-            entity, tick = self.entity, spatial[0].tick
+            entity = self.entity
             x, y = position
             facts = [Fact(entity, "at", f"{x},{y}", 1.0, tick, _PERCEIVED)]
             if region is not None:
@@ -236,7 +242,8 @@ class Reading:
 
     def spatial_facts(self, tick: int) -> list[Fact]:
         """at(e, "x,y"), located_in(e, region), then Contains(e, x) and
-        Inside(x, e) for each x it contains, at `tick`."""
+        Inside(x, e) for each x it contains; made on first use, at `tick`,
+        and kept, so a later tick gets the same facts at their first tick."""
         kept = self.__dict__.get("_spatial")
         if kept is None:
             entity = self.entity
@@ -247,11 +254,7 @@ class Reading:
             for contained in self.contains:
                 kept.append(Fact(entity, "Contains", contained, 1.0, tick, _PERCEIVED))
                 kept.append(Fact(contained, "Inside", entity, 1.0, tick, _PERCEIVED))
-        elif kept[0].tick == tick:
-            return kept
-        else:
-            kept = [fact.at_tick(tick) for fact in kept]
-        self.__dict__["_spatial"] = kept
+            self.__dict__["_spatial"] = kept
         return kept
 
 
@@ -336,8 +339,9 @@ class ConceptRecord:
 
     def facts(self, tick: int) -> list[Fact]:
         """isa, color, size, material, shape, has_state (but moving, which
-        is the temporal pathway's) and affords, at `tick`; made on first
-        use and kept (not a field), restamped for a later tick."""
+        is the temporal pathway's) and affords; made on first use, at
+        `tick`, and kept (not a field), so a later tick gets the same facts
+        at their first tick."""
         kept = self.__dict__.get("_facts")
         if kept is None:
             entity = self.entity
@@ -357,11 +361,7 @@ class ConceptRecord:
                     kept.append(Fact(entity, "has_state", flag, 1.0, tick, _PERCEIVED))
             for function in self.functions:
                 kept.append(Fact(entity, "affords", function, 1.0, tick, _PERCEIVED))
-        elif not kept or kept[0].tick == tick:
-            return kept
-        else:
-            kept = [fact.at_tick(tick) for fact in kept]
-        self.__dict__["_facts"] = kept
+            self.__dict__["_facts"] = kept
         return kept
 
 
@@ -560,7 +560,8 @@ def build_dimension_graphs(
     Also returns the facts grouped by owning entity (each fact's subject)
     so working-memory salience can follow the attention scores. A
     reading's own spatial facts and its record's conceptual facts are
-    the ones it keeps (see the module docstring).
+    the ones it keeps, at the tick they were made (see the module
+    docstring); the others are made at the observation's tick.
     """
     tick = obs.tick
     readings = obs.readings

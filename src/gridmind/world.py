@@ -700,7 +700,9 @@ class WorldState:
                     if previous.position == reported:
                         readings[entity_id] = previous
                         continue
-                    readings[entity_id] = previous.moved_to(reported, self.region_of(reported))
+                    readings[entity_id] = previous.moved_to(
+                        reported, self.region_of(reported), self.tick
+                    )
                     continue
             if hidden:
                 reading = Reading(entity_id, reported, self.region_of(reported), True)

@@ -17,6 +17,7 @@ from gridmind import canonical, reason
 from gridmind.agent import AgentRuntime, RuleData, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
 from gridmind.memory import WorkingMemory
+from gridmind.rulefmt import parse_hazard_rules
 from gridmind.trace import replay, write_trace
 from gridmind.reason import EventSequenceModel, predict_trajectory, train_sequence_model
 from gridmind.world import parse_scenario
@@ -369,6 +370,73 @@ def test_working_memory_matches_the_sorting_oracle_after_every_insert(monkeypatc
     monkeypatch.setattr(WorkingMemory, "insert", mirrored)
     result = run_bundled(name) if name in BUNDLED else _generated_run(name, seed)
     assert list(mirrors) == [result.runtime.wm]
+
+
+def dated_at_every_tick(monkeypatch, run):
+    """The result of `run()`, checking after each tick's pipeline and each
+    decision cycle's refresh_focus that every fact the tick records is
+    dated at the tick: in each WM item touched at the tick (but those
+    retrieved from LTM), in the hazards the planner reads and in the
+    row's new facts. In the tick's graph a fact keeps the tick it was
+    made or became derivable at."""
+    pipeline, refresh_focus = AgentRuntime._pipeline, AgentRuntime.refresh_focus
+    checked = []
+
+    def check(runtime):
+        tick = runtime.world.tick
+        touched = [i.fact for i in runtime.wm if i.touched == tick and i.fact.origin != "retrieved"]
+        assert touched and {f.tick for f in touched} == {tick}
+        assert {f.tick for f in runtime.last_hazards} <= {tick}
+        row = runtime.rows[-1]
+        assert row["tick"] == tick and {f[4] for f in row["new_facts"]} <= {tick}
+        checked.append(tick)
+
+    def dated_pipeline(runtime, action, result):
+        replan = pipeline(runtime, action, result)
+        check(runtime)
+        return replan
+
+    def dated_focus(runtime):
+        refresh_focus(runtime)
+        check(runtime)
+
+    monkeypatch.setattr(AgentRuntime, "_pipeline", dated_pipeline)
+    monkeypatch.setattr(AgentRuntime, "refresh_focus", dated_focus)
+    result = run()
+    ticks = [row["tick"] for row in result.runtime.rows]
+    assert sorted(set(checked)) == ticks == list(range(result.runtime.world.tick + 1))
+    return result
+
+
+@pytest.mark.parametrize(
+    "name, seed, noise",
+    [(n, 0, False) for n in BUNDLED]
+    + [(n, 4, True) for n in BUNDLED]
+    + [(k, s, False) for k in ("crowded", "traffic") for s in (1, 2, 3)],
+)
+def test_every_fact_the_tick_records_is_dated_at_the_tick(monkeypatch, name, seed, noise):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    if name in BUNDLED:
+        dated_at_every_tick(monkeypatch, lambda: run_bundled(name, seed=seed, noise=noise))
+    else:
+        dated_at_every_tick(monkeypatch, lambda: _generated_run(name, seed))
+
+
+def test_a_hazard_derived_from_kept_facts_is_dated_at_the_tick(monkeypatch):
+    # each packaged hazard rule reads a Near fact, made every tick; this
+    # one reads only facts the coffee's reading keeps from tick to tick
+    rule = "rule hot-in-room 0.8: has_state(?c, hot)@C, located_in(?c, ?r)@S -> hazard(?c, burn)\n"
+    default = RuleData.load_default()
+    data = dataclasses.replace(default, hazard_rules=default.hazard_rules + tuple(parse_hazard_rules(rule)))
+    path = scenario_path("hotcoffee")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    result = dated_at_every_tick(monkeypatch, lambda: run_scenario(
+        parse_scenario(text, path), EngineConfig(), seed=0,
+        planner_factory=scripted_planner_factory, scenario_text=text, data=data,
+    ))
+    burns = [r["tick"] for r in rows(result) for f in r["new_facts"] if f[:3] == ["coffee1", "hazard", "burn"]]
+    assert len(burns) > 2
 
 
 def test_packaged_rules_are_loaded_once_and_cannot_be_changed():

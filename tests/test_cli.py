@@ -160,6 +160,19 @@ def test_query_whose_inference_stops_at_its_pass_cap_exit_three(tmp_path, capsys
     assert capsys.readouterr().out == "match\n"
 
 
+@pytest.mark.parametrize("links, code, out", [(100, 0, "match\n"), (101, 3, "")])
+def test_query_complete_on_its_last_allowed_pass_is_answered(tmp_path, capsys, links, code, out):
+    # 100 links derive reach(n0, goal) on pass 100, the cap, and a further
+    # pass would derive nothing: answered; 101 links need pass 101: refused
+    kb = tmp_path / "chain.kb"
+    kb.write_text("".join(f"n{i}|next|n{i + 1}|1.000000|0|asserted\n" for i in range(links))
+                  + f"n{links}|reach|goal|1.000000|0|asserted\n")
+    rules = tmp_path / "reach.rules"
+    rules.write_text("rule back 1.0: next(?x, ?y), reach(?y, goal) -> reach(?x, goal)\n")
+    assert main(["query", str(kb), "reach(n0, goal)", "--rules", str(rules)]) == code
+    assert capsys.readouterr().out == out
+
+
 def test_query_empty_kb(tmp_path, capsys):
     kb = tmp_path / "empty.kb"
     kb.write_text("")

@@ -358,6 +358,38 @@ class TestForwardChain:
         result = forward_chain(graph, rules, max_iterations=2)
         assert result.truncated
 
+    def test_fixpoint_reached_on_the_last_allowed_pass_is_not_truncated(self):
+        graph = SemanticGraph()
+        graph.insert(fact("e1", "has_state", "a"))
+        rules = [
+            Rule("a-to-b", (Atom("has_state", "?x", "a"),), Atom("has_state", "?x", "b"), 1.0),
+            Rule("b-to-c", (Atom("has_state", "?x", "b"),), Atom("has_state", "?x", "c"), 1.0),
+        ]
+        # b on pass 1, c on pass 2, and a third pass would change nothing
+        result = forward_chain(graph, rules, max_iterations=2)
+        assert not result.truncated and result.iterations == 2
+        assert [f.key() for f in result.derived] == [("e1", "has_state", "b"), ("e1", "has_state", "c")]
+        # cut at pass 1, the graph lacks c, which a further pass would add
+        graph = SemanticGraph()
+        graph.insert(fact("e1", "has_state", "a"))
+        result = forward_chain(graph, rules, max_iterations=1)
+        assert result.truncated and result.iterations == 1
+        assert graph.lookup(("e1", "has_state", "c")) is None
+
+    def test_a_further_pass_that_only_raises_a_confidence_truncates(self):
+        graph = SemanticGraph()
+        graph.insert(fact("e1", "p", "x", 1.0))
+        graph.insert(fact("e1", "q", "x", 0.5))
+        rules = [
+            Rule("p-to-q", (Atom("p", "?s", "?o"),), Atom("q", "?s", "?o"), 1.0),
+            Rule("q-to-r", (Atom("q", "?s", "?o"),), Atom("r", "?s", "?o"), 1.0),
+        ]
+        # pass 1 raises q to 1.0 and derives r from q as it stood, at 0.5;
+        # a second pass would add no key, but would raise r to 1.0
+        result = forward_chain(graph, rules, max_iterations=1)
+        assert result.truncated
+        assert graph.lookup(("e1", "r", "x")).confidence == 0.5
+
     def test_range_restriction_enforced(self):
         # a rule is validated where it is built, so no invalid rule reaches forward_chain
         with pytest.raises(ValidationError):

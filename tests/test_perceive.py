@@ -647,29 +647,67 @@ def test_a_copied_reading_equals_the_original_and_keeps_nothing():
         assert set(vars(twin)) == fields
 
 
-def test_a_reused_reading_restamps_its_facts_and_leaves_the_earlier_ones():
-    reading = Reading("cup1", (1, 2), "hall", attributes={}, flags=frozenset(), contains=("x1",))
+def test_a_reused_reading_hands_back_the_facts_it_made_at_their_tick():
+    reading = Reading("cup1", (1, 2), "hall", attributes={"category": "cup"},
+                      flags=frozenset({"hot"}), contains=("x1",))
     first = reading.spatial_facts(3)
-    rows = _rows(first)
-    later = reading.spatial_facts(4)
-    assert [f.tick for f in later] == [4, 4, 4, 4]
-    assert [f.key() for f in later] == [f.key() for f in first]
-    assert _rows(first) == rows
-    assert reading.spatial_facts(4) is later
+    facts = _facts(first)
+    assert [f.tick for f in first] == [3, 3, 3, 3]
+    assert reading.spatial_facts(4) is first
+    assert _facts(first) == facts
+    record = reading.concept({"cup": ("drink",)})
+    conceptual = record.facts(3)
+    assert [(f.relation, f.tick) for f in conceptual] == [("isa", 3), ("has_state", 3), ("affords", 3)]
+    assert record.facts(4) is conceptual
 
 
 def _rows(facts):
-    return [(f, repr(f), type(f.obj), f.key(), f.tick) for f in facts]
+    """What each fact asserts, its tick aside, in list order."""
+    return [(f.key(), f.confidence, f.origin, type(f.obj)) for f in facts]
 
 
-def _graph_rows(out):
+def _facts(facts):
+    """Each fact whole, its tick included, in list order."""
+    return [(f, repr(f), type(f.obj), f.key()) for f in facts]
+
+
+def _graph_rows(out, rows=_rows):
     t_facts, s_facts, c_facts, by_entity = out
     return (
-        _rows(t_facts),
-        _rows(s_facts),
-        _rows(c_facts),
-        [(entity, _rows(facts)) for entity, facts in by_entity.items()],
+        rows(t_facts),
+        rows(s_facts),
+        rows(c_facts),
+        [(entity, rows(facts)) for entity, facts in by_entity.items()],
     )
+
+
+class _Dates:
+    """Checks the tick of each perceived fact of a run, one observation at
+    a time. A fact a reading owns (its spatial facts and its concept
+    record's) carries the first tick of the run of ticks, ending now,
+    through which its entity showed it, each tick's reading the one of the
+    tick before or one that differs from it only in position and region,
+    a move; every other perceived fact carries the observation's tick."""
+
+    def __init__(self, lexicon):
+        self.lexicon = lexicon
+        self.shown = {}  # entity -> (last reading, {key: tick first shown})
+
+    def check(self, o, out):
+        t_facts, s_facts, c_facts, _ = out
+        tick, owned, last, self.shown = o.tick, set(), self.shown, {}
+        for entity, reading in o.readings.items():
+            record = reading.concept(self.lexicon)
+            own = reading.spatial_facts(tick) + (record.facts(tick) if record else [])
+            before, since = last.get(entity, (None, {}))
+            moved = before is not None and reading == dataclasses.replace(
+                before, position=reading.position, region=reading.region
+            )
+            dates = {f.key(): since.get(f.key(), tick) if moved else tick for f in own}
+            assert [f.tick for f in own] == [dates[f.key()] for f in own], (tick, entity)
+            owned.update(map(id, own))
+            self.shown[entity] = (reading, dates)
+        assert {f.tick for f in t_facts + s_facts + c_facts if id(f) not in owned} <= {tick}
 
 
 @pytest.mark.parametrize(
@@ -680,30 +718,33 @@ def _graph_rows(out):
 )
 def test_carried_facts_equal_the_facts_of_cold_readings(monkeypatch, name, seed, noise):
     """Each tick's perceived facts, from readings that keep their facts and
-    restamp them on later ticks, equal the facts built from deep copies of
-    the readings, which keep nothing yet; and a tick's facts are still as
-    they were after the next tick is perceived, so no kept fact is shared
-    with a later tick."""
+    hand them back on later ticks, equal in list order, tick aside, the
+    facts built from deep copies of the readings, which keep nothing yet;
+    each is dated as `_Dates` says; and a tick's facts are still as they
+    were after the next tick is perceived, so no kept fact is changed by
+    a later tick."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     build = perceive.build_dimension_graphs
     lexicon = RuleData.load_default().lexicon
-    previous: list = []  # the last tick's observation, output and its rows
-    reused = 0
+    dates = _Dates(lexicon)
+    previous: list = []  # the last tick's observation, output and its facts
+    reused = carried = 0
 
     def checked(o, ft, fs, fc, near_distance=2.0):
-        nonlocal reused
+        nonlocal reused, carried
         out = build(o, ft, fs, fc, near_distance)
         cold = copy.deepcopy(o)
         cold_fc = extract_conceptual(cold, lexicon)
         assert cold_fc.records == fc.records
         cold_out = build(cold, ft, extract_spatial(cold, fs.agent), cold_fc, near_distance)
-        rows = _graph_rows(out)
-        assert rows == _graph_rows(cold_out)
+        assert _graph_rows(out) == _graph_rows(cold_out)
+        dates.check(o, out)
+        carried += sum(f.tick < o.tick for f in out[1] + out[2])
         if previous:
-            last_obs, last_out, last_rows = previous.pop()
-            assert _graph_rows(last_out) == last_rows
+            last_obs, last_out, last_facts = previous.pop()
+            assert _graph_rows(last_out, _facts) == last_facts
             reused += sum(o.readings[e] is last_obs.readings.get(e) for e in o.readings)
-        previous.append((o, out, rows))
+        previous.append((o, out, _graph_rows(out, _facts)))
         return out
 
     monkeypatch.setattr(perceive, "build_dimension_graphs", checked)
@@ -713,18 +754,20 @@ def test_carried_facts_equal_the_facts_of_cold_readings(monkeypatch, name, seed,
         result = run_generated(name, seed)
     assert previous and result.runtime.world.tick > 0
     if not noise:
-        assert reused > 0  # the carried facts were exercised
+        assert reused > 0 and carried > 0  # the carried facts were exercised
 
 
 @pytest.mark.parametrize("noise", [False, True], ids=["exact", "noise"])
 @pytest.mark.parametrize("name", [*BUNDLED, "traffic"])
 def test_inherited_readings_imply_what_cold_readings_do(monkeypatch, name, noise):
     """On every tick, each reading's digest text, concept record with its
-    facts, and spatial facts equal those of a copy of it, which keeps
-    nothing; some readings of the run took over state from the reading
-    of their entity at a cell they left (`Reading.moved_to`)."""
+    facts, and spatial facts equal, tick aside, those of a copy of it,
+    which keeps nothing, and are dated as `_Dates` says; some readings of
+    the run took over state from the reading of their entity at a cell
+    they left (`Reading.moved_to`)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     lexicon = RuleData.load_default().lexicon
+    dates = _Dates(lexicon)
     fields = {f.name for f in dataclasses.fields(Reading)}
     observe, build = WorldState.observe, perceive.build_dimension_graphs
     inherited = ticks = 0
@@ -750,6 +793,7 @@ def test_inherited_readings_imply_what_cold_readings_do(monkeypatch, name, noise
             if record is not None:
                 assert _rows(record.facts(o.tick)) == _rows(cold_record.facts(o.tick))
             assert _rows(reading.spatial_facts(o.tick)) == _rows(cold.spatial_facts(o.tick))
+        dates.check(o, out)
         ticks += 1
         return out
 
@@ -771,18 +815,35 @@ def test_a_moved_reading_takes_over_what_its_position_does_not_change():
     box = Reading("box1", (1, 2), "hall", False, attrs, flags, ("x1",))
     assert box.text() and box.concept(lexicon).facts(3) and box.spatial_facts(3)
     for position, region in (((2, 2), "hall"), ((9, 9), "yard"), ((9, 9), None)):
-        moved = box.moved_to(position, region)
+        moved = box.moved_to(position, region, 4)
         cold = Reading("box1", position, region, False, dict(attrs), flags, ("x1",))
         assert moved == cold
         assert moved.attributes is box.attributes and moved.flags is box.flags
         assert moved.concept(lexicon) is box.concept(lexicon)
         assert moved.text() == cold.text()
-        facts = moved.spatial_facts(4)
-        assert _rows(facts) == _rows(cold.spatial_facts(4))
+        facts = moved.spatial_facts(5)
+        assert _rows(facts) == _rows(cold.spatial_facts(5))
         kept = box.spatial_facts(3)
-        assert (facts[1].key() == kept[1].key()) == (region == "hall")
-    bare = Reading("box1", (1, 2)).moved_to((3, 3), "hall")
-    assert _rows(bare.spatial_facts(0)) == _rows(Reading("box1", (3, 3), "hall").spatial_facts(0))
+        assert (facts[1] is kept[1]) == (region == "hall")
+        assert facts[-2:] == kept[-2:] and facts[-2] is kept[-2] and facts[-1] is kept[-1]
+    bare = Reading("box1", (1, 2)).moved_to((3, 3), "hall", 4)
+    assert _facts(bare.spatial_facts(4)) == _facts(Reading("box1", (3, 3), "hall").spatial_facts(4))
+
+
+def test_a_moved_reading_dates_the_facts_it_makes_at_the_move():
+    box = Reading("box1", (1, 2), "hall", False, {}, frozenset(), ("x1",))
+    assert [f.tick for f in box.spatial_facts(3)] == [3, 3, 3, 3]
+    within = box.moved_to((2, 2), "hall", 7).spatial_facts(8)
+    assert [(f.relation, f.tick) for f in within] == [
+        ("at", 7), ("located_in", 3), ("Contains", 3), ("Inside", 3)
+    ]
+    across = box.moved_to((9, 9), "yard", 7).spatial_facts(8)
+    assert [(f.relation, f.obj, f.tick) for f in across] == [
+        ("at", "9,9", 7), ("located_in", "yard", 7), ("Contains", "x1", 3), ("Inside", "box1", 3)
+    ]
+    # a reading that made no spatial facts yet makes them all on first use
+    fresh = Reading("box1", (1, 2), "hall").moved_to((2, 2), "hall", 7).spatial_facts(8)
+    assert [f.tick for f in fresh] == [8, 8]
 
 
 def _dataclass_built(cls, *args, **kwargs):
