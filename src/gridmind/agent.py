@@ -9,8 +9,9 @@ that graph in place (dependency chaining, concept inference, spatial
 composition, collision facts); contradictions are then detected on it,
 and hazards are assessed over it. Inside the graph a fact keeps the tick
 it was built or became derivable at; the tick dates a fact at the
-current tick only where it records it (`_dated`): working memory, the
-trace row's new facts and the hazards the planner reads. Metacognition
+current tick only where it records it: working memory dates a fact it
+takes at the tick, and the trace row's new facts and the hazards the
+planner reads are dated copies (`_dated`). Metacognition
 monitors and regulates, and working memory is refreshed. `run_task` runs
 the decision cycles: each plans between ticks, executes one step per
 tick, and ends in success, failure (the next cycle replans) or abort.
@@ -87,10 +88,11 @@ class RuleData:
 
 
 def _dated(facts: Iterable[Fact], tick: int) -> list[Fact]:
-    """`facts` dated `tick`, for where the tick records them (working
-    memory, the trace row, the planner's hazards): in the tick's graph a
-    fact keeps the tick it was made or derivable at, which may be earlier.
-    A fact already dated `tick` is itself, any other an `at_tick` copy."""
+    """`facts` dated `tick`, for the trace row and the planner's hazards:
+    in the tick's graph a fact keeps the tick it was made or derivable at,
+    which may be earlier. A fact already dated `tick` is itself, any other
+    an `at_tick` copy. Working memory takes no copy: it is handed the
+    tick as the date of the facts it takes."""
     return [fact if fact.tick == tick else fact.at_tick(tick) for fact in facts]
 
 
@@ -146,8 +148,9 @@ class AgentRuntime:
             return
         refs = self._task_refs()
         tick = self.world.tick
-        for fact in _dated((f for f in self.unified.graph.facts() if _about(f, refs)), tick):
-            self.wm.insert(fact, salience=1.0, tick=tick)
+        for fact in self.unified.graph.facts():
+            if _about(fact, refs):
+                self.wm.insert(fact, salience=1.0, tick=tick, date=tick)
 
     def tick(self, action: Action) -> tuple[ActionResult, bool]:
         """One plan step: its result, and whether a directive asks for a replan."""
@@ -326,8 +329,10 @@ class AgentRuntime:
         stale = []
         for item in self.wm:
             if tick - item.touched > ttl:
-                if _about(item.fact, refs):
-                    stale.append(item.fact.key())
+                # the held fact, at whatever tick: key, subject and object
+                # do not depend on it
+                if _about(item.held, refs):
+                    stale.append(item.held.key())
         stale.sort()
         return tuple("|".join(key) for key in stale)
 
@@ -359,8 +364,8 @@ class AgentRuntime:
             if bo.below_threshold:
                 continue
             salience = min(1.0, max(0.0, bo.score))
-            for fact in _dated(facts_by_entity.get(bo.entity, ()), tick):
-                insert(fact, salience, tick)
+            for fact in facts_by_entity.get(bo.entity, ()):
+                insert(fact, salience, tick, tick)
         hazard_keys = {f.key() for f in hazards}
         for fact in new_facts:
             if fact.key() not in hazard_keys:

@@ -188,13 +188,21 @@ def parse_literal(token: str) -> Literal:
     return token
 
 
+def prevailing(held: Fact, incoming: Fact) -> Fact:
+    """Of two facts of one identity key, the one whose confidence, origin
+    and object their merge keeps, whatever their ticks: the larger
+    confidence, the held fact's on a tie. Working memory, which keeps the
+    tick apart, merges with this alone."""
+    return incoming if incoming.confidence > held.confidence else held
+
+
 def merge(held: Fact, incoming: Fact) -> Fact:
-    """Two facts of one identity key max-merged: the larger confidence (the
-    held fact's on a tie) at the larger tick. Returns `held` itself when
-    that changes nothing, else `incoming` itself when it already is the
-    merge, else an `at_tick` copy. Objects of one key that compare equal
-    are of one type and render alike (`5 != "5"`, and an int's key token
-    never equals a float's)."""
+    """Two facts of one identity key max-merged: the `prevailing` one at
+    the larger tick, its choice written out here on the graphs' hot path.
+    Returns `held` itself when that changes nothing, else `incoming`
+    itself when it already is the merge, else an `at_tick` copy. Objects
+    of one key that compare equal are of one type and render alike (`5 !=
+    "5"`, and an int's key token never equals a float's)."""
     if incoming.confidence > held.confidence:
         return incoming if incoming.tick >= held.tick else incoming.at_tick(held.tick)
     if incoming.tick <= held.tick:

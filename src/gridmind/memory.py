@@ -1,6 +1,7 @@
 """Working memory and long-term memory for the decision loop.
 
-Working memory is a capacity-limited buffer ordered by decayed salience;
+Working memory is a capacity-limited buffer ordered by decayed salience,
+whose items keep the tick they took their facts at as a date of their own;
 long-term memory holds a persistent unified semantic graph plus an
 append-only episodic log of completed decision cycles. Consolidation moves
 confident perceived/derived facts from WM into semantic LTM after every
@@ -9,11 +10,11 @@ episode.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .kb import Atom, Fact, SemanticGraph, ValidationError, match, merge
+from .kb import Atom, Fact, SemanticGraph, ValidationError, match, prevailing
 
 
 Rank = tuple[float, int, tuple[str, str, str]]
@@ -21,11 +22,24 @@ Rank = tuple[float, int, tuple[str, str, str]]
 
 @dataclass(slots=True)
 class WorkingMemoryItem:
-    fact: Fact
+    # the fact whose confidence, origin and object the merges kept, at
+    # whatever tick it came with; `fact` reads it at `date`, the tick the
+    # item holds it at
+    held: Fact
+    date: int
     salience: float
     touched: int
     # rank at the tick of the memory's eviction order (see WorkingMemory)
     rank: Rank | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def fact(self) -> Fact:
+        """The held fact at the item's date. A held fact of another tick is
+        copied once, on this read, and the copy is held from then on."""
+        held = self.held
+        if held.tick != self.date:
+            held = self.held = held.at_tick(self.date)
+        return held
 
 
 class WorkingMemory:
@@ -39,32 +53,42 @@ class WorkingMemory:
     touches, so the first eviction at tick `t` ranks every item once
     (`decay ** age` once per distinct age, in `_ranked`, the one place
     that decays), storing each rank on its item and collecting it in the
-    same loop, and sorts the ranks into an ascending list; every eviction
-    at `t` pops its last entry. An item inserted while no order is live
-    holds no rank until one is built. While that order belongs to `t`,
-    each insert at `t` keeps it and the stored ranks current. An item an insert at `t`
-    touches has age 0, so its rank is `(-salience, -touched, key)` with no
-    power: a new item's rank is insorted, and a merge removes the stored
-    rank with one bisect and insorts the new one. A new key that would
-    rank below the last entry while the memory is full is the item the
-    eviction would pop at once, so the insert returns before building it.
-    An insert at any other tick drops the order, evicting or not, since
-    ranks decay with `now` and a merge at another tick would leave a
-    stale rank.
+    same loop, and sorts the ranks into an ascending list, one entry per
+    item. An item inserted while no order is live holds no rank until one
+    is built. While that order belongs to `t`, an insert at `t` keeps it:
+    an item it touches has age 0, so its rank is `(-salience, -touched,
+    key)` with no power. A new item's rank is insorted. A merge stores the
+    new rank on the item and leaves the item's entry where it is: salience
+    and touch tick only grow and `decay` lies in [0, 1], so the new rank is
+    never worse than the entry, and every entry ranks its item no better
+    than the item's stored rank. Before the last entry is read, `_settle`
+    moves each stale last entry to its item's rank, so the last entry is
+    the worst item's rank; every eviction at `t` pops it. A new key that
+    would rank below the last entry while the memory is full is the item
+    the eviction would pop at once, so the insert returns before building
+    it. An insert at any other tick drops the order, evicting or not,
+    since ranks decay with `now`.
 
-    A merge keeps the fact `kb.merge` keeps, the graphs' one merge rule,
-    and the larger salience and touch tick. `merge` copies no fact when
-    the held or the incoming one already is the merged fact, which is
-    nearly every merge.
+    An insert dates its fact at `date`, or at the fact's own tick if
+    `date` is None. A merge keeps the larger salience, touch tick and
+    date, and the fact `kb.prevailing` picks, which is the choice of
+    `kb.merge`, the graphs' one merge rule. The item holds that fact and
+    its date apart and dates the fact only when it is read
+    (`WorkingMemoryItem.fact`), so no merge builds a fact, and a merged
+    item reads as `kb.merge` of the facts at their dates.
     """
 
     def __init__(self, capacity: int = 64, decay: float = 0.95) -> None:
         if capacity < 1:
             raise ValidationError("working memory capacity must be >= 1")
+        # a decay in [0, 1] never worsens a touched item's rank (see above)
+        if not 0.0 <= decay <= 1.0:
+            raise ValidationError(f"working memory decay {decay} outside [0, 1]")
         self.capacity = capacity
         self.decay = decay
         self._items: dict[tuple[str, str, str], WorkingMemoryItem] = {}
-        # ascending ranks of all items at tick self._now, or None
+        # one entry per item, ascending, each no better than its item's
+        # rank at tick self._now; or None
         self._now: int | None = None
         self._order_now: list[Rank] | None = None
 
@@ -81,9 +105,11 @@ class WorkingMemory:
     def get(self, key: tuple[str, str, str]) -> WorkingMemoryItem | None:
         return self._items.get(key)
 
-    def insert(self, fact: Fact, salience: float, tick: int) -> None:
+    def insert(self, fact: Fact, salience: float, tick: int, date: int | None = None) -> None:
         if not 0.0 <= salience <= 1.0:
             raise ValidationError(f"salience {salience} outside [0, 1]")
+        if date is None:
+            date = fact.tick
         if tick != self._now:
             self._now, self._order_now = tick, None
         order = self._order_now
@@ -91,29 +117,42 @@ class WorkingMemory:
         key = fact.key()
         item = items.get(key)
         if item is not None:
-            item.fact = merge(item.fact, fact)
+            item.held = prevailing(item.held, fact)
+            if date > item.date:
+                item.date = date
             if salience > item.salience:
                 item.salience = salience
             if tick > item.touched:
                 item.touched = tick
             if order is not None:
-                del order[bisect_left(order, item.rank)]
-                item.rank = rank = (-item.salience, -item.touched, key)
-                insort(order, rank)
+                item.rank = (-item.salience, -item.touched, key)
             return
         if order is None:
-            items[key] = WorkingMemoryItem(fact, salience, tick)
+            items[key] = WorkingMemoryItem(fact, date, salience, tick)
             if len(items) > self.capacity:
                 order = self._order_now = self._build_order(tick)
                 del items[order.pop()[2]]
             return
         rank = (-salience, -tick, key)
         if len(items) >= self.capacity:
+            self._settle(order)
             if rank > order[-1]:
                 return
             del items[order.pop()[2]]
-        items[key] = WorkingMemoryItem(fact, salience, tick, rank)
+        items[key] = WorkingMemoryItem(fact, date, salience, tick, rank)
         insort(order, rank)
+
+    def _settle(self, order: list[Rank]) -> None:
+        """Move stale last entries to their items' ranks until the last
+        entry is its item's rank, the worst of all."""
+        items = self._items
+        last = order[-1]
+        rank = items[last[2]].rank
+        while rank != last:
+            order.pop()
+            insort(order, rank)
+            last = order[-1]
+            rank = items[last[2]].rank
 
     def _build_order(self, now: int) -> list[Rank]:
         """Store every item's rank at tick `now`; return them ascending."""
@@ -138,7 +177,7 @@ class WorkingMemory:
             yield (-(item.salience * power), -touched, key), item
 
     def snapshot_facts(self) -> list[Fact]:
-        """Facts in canonical (identity key) order; byte-stable."""
+        """Facts at their dates in canonical (identity key) order; byte-stable."""
         return [self._items[k].fact for k in sorted(self._items)]
 
     def items(self) -> list[WorkingMemoryItem]:

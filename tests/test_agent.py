@@ -16,6 +16,7 @@ from conftest import run_generated as _generated_run
 from gridmind import canonical, reason
 from gridmind.agent import AgentRuntime, RuleData, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
+from gridmind.kb import Fact
 from gridmind.memory import WorkingMemory
 from gridmind.rulefmt import parse_hazard_rules
 from gridmind.trace import replay, write_trace
@@ -361,15 +362,47 @@ def test_working_memory_matches_the_sorting_oracle_after_every_insert(monkeypatc
     insert = WorkingMemory.insert
     mirrors: dict[WorkingMemory, SortingWorkingMemory] = {}
 
-    def mirrored(wm, fact, salience, tick):
-        insert(wm, fact, salience, tick)
+    def mirrored(wm, fact, salience, tick, date=None):
+        insert(wm, fact, salience, tick, date)
         oracle = mirrors.setdefault(wm, SortingWorkingMemory(wm.capacity, wm.decay))
-        oracle.insert(fact, salience, tick)
+        oracle.insert(fact if date is None else fact.at_tick(date), salience, tick)
         assert [(i.fact, type(i.fact.obj), i.salience, i.touched) for i in wm.items()] == oracle.rows()
 
     monkeypatch.setattr(WorkingMemory, "insert", mirrored)
     result = run_bundled(name) if name in BUNDLED else _generated_run(name, seed)
     assert list(mirrors) == [result.runtime.wm]
+
+
+@pytest.mark.parametrize("name", ["crowded", "arrange"])
+def test_refreshing_working_memory_copies_no_fact(monkeypatch, name):
+    # working memory keeps the date a fact is taken at on its item, so
+    # neither the tick's refresh nor a cycle's focus dates a fact by copying
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    active, copies, calls = [], [], []
+    at_tick = Fact.at_tick
+
+    def counted(fact, tick):
+        if active:
+            copies.append((fact, tick))
+        return at_tick(fact, tick)
+
+    def watched(method):
+        def run(*args, **kwargs):
+            active.append(method.__name__)
+            calls.append(method.__name__)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                active.pop()
+        return run
+
+    monkeypatch.setattr(Fact, "at_tick", counted)
+    for method in (AgentRuntime._refresh_memory, AgentRuntime.refresh_focus):
+        monkeypatch.setattr(AgentRuntime, method.__name__, watched(method))
+    result = _generated_run(name, 1) if name == "crowded" else run_bundled(name)
+    assert calls.count("_refresh_memory") == result.runtime.world.tick + 1
+    assert "refresh_focus" in calls
+    assert copies == []
 
 
 def dated_at_every_tick(monkeypatch, run):

@@ -23,6 +23,13 @@ Each bundled scenario's semantic LTM snapshot, the file `gridmind run
 only through its size, plans and what it consolidates into LTM, so the
 snapshot pins what consolidation kept.
 
+No bundled run retrieves from LTM, so one small scene is pinned for it:
+run once, then run again with its semantic LTM as the seed, the run
+`gridmind run --ltm-load` makes. The seeded run's trace and its
+`--ltm-save` snapshot are pinned; it is the one golden run in which
+working memory holds facts at their LTM ticks, not at the tick that took
+them.
+
 Every line of every golden trace is also checked to be what
 `oracles.reference_dumps`, the encoder as first written, makes of the
 record it encodes.
@@ -35,6 +42,7 @@ current hashes in the form of the tables below.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.util
 from functools import cache
@@ -151,6 +159,24 @@ GOLDEN_LTM = {
     ("waterleak", True): "93a39dee266c2544a7e77a59c4eb557e32fc39a92ccb3958105da1cf76f0d3ef",
 }
 
+# the scene whose LTM-seeded run retrieves from LTM (see above)
+RECALL = """\
+grid 12 8
+region room 0 0 11 7
+agent robot1 0 7
+entity lamp1 11 0 category=lamp
+at 1 set lamp1 powered
+at 2 clear lamp1 powered
+task navigate target=lamp1
+config stale_ttl 2
+"""
+
+GOLDEN_RECALL = {
+    # sha256 of the LTM-seeded run's trace and of its `--ltm-save` snapshot
+    "trace": "ef47b2a8408362c2def9b4f78624aadd783f12d85011e36005f8d6a39bbfa9b9",
+    "ltm": "fa471926e39d4870ab034e84946de2c7115a474cffeac89181259b082fa36a19",
+}
+
 GENERATED = [(kind, seed) for kind in ("crowded", "traffic") for seed in (1, 2, 3)]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -164,14 +190,14 @@ def _workloads():
     return module
 
 
-def _run(text: str, path: str, seed: int, noise: bool):
+def _run(text: str, path: str, seed: int, noise: bool, ltm_lines: list[str] | None = None):
     scenario = parse_scenario(text, path)
     config = EngineConfig()
     if scenario.config_overrides:
         config = config.with_overrides(dict(scenario.config_overrides))
     return run_scenario(
         scenario, config, seed=seed, planner_factory=scripted_planner_factory,
-        noise=noise, scenario_text=text,
+        noise=noise, scenario_text=text, ltm_lines=ltm_lines,
     )
 
 
@@ -203,6 +229,19 @@ def generated_trace_sha256(kind: str, seed: int, noise: bool) -> str:
     return _sha256(_generated_run(kind, seed, noise).lines)
 
 
+@cache
+def _recall_runs():
+    """The recall scene's first run and the run seeded with its LTM."""
+    first = _run(RECALL, "scenarios/lamp_recall.scn", 0, False)
+    seed = first.runtime.ltm.semantic.to_lines()
+    return first, _run(RECALL, "scenarios/lamp_recall.scn", 0, False, ltm_lines=seed)
+
+
+def recall_sha256() -> dict[str, str]:
+    seeded = _recall_runs()[1]
+    return {"trace": _sha256(seeded.lines), "ltm": _sha256(seeded.runtime.ltm.semantic.to_lines())}
+
+
 @pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noisy"])
 @pytest.mark.parametrize("name", BUNDLED)
 def test_trace_bytes_match_golden_hash(name, noise):
@@ -225,6 +264,23 @@ def test_generated_trace_matches_golden_hash(kind, seed, noise):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_ltm_snapshot_matches_golden_hash(name, noise):
     assert ltm_sha256(name, noise) == GOLDEN_LTM[(name, noise)]
+
+
+def test_ltm_seeded_trace_and_snapshot_match_golden_hash():
+    assert recall_sha256() == GOLDEN_RECALL
+
+
+def test_facts_retrieved_from_ltm_keep_their_ltm_ticks_and_origin():
+    first, seeded = _recall_runs()
+    assert any('"RetrieveFromLTM"' in line for line in seeded.lines)
+    retrieved = [f for f in seeded.runtime.wm.snapshot_facts() if f.origin == "retrieved"]
+    assert [(f.subject, f.relation, f.tick) for f in retrieved] == [
+        ("robot1", "at", tick) for tick in (10, 6, 7, 8, 9)
+    ]
+    # each is its seed fact, at its LTM tick, re-tagged
+    for fact in retrieved:
+        held = first.runtime.ltm.semantic.lookup(fact.key())
+        assert fact == dataclasses.replace(held, origin="retrieved")
 
 
 GOLDEN_RUNS = [
@@ -267,6 +323,7 @@ if __name__ == "__main__":
     for name in BUNDLED:
         for noise in (False, True):
             print(f'    ("{name}", {noise}): "{ltm_sha256(name, noise)}",')
+    print(f"GOLDEN_RECALL: {recall_sha256()}")
     print("GOLDEN_GENERATED:")
     for kind, seed in GENERATED:
         for noise in (False, True):

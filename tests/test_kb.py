@@ -122,6 +122,8 @@ def test_merge_is_both_old_merge_rules(objects, confidences, ticks, origins):
     merged = kb.merge(held, incoming)
     expected = reference_graph_merge(held, incoming)
     assert merged == expected == reference_wm_merge(held, incoming)
+    # the merge is the prevailing fact at the larger tick
+    assert merged == kb.prevailing(held, incoming).at_tick(max(ticks))
     # no copy when the held or the incoming fact already is the merge
     if expected == held:
         assert merged is held

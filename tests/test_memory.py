@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmind import memory
-from gridmind.kb import ORIGINS, Atom, Fact
+from gridmind.kb import ORIGINS, Atom, Fact, ValidationError
 from gridmind.memory import (
     Episode,
     LongTermMemory,
@@ -101,7 +101,7 @@ def rows(wm: WorkingMemory) -> list[tuple]:
 @settings(max_examples=200, deadline=None)
 @given(
     capacity=st.integers(1, 6),
-    decay=st.sampled_from([0.5, 0.95, 1.0]),
+    decay=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
     start=st.integers(0, 4),
     ops=st.lists(
         st.tuples(
@@ -112,6 +112,7 @@ def rows(wm: WorkingMemory) -> list[tuple]:
             st.sampled_from([0, 0, 1, -1]),
             st.sampled_from([0.0, 0.5, 1.0]),
             st.sampled_from([0, 1, -1]),
+            st.booleans(),
         ),
         min_size=20,
         max_size=60,
@@ -123,36 +124,85 @@ def test_eviction_scan_matches_sorting_reference(capacity, decay, start, ops):
     was built before an insert at another tick. Tied confidences meet other
     origins, `5` meets `"5"` and facts are older or newer than the insert's
     tick, so a merge stores the incoming fact only where that is the merged
-    result."""
+    result. An insert dates its fact at its own tick or at the insert's,
+    which the reference is handed as a dated copy."""
     wm = WorkingMemory(capacity=capacity, decay=decay)
     reference = SortingWorkingMemory(capacity, decay)
     tick = start
-    for subject, obj, confidence, origin, age, salience, step in ops:
+    for subject, obj, confidence, origin, age, salience, step, dated in ops:
         tick = max(0, tick + step)
         item = fact(subject, "at", obj, confidence, max(0, tick - age), origin)
-        wm.insert(item, salience, tick)
-        reference.insert(item, salience, tick)
+        date = tick if dated else None
+        wm.insert(item, salience, tick, date)
+        reference.insert(item if date is None else item.at_tick(date), salience, tick)
         assert rows(wm) == reference.rows()
-        assert_ranks_current(wm, tick)
+        assert_ranks_current(wm, reference, tick)
 
 
-def assert_ranks_current(wm: WorkingMemory, now: int) -> None:
-    """While an eviction order is live for `now`, it is the sorted stored
-    ranks, and each item's stored rank is its rank at `now`."""
+def assert_ranks_current(wm: WorkingMemory, reference: SortingWorkingMemory, now: int) -> None:
+    """While an eviction order is live for `now`, it holds one entry per
+    item, ascending; each item's stored rank is its rank at `now`, each
+    entry ranks its item no better than that, and the last entry, once
+    settled, is the rank of the item `reference` would evict."""
     order = wm._order_now
     if order is None or wm._now != now:
         return
-    assert order == sorted(item.rank for item in wm)
+    assert sorted(entry[2] for entry in order) == sorted(item.held.key() for item in wm)
+    assert order == sorted(order)
     for rank, item in wm._ranked(now):
         assert item.rank == rank
+    for entry in order:
+        assert entry >= wm.get(entry[2]).rank
+    worst = max(item.rank for item in wm)
+    assert worst[2] == reference.ordered(now)[-1]
+    settled = list(order)  # settled apart, so no insert finds it settled
+    wm._settle(settled)
+    assert settled[-1] == worst
 
 
 def test_rank_bookkeeping_is_checked_while_an_order_is_live():
+    # a's touch ranks it above b but leaves its entry last; the next
+    # eviction settles that entry and evicts b, as the reference does
     wm = WorkingMemory(capacity=2)
+    reference = SortingWorkingMemory(2, 0.95)
     for subject, salience in (("a", 0.5), ("b", 0.6), ("c", 0.4), ("a", 0.9), ("d", 0.7)):
         wm.insert(fact(subject, "isa", "x", tick=3), salience, 3)
-        assert_ranks_current(wm, 3)
+        reference.insert(fact(subject, "isa", "x", tick=3), salience, 3)
+        assert_ranks_current(wm, reference, 3)
+        assert rows(wm) == reference.rows()
+        if (subject, salience) == ("a", 0.9):
+            assert wm._order_now[-1][2] == ("a", "isa", "x")
+            assert wm._order_now[-1] != wm.get(("a", "isa", "x")).rank
     assert wm._order_now is not None and len(wm._order_now) == 2
+    assert [f.subject for f in wm.snapshot_facts()] == ["a", "d"]
+
+
+@pytest.mark.parametrize("decay", [1.5, -0.1, float("nan")])
+def test_decay_outside_the_unit_interval_is_refused(decay):
+    with pytest.raises(ValidationError):
+        WorkingMemory(decay=decay)
+
+
+@pytest.mark.parametrize("decay", [0.0, 1.0])
+def test_decay_at_either_end_of_the_unit_interval_is_accepted(decay):
+    assert WorkingMemory(decay=decay).decay == decay
+
+
+def test_a_touch_that_only_moves_the_date_builds_no_fact(monkeypatch):
+    wm = WorkingMemory(capacity=4)
+    held = fact("a", "at", "x", 0.5, 1)
+    wm.insert(held, 0.5, 1)
+    built = []
+    at_tick = Fact.at_tick
+    monkeypatch.setattr(Fact, "at_tick", lambda f, t: built.append(t) or at_tick(f, t))
+    monkeypatch.setattr(Fact, "__init__", lambda *args: built.append(args))
+    wm.insert(held, 0.5, 4, date=4)
+    item = wm.get(held.key())
+    assert built == [] and item.held is held and item.date == 4
+    monkeypatch.undo()
+    # read, the fact is at its date; the copy is made once
+    assert item.fact == fact("a", "at", "x", 0.5, 4)
+    assert item.fact is item.fact is wm.snapshot_facts()[0]
 
 
 def test_new_key_below_every_item_of_a_full_memory_is_not_built(monkeypatch):
@@ -174,21 +224,24 @@ def test_new_key_below_every_item_of_a_full_memory_is_not_built(monkeypatch):
     assert [f.subject for f in wm.snapshot_facts()] == ["A", "b"]
 
 
-def test_merge_copies_the_held_fact_unless_the_incoming_one_is_the_result():
+def test_merge_keeps_the_prevailing_fact_and_reads_it_at_the_later_date():
     wm = WorkingMemory(capacity=4)
     held = fact("a", "at", 5, 0.5, 1, "perceived")
     wm.insert(held, 0.5, 1)
     same = fact("a", "at", 5, 0.5, 2, "perceived")
     wm.insert(same, 0.5, 2)
-    assert wm.get(held.key()).fact is same
+    item = wm.get(held.key())
+    assert item.held is held and item.date == 2 and item.fact == same
     # a tied confidence keeps the held origin and object, at the later tick
     for other in (fact("a", "at", 5, 0.5, 3, "derived"), fact("a", "at", "5", 0.5, 3, "perceived")):
         wm.insert(other, 0.5, 3)
         stored = wm.get(held.key()).fact
         assert stored is not other
         assert stored == fact("a", "at", 5, 0.5, 3, "perceived") and type(stored.obj) is int
-    # an older fact never replaces the tick
-    wm.insert(fact("a", "at", "5", 0.9, 1, "derived"), 0.5, 4)
+    # a larger confidence prevails; an older fact never replaces the tick
+    higher = fact("a", "at", "5", 0.9, 1, "derived")
+    wm.insert(higher, 0.5, 4)
+    assert item.held is higher
     assert wm.get(held.key()).fact == fact("a", "at", "5", 0.9, 3, "derived")
 
 
