@@ -12,11 +12,10 @@ writes few distinct floats many times); 0.0 and -0.0 share a key and a
 text, and a non-finite float raises every time and is never stored. A
 5-item list shaped like a fact row (`str`, `str`, a `str`, `int` or
 `float` object, a `float` confidence and an `int` tick) is written by one
-f-string. A type that is not in the table, a subclass or an unknown type,
-is tested in a fixed `isinstance` order: float, int, str, list or tuple,
-dict, and anything else is a TypeError, as is a key that is not a `str`;
-a non-finite float is a ValueError. The text is the same whichever path
-writes it.
+f-string. These are the types the engine builds, and each has one text:
+a value of any other type, a subclass of one of them included, is a
+TypeError, as is a dict key that is no instance of `str`; a non-finite
+float is a ValueError.
 
 Every file the engine reads in is read by `read_text`, all outside JSON
 (config files, planner responses, trace lines) is parsed by `parse_json`,
@@ -101,12 +100,7 @@ def dumps(value: object) -> str:
     json.dumps renders floats with repr(), which is not stable enough for
     byte-exact replay, hence this small hand-rolled emitter.
     """
-    return _ENCODERS.get(type(value), _encode_other)(value)
-
-
-# the helpers' own reference, not the module attribute: a wrapper patched
-# over `dumps` sees whole records only
-_encode = dumps
+    return _ENCODERS.get(type(value), _unsupported)(value)
 
 
 def _list_text(value: list | tuple) -> str:
@@ -125,46 +119,20 @@ def _list_text(value: list | tuple) -> str:
                     f"{encode(obj)},{_float_text(confidence)},{tick}]"
                 )
     get = _ENCODERS.get
-    return "[" + ",".join([get(type(item), _encode_other)(item) for item in value]) + "]"
+    return "[" + ",".join([get(type(item), _unsupported)(item) for item in value]) + "]"
 
 
 def _dict_text(value: dict) -> str:
     get = _ENCODERS.get
-    try:
-        items = [
-            encode_basestring(key) + ":" + get(type(item), _encode_other)(item)
-            for key, item in value.items()
-        ]
-    except TypeError:
-        pass  # a key that is no str, or a value of no JSON type: see below
-    else:
-        return "{" + ",".join(items) + "}"
-    # walk the items again in order, so the error is the one met first
-    return _walk_dict(value)
-
-
-def _walk_dict(value: dict) -> str:
-    items = []
-    for key, item in value.items():
-        if not isinstance(key, str):
-            raise TypeError("canonical JSON keys must be strings")
-        items.append(encode_basestring(key) + ":" + _encode(item))
+    # encode_basestring raises TypeError for a key that is not a str
+    items = [
+        encode_basestring(key) + ":" + get(type(item), _unsupported)(item)
+        for key, item in value.items()
+    ]
     return "{" + ",".join(items) + "}"
 
 
-def _encode_other(value: object) -> str:
-    """A value whose exact type is not in the table: a subclass of a JSON
-    type, written as that type, or an unknown type."""
-    if isinstance(value, float):
-        return fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join([_encode(item) for item in value]) + "]"
-    if isinstance(value, dict):
-        return _walk_dict(value)
+def _unsupported(value: object) -> str:
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
 

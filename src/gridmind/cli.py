@@ -6,7 +6,8 @@ Subcommands:
 * ``replay``  re-run a trace's inputs and verify byte equality,
 * ``query``   evaluate a pattern against a KB file after inference.
 
-Exit codes for ``run``: 0 task success, 2 abort, 3 load/config error.
+Exit codes for ``run``: 0 task success, 2 abort, 3 load/config error or
+an output path that cannot be written.
 Exit codes for ``replay``: 0 fully equal, 1 divergence, 3 malformed input.
 Exit codes for ``query``: 0 answered (no match included), 3 a bad KB, rule
 file or pattern, or inference that stops at its pass cap before a

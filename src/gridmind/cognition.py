@@ -77,7 +77,7 @@ def detect_contradictions(
 
 
 def assess_hazards(
-    unified: UnifiedCognition, hazard_rules: list[Rule], max_iterations: int = 100
+    unified: UnifiedCognition, hazard_rules: list[Rule], max_iterations: int
 ) -> list[Fact]:
     """Chain hazard rules over the unified graph; returns hazard facts.
 

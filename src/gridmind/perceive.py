@@ -54,12 +54,11 @@ that held it.
 Kept state is not a field: eq and repr ignore it, and a copy of a
 reading or an observation starts without it. It is kept in the instance
 dict by hand, under a private name: a reading's digest text (`_text`) and
-the part of it after the region (`_text_tail`), an observation's sorted
-entity ids (`_entities`) and the temporal features' events by entity
-(`_by_entity`), as well as the concept record and the facts above, each
-made on first use by the method that returns it. The digest text of an
-observation is a join over its readings' kept texts, keyed by the
-observation's own entity keys.
+the part of it after the region (`_text_tail`), and an observation's
+sorted entity ids (`_entities`), as well as the concept record and the
+facts above, each made on first use by the method that returns it. The
+digest text of an observation is a join over its readings' kept texts,
+keyed by the observation's own entity keys.
 """
 
 from __future__ import annotations
@@ -204,16 +203,14 @@ class Reading:
         the entity is."""
         attrs = self.attributes
         flags = self.flags
-        attrs_text = (
-            "{" + ",".join(f"{encode_basestring(k)}:{dumps(attrs[k])}" for k in sorted(attrs)) + "}"
-            if attrs
-            else "null"
-        )
-        flags_text = "[" + ",".join(map(dumps, sorted(flags))) + "]" if flags is not None else "null"
-        return (
-            f',"occluded":{dumps(self.occluded)},"attrs":{attrs_text},"flags":{flags_text},'
-            f'"contains":[{",".join(map(dumps, self.contains))}],"on":{dumps(self.on)}}}'
-        )
+        record = {
+            "occluded": self.occluded,
+            "attrs": {k: attrs[k] for k in sorted(attrs)} if attrs else None,
+            "flags": sorted(flags) if flags is not None else None,
+            "contains": self.contains,
+            "on": self.on,
+        }
+        return "," + dumps(record)[1:]
 
     def concept(self, lexicon: Mapping[str, tuple[str, ...]]) -> ConceptRecord | None:
         """This reading's concept record under `lexicon`, None if occluded;
@@ -305,13 +302,10 @@ class TemporalFeatures:
     events: list[Event] = field(default_factory=list)
 
     def by_entity(self) -> dict[str, list[Event]]:
-        """The events grouped by entity, each group in event order. Grouped
-        on first use and kept: the events do not change once extracted."""
-        index = self.__dict__.get("_by_entity")
-        if index is None:
-            index = self.__dict__["_by_entity"] = {}
-            for event in self.events:
-                index.setdefault(event.entity, []).append(event)
+        """The events grouped by entity, each group in event order."""
+        index: dict[str, list[Event]] = {}
+        for event in self.events:
+            index.setdefault(event.entity, []).append(event)
         return index
 
     def starting_at(self, tick: int) -> list[Event]:

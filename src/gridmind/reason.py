@@ -99,12 +99,12 @@ def temporal_closure(order: TemporalOrder) -> TemporalOrder:
     return TemporalOrder(pairs=closed)
 
 
-def apply_dependency_rules(graph: SemanticGraph, rules: list[Rule], max_iterations: int = 100) -> list[Fact]:
+def apply_dependency_rules(graph: SemanticGraph, rules: list[Rule], max_iterations: int) -> list[Fact]:
     """Causal/structural dependency inference; returns new facts only."""
     return forward_chain(graph, rules, max_iterations).derived
 
 
-def infer_concepts(graph: SemanticGraph, rules: list[Rule], max_iterations: int = 100) -> list[Fact]:
+def infer_concepts(graph: SemanticGraph, rules: list[Rule], max_iterations: int) -> list[Fact]:
     """Function/role inference (conclusions use has_function / has_role)."""
     return forward_chain(graph, rules, max_iterations).derived
 
@@ -175,7 +175,7 @@ def predict_next(model: EventSequenceModel, history: list[str]) -> Prediction:
 # ---------------------------------------------------------------------------
 # spatial composition
 
-def compose_spatial(graph: SemanticGraph, rules: list[Rule], max_iterations: int = 1000) -> list[Fact]:
+def compose_spatial(graph: SemanticGraph, rules: list[Rule], max_iterations: int) -> list[Fact]:
     """Relation composition: the composition table's rules (one per entry,
     see `rulefmt.parse_composition`) chained to a fixpoint; new facts only."""
     return forward_chain(graph, rules, max_iterations).derived

@@ -48,9 +48,14 @@ class ReplayReport:
 
 
 def write_trace(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    """Write `lines` to `path`, one per line; a path that cannot be written
+    (a missing directory, a directory, no permission) is a TraceError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise TraceError(f"cannot write file: {exc.strerror or exc}", path=path) from exc
 
 
 def read_trace(path: str) -> list[str]:

@@ -14,6 +14,8 @@ from gridmind.perceive import TemporalWindow, extract_temporal
 from gridmind.world import load_scenario, parse_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# the pass cap the engine chains under by default
+CHAIN_CAP = EngineConfig().chain_max_iterations
 
 
 def scenario_path(name: str) -> str:

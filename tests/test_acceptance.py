@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import gridmind
-from conftest import BUNDLED, run_bundled, scenario_path
+from conftest import BUNDLED, CHAIN_CAP, run_bundled, scenario_path
 from gridmind.config import EngineConfig
 from gridmind.kb import Fact
 from gridmind.memory import WorkingMemory
@@ -73,7 +73,7 @@ def test_c02_spatial_composition_matches_exhaustive_oracle(rule_data):
         for seed in range(200):
             graph = random_spatial_graph(random.Random(seed), max_entities=8)
             before = {f.key(): f.confidence for f in graph.facts()}
-            compose_spatial(graph, rule_data.composition)
+            compose_spatial(graph, rule_data.composition, CHAIN_CAP)
             engine = {key: round(conf, 12) for key, conf in (
                 (f.key(), f.confidence) for f in graph.facts()
             )}

@@ -333,6 +333,20 @@ def test_ltm_snapshot_save_and_load(tmp_path):
     assert main(["replay", str(trace)]) == 0
 
 
+@pytest.mark.parametrize("option, target", [
+    ("--trace", "missing-dir"), ("--trace", "dir"), ("--ltm-save", "missing-dir"),
+], ids=["trace-in-missing-dir", "trace-is-a-dir", "ltm-save-in-missing-dir"])
+def test_output_path_that_cannot_be_written_exit_three(tmp_path, capsys, option, target):
+    bad = str(tmp_path / "no" / "such" / "out.txt") if target == "missing-dir" else str(tmp_path)
+    argv = ["run", scenario_path("waterleak"), option, bad]
+    if option != "--trace":
+        argv += ["--trace", str(tmp_path / "ok.trace")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {bad}: cannot write file: ")
+
+
 def test_replay_resolves_scenario_path_against_current_directory(tmp_path, monkeypatch, capsys):
     recorded = tmp_path / "recorded"
     (recorded / "scenarios").mkdir(parents=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gridmind.cognition import aggregate, assess_hazards, detect_contradictions
 from gridmind.kb import Fact, SemanticGraph
+from conftest import CHAIN_CAP
 from oracles import SPATIAL_VOCABULARY, all_pairs_contradictions
 
 
@@ -119,7 +120,7 @@ HOT_COFFEE_C = (
 class TestHazards:
     def test_hot_coffee_near_edge_with_moving_child(self, rule_data):
         unified = aggregate(facts(*HOT_COFFEE_T), facts(*HOT_COFFEE_S), facts(*HOT_COFFEE_C))
-        hazards = assess_hazards(unified, rule_data.hazard_rules)
+        hazards = assess_hazards(unified, rule_data.hazard_rules, CHAIN_CAP)
         assert [(f.subject, f.obj) for f in hazards] == [("coffee1", "spill_burn")]
         assert hazards[0].confidence == pytest.approx(0.9)
 
@@ -129,14 +130,14 @@ class TestHazards:
             facts(("water1", "Near", "wire1")),
             facts(("water1", "has_state", "wet"), ("wire1", "has_state", "powered")),
         )
-        hazards = assess_hazards(unified, rule_data.hazard_rules)
+        hazards = assess_hazards(unified, rule_data.hazard_rules, CHAIN_CAP)
         assert [(f.subject, f.obj) for f in hazards] == [("wire1", "electrocution")]
 
     def test_cold_coffee_no_children_no_hazard(self, rule_data):
         unified = aggregate(
             [], facts(("coffee1", "Near", "edge1")), facts(("edge1", "isa", "table_edge"))
         )
-        assert assess_hazards(unified, rule_data.hazard_rules) == []
+        assert assess_hazards(unified, rule_data.hazard_rules, CHAIN_CAP) == []
 
     def test_no_phantom_hazards_vs_rule_oracle(self, rule_data):
         """Every hazard must be re-derivable by plain forward chaining."""
@@ -146,7 +147,7 @@ class TestHazards:
         check = SemanticGraph()
         for fact in unified.graph.facts():
             check.insert(fact)
-        hazards = assess_hazards(unified, rule_data.hazard_rules)
+        hazards = assess_hazards(unified, rule_data.hazard_rules, CHAIN_CAP)
         oracle = forward_chain(check, rule_data.hazard_rules).derived
         assert {f.key() for f in hazards} <= {f.key() for f in oracle}
 

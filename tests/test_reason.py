@@ -24,7 +24,7 @@ from gridmind.reason import (
     temporal_closure,
     train_sequence_model,
 )
-from conftest import temporal_features
+from conftest import CHAIN_CAP, temporal_features
 from oracles import (
     composition_table,
     exhaustive_composition,
@@ -153,34 +153,34 @@ class TestComposeSpatial:
         graph = SemanticGraph()
         graph.insert(Fact("vase", "OnTopOf", "table", 1.0, 0, "perceived"))
         graph.insert(Fact("table", "LeftOf", "bed", 1.0, 0, "perceived"))
-        derived = compose_spatial(graph, rule_data.composition)
+        derived = compose_spatial(graph, rule_data.composition, CHAIN_CAP)
         assert [(f.subject, f.relation, f.obj) for f in derived] == [("vase", "LeftOf", "bed")]
 
     def test_missing_entry_licenses_nothing(self, rule_data):
         graph = SemanticGraph()
         graph.insert(Fact("table", "LeftOf", "bed", 1.0, 0, "perceived"))
         graph.insert(Fact("bed", "Near", "window", 1.0, 0, "perceived"))
-        assert compose_spatial(graph, rule_data.composition) == []
+        assert compose_spatial(graph, rule_data.composition, CHAIN_CAP) == []
 
     def test_left_of_chain_composes_with_product_confidence(self, rule_data):
         graph = SemanticGraph()
         graph.insert(Fact("a", "LeftOf", "b", 0.8, 0, "perceived"))
         graph.insert(Fact("b", "LeftOf", "c", 0.5, 0, "perceived"))
-        derived = compose_spatial(graph, rule_data.composition)
+        derived = compose_spatial(graph, rule_data.composition, CHAIN_CAP)
         assert [(f.subject, f.obj, f.confidence) for f in derived] == [("a", "c", 0.4)]
 
     def test_no_reflexive_conclusions(self, rule_data):
         graph = SemanticGraph()
         graph.insert(Fact("a", "LeftOf", "b", 1.0, 0, "perceived"))
         graph.insert(Fact("b", "LeftOf", "a", 1.0, 0, "perceived"))
-        derived = compose_spatial(graph, rule_data.composition)
+        derived = compose_spatial(graph, rule_data.composition, CHAIN_CAP)
         assert all(f.subject != f.obj for f in derived)
 
     def test_chain_ending_in_a_number_composes(self, rule_data):
         graph = SemanticGraph()
         graph.insert(Fact("robot1", "LeftOf", "zz9", 0.5, 0, "asserted"))
         graph.insert(Fact("zz9", "LeftOf", 5, 0.8, 0, "asserted"))
-        derived = compose_spatial(graph, rule_data.composition)
+        derived = compose_spatial(graph, rule_data.composition, CHAIN_CAP)
         assert [(f.subject, f.relation, f.obj, f.confidence) for f in derived] == [
             ("robot1", "LeftOf", 5, 0.4)
         ]
@@ -194,7 +194,7 @@ class TestComposeSpatial:
                 f.key(): f.confidence
                 for f in graph.facts()
             }
-            compose_spatial(graph, rule_data.composition)
+            compose_spatial(graph, rule_data.composition, CHAIN_CAP)
             engine = {f.key(): round(f.confidence, 12) for f in graph.facts()}
             oracle_in = {
                 (s, r, o): c
@@ -317,7 +317,7 @@ class TestInferConcepts:
         graph = SemanticGraph()
         graph.insert(Fact("apple1", "has_state", "edible", 1.0, 0, "perceived"))
         graph.insert(Fact("apple1", "located_in", "kitchen", 1.0, 0, "perceived"))
-        derived = infer_concepts(graph, rule_data.concept_rules)
+        derived = infer_concepts(graph, rule_data.concept_rules, CHAIN_CAP)
         assert [(f.subject, f.relation, f.obj) for f in derived] == [
             ("apple1", "has_function", "food")
         ]
@@ -326,12 +326,12 @@ class TestInferConcepts:
         graph = SemanticGraph()
         graph.insert(Fact("waxfruit1", "has_state", "edible", 1.0, 0, "perceived"))
         graph.insert(Fact("waxfruit1", "located_in", "livingroom", 1.0, 0, "perceived"))
-        assert infer_concepts(graph, rule_data.concept_rules) == []
+        assert infer_concepts(graph, rule_data.concept_rules, CHAIN_CAP) == []
 
     def test_scrubs_in_clinic_implies_nurse_role(self, rule_data):
         graph = SemanticGraph()
         graph.insert(Fact("p1", "wears", "scrubs", 1.0, 0, "perceived"))
         graph.insert(Fact("p1", "located_in", "clinic", 1.0, 0, "perceived"))
-        derived = infer_concepts(graph, rule_data.concept_rules)
+        derived = infer_concepts(graph, rule_data.concept_rules, CHAIN_CAP)
         assert [(f.subject, f.relation, f.obj) for f in derived] == [("p1", "has_role", "nurse")]
         assert derived[0].confidence == pytest.approx(0.9)
