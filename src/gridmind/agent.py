@@ -181,7 +181,7 @@ class AgentRuntime:
             threshold=cfg.attention_threshold,
         )
         t_facts, s_facts, c_facts, facts_by_entity = perceive.build_dimension_graphs(
-            obs, ft, fs, fc, near_distance=cfg.near_distance
+            obs, ft, fc, near_distance=cfg.near_distance
         )
         unified = aggregate(t_facts, s_facts, c_facts)
         graph = unified.graph
@@ -205,9 +205,9 @@ class AgentRuntime:
             graph.insert(fact)
         unified.contradictions = cognition.detect_contradictions(graph, self.data.exclusions)
 
-        observed_kinds = tuple(
-            e.kind for e in sorted(ft.starting_at(tick), key=lambda e: (e.entity, e.kind))
-        )
+        # ft's events come in (start, entity, kind) order and trajectories
+        # are keyed in sorted obs.entities() order, so both are read as they come
+        observed_kinds = tuple(e.kind for e in ft.starting_at(tick))
         # train on the new kinds with the k kinds before them as context;
         # training and prediction read no further back, so keep only k
         order = self.seq_model.order
@@ -285,7 +285,7 @@ class AgentRuntime:
         than that on each axis. While there are no more pairs than the
         cells one neighbourhood touches, every pair is tested.
         """
-        names = sorted(trajectories)
+        names = list(trajectories)
         n = len(names)
         if n < 2:
             return []
@@ -318,7 +318,7 @@ class AgentRuntime:
         next_tick = obs.tick + 1
         self.last_position_predictions = {
             entity: trajectory.positions[next_tick]
-            for entity, trajectory in sorted(trajectories.items())
+            for entity, trajectory in trajectories.items()
         }
 
     def _stale_keys(self, tick: int) -> tuple[str, ...]:

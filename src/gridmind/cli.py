@@ -7,7 +7,7 @@ Subcommands:
 * ``query``   evaluate a pattern against a KB file after inference.
 
 Exit codes for ``run``: 0 task success, 2 abort, 3 load/config error or
-an output path that cannot be written.
+an output path that cannot be written (probed before the run).
 Exit codes for ``replay``: 0 fully equal, 1 divergence, 3 malformed input.
 Exit codes for ``query``: 0 answered (no match included), 3 a bad KB, rule
 file or pattern, or inference that stops at its pass cap before a
@@ -119,6 +119,10 @@ def cmd_run(args) -> int:
     ltm_lines = None
     if args.ltm_load:
         ltm_lines = read_text(args.ltm_load, ConfigError, "LTM snapshot").split("\n")
+    trace_path = args.trace or (Path(args.scenario).stem + ".trace")
+    for path in (trace_path, args.ltm_save):
+        if path:
+            _probe_writable(path)
     factory, planner_name, client = _planner_factory(args.planner, config)
     try:
         result = agent.run_scenario(
@@ -136,12 +140,25 @@ def cmd_run(args) -> int:
         # an external planner that hangs must not outlive the run
         if client is not None:
             client.close()
-    trace_path = args.trace or (Path(args.scenario).stem + ".trace")
-    trace.write_trace(str(trace_path), result.lines)
+    trace.write_trace(trace_path, result.lines)
     if args.ltm_save:
         trace.write_trace(args.ltm_save, result.runtime.ltm.semantic.to_lines())
     print(f"{result.outcome}: {result.runtime.world.tick} ticks, trace -> {trace_path}")
     return result.exit_code
+
+
+def _probe_writable(path: str) -> None:
+    """Refuse, before the run, an output path that cannot be written: open
+    it for append, which truncates nothing, and delete the file if the
+    probe made it."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise trace.TraceError(f"cannot write file: {exc.strerror or exc}", path=path) from exc
+    if not existed:
+        os.remove(path)
 
 
 def cmd_replay(args) -> int:

@@ -371,18 +371,20 @@ def plan_scripted(query: PlannerQuery) -> Plan:
     steps: list[PlanStep] = []
     pos = view.position(agent)
 
-    def pick_and_place(obj: str, target: str, target_pos: tuple[int, int]) -> None:
+    def approach(goal: tuple[int, int]) -> None:
         nonlocal pos
-        moves, pos = _moves_to_adjacent(pos, view.position(obj))
+        moves, pos = _moves_to_adjacent(pos, goal)
         steps.extend(PlanStep(action=m) for m in moves)
+
+    def pick_and_place(obj: str, target: str, target_pos: tuple[int, int]) -> None:
+        approach(view.position(obj))
         steps.append(
             PlanStep(
                 action=Action("PickUp", (obj,)),
                 effects=[Fact(obj, "has_state", "carried", 1.0, 0, "derived")],
             )
         )
-        moves, pos = _moves_to_adjacent(pos, target_pos)
-        steps.extend(PlanStep(action=m) for m in moves)
+        approach(target_pos)
         steps.append(
             PlanStep(
                 action=Action("PlaceOn", (obj, target)),
@@ -414,22 +416,17 @@ def plan_scripted(query: PlannerQuery) -> Plan:
             {e for e in view.hazard_entities if view.has_state(e, "powered")}
         )
         for entity in powered_hazards:
-            moves, pos = _moves_to_adjacent(pos, view.position(entity))
-            steps.extend(PlanStep(action=m) for m in moves)
+            approach(view.position(entity))
             steps.append(PlanStep(action=Action("CutPower", (entity,))))
         for entity in [e for e in in_zone if view.has_state(e, "leaking")]:
-            moves, pos = _moves_to_adjacent(pos, view.position(entity))
-            steps.extend(PlanStep(action=m) for m in moves)
+            approach(view.position(entity))
             steps.append(PlanStep(action=Action("FixLeak", (entity,))))
         for entity in [e for e in in_zone if view.has_state(e, "wet")]:
             x, y = view.position(entity)
-            moves, pos = _moves_to_adjacent(pos, (x, y))
-            steps.extend(PlanStep(action=m) for m in moves)
+            approach((x, y))
             steps.append(PlanStep(action=Action("Mop", (str(x), str(y)))))
     elif kind == "navigate":
-        target = str(params["target"])
-        moves, pos = _moves_to_adjacent(pos, view.position(target))
-        steps.extend(PlanStep(action=m) for m in moves)
+        approach(view.position(str(params["target"])))
     elif kind == "fetch":
         obj, dest = str(params["object"]), str(params["to"])
         pick_and_place(obj, dest, view.position(dest))

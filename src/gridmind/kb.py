@@ -12,7 +12,7 @@ Semantics that everything else relies on:
 
 * identity key = (subject, relation, object token), made once when the
   fact is built; re-assertion max-merges confidence and keeps the latest
-  tick, by `merge`, the one merge rule (working memory's too),
+  tick, by `merge`; working memory merges by its confidence choice, `prevailing`,
 * a graph holds each fact once, in its relation index, which every read
   goes through,
 * `Fact.at_tick` is the one way a fact moves to another tick (`merge`,

@@ -177,7 +177,7 @@ def normalize_weights(weights: dict[str, float], low: float, high: float) -> dic
     """Project onto the clamped simplex: each dim in [low, high], sum 1.
 
     Alternates proportional rescaling (sum to 1) with clamping until both
-    constraints hold; converges geometrically and is fully deterministic.
+    constraints hold, or stops after 200 passes; fully deterministic.
     """
     values = {d: min(high, max(low, float(weights.get(d, low)))) for d in WEIGHT_DIMS}
     for _ in range(200):

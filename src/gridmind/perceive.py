@@ -1,8 +1,8 @@
 """Semantic perception: three parallel feature pathways plus binding.
 
 Observations are split into temporal (events), spatial (ego offsets from
-the agent and supports), and conceptual (category/material/shape/function)
-features. A deterministic weighted-salience attention pass then binds the
+the agent), and conceptual (category/material/shape/function) features.
+A deterministic weighted-salience attention pass then binds the
 per-entity features into one BoundObject per entity; downstream layers
 receive both the bound objects and the tick's perceived facts, one list
 per dimension, which cognition inserts into the unified graph.
@@ -314,8 +314,9 @@ class TemporalFeatures:
 
 @dataclass
 class SpatialFeatures:
+    """Each entity's offset from the agent, which attention scores."""
+
     locations: dict[str, tuple[int, int]] = field(default_factory=dict)  # ego offsets
-    supports: dict[str, str] = field(default_factory=dict)
     agent: str = ""
 
 
@@ -444,7 +445,7 @@ def _event_kind(flag: str) -> str:
 
 
 def extract_spatial(obs: Observation, agent: str) -> SpatialFeatures:
-    """Per-entity offsets from the agent, plus what each entity rests on."""
+    """Per-entity offsets from the agent (the agent's own is (0, 0))."""
     agent_reading = obs.readings.get(agent)
     if agent_reading is None:
         raise ValidationError(f"agent {agent!r} absent from observation")
@@ -453,11 +454,8 @@ def extract_spatial(obs: Observation, agent: str) -> SpatialFeatures:
     ax, ay = agent_reading.position
     features = SpatialFeatures(agent=agent)
     for entity in obs.entities():
-        reading = obs.readings[entity]
-        x, y = reading.position
+        x, y = obs.readings[entity].position
         features.locations[entity] = (x - ax, y - ay)
-        if reading.on is not None:
-            features.supports[entity] = reading.on
     return features
 
 
@@ -545,7 +543,6 @@ def attend_and_bind(
 def build_dimension_graphs(
     obs: Observation,
     ft: TemporalFeatures,
-    fs: SpatialFeatures,
     fc: ConceptualFeatures,
     near_distance: float = 2.0,
 ) -> tuple[list[Fact], list[Fact], list[Fact], dict[str, list[Fact]]]:
@@ -589,14 +586,15 @@ def build_dimension_graphs(
             t_facts.append(fact)
             own.append(fact)
 
-    supports = fs.supports
-    for entity, support in sorted(supports.items()):
-        fact = Fact(entity, "OnTopOf", support, 1.0, tick, _PERCEIVED)
-        s_facts.append(fact)
-        by_entity.setdefault(entity, []).append(fact)
-    free = [
-        e for e in entities if e not in supports and "carried" not in readings[e].visible_flags()
-    ]
+    free = []
+    for entity in entities:
+        reading = readings[entity]
+        if reading.on is not None:
+            fact = Fact(entity, "OnTopOf", reading.on, 1.0, tick, _PERCEIVED)
+            s_facts.append(fact)
+            by_entity[entity].append(fact)
+        elif "carried" not in reading.visible_flags():
+            free.append(entity)
     positions = [readings[e].position for e in free]
     for i, j in _candidate_pairs(positions, near_distance):
         a, b = free[i], free[j]

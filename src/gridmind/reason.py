@@ -131,12 +131,9 @@ class Prediction:
     uninformed: bool = False
 
     def top(self) -> tuple[str, float]:
-        best = max(self.distribution.items(), key=lambda kv: (kv[1], kv[0]))
-        # deterministic tie-break: highest probability, then first kind in
-        # lexicographic order among the tied
-        top_p = best[1]
-        tied = sorted(k for k, p in self.distribution.items() if p == top_p)
-        return tied[0], top_p
+        """The most probable kind; among tied kinds, the first by name."""
+        top_p = max(self.distribution.values())
+        return min(k for k, p in self.distribution.items() if p == top_p), top_p
 
 
 def train_sequence_model(model: EventSequenceModel, sequence: list[str]) -> EventSequenceModel:

@@ -473,27 +473,20 @@ class WorldState:
         """Entities resting directly on `entity_id` (sorted)."""
         return sorted(e for e, st in self.entities.items() if st.on == entity_id)
 
+    def _stack_from(self, base: str) -> list[str]:
+        """The chain from `base` upward to the top of its stack."""
+        chain = [base]
+        while above := self.supported_by(chain[-1]):
+            chain.append(above[0])
+        return chain
+
     def stack_top(self, entity_id: str) -> str:
-        """Walk upward from an entity to the top of its stack."""
-        top = entity_id
-        while True:
-            above = self.supported_by(top)
-            if not above:
-                return top
-            top = above[0]
+        """The top of the stack `entity_id` is in, from it upward."""
+        return self._stack_from(entity_id)[-1]
 
     def stacks_on(self, surface: str) -> list[list[str]]:
         """All chains rooted at a surface, each bottom-to-top."""
-        stacks = []
-        for base in self.supported_by(surface):
-            chain = [base]
-            while True:
-                above = self.supported_by(chain[-1])
-                if not above:
-                    break
-                chain.append(above[0])
-            stacks.append(chain)
-        return stacks
+        return [self._stack_from(base) for base in self.supported_by(surface)]
 
     def _anchor(self, entity_id: str) -> str | None:
         """The one entity `entity_id` rides on: the agent while it is

@@ -327,6 +327,42 @@ def test_event_kind_stream_keeps_only_the_model_context(monkeypatch, order):
     assert runtime.stream == kinds[-order:]
 
 
+@pytest.mark.parametrize("noise", [False, True], ids=["exact", "noise"])
+@pytest.mark.parametrize("name", BUNDLED + ["crowded", "traffic"])
+def test_new_events_and_trajectories_come_sorted(monkeypatch, name, noise):
+    # the tick reads a tick's new events and the trajectories as they come,
+    # in (entity, kind) and entity order, so both must already be sorted
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    starting_at = agent_module.perceive.TemporalFeatures.starting_at
+    predict = AgentRuntime._predict_trajectories
+    longest = {"events": 0, "trajectories": 0}
+    calls = []
+
+    def checked_events(features, tick):
+        events = starting_at(features, tick)
+        keys = [(e.entity, e.kind) for e in events]
+        assert keys == sorted(keys), tick
+        longest["events"] = max(longest["events"], len(events))
+        calls.append(tick)
+        return events
+
+    def checked_trajectories(runtime, previous, obs):
+        trajectories = predict(runtime, previous, obs)
+        assert list(trajectories) == sorted(trajectories), obs.tick
+        longest["trajectories"] = max(longest["trajectories"], len(trajectories))
+        return trajectories
+
+    monkeypatch.setattr(agent_module.perceive.TemporalFeatures, "starting_at", checked_events)
+    monkeypatch.setattr(AgentRuntime, "_predict_trajectories", checked_trajectories)
+    if name in ("crowded", "traffic"):
+        result = _generated_run(name, noise=noise)
+    else:
+        result = run_bundled(name, seed=4 if noise else 0, noise=noise)
+    assert len(calls) == result.runtime.world.tick + 1
+    if name == "traffic":  # the orders were tested on more than one item
+        assert longest["events"] > 1 and longest["trajectories"] > 1
+
+
 @pytest.mark.parametrize("name", BUNDLED + ["crowded", "traffic"])
 def test_every_fact_the_engine_keeps_is_valid(monkeypatch, name):
     # keys are made without the symbol check, which validation keeps doing

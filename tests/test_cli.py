@@ -347,6 +347,29 @@ def test_output_path_that_cannot_be_written_exit_three(tmp_path, capsys, option,
     assert err.startswith(f"error: {bad}: cannot write file: ")
 
 
+@pytest.mark.parametrize("option, trace", [
+    ("--trace", None), ("--ltm-save", None), ("--ltm-save", "new"), ("--ltm-save", "existing"),
+], ids=["trace", "ltm-save-with-default-trace", "ltm-save-with-trace", "ltm-save-with-existing-trace"])
+def test_output_path_that_cannot_be_written_runs_no_tick_and_writes_no_file(
+    tmp_path, monkeypatch, capsys, option, trace
+):
+    calls = []
+    monkeypatch.setattr("gridmind.agent.run_scenario", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.chdir(tmp_path)
+    bad = str(tmp_path / "no" / "such" / "out.txt")
+    argv = ["run", scenario_path("waterleak"), option, bad]
+    if trace is not None:
+        argv += ["--trace", str(tmp_path / "ok.trace")]
+    if trace == "existing":
+        (tmp_path / "ok.trace").write_text("kept\n")
+    files = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {bad}: cannot write file: No such file or directory"]
+    assert calls == []
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == files
+
+
 def test_replay_resolves_scenario_path_against_current_directory(tmp_path, monkeypatch, capsys):
     recorded = tmp_path / "recorded"
     (recorded / "scenarios").mkdir(parents=True)

@@ -8,7 +8,9 @@ import gc
 import hashlib
 import inspect
 import json
+import os
 import pickle
+import tempfile
 import weakref
 from unittest import mock
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import BUNDLED, PERFBENCH, run_bundled, run_generated, temporal_features
 from gridmind import canonical, cells, perceive
-from gridmind.agent import AgentRuntime, RuleData
+from gridmind.agent import AgentRuntime, RuleData, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
 from gridmind.kb import ValidationError
 from gridmind.metacog import Anomaly, normalize_weights, regulate
@@ -38,7 +40,8 @@ from gridmind.perceive import (
     extract_spatial,
     extract_temporal,
 )
-from gridmind.world import Action, WorldState, parse_scenario
+from gridmind.trace import replay, write_trace
+from gridmind.world import SURFACE_CATEGORIES, Action, WorldState, load_scenario, parse_scenario
 from oracles import (
     attention_score,
     bind_reference,
@@ -299,10 +302,123 @@ def test_a_carried_window_matches_the_rescan_oracle_on_every_tick_of_a_scripted_
             assert events == window_events(observed[max(0, end - size) : end]), end
 
 
+WORLD_CATEGORIES = ("table", "box", "cup", "vase", "lamp", "plate")
+WORLD_ATTRIBUTES = {
+    "color": st.sampled_from(["red", "blue", "green"]),
+    "size": st.integers(1, 3),
+    "material": st.sampled_from(["wood", "ceramic", "metal"]),
+}
+
+
+@st.composite
+def valid_worlds(draw):
+    """The text of a scenario that parses: an agent in the first column and
+    2 to 7 entities on a grid of 5 to 12 cells a side, some with color,
+    size, material and flags; stacks, each entity resting on an earlier
+    surface or on an earlier non-surface that holds nothing yet;
+    containers, each holding later entities that rest on nothing and lie
+    in no other container; asserted facts; scripted set, clear, velocity
+    and teleport events in the first 10 ticks; and one navigate or fetch
+    task."""
+    width, height = draw(st.integers(5, 12)), draw(st.integers(5, 12))
+    count = draw(st.integers(2, 7))
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    names = [f"e{k}" for k in range(count)]
+    categories = dict(zip(names, draw(st.lists(st.sampled_from(WORLD_CATEGORIES), min_size=count, max_size=count))))
+    on: dict[str, str] = {}
+    holder: dict[str, str] = {}
+    for k, name in enumerate(names[1:], start=1):
+        earlier = names[:k]
+        anchor = draw(st.sampled_from(["free", "on", "in"]))
+        supports = [e for e in earlier if categories[e] in SURFACE_CATEGORIES or e not in on.values()]
+        if anchor == "on" and supports:
+            on[name] = draw(st.sampled_from(supports))
+        elif anchor == "in":
+            holder[name] = draw(st.sampled_from(earlier))
+    lines = ["version 1", f"grid {width} {height}"]
+    if draw(st.booleans()):
+        lines.append(f"region room 0 0 {width - 1} {height - 1}")
+    lines.append(f"agent robot1 0 {draw(st.integers(0, height - 1))}")
+    for name in names:
+        parts = ["entity {} {} {}".format(name, *draw(cell)), f"category={categories[name]}"]
+        for key, values in WORLD_ATTRIBUTES.items():
+            if draw(st.booleans()):
+                parts.append(f"{key}={draw(values)}")
+        flags = draw(st.sets(st.sampled_from(SCRIPTED_FLAGS + ("fragile",))))
+        if flags:
+            parts.append(f"flags={','.join(sorted(flags))}")
+        if name in on:
+            parts.append(f"on={on[name]}")
+        contents = [e for e in names if holder.get(e) == name]
+        if contents:
+            parts.append(f"contains={','.join(contents)}")
+        lines.append(" ".join(parts))
+    objects = {
+        "isa": st.sampled_from(WORLD_CATEGORIES), **WORLD_ATTRIBUTES,
+        "has_state": st.sampled_from(SCRIPTED_FLAGS), "LeftOf": st.sampled_from(names),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        relation = draw(st.sampled_from(sorted(objects)))
+        confidence = draw(st.sampled_from(["", " 0.5", " 0.9"]))
+        obj = draw(objects[relation])
+        lines.append(f"fact {draw(st.sampled_from(names))} {relation} {obj}{confidence}")
+    operands = {
+        "set": st.sampled_from(SCRIPTED_FLAGS), "clear": st.sampled_from(SCRIPTED_FLAGS),
+        "velocity": st.tuples(st.integers(-1, 1), st.integers(-1, 1)), "teleport": cell,
+    }
+    for _ in range(draw(st.integers(0, 4))):
+        tick, name = draw(st.integers(0, 9)), draw(st.sampled_from(names))
+        kind = draw(st.sampled_from(sorted(operands)))
+        operand = draw(operands[kind])
+        text = " ".join(map(str, operand)) if isinstance(operand, tuple) else operand
+        lines.append(f"at {tick} {kind} {name} {text}")
+    if draw(st.booleans()):
+        lines.append(f"task navigate target={draw(st.sampled_from(names))}")
+    else:
+        obj, dest = draw(st.permutations(names))[:2]
+        lines.append(f"task fetch object={obj} to={dest}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_worlds(), st.integers(0, 3))
+def test_a_generated_valid_world_runs_replays_and_perceives_as_the_oracle_does(text, seed):
+    """Noise off and on, a run of the world raises nothing, its trace
+    replays equal, every fact of its final unified graph is valid, and on
+    every tick, the last included, its Near and cardinal facts are those
+    the pairwise oracle finds among the free-standing readings."""
+    build = perceive.build_dimension_graphs
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "world.scn")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        scenario = load_scenario(path)
+        for noise in (False, True):
+            ticks = []
+
+            def checked(o, ft, fc, near_distance=2.0):
+                out = build(o, ft, fc, near_distance)
+                pairwise = [(f.subject, f.relation, f.obj) for f in out[1] if f.relation in PAIRWISE]
+                assert pairwise == pairwise_spatial_facts(o, near_distance), o.tick
+                ticks.append(o.tick)
+                return out
+
+            with mock.patch.object(perceive, "build_dimension_graphs", checked):
+                result = run_scenario(
+                    scenario, EngineConfig(), seed=seed, planner_factory=scripted_planner_factory,
+                    noise=noise, scenario_text=text,
+                )
+            assert ticks == list(range(result.runtime.world.tick + 1))
+            trace_path = os.path.join(folder, "world.trace")
+            write_trace(trace_path, result.lines)
+            assert replay(trace_path).equal
+            for fact in result.runtime.unified.graph:
+                fact.validate()
+
+
 def pairwise_facts(o: Observation, near_distance: float = 2.0) -> list[tuple]:
-    fs = extract_spatial(o, "agent")
     ft, fc = temporal_features([o]), extract_conceptual(o)
-    _, s_facts, _, _ = build_dimension_graphs(o, ft, fs, fc, near_distance=near_distance)
+    _, s_facts, _, _ = build_dimension_graphs(o, ft, fc, near_distance=near_distance)
     return [(f.subject, f.relation, f.obj) for f in s_facts if f.relation in PAIRWISE]
 
 
@@ -499,9 +615,8 @@ class TestGraphEmission:
             bed1={"pos": (5, 4), "attrs": {"category": "bed"}},
         )
         ft = temporal_features([o])
-        fs = extract_spatial(o, "agent")
         fc = extract_conceptual(o)
-        _, s_facts, _, _ = build_dimension_graphs(o, ft, fs, fc)
+        _, s_facts, _, _ = build_dimension_graphs(o, ft, fc)
         relations = {(f.subject, f.relation, f.obj) for f in s_facts}
         assert ("vase1", "OnTopOf", "table1") in relations
         assert ("table1", "LeftOf", "bed1") in relations
@@ -515,9 +630,8 @@ class TestGraphEmission:
             liq1={"pos": (1, 1), "occluded": True},
         )
         ft = temporal_features([o])
-        fs = extract_spatial(o, "agent")
         fc = extract_conceptual(o)
-        _, s_facts, _, _ = build_dimension_graphs(o, ft, fs, fc)
+        _, s_facts, _, _ = build_dimension_graphs(o, ft, fc)
         keys = {(f.subject, f.relation, f.obj) for f in s_facts}
         assert ("cup1", "Contains", "liq1") in keys
         assert ("liq1", "Inside", "cup1") in keys
@@ -528,9 +642,8 @@ class TestGraphEmission:
             for t in range(2)
         ]
         ft = temporal_features(window)
-        fs = extract_spatial(window[-1], "agent")
         fc = extract_conceptual(window[-1])
-        t_facts, _, c_facts, _ = build_dimension_graphs(window[-1], ft, fs, fc)
+        t_facts, _, c_facts, _ = build_dimension_graphs(window[-1], ft, fc)
         moving = ("cat1", "has_state", "moving")
         assert [f.key() for f in t_facts] == [moving]
         assert moving not in {f.key() for f in c_facts}
@@ -730,13 +843,13 @@ def test_carried_facts_equal_the_facts_of_cold_readings(monkeypatch, name, seed,
     previous: list = []  # the last tick's observation, output and its facts
     reused = carried = 0
 
-    def checked(o, ft, fs, fc, near_distance=2.0):
+    def checked(o, ft, fc, near_distance=2.0):
         nonlocal reused, carried
-        out = build(o, ft, fs, fc, near_distance)
+        out = build(o, ft, fc, near_distance)
         cold = copy.deepcopy(o)
         cold_fc = extract_conceptual(cold, lexicon)
         assert cold_fc.records == fc.records
-        cold_out = build(cold, ft, extract_spatial(cold, fs.agent), cold_fc, near_distance)
+        cold_out = build(cold, ft, cold_fc, near_distance)
         assert _graph_rows(out) == _graph_rows(cold_out)
         dates.check(o, out)
         carried += sum(f.tick < o.tick for f in out[1] + out[2])
@@ -781,9 +894,9 @@ def test_inherited_readings_imply_what_cold_readings_do(monkeypatch, name, noise
                 inherited += 1
         return o
 
-    def checked(o, ft, fs, fc, near_distance=2.0):
+    def checked(o, ft, fc, near_distance=2.0):
         nonlocal ticks
-        out = build(o, ft, fs, fc, near_distance)
+        out = build(o, ft, fc, near_distance)
         for reading in o.readings.values():
             cold = copy.copy(reading)
             assert set(vars(cold)) == fields
