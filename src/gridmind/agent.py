@@ -32,7 +32,7 @@ from . import canonical, cells, cognition, decide, metacog, perceive, reason
 from .canonical import InputError
 from .cognition import UnifiedCognition, aggregate, assess_hazards
 from .config import EngineConfig
-from .decide import Plan, PlannerError, PlannerQuery, TaskInstruction
+from .decide import PlannerError, PlannerQuery, PlanStep, TaskInstruction
 from .kb import Atom, Fact, Rule, graph_from_lines
 from .memory import Episode, LongTermMemory, WorkingMemory, consolidate, ltm_retrieve, retrieve_episodes
 from .metacog import Anomaly, Directive, TickState
@@ -310,7 +310,8 @@ class AgentRuntime:
         self, obs: perceive.Observation, trajectories: dict[str, reason.Trajectory]
     ) -> None:
         self.last_event_prediction = None
-        if len(self.stream) >= self.seq_model.order and self.seq_model.kinds:
+        # every kind in the stream was trained on, so the model has support
+        if len(self.stream) >= self.seq_model.order:
             prediction = reason.predict_next(self.seq_model, self.stream)
             if not prediction.uninformed:
                 kind, prob = prediction.top()
@@ -453,8 +454,8 @@ def run_task(runtime: AgentRuntime, task: TaskInstruction, planner) -> TaskRun:
             # the directives go unused, but the renormalized weights are kept
             _, runtime.weights = metacog.regulate([anomaly], runtime.weights, cfg)
         else:
-            plan_records = plan.to_records()
-            for step in plan.steps:
+            plan_records = [step.to_record() for step in plan]
+            for step in plan:
                 if runtime.world.tick >= cfg.max_ticks:
                     outcome = "aborted"
                     break
@@ -562,7 +563,7 @@ def run_scenario(
 
 
 def scripted_planner_factory(runtime: AgentRuntime):
-    def plan(query: PlannerQuery) -> Plan:
+    def plan(query: PlannerQuery) -> list[PlanStep]:
         return decide.plan_scripted(query)
 
     return plan

@@ -139,17 +139,33 @@ class TaskInstruction:
         }
 
 
+def _entity(
+    kind: str, role: str, name: str | None, scenario: Scenario, refused: dict[str, str]
+) -> str:
+    """`name`, the entity a `kind` task names as its `role`, if the scenario
+    declares it and `refused` (entity -> what it already is to the task)
+    does not hold it; else a TaskError."""
+    if not name or name not in scenario.entities:
+        raise TaskError(f"{kind}: unknown {role} {name!r}")
+    if name in refused:
+        raise TaskError(f"{kind}: {role} {name!r} is {refused[name]}")
+    return name
+
+
 def interpret_task(spec: TaskSpec, scenario: Scenario) -> TaskInstruction:
-    """Validate a structured task record and synthesize its goal predicate."""
+    """Validate a structured task record and synthesize its goal predicate.
+
+    Every entity a task names must be declared. None may be the agent,
+    except a fetch's destination; an arrange object may not be the
+    surface, nor a fetch's destination its object."""
     if spec.kind not in TASK_KINDS:
         raise TaskError(f"unknown task kind {spec.kind!r} (known: {', '.join(TASK_KINDS)})")
     params = dict(spec.params)
     agent = scenario.agent
+    not_agent = {agent: "the agent"}
 
     if spec.kind == "arrange":
-        surface = params.get("surface")
-        if not surface or surface not in scenario.entities:
-            raise TaskError("arrange: missing or unknown 'surface' parameter")
+        surface = _entity("arrange", "surface", params.get("surface"), scenario, not_agent)
         if not scenario.entities[surface].is_surface():
             raise TaskError(f"arrange: {surface!r} is not a surface")
         sort_keys = tuple(k for k in params.get("sort", "color,size").split(",") if k)
@@ -160,10 +176,12 @@ def interpret_task(spec: TaskSpec, scenario: Scenario) -> TaskInstruction:
         if constraint != "fragile_on_top":
             raise TaskError(f"arrange: unknown constraint {constraint!r}")
         if "objects" in params:
-            objects = tuple(o for o in params["objects"].split(",") if o)
-            missing = [o for o in objects if o not in scenario.entities]
-            if missing:
-                raise TaskError(f"arrange: unknown objects {missing}")
+            refused = {**not_agent, surface: "the surface"}
+            objects = tuple(
+                _entity("arrange", "object", o, scenario, refused)
+                for o in params["objects"].split(",")
+                if o
+            )
         else:
             objects = tuple(
                 sorted(
@@ -202,9 +220,7 @@ def interpret_task(spec: TaskSpec, scenario: Scenario) -> TaskInstruction:
         return TaskInstruction(spec.kind, params, goal, agent, refs)
 
     if spec.kind == "navigate":
-        target = params.get("target")
-        if not target or target not in scenario.entities:
-            raise TaskError(f"navigate: unknown target {target!r}")
+        target = _entity("navigate", "target", params.get("target"), scenario, not_agent)
         return TaskInstruction(
             spec.kind,
             params,
@@ -214,11 +230,8 @@ def interpret_task(spec: TaskSpec, scenario: Scenario) -> TaskInstruction:
         )
 
     # fetch
-    obj, dest = params.get("object"), params.get("to")
-    if not obj or obj not in scenario.entities:
-        raise TaskError(f"fetch: unknown object {obj!r}")
-    if not dest or dest not in scenario.entities:
-        raise TaskError(f"fetch: unknown destination {dest!r}")
+    obj = _entity("fetch", "object", params.get("object"), scenario, not_agent)
+    dest = _entity("fetch", "destination", params.get("to"), scenario, {obj: "the object"})
     return TaskInstruction(
         spec.kind,
         params,
@@ -278,7 +291,7 @@ def formulate_query(
 
 
 # ---------------------------------------------------------------------------
-# plans
+# plans: a plan is a list of steps, run in order, one per tick
 
 @dataclass
 class PlanStep:
@@ -291,14 +304,6 @@ class PlanStep:
             "args": list(self.action.args),
             "effects": [f.to_array() for f in self.effects],
         }
-
-
-@dataclass
-class Plan:
-    steps: list[PlanStep]
-
-    def to_records(self) -> list[dict[str, object]]:
-        return [step.to_record() for step in self.steps]
 
 
 def _read_int(value: object, row: list[object]) -> int:
@@ -362,7 +367,7 @@ def _moves_to_adjacent(
     return moves, (x, y)
 
 
-def plan_scripted(query: PlannerQuery) -> Plan:
+def plan_scripted(query: PlannerQuery) -> list[PlanStep]:
     """Deterministic plan synthesis; a pure function of the query bytes."""
     view = _QueryView(query)
     kind = str(query.task.get("kind"))
@@ -432,13 +437,13 @@ def plan_scripted(query: PlannerQuery) -> Plan:
         pick_and_place(obj, dest, view.position(dest))
     else:
         raise PlannerError("planner_error", f"unsupported task kind {kind!r}")
-    return Plan(steps=steps)
+    return steps
 
 
 # ---------------------------------------------------------------------------
 # wire protocol client
 
-def parse_plan_response(line: str) -> Plan:
+def parse_plan_response(line: str) -> list[PlanStep]:
     """Validate one response line against the catalog; atomic rejection."""
     try:
         payload = canonical.parse_json(line)
@@ -453,7 +458,7 @@ def parse_plan_response(line: str) -> Plan:
     return parse_plan_steps(payload["steps"])
 
 
-def parse_plan_steps(raw_steps: object) -> Plan:
+def parse_plan_steps(raw_steps: object) -> list[PlanStep]:
     """Validate a plan's step records, from a planner or a trace, against
     the catalog; any malformed step rejects the whole plan."""
     if not isinstance(raw_steps, list):
@@ -492,7 +497,7 @@ def parse_plan_steps(raw_steps: object) -> Plan:
                 ) from exc
             effects.append(fact)
         steps.append(PlanStep(action=Action(name, tuple(str(a) for a in args)), effects=effects))
-    return Plan(steps=steps)
+    return steps
 
 
 class _LinePlanner:
@@ -505,7 +510,7 @@ class _LinePlanner:
     timeout: float
     _pending = b""  # bytes read past the last response line
 
-    def plan(self, query: PlannerQuery) -> Plan:
+    def plan(self, query: PlannerQuery) -> list[PlanStep]:
         try:
             line = self._exchange((query.to_wire_line() + "\n").encode("utf-8"))
         except PlannerError:

@@ -30,7 +30,7 @@ class WorkingMemoryItem:
     salience: float
     touched: int
     # rank at the tick of the memory's eviction order (see WorkingMemory)
-    rank: Rank | None = field(default=None, compare=False, repr=False)
+    rank: Rank = field(compare=False, repr=False)
 
     @property
     def fact(self) -> Fact:
@@ -54,20 +54,21 @@ class WorkingMemory:
     (`decay ** age` once per distinct age, in `_ranked`, the one place
     that decays), storing each rank on its item and collecting it in the
     same loop, and sorts the ranks into an ascending list, one entry per
-    item. An item inserted while no order is live holds no rank until one
-    is built. While that order belongs to `t`, an insert at `t` keeps it:
-    an item it touches has age 0, so its rank is `(-salience, -touched,
-    key)` with no power. A new item's rank is insorted. A merge stores the
-    new rank on the item and leaves the item's entry where it is: salience
-    and touch tick only grow and `decay` lies in [0, 1], so the new rank is
+    item. While that order belongs to `t`, an insert at `t` keeps it: an
+    item it touches has age 0, so its rank is `(-salience, -touched, key)`
+    with no power. A new item is built with that rank (a later build
+    overwrites it), which a live order insorts. A merge stores the new
+    rank on the item and leaves the item's entry where it is: salience and
+    touch tick only grow and `decay` lies in [0, 1], so the new rank is
     never worse than the entry, and every entry ranks its item no better
     than the item's stored rank. Before the last entry is read, `_settle`
     moves each stale last entry to its item's rank, so the last entry is
     the worst item's rank; every eviction at `t` pops it. A new key that
-    would rank below the last entry while the memory is full is the item
-    the eviction would pop at once, so the insert returns before building
-    it. An insert at any other tick drops the order, evicting or not,
-    since ranks decay with `now`.
+    finds the memory full builds the order if none is live; if the key
+    would rank below the last entry, it is the item the eviction would pop
+    at once, so the insert returns before building it. An insert at any
+    other tick drops the order, evicting or not, since ranks decay with
+    `now`.
 
     An insert dates its fact at `date`, or at the fact's own tick if
     `date` is None. A merge keeps the larger salience, touch tick and
@@ -127,20 +128,17 @@ class WorkingMemory:
             if order is not None:
                 item.rank = (-item.salience, -item.touched, key)
             return
-        if order is None:
-            items[key] = WorkingMemoryItem(fact, date, salience, tick)
-            if len(items) > self.capacity:
-                order = self._order_now = self._build_order(tick)
-                del items[order.pop()[2]]
-            return
         rank = (-salience, -tick, key)
         if len(items) >= self.capacity:
+            if order is None:
+                order = self._order_now = self._build_order(tick)
             self._settle(order)
             if rank > order[-1]:
                 return
             del items[order.pop()[2]]
         items[key] = WorkingMemoryItem(fact, date, salience, tick, rank)
-        insort(order, rank)
+        if order is not None:
+            insort(order, rank)
 
     def _settle(self, order: list[Rank]) -> None:
         """Move stale last entries to their items' ranks until the last

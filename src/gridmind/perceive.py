@@ -360,11 +360,6 @@ class ConceptRecord:
         return kept
 
 
-@dataclass
-class ConceptualFeatures:
-    records: dict[str, ConceptRecord] = field(default_factory=dict)
-
-
 @_direct_init
 @dataclass(frozen=True)
 class BoundObject:
@@ -395,35 +390,30 @@ def extract_temporal(window: TemporalWindow, obs: Observation) -> TemporalFeatur
     `window.size` ticks.
 
     A rising edge opens an event and a falling edge closes it at the first
-    off tick (an absent entity has no flags); a flag on at the first
-    observation opens one there. Only the readings of `obs` that are not
-    the same objects as in the latest observation are compared. An event
-    that started before the window is reported from the window start, and
-    one that closed at or before it is dropped. The movement flag maps to
+    off tick (an absent entity has no flags); the first observation is
+    compared with an empty one. Only the readings of `obs` that are not the
+    same objects as in the latest observation are compared. An event that
+    started before the window is reported from the window start, and one
+    that closed at or before it is dropped. The movement flag maps to
     event kind "move". Events are numbered by (start, entity, kind, flag);
     only the flags "move" and "moving" share a kind.
     """
     last, tick = window.last, obs.tick
     opened, closed = window.opened, window.closed
-    if last is None:
-        for entity, reading in obs.readings.items():
-            for flag in reading.visible_flags():
-                opened[entity, flag] = tick
-    elif tick != last.tick + 1:
+    if last is not None and tick != last.tick + 1:
         raise ValidationError(f"observation window ticks not consecutive: {last.tick} -> {tick}")
-    else:
-        before, after = last.readings, obs.readings
-        for entity in before.keys() | after.keys():
-            old, new = before.get(entity), after.get(entity)
-            if old is new:
-                continue
-            flags_before = _NO_FLAGS if old is None else old.visible_flags()
-            flags = _NO_FLAGS if new is None else new.visible_flags()
-            if flags != flags_before:
-                for flag in flags - flags_before:
-                    opened[entity, flag] = tick
-                for flag in flags_before - flags:
-                    closed.append((opened.pop((entity, flag)), entity, _event_kind(flag), flag, tick))
+    before, after = ({} if last is None else last.readings), obs.readings
+    for entity in before.keys() | after.keys():
+        old, new = before.get(entity), after.get(entity)
+        if old is new:
+            continue
+        flags_before = _NO_FLAGS if old is None else old.visible_flags()
+        flags = _NO_FLAGS if new is None else new.visible_flags()
+        if flags != flags_before:
+            for flag in flags - flags_before:
+                opened[entity, flag] = tick
+            for flag in flags_before - flags:
+                closed.append((opened.pop((entity, flag)), entity, _event_kind(flag), flag, tick))
     window.last = obs
     first = tick - window.size + 1
     while closed and closed[0][4] <= first:  # off at every tick of the window
@@ -461,21 +451,20 @@ def extract_spatial(obs: Observation, agent: str) -> SpatialFeatures:
 
 def extract_conceptual(
     obs: Observation, lexicon: Mapping[str, tuple[str, ...]] | None = None
-) -> ConceptualFeatures:
-    """Copy appearance attributes; affordances come from the lexicon.
+) -> dict[str, ConceptRecord]:
+    """Each visible entity's ConceptRecord: attributes copied, affordances from the lexicon.
 
     Each reading keeps its record per lexicon object, so pass the same
     lexicon every tick (RuleData holds one per process)."""
     if lexicon is None:
         lexicon = _NO_LEXICON
-    features = ConceptualFeatures()
-    records = features.records
+    records = {}
     readings = obs.readings
     for entity in obs.entities():
         record = readings[entity].concept(lexicon)
         if record is not None:
             records[entity] = record
-    return features
+    return records
 
 
 def validate_weights(weights: dict[str, float]) -> None:
@@ -491,12 +480,12 @@ def validate_weights(weights: dict[str, float]) -> None:
 def attend_and_bind(
     ft: TemporalFeatures,
     fs: SpatialFeatures,
-    fc: ConceptualFeatures,
+    records: Mapping[str, ConceptRecord],
     weights: dict[str, float],
     task_refs: frozenset[str] = frozenset(),
     threshold: float = 0.25,
 ) -> list[BoundObject]:
-    """Bind per-entity features into one object per entity.
+    """Bind per-entity features (`records` from `extract_conceptual`) into one object each.
 
     Entities scoring below the threshold are still emitted, only flagged;
     filtering is the caller's concern. Output order: score descending,
@@ -504,7 +493,7 @@ def attend_and_bind(
     """
     validate_weights(weights)
     weight_t, weight_s, weight_c = weights["temporal"], weights["spatial"], weights["conceptual"]
-    by_entity, locations, records, agent = ft.by_entity(), fs.locations, fc.records, fs.agent
+    by_entity, locations, agent = ft.by_entity(), fs.locations, fs.agent
     bound: list[BoundObject] = []
     # score = the sum, over the dimensions the entity is present in, of
     # weight * salience, added temporal, spatial, conceptual from 0.0
@@ -543,7 +532,7 @@ def attend_and_bind(
 def build_dimension_graphs(
     obs: Observation,
     ft: TemporalFeatures,
-    fc: ConceptualFeatures,
+    records: Mapping[str, ConceptRecord],
     near_distance: float = 2.0,
 ) -> tuple[list[Fact], list[Fact], list[Fact], dict[str, list[Fact]]]:
     """This tick's temporal, spatial and conceptual facts, one list each.
@@ -552,17 +541,18 @@ def build_dimension_graphs(
     so working-memory salience can follow the attention scores. A
     reading's own spatial facts and its record's conceptual facts are
     the ones it keeps, at the tick they were made (see the module
-    docstring); the others are made at the observation's tick.
+    docstring); the others are made at the observation's tick. One walk
+    over the readings makes all but the pairwise facts of the free-standing.
     """
     tick = obs.tick
     readings = obs.readings
     entities = obs.entities()
-    records = fc.records
     t_facts: list[Fact] = []
     s_facts: list[Fact] = []
     c_facts: list[Fact] = []
     by_entity: dict[str, list[Fact]] = {e: [] for e in entities}
     moving = {e.entity for e in ft.events if e.kind == "move" and not e.closed}
+    free = []
     for entity in entities:
         reading = readings[entity]
         own = by_entity[entity]
@@ -585,14 +575,10 @@ def build_dimension_graphs(
             fact = Fact(entity, "has_state", "moving", 1.0, tick, _PERCEIVED)
             t_facts.append(fact)
             own.append(fact)
-
-    free = []
-    for entity in entities:
-        reading = readings[entity]
         if reading.on is not None:
             fact = Fact(entity, "OnTopOf", reading.on, 1.0, tick, _PERCEIVED)
             s_facts.append(fact)
-            by_entity[entity].append(fact)
+            own.append(fact)
         elif "carried" not in reading.visible_flags():
             free.append(entity)
     positions = [readings[e].position for e in free]

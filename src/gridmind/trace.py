@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import agent
 from .canonical import InputError, parse_json, read_text
 from .config import EngineConfig
-from .decide import Plan, PlannerError, parse_plan_steps
+from .decide import PlannerError, PlanStep, parse_plan_steps
 from .world import parse_scenario
 
 
@@ -86,7 +86,7 @@ def parse_trace(lines: list[str]) -> tuple[dict, list[dict], dict]:
     return header, middle, summary
 
 
-def _playback_planner_factory(recorded: list[Plan | PlannerError]):
+def _playback_planner_factory(recorded: list[list[PlanStep] | PlannerError]):
     remaining = list(recorded)
 
     def factory(runtime):
@@ -160,12 +160,12 @@ def replay(trace_path: str) -> ReplayReport:
     return compare_lines(original, result.lines)
 
 
-def _recorded_plans(summary: dict) -> list[Plan | PlannerError]:
+def _recorded_plans(summary: dict) -> list[list[PlanStep] | PlannerError]:
     """Each episode's recorded plan, or the planner failure it recorded."""
     episodes = summary.get("episodes", [])
     if not isinstance(episodes, list) or not all(isinstance(e, dict) for e in episodes):
         raise TraceError("summary field 'episodes' must be a list of objects")
-    recorded: list[Plan | PlannerError] = []
+    recorded: list[list[PlanStep] | PlannerError] = []
     for i, episode in enumerate(episodes):
         try:
             recorded.append(_planner_failure(episode) or parse_plan_steps(episode.get("plan", [])))

@@ -322,10 +322,10 @@ def bind_reference(ft, fs, fc, weights, task_refs=frozenset(), threshold=0.25):
     entity scored by `attention_score`: the binding the engine computes
     without building either dict."""
     rows = []
-    for entity in sorted(set(ft.by_entity()) | set(fs.locations) | set(fc.records)):
+    for entity in sorted(set(ft.by_entity()) | set(fs.locations) | set(fc)):
         events = ft.by_entity().get(entity, [])
         open_events = [e for e in events if not e.closed]
-        record = fc.records.get(entity)
+        record = fc.get(entity)
         ego = fs.locations.get(entity)
         presence = {
             "temporal": bool(events),

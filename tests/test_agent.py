@@ -189,7 +189,7 @@ task fetch object=plate1 to=box1
 """
 
     def test_instability_triggers_replan_and_halts_cycle(self):
-        from gridmind.decide import Plan, PlanStep, interpret_task
+        from gridmind.decide import PlanStep, interpret_task
         from gridmind.agent import run_task
         from gridmind.world import Action
 
@@ -200,14 +200,12 @@ task fetch object=plate1 to=box1
 
         def wobbly_planner(query):
             # places a sturdy plate onto the fragile cup before the goal step
-            return Plan(
-                steps=[
-                    PlanStep(action=Action("PickUp", ("plate1",))),
-                    PlanStep(action=Action("PlaceOn", ("plate1", "cup1"))),
-                    PlanStep(action=Action("PickUp", ("plate1",))),
-                    PlanStep(action=Action("PlaceOn", ("plate1", "box1"))),
-                ],
-            )
+            return [
+                PlanStep(action=Action("PickUp", ("plate1",))),
+                PlanStep(action=Action("PlaceOn", ("plate1", "cup1"))),
+                PlanStep(action=Action("PickUp", ("plate1",))),
+                PlanStep(action=Action("PlaceOn", ("plate1", "box1"))),
+            ]
 
         task_run = run_task(runtime, task, wobbly_planner)
         assert task_run.outcome == "aborted"

@@ -370,6 +370,38 @@ def test_output_path_that_cannot_be_written_runs_no_tick_and_writes_no_file(
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == files
 
 
+@pytest.mark.parametrize("task", [
+    "navigate target=robot1",
+    "fetch object=box1 to=box1",
+    "fetch object=robot1 to=box1",
+    "arrange surface=table1 objects=robot1",
+    "arrange surface=table1 objects=table1",
+])
+@pytest.mark.parametrize("trace", [None, "out.trace"], ids=["default-trace", "trace"])
+def test_task_naming_the_agent_or_its_own_object_runs_no_tick_and_writes_no_file(
+    tmp_path, monkeypatch, capsys, task, trace
+):
+    from gridmind.agent import AgentRuntime
+
+    ticks = []
+    pipeline = AgentRuntime._pipeline
+    monkeypatch.setattr(
+        AgentRuntime, "_pipeline", lambda self, **kw: ticks.append(kw) or pipeline(self, **kw)
+    )
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scene.scn").write_text(
+        "version 1\ngrid 6 6\nregion room 0 0 5 5\nagent robot1 0 0\n"
+        f"entity box1 2 3 category=box color=red size=2\nentity table1 4 4 category=table\ntask {task}\n"
+    )
+    argv = ["run", "scene.scn"] + (["--trace", trace] if trace else [])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: ")
+    assert ticks == []
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.scn"]
+
+
 def test_replay_resolves_scenario_path_against_current_directory(tmp_path, monkeypatch, capsys):
     recorded = tmp_path / "recorded"
     (recorded / "scenarios").mkdir(parents=True)

@@ -72,6 +72,41 @@ class TestInterpretTask:
         with pytest.raises(TaskError):
             interpret_task(TaskSpec(kind="navigate", params={"target": "ghost"}), arrange_scenario)
 
+    SCENE = (
+        "version 1\ngrid 6 6\nregion room 0 0 5 5\nagent robot1 0 0\n"
+        "entity box1 2 3 category=box color=red size=2\nentity table1 4 4 category=table\n"
+    )
+
+    @pytest.mark.parametrize("task, message", [
+        ("navigate target=robot1", "navigate: target 'robot1' is the agent"),
+        ("navigate target=ghost", "navigate: unknown target 'ghost'"),
+        ("navigate", "navigate: unknown target None"),
+        ("fetch object=robot1 to=box1", "fetch: object 'robot1' is the agent"),
+        ("fetch object=box1 to=box1", "fetch: destination 'box1' is the object"),
+        ("fetch object=ghost to=box1", "fetch: unknown object 'ghost'"),
+        ("fetch object=box1 to=ghost", "fetch: unknown destination 'ghost'"),
+        ("arrange surface=robot1", "arrange: surface 'robot1' is the agent"),
+        ("arrange surface=ghost", "arrange: unknown surface 'ghost'"),
+        ("arrange surface=table1 objects=robot1", "arrange: object 'robot1' is the agent"),
+        ("arrange surface=table1 objects=box1,table1", "arrange: object 'table1' is the surface"),
+        ("arrange surface=table1 objects=box1,ghost", "arrange: unknown object 'ghost'"),
+    ])
+    def test_task_naming_an_entity_it_cannot_act_on_is_refused(self, task, message):
+        scenario = parse_scenario(self.SCENE + f"task {task}\n")
+        with pytest.raises(TaskError) as exc:
+            interpret_task(scenario.tasks[0], scenario)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("task", [
+        "navigate target=box1",
+        "fetch object=box1 to=table1",
+        "fetch object=box1 to=robot1",
+        "arrange surface=table1 objects=box1",
+    ])
+    def test_task_naming_entities_it_can_act_on_is_accepted(self, task):
+        scenario = parse_scenario(self.SCENE + f"task {task}\n")
+        assert interpret_task(scenario.tasks[0], scenario).kind == task.split()[0]
+
 
 class TestFormulateQuery:
     def _task(self, scenario):
@@ -150,7 +185,7 @@ def _arrange_facts():
 class TestScriptedPlanner:
     def test_fragile_cup_stacked_last_on_plates(self):
         plan = plan_scripted(_query(ARRANGE_TASK, _arrange_facts()))
-        places = [s.action.args for s in plan.steps if s.action.name == "PlaceOn"]
+        places = [s.action.args for s in plan if s.action.name == "PlaceOn"]
         assert places == [
             ("plate_a3", "table1"),
             ("plate_b2", "plate_a3"),
@@ -162,7 +197,7 @@ class TestScriptedPlanner:
         q2 = _query(ARRANGE_TASK, _arrange_facts())
         assert q1.to_wire_line() == q2.to_wire_line()
         p1, p2 = plan_scripted(q1), plan_scripted(q2)
-        assert p1.to_records() == p2.to_records()
+        assert [s.to_record() for s in p1] == [s.to_record() for s in p2]
 
     FIX_TASK = {
         "kind": "fix_hazard",
@@ -188,13 +223,13 @@ class TestScriptedPlanner:
     def test_cutpower_precedes_remediation_with_hazards(self):
         hazards = [["wire1", "hazard", "electrocution", 0.95, 0]]
         plan = plan_scripted(_query(self.FIX_TASK, self._leak_facts(), hazards))
-        names = [s.action.name for s in plan.steps if s.action.name != "Move"]
+        names = [s.action.name for s in plan if s.action.name != "Move"]
         assert names.index("CutPower") < names.index("FixLeak")
         assert names.index("CutPower") < names.index("Mop")
 
     def test_no_hazard_block_no_cutpower(self):
         plan = plan_scripted(_query(self.FIX_TASK, self._leak_facts(), hazards=()))
-        names = {s.action.name for s in plan.steps}
+        names = {s.action.name for s in plan}
         assert "CutPower" not in names
         assert {"FixLeak", "Mop"} <= names
 
@@ -218,10 +253,10 @@ class TestExecution:
 
     @staticmethod
     def _waits(n):
-        from gridmind.decide import Plan, PlanStep
+        from gridmind.decide import PlanStep
         from gridmind.world import Action
 
-        return Plan(steps=[PlanStep(action=Action("Wait")) for _ in range(n)])
+        return [PlanStep(action=Action("Wait")) for _ in range(n)]
 
     def test_happy_path_single_episode(self):
         result = run_bundled("fetch_close")

@@ -10,6 +10,7 @@ import inspect
 import json
 import os
 import pickle
+import random
 import tempfile
 import weakref
 from unittest import mock
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BUNDLED, PERFBENCH, run_bundled, run_generated, temporal_features
-from gridmind import canonical, cells, perceive
+from gridmind import canonical, cells, cognition, kb, perceive, reason
 from gridmind.agent import AgentRuntime, RuleData, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
 from gridmind.kb import ValidationError
@@ -27,7 +28,6 @@ from gridmind.metacog import Anomaly, normalize_weights, regulate
 from gridmind.perceive import (
     BoundObject,
     ConceptRecord,
-    ConceptualFeatures,
     Event,
     Observation,
     Reading,
@@ -45,6 +45,7 @@ from gridmind.world import SURFACE_CATEGORIES, Action, WorldState, load_scenario
 from oracles import (
     attention_score,
     bind_reference,
+    chaotic_forward_chain,
     digest_payload,
     pairwise_spatial_facts,
     window_events,
@@ -303,6 +304,8 @@ def test_a_carried_window_matches_the_rescan_oracle_on_every_tick_of_a_scripted_
 
 
 WORLD_CATEGORIES = ("table", "box", "cup", "vase", "lamp", "plate")
+# the scripted flags, plus those the bundled dependency and concept rules read
+WORLD_FLAGS = SCRIPTED_FLAGS + ("fragile", "edible", "knocked_over")
 WORLD_ATTRIBUTES = {
     "color": st.sampled_from(["red", "blue", "green"]),
     "size": st.integers(1, 3),
@@ -313,13 +316,13 @@ WORLD_ATTRIBUTES = {
 @st.composite
 def valid_worlds(draw):
     """The text of a scenario that parses: an agent in the first column and
-    2 to 7 entities on a grid of 5 to 12 cells a side, some with color,
-    size, material and flags; stacks, each entity resting on an earlier
-    surface or on an earlier non-surface that holds nothing yet;
-    containers, each holding later entities that rest on nothing and lie
-    in no other container; asserted facts; scripted set, clear, velocity
-    and teleport events in the first 10 ticks; and one navigate or fetch
-    task."""
+    2 to 7 entities on a grid of 5 to 12 cells a side, in a room, a
+    kitchen or no region, some with color, size, material and flags;
+    stacks, each entity resting on an earlier surface or on an earlier
+    non-surface that holds nothing yet; containers, each holding later
+    entities that rest on nothing and lie in no other container; asserted
+    facts; scripted set, clear, velocity and teleport events in the first
+    10 ticks; and one or two navigate or fetch tasks."""
     width, height = draw(st.integers(5, 12)), draw(st.integers(5, 12))
     count = draw(st.integers(2, 7))
     cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
@@ -336,15 +339,16 @@ def valid_worlds(draw):
         elif anchor == "in":
             holder[name] = draw(st.sampled_from(earlier))
     lines = ["version 1", f"grid {width} {height}"]
-    if draw(st.booleans()):
-        lines.append(f"region room 0 0 {width - 1} {height - 1}")
+    region = draw(st.sampled_from([None, "room", "kitchen"]))
+    if region:
+        lines.append(f"region {region} 0 0 {width - 1} {height - 1}")
     lines.append(f"agent robot1 0 {draw(st.integers(0, height - 1))}")
     for name in names:
         parts = ["entity {} {} {}".format(name, *draw(cell)), f"category={categories[name]}"]
         for key, values in WORLD_ATTRIBUTES.items():
             if draw(st.booleans()):
                 parts.append(f"{key}={draw(values)}")
-        flags = draw(st.sets(st.sampled_from(SCRIPTED_FLAGS + ("fragile",))))
+        flags = draw(st.sets(st.sampled_from(WORLD_FLAGS)))
         if flags:
             parts.append(f"flags={','.join(sorted(flags))}")
         if name in on:
@@ -372,11 +376,12 @@ def valid_worlds(draw):
         operand = draw(operands[kind])
         text = " ".join(map(str, operand)) if isinstance(operand, tuple) else operand
         lines.append(f"at {tick} {kind} {name} {text}")
-    if draw(st.booleans()):
-        lines.append(f"task navigate target={draw(st.sampled_from(names))}")
-    else:
-        obj, dest = draw(st.permutations(names))[:2]
-        lines.append(f"task fetch object={obj} to={dest}")
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            lines.append(f"task navigate target={draw(st.sampled_from(names))}")
+        else:
+            obj, dest = draw(st.permutations(names))[:2]
+            lines.append(f"task fetch object={obj} to={dest}")
     return "\n".join(lines) + "\n"
 
 
@@ -386,8 +391,20 @@ def test_a_generated_valid_world_runs_replays_and_perceives_as_the_oracle_does(t
     """Noise off and on, a run of the world raises nothing, its trace
     replays equal, every fact of its final unified graph is valid, and on
     every tick, the last included, its Near and cardinal facts are those
-    the pairwise oracle finds among the free-standing readings."""
+    the pairwise oracle finds among the free-standing readings. On the
+    last tick, each of the four chaining calls (dependency, concept,
+    composition and hazard rules) reaches, within its pass cap, the
+    fixpoint the chaotic oracle reaches from that call's input graph."""
     build = perceive.build_dimension_graphs
+    chains: list = []  # this tick's chaining calls: input facts, rules, output confidences
+
+    def recorded(graph, rules, max_iterations):
+        facts = list(graph)
+        result = kb.forward_chain(graph, rules, max_iterations)
+        assert not result.truncated
+        chains.append((facts, rules, {f.key(): round(f.confidence, 12) for f in graph}))
+        return result
+
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "world.scn")
         with open(path, "w", encoding="utf-8") as fh:
@@ -401,14 +418,21 @@ def test_a_generated_valid_world_runs_replays_and_perceives_as_the_oracle_does(t
                 pairwise = [(f.subject, f.relation, f.obj) for f in out[1] if f.relation in PAIRWISE]
                 assert pairwise == pairwise_spatial_facts(o, near_distance), o.tick
                 ticks.append(o.tick)
+                chains.clear()
                 return out
 
-            with mock.patch.object(perceive, "build_dimension_graphs", checked):
+            with mock.patch.object(perceive, "build_dimension_graphs", checked), \
+                    mock.patch.object(reason, "forward_chain", recorded), \
+                    mock.patch.object(cognition, "forward_chain", recorded):
                 result = run_scenario(
                     scenario, EngineConfig(), seed=seed, planner_factory=scripted_planner_factory,
                     noise=noise, scenario_text=text,
                 )
             assert ticks == list(range(result.runtime.world.tick + 1))
+            assert len(chains) == 4
+            for facts, rules, chained in chains:
+                oracle = chaotic_forward_chain(facts, rules, random.Random(seed))
+                assert {k: round(v, 12) for k, v in oracle.items()} == chained
             trace_path = os.path.join(folder, "world.trace")
             write_trace(trace_path, result.lines)
             assert replay(trace_path).equal
@@ -453,24 +477,24 @@ class TestConceptual:
     def test_category_functions_from_lexicon(self, rule_data):
         o = obs(0, cup1={"attrs": {"category": "cup"}})
         fc = extract_conceptual(o, rule_data.lexicon)
-        assert fc.records["cup1"].functions == ("hold_liquid",)
+        assert fc["cup1"].functions == ("hold_liquid",)
 
     def test_record_is_kept_per_lexicon_object(self):
         o = obs(0, cup1={"attrs": {"category": "cup"}})
-        first = extract_conceptual(o, {"cup": ("hold_liquid",)}).records["cup1"]
-        second = extract_conceptual(o, {"cup": ("drink_from",)}).records["cup1"]
+        first = extract_conceptual(o, {"cup": ("hold_liquid",)})["cup1"]
+        second = extract_conceptual(o, {"cup": ("drink_from",)})["cup1"]
         assert (first.functions, second.functions) == (("hold_liquid",), ("drink_from",))
         lexicon = {"cup": ("stack",)}
-        kept = extract_conceptual(o, lexicon).records["cup1"]
-        assert extract_conceptual(o, lexicon).records["cup1"] is kept
+        kept = extract_conceptual(o, lexicon)["cup1"]
+        assert extract_conceptual(o, lexicon)["cup1"] is kept
 
     def test_occluded_entity_absent(self):
         o = obs(0, hidden={"occluded": True})
-        assert "hidden" not in extract_conceptual(o).records
+        assert "hidden" not in extract_conceptual(o)
 
     def test_unknown_category_keeps_category_empty_functions(self, rule_data):
         o = obs(0, blob1={"attrs": {"category": "blob"}})
-        record = extract_conceptual(o, rule_data.lexicon).records["blob1"]
+        record = extract_conceptual(o, rule_data.lexicon)["blob1"]
         assert record.category == "blob"
         assert record.functions == ()
 
@@ -588,7 +612,7 @@ def bind_cases(draw):
     return (
         TemporalFeatures(events=events),
         SpatialFeatures(locations=locations, agent="agent"),
-        ConceptualFeatures(records=records),
+        records,
         weights,
         task_refs,
         threshold,
@@ -848,7 +872,7 @@ def test_carried_facts_equal_the_facts_of_cold_readings(monkeypatch, name, seed,
         out = build(o, ft, fc, near_distance)
         cold = copy.deepcopy(o)
         cold_fc = extract_conceptual(cold, lexicon)
-        assert cold_fc.records == fc.records
+        assert cold_fc == fc
         cold_out = build(cold, ft, cold_fc, near_distance)
         assert _graph_rows(out) == _graph_rows(cold_out)
         dates.check(o, out)

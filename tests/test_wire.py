@@ -214,7 +214,7 @@ class TestTcpTransport:
         client = TcpPlanner(host, port, timeout=5.0)
         try:
             plan = client.plan(query)
-            assert [s.action.name for s in plan.steps] == ["Wait"]
+            assert [s.action.name for s in plan] == ["Wait"]
         finally:
             client.close()
             server.close()
@@ -295,7 +295,7 @@ def test_effect_of_any_scalars_parses_or_raises_planner_malformed(effect, action
         assert exc.code == "planner_malformed"
         assert exc.path == "/steps/0/effects/0"
     else:
-        assert len(plan.steps[0].effects) == 1
+        assert len(plan[0].effects) == 1
 
 
 @pytest.mark.parametrize("tick_text", ["1e400", "Infinity", "-Infinity", "NaN"])
