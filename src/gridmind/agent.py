@@ -2,9 +2,11 @@
 
 Each tick: the world steps, an observation is taken, the three perception
 pathways run, features bind under the current attention weights, and the
-perceived temporal, spatial and conceptual facts are aggregated into one
-unified graph, which also takes the scenario's asserted facts. This is
-the tick's only graph. The reasoning engines extend
+perceived graph the runtime carries across ticks (`perceived`) is moved
+on to the observation, only for what changed. The tick's unified graph
+is a copy of it with the tick's fresh perceived facts (`aggregate`), and
+it also takes the scenario's asserted facts. This is the tick's only
+graph; the carry stays perceived-only. The reasoning engines extend
 that graph in place (dependency chaining, concept inference, spatial
 composition, collision facts); contradictions are then detected on it,
 and hazards are assessed over it. Inside the graph a fact keeps the tick
@@ -126,6 +128,7 @@ class AgentRuntime:
         self.seq_model = EventSequenceModel(order=config.markov_order)
         self.stream: list[str] = []
         self.temporal = perceive.TemporalWindow(config.window_size)
+        self.perceived = perceive.PerceivedGraph()
         self.task: TaskInstruction | None = None
         self.prediction_confidence = 1.0
         self.last_event_prediction: tuple[str, float] | None = None
@@ -180,10 +183,10 @@ class AgentRuntime:
             task_refs=self._task_refs(),
             threshold=cfg.attention_threshold,
         )
-        t_facts, s_facts, c_facts, facts_by_entity = perceive.build_dimension_graphs(
-            obs, ft, fc, near_distance=cfg.near_distance
+        _, _, _, facts_by_entity = perceive.build_dimension_graphs(
+            self.perceived, obs, ft, fc, near_distance=cfg.near_distance
         )
-        unified = aggregate(t_facts, s_facts, c_facts)
+        unified = aggregate(self.perceived.graph, self.perceived.fresh)
         graph = unified.graph
         for fact in self.scenario.facts:
             graph.insert(fact)

@@ -1,18 +1,18 @@
 """Uniform grids of cell buckets: pairwise work that scales with its output.
 
-Perception relates free entities that are near each other, and collision
-prediction relates movers whose predicted cells come close. Testing every
-pair costs the square of the entity count, while only a handful of pairs
-pass. Bucketing the points by cell, with cells as wide as the distance
-that matters, leaves as candidates only the pairs in the same or
-neighbouring cells (Bentley and Friedman 1979, "Data Structures for Range
+Collision prediction relates movers whose predicted cells come close.
+Testing every pair costs the square of the mover count, while only a
+handful of pairs pass. Bucketing the points by cell, with cells as wide
+as the distance that matters, leaves as candidates only the pairs in the
+same or neighbouring cells (Bentley and Friedman 1979, "Data Structures for Range
 Searching"; Teschner et al. 2003, "Optimized Spatial Hashing for Collision
 Detection of Deformable Objects").
 
 For a handful of points the buckets cost more than they save. A point's
 neighbourhood touches `NEIGHBOURHOOD` cells, so the callers test every
-pair while their input is no larger than that: perception counts free
-entities, collision prediction counts pairs of movers.
+pair while their input is no larger than that: collision prediction
+counts pairs of movers, and perception, which finds its candidate pairs
+by a sweep instead (`perceive._candidate_pairs`), counts free entities.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Semantic cognition: aggregate the perceived facts into one picture.
 
-Perception hands over the tick's temporal, spatial and conceptual facts;
-`aggregate` inserts them once into the unified graph (identity-keyed,
-max-merged). The tick then runs its reasoning on that graph in place
-(dependency chaining, concept inference, spatial composition, collision
-facts), detects spatial contradictions on the result (reported, never
-deleted), and last chains hazard rules spanning at least two dimensions
-over it.
+Perception carries a graph of the facts its readings keep from tick to
+tick and hands it over with the tick's fresh facts; `aggregate` copies
+that graph, group by group, and inserts the fresh facts into the copy,
+the tick's unified graph (identity-keyed, max-merged), so what the tick
+adds to it never reaches the carried graph. The tick then runs its
+reasoning on that graph in place (dependency chaining, concept
+inference, spatial composition, collision facts), detects spatial
+contradictions on the result (reported, never deleted), and last chains
+hazard rules spanning at least two dimensions over it.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ class UnifiedCognition:
     contradictions: list[tuple[Fact, Fact]] = field(default_factory=list)
 
 
-def aggregate(t: Iterable[Fact], s: Iterable[Fact], c: Iterable[Fact]) -> UnifiedCognition:
-    """The unified graph of the three dimensions' facts; no contradictions yet."""
-    unified = SemanticGraph()
-    for facts in (t, s, c):
-        for fact in facts:
-            unified.insert(fact)
+def aggregate(perceived: SemanticGraph, fresh: Iterable[Fact]) -> UnifiedCognition:
+    """The tick's unified graph: a copy of `perceived`, the graph that
+    perception carries from tick to tick, with the tick's `fresh` facts
+    inserted; no contradictions yet. What goes into the copy later leaves
+    `perceived` as it was."""
+    unified = perceived.copy()
+    for fact in fresh:
+        unified.insert(fact)
     return UnifiedCognition(graph=unified)
 
 

@@ -58,6 +58,7 @@ How chaining matches (cost follows what matches, not what the graph holds):
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import canonical
@@ -256,6 +257,37 @@ class SemanticGraph:
             return False
         group[key] = merged
         return True
+
+    def replace(self, old: Sequence[Fact], new: Sequence[Fact]) -> None:
+        """Swap the held facts `old` for the facts `new`, as they are (no
+        merge): `new` holds one fact per key, and no key of it is held but
+        by a fact of `old`. The facts both lists end with, the same
+        objects in the same order, stay where they are; a group left empty
+        goes."""
+        n, m = len(old), len(new)
+        while n and m and old[n - 1] is new[m - 1]:
+            n -= 1
+            m -= 1
+        groups = self._by_relation
+        for fact in old[:n]:
+            relation = fact.relation
+            group = groups[relation]
+            del group[fact._key]
+            if not group:
+                del groups[relation]
+        for fact in new[:m]:
+            group = groups.get(fact.relation)
+            if group is None:
+                group = groups[fact.relation] = {}
+            group[fact._key] = fact
+
+    def copy(self) -> SemanticGraph:
+        """A graph of the same facts, group by group in the same order,
+        that inserting into or removing from either leaves the other as
+        it was."""
+        twin = SemanticGraph()
+        twin._by_relation = {relation: dict(group) for relation, group in self._by_relation.items()}
+        return twin
 
     def by_relation(self) -> dict[str, dict[tuple[str, str, str], Fact]]:
         """The stored facts grouped by relation and keyed by identity, each

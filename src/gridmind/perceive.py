@@ -5,7 +5,8 @@ the agent), and conceptual (category/material/shape/function) features.
 A deterministic weighted-salience attention pass then binds the
 per-entity features into one BoundObject per entity; downstream layers
 receive both the bound objects and the tick's perceived facts, one list
-per dimension, which cognition inserts into the unified graph.
+per dimension, held in a perceived graph carried across ticks
+(`PerceivedGraph`), which cognition copies into the tick's unified graph.
 
 Emission policy (what becomes a fact; attributes go to the conceptual
 list, the movement state to the temporal one, the rest is spatial):
@@ -16,9 +17,11 @@ list, the movement state to the temporal one, the rest is spatial):
   their pairwise relations are left to the composition table downstream,
 * free-standing entities get pairwise Near (< near_distance) and exact
   cardinal LeftOf/RightOf/Above/Below facts, computed from the two
-  readings' positions; the pairs tested are only those that can pass,
-  found in cell buckets (`_candidate_pairs`): a shared row, a shared
-  column, or neighbouring cells of width ceil(near_distance),
+  readings' positions; the pairs tested are only those that can pass:
+  on a rebuild, those `_candidate_pairs` finds: a shared row, a shared
+  column, or less than near_distance apart on both axes; otherwise the
+  carried partners, with each entity that changed cell or free standing
+  tested against every free entity,
 * containment is sensed on the container: Contains(c, x) and Inside(x, c),
 * an open movement event yields has_state(e, moving).
 
@@ -38,11 +41,12 @@ with the record's facts, the digest text after the region, and its
 located_in (same region), Contains and Inside facts; only `at` (and
 located_in in another region) is built, dated at the tick of the move.
 So a perceived fact's tick is the tick since which its entity's readings
-have shown it. What depends on more than one reading is made fresh, and
-dated, every tick: has_state(moving), which depends on the window,
-OnTopOf and the pairwise Near and cardinal facts. The agent dates a fact
-at the current tick where the tick records it (working memory, the
-trace row, the hazards the planner reads).
+have shown it. The fresh facts, what depends on more than one reading,
+are made again, and dated at the observation's tick, every tick:
+has_state(moving), which depends on the window; OnTopOf, which the
+support's occlusion bears on; and the pairwise Near and cardinal facts.
+The agent dates a fact at the current tick where the tick records it
+(working memory, the trace row, the hazards the planner reads).
 
 The temporal pathway carries its window across ticks (`TemporalWindow`):
 the latest observation, the start tick of each flag on in it, and the
@@ -50,6 +54,22 @@ events that closed within the window. Each new observation is compared
 once with the latest, walking only the readings that changed. No older
 observation is kept, so a superseded reading dies with the observation
 that held it.
+
+Graph building carries its graph across ticks too (`PerceivedGraph`):
+the facts the latest readings keep (at, located_in, Contains, Inside and
+the conceptual facts), with the reading and concept record each entity's
+came from, the cell of each free-standing entity and the free entities
+each has a pairwise fact about. An entity whose reading and record are
+the ones carried costs an identity check; only a changed, new or gone
+one swaps its kept facts, and a moved reading swaps only what it made
+anew. Only the entities whose cell or free standing changed are tested
+again for pairwise facts, unless more than half the free entities did:
+then, as on the first tick, from an empty carry, the pairs come from
+`_candidate_pairs` and the partner table waits for a later tick that
+needs it, which fills an empty table. The fresh facts are made every
+tick, as above, and the tick's unified graph is a copy of the carried
+graph with them inserted, so nothing reasoning adds to it reaches the
+carry.
 
 Kept state is not a field: eq and repr ignore it, and a copy of a
 reading or an observation starts without it. It is kept in the instance
@@ -64,8 +84,9 @@ keyed by the observation's own entity keys.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import combinations, permutations
 from json.encoder import encode_basestring
@@ -73,7 +94,7 @@ from types import MappingProxyType
 
 from . import cells
 from .canonical import dumps
-from .kb import Fact, ValidationError
+from .kb import Fact, SemanticGraph, ValidationError
 
 # fixed salience table for the attention pass
 SALIENCE_MOVING = 1.0
@@ -258,6 +279,9 @@ class Reading:
 # what a Reading makes on first use that a moved reading takes over
 _POSITION_FREE = ("_concept", "_text_tail")
 _NO_FLAGS: frozenset[str] = frozenset()
+_NO_FACTS: tuple[Fact, ...] = ()
+# a PerceivedGraph entry for an entity it has not shown
+_UNSHOWN = (None, None, _NO_FACTS, _NO_FACTS)
 _NO_LEXICON: Mapping[str, tuple[str, ...]] = MappingProxyType({})
 _PERCEIVED = "perceived"
 
@@ -382,6 +406,28 @@ class TemporalWindow:
         self.last: Observation | None = None
         self.opened: dict[tuple[str, str], int] = {}
         self.closed: deque[tuple[int, str, str, str, int]] = deque()
+
+
+class PerceivedGraph:
+    """What graph building carries from tick to tick, for the latest
+    observation: the facts its readings and their concept records keep,
+    in one graph (`graph`); per entity, the reading and the record those
+    facts came from, with the reading's spatial and the record's
+    conceptual facts (`shown`); the cell of each free-standing entity
+    (`free`) and, in entity order, the free entities it has a Near or
+    cardinal fact about (`partners`; None after a rebuild, until a tick
+    moves on from it); and the tick's fresh facts (`fresh`).
+    `build_dimension_graphs` moves it on by one observation; a new carry
+    is empty, and its first move builds everything."""
+
+    __slots__ = ("graph", "shown", "free", "partners", "fresh")
+
+    def __init__(self) -> None:
+        self.graph = SemanticGraph()
+        self.shown: dict[str, tuple[Reading, ConceptRecord | None, Sequence[Fact], Sequence[Fact]]] = {}
+        self.free: dict[str, tuple[int, int]] = {}
+        self.partners: dict[str, list[str]] | None = None
+        self.fresh: list[Fact] = []
 
 
 def extract_temporal(window: TemporalWindow, obs: Observation) -> TemporalFeatures:
@@ -530,33 +576,61 @@ def attend_and_bind(
 
 
 def build_dimension_graphs(
+    carry: PerceivedGraph,
     obs: Observation,
     ft: TemporalFeatures,
     records: Mapping[str, ConceptRecord],
     near_distance: float = 2.0,
 ) -> tuple[list[Fact], list[Fact], list[Fact], dict[str, list[Fact]]]:
-    """This tick's temporal, spatial and conceptual facts, one list each.
+    """Move `carry` on to `obs` and return the tick's temporal, spatial and
+    conceptual facts, one list each.
 
     Also returns the facts grouped by owning entity (each fact's subject)
     so working-memory salience can follow the attention scores. A
     reading's own spatial facts and its record's conceptual facts are
     the ones it keeps, at the tick they were made (see the module
-    docstring); the others are made at the observation's tick. One walk
-    over the readings makes all but the pairwise facts of the free-standing.
+    docstring); the others, the fresh facts, are made at the observation's
+    tick. One walk over the readings makes all but the pairwise facts of
+    the free-standing, and swaps in the carried graph the kept facts of
+    each entity whose reading or record is not the one it carries.
+
+    The pairwise facts come from the carried partner table: only the
+    entities whose cell or free standing changed are tested again, against
+    every free entity. When more than half the free entities changed, they
+    are rebuilt from `_candidate_pairs` instead, as on the first tick,
+    from an empty carry, and the table is dropped: the next tick that
+    does not rebuild makes it again, every free entity joining an empty
+    table as one that changed.
     """
     tick = obs.tick
     readings = obs.readings
     entities = obs.entities()
+    graph, shown = carry.graph, carry.shown
     t_facts: list[Fact] = []
     s_facts: list[Fact] = []
     c_facts: list[Fact] = []
+    fresh: list[Fact] = []
     by_entity: dict[str, list[Fact]] = {e: [] for e in entities}
     moving = {e.entity for e in ft.events if e.kind == "move" and not e.closed}
-    free = []
+    free: dict[str, tuple[int, int]] = {}
+    changed = []  # entities whose reading is not the carried one
     for entity in entities:
         reading = readings[entity]
+        record = records.get(entity)
         own = by_entity[entity]
-        spatial = reading.spatial_facts(tick)
+        was = shown.get(entity)
+        if was is not None and was[0] is reading and was[1] is record:
+            spatial, conceptual = was[2], was[3]
+        else:
+            spatial = reading.spatial_facts(tick)
+            conceptual = _NO_FACTS if record is None else record.facts(tick)
+            last_reading, last_record, last_spatial, last_conceptual = was or _UNSHOWN
+            if last_reading is not reading:
+                graph.replace(last_spatial, spatial)
+                changed.append(entity)
+            if last_record is not record:
+                graph.replace(last_conceptual, conceptual)
+            shown[entity] = (reading, record, spatial, conceptual)
         s_facts += spatial
         if reading.contains:  # each Inside(x, e) is x's
             for fact in spatial:
@@ -566,37 +640,91 @@ def build_dimension_graphs(
                     by_entity.setdefault(fact.subject, []).append(fact)
         else:
             own += spatial
-        record = records.get(entity)
-        if record is not None:
-            conceptual = record.facts(tick)
+        if conceptual:
             c_facts += conceptual
             own += conceptual
         if entity in moving:
             fact = Fact(entity, "has_state", "moving", 1.0, tick, _PERCEIVED)
             t_facts.append(fact)
+            fresh.append(fact)
             own.append(fact)
         if reading.on is not None:
             fact = Fact(entity, "OnTopOf", reading.on, 1.0, tick, _PERCEIVED)
             s_facts.append(fact)
+            fresh.append(fact)
             own.append(fact)
         elif "carried" not in reading.visible_flags():
-            free.append(entity)
-    positions = [readings[e].position for e in free]
-    for i, j in _candidate_pairs(positions, near_distance):
-        a, b = free[i], free[j]
-        ax, ay = positions[i]
-        bx, by = positions[j]
+            free[entity] = reading.position
+    if len(shown) > len(entities):  # an entity left the observation
+        for entity in [e for e in shown if e not in readings]:
+            _, _, last_spatial, last_conceptual = shown.pop(entity)
+            graph.replace(last_spatial, _NO_FACTS)
+            graph.replace(last_conceptual, _NO_FACTS)
+            changed.append(entity)
+
+    last_free = carry.free
+    carry.free = free
+    touched = [e for e in changed if free.get(e) != last_free.get(e)]
+    if 2 * len(touched) > len(free):  # rebuild; the table waits for a tick that needs it
+        carry.partners = None
+        names = list(free)
+        pairs = [(names[i], names[j]) for i, j in _candidate_pairs(list(free.values()), near_distance)]
+    else:
+        partners = carry.partners
+        if partners is None:  # after a rebuild: every free entity joins an empty table
+            partners = carry.partners = {}
+            touched = list(free)
+        if touched:
+            _move_partners(partners, free, touched, near_distance)
+        pairs = [(a, b) for a in free for b in partners[a]]
+    for a, b in pairs:
+        ax, ay = free[a]
+        bx, by = free[b]
         dx, dy = bx - ax, by - ay
         if math.hypot(dx, dy) < near_distance:
             fact = Fact(a, "Near", b, 1.0, tick, _PERCEIVED)
             s_facts.append(fact)
+            fresh.append(fact)
             by_entity[a].append(fact)
         relation = _CARDINAL.get(((dx > 0) - (dx < 0), (dy > 0) - (dy < 0)))
         if relation:
             fact = Fact(a, relation, b, 1.0, tick, _PERCEIVED)
             s_facts.append(fact)
+            fresh.append(fact)
             by_entity[a].append(fact)
+    carry.fresh = fresh
     return t_facts, s_facts, c_facts, by_entity
+
+
+def _move_partners(
+    table: dict[str, list[str]],
+    free: dict[str, tuple[int, int]],
+    touched: list[str],
+    near_distance: float,
+) -> None:
+    """Update the partner `table` in place for `touched`, the entities whose
+    cell or free standing changed: each leaves its partners' lists, and
+    each still free is tested against every free entity and joins the
+    lists of the untouched partners it finds, in entity order. A pair is
+    partners when it gives a Near or a cardinal fact: closer than
+    `near_distance`, or on one row or one column but not one cell."""
+    moved = set(touched)
+    for entity in touched:
+        for partner in table.pop(entity, ()):
+            if partner not in moved:
+                table[partner].remove(entity)
+    for entity in touched:
+        cell = free.get(entity)
+        if cell is None:
+            continue
+        x, y = cell
+        found = table[entity] = []
+        for other, (ox, oy) in free.items():
+            dx, dy = ox - x, oy - y
+            if ((dx == 0) != (dy == 0) or math.hypot(dx, dy) < near_distance) and other != entity:
+                found.append(other)
+                if other not in moved:
+                    insort(table[other], entity)
 
 
 def _candidate_pairs(positions: list[tuple[int, int]], near_distance: float):
@@ -604,22 +732,27 @@ def _candidate_pairs(positions: list[tuple[int, int]], near_distance: float):
     (closer than `near_distance`) or exactly cardinal (one row or one
     column), in sorted order: `a` in list order, then `b` in list order.
 
-    A position's candidates lie in its row, its column and the
-    `cells.NEIGHBOURHOOD` cells of width ceil(near_distance) around it.
-    With no more positions than those cells, every pair is a candidate.
+    A position's candidates share its row or its column, or lie less than
+    `near_distance` from it on both axes. Rows are bucketed; columns and
+    the near ones are found in one sweep over the positions in column
+    order, which stops at the first position of another column that is
+    `near_distance` or more to the right. With no more positions than
+    the `cells.NEIGHBOURHOOD` cells of a point, every pair is a candidate.
     """
     n = len(positions)
     if n <= cells.NEIGHBOURHOOD:
         return permutations(range(n), 2)
     rows: dict[int, list[int]] = {}
-    columns: dict[int, list[int]] = {}
     for i, (x, y) in enumerate(positions):
         rows.setdefault(y, []).append(i)
-        columns.setdefault(x, []).append(i)
-    pairs: set[tuple[int, int]] = set()
-    for line in (*rows.values(), *columns.values()):
-        pairs.update(combinations(line, 2))
-    if near_distance > 0:
-        points = ((i, None, x, y) for i, (x, y) in enumerate(positions))
-        pairs |= cells.close_pairs(points, math.ceil(near_distance))
+    pairs = {pair for line in rows.values() for pair in combinations(line, 2)}
+    order = sorted(range(n), key=positions.__getitem__)
+    for k, i in enumerate(order):
+        x, y = positions[i]
+        for j in order[k + 1 :]:
+            bx, by = positions[j]
+            if bx != x and bx - x >= near_distance:
+                break
+            if bx == x or abs(by - y) < near_distance:
+                pairs.add((i, j))
     return sorted(pairs | {(j, i) for i, j in pairs})

@@ -369,8 +369,8 @@ def test_every_fact_the_engine_keeps_is_valid(monkeypatch, name):
     unified = []
     aggregate = agent_module.aggregate
 
-    def recording(*lists):
-        out = aggregate(*lists)
+    def recording(perceived, fresh):
+        out = aggregate(perceived, fresh)
         unified.append(out)
         return out
 
@@ -378,7 +378,10 @@ def test_every_fact_the_engine_keeps_is_valid(monkeypatch, name):
     result = _generated_run(name) if name in ("crowded", "traffic") else run_bundled(name)
     runtime = result.runtime
     assert len(unified) == runtime.world.tick + 1
-    facts = [f for u in unified for f in u.graph]
+    carried = list(runtime.perceived.graph)
+    # the carry holds what perception made, whatever the ticks' reasoning added
+    assert {f.origin for f in carried} == {"perceived"}
+    facts = [f for u in unified for f in u.graph] + carried
     facts += runtime.wm.snapshot_facts() + list(runtime.ltm.semantic)
     for fact in facts:
         fact.validate()

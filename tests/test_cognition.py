@@ -21,8 +21,12 @@ def facts(*triples):
 
 
 def graph(*triples):
+    return _graph_of(facts(*triples))
+
+
+def _graph_of(fact_list):
     g = SemanticGraph()
-    for fact in facts(*triples):
+    for fact in fact_list:
         g.insert(fact)
     return g
 
@@ -34,22 +38,36 @@ class TestAggregate:
         c = facts(
             ("a", "isa", "cat"), ("b", "isa", "dog"), ("c", "isa", "rug"), ("d", "isa", "toy")
         )
-        unified = aggregate(t, s, c)
+        carried = _graph_of(s + c)
+        unified = aggregate(carried, t)
         assert len(unified.graph) == 9
         assert unified.graph.facts() == sorted(t + s + c, key=Fact.key)
+        assert carried.facts() == sorted(s + c, key=Fact.key)
 
     def test_same_triple_max_merges_confidence(self):
         s = facts(("a", "Near", "b", 0.6))
         c = facts(("a", "Near", "b", 0.8))
-        unified = aggregate([], s, c)
+        unified = aggregate(_graph_of(s), c)
         assert unified.graph.get("a", "Near", "b").confidence == 0.8
+
+    def test_the_unified_graph_is_a_copy_the_carried_graph_outlives(self):
+        carried = _graph_of(facts(("a", "at", "0,0"), ("a", "isa", "cat")))
+        lines = carried.to_lines()
+        unified = aggregate(carried, facts(("a", "Near", "b")))
+        unified.graph.insert(Fact("a", "isa", "cat", 1.0, 5, "derived"))
+        unified.graph.insert(Fact("b", "isa", "dog", 1.0, 5, "asserted"))
+        unified.graph.replace(facts(("a", "at", "0,0")), [])
+        assert carried.to_lines() == lines
+        assert [f.key() for f in unified.graph.facts()] == [
+            ("a", "Near", "b"), ("a", "isa", "cat"), ("b", "isa", "dog")
+        ]
 
     def test_aggregate_twice_is_fixpoint(self, rule_data):
         t = facts(("k", "has_state", "moving"))
         s = facts(("w", "Near", "e"))
         c = facts(("w", "has_state", "wet"), ("e", "has_state", "powered"))
-        once = aggregate(t, s, c)
-        twice = aggregate([], [], once.graph.facts())
+        once = aggregate(_graph_of(s + c), t)
+        twice = aggregate(once.graph, once.graph.facts())
         assert twice.graph.to_lines() == once.graph.to_lines()
 
 
@@ -119,31 +137,28 @@ HOT_COFFEE_C = (
 
 class TestHazards:
     def test_hot_coffee_near_edge_with_moving_child(self, rule_data):
-        unified = aggregate(facts(*HOT_COFFEE_T), facts(*HOT_COFFEE_S), facts(*HOT_COFFEE_C))
+        unified = aggregate(graph(*HOT_COFFEE_S, *HOT_COFFEE_C), facts(*HOT_COFFEE_T))
         hazards = assess_hazards(unified, rule_data.hazard_rules, CHAIN_CAP)
         assert [(f.subject, f.obj) for f in hazards] == [("coffee1", "spill_burn")]
         assert hazards[0].confidence == pytest.approx(0.9)
 
     def test_wet_near_powered_wire(self, rule_data):
         unified = aggregate(
-            [],
+            graph(("water1", "has_state", "wet"), ("wire1", "has_state", "powered")),
             facts(("water1", "Near", "wire1")),
-            facts(("water1", "has_state", "wet"), ("wire1", "has_state", "powered")),
         )
         hazards = assess_hazards(unified, rule_data.hazard_rules, CHAIN_CAP)
         assert [(f.subject, f.obj) for f in hazards] == [("wire1", "electrocution")]
 
     def test_cold_coffee_no_children_no_hazard(self, rule_data):
-        unified = aggregate(
-            [], facts(("coffee1", "Near", "edge1")), facts(("edge1", "isa", "table_edge"))
-        )
+        unified = aggregate(graph(("edge1", "isa", "table_edge")), facts(("coffee1", "Near", "edge1")))
         assert assess_hazards(unified, rule_data.hazard_rules, CHAIN_CAP) == []
 
     def test_no_phantom_hazards_vs_rule_oracle(self, rule_data):
         """Every hazard must be re-derivable by plain forward chaining."""
         from gridmind.kb import forward_chain
 
-        unified = aggregate(facts(*HOT_COFFEE_T), facts(*HOT_COFFEE_S), facts(*HOT_COFFEE_C))
+        unified = aggregate(graph(*HOT_COFFEE_S, *HOT_COFFEE_C), facts(*HOT_COFFEE_T))
         check = SemanticGraph()
         for fact in unified.graph.facts():
             check.insert(fact)
@@ -153,19 +168,21 @@ class TestHazards:
 
 
 def test_unified_fact_set_invariant_under_content_permutation(rule_data):
-    """Which dimension carries a fact must not change the unified set."""
+    """Whether perception carries a fact or makes it fresh must not change
+    the unified set."""
     triples = [
         ("a", "Near", "b", 0.7),
         ("a", "has_state", "hot", 0.9),
         ("b", "isa", "dog", 1.0),
     ]
     layouts = [
-        (triples[:1], triples[1:2], triples[2:]),
-        (triples[2:], triples[:1], triples[1:2]),
-        ([], triples, []),
+        (triples[:1], triples[1:]),
+        (triples[2:], triples[:2]),
+        ([], triples),
+        (triples, []),
     ]
     outputs = []
-    for t_facts, s_facts, c_facts in layouts:
-        unified = aggregate(facts(*t_facts), facts(*s_facts), facts(*c_facts))
+    for carried, fresh in layouts:
+        unified = aggregate(graph(*carried), facts(*fresh))
         outputs.append(unified.graph.to_lines())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]

@@ -14,9 +14,9 @@ the knockover-spill and the edible-in-kitchen rules.
 
 The generated crowded and traffic scenes (perfbench's workload
 generators, at workload seeds 1-3) are pinned too. They are the only
-golden traces with enough free entities and movers for perception's and
-collision's cell buckets to replace the full pair scan, so they pin the
-bucketed paths byte for byte.
+golden traces with enough free entities and movers for perception's
+column sweep and collision's cell buckets to replace the full pair scan,
+so they pin those paths byte for byte.
 
 Each bundled scenario's semantic LTM snapshot, the file `gridmind run
 --ltm-save` writes, is pinned as well: working memory reaches the trace

@@ -102,6 +102,58 @@ def test_relation_index_is_the_stored_facts_grouped_in_insertion_order(inserts):
     assert len(graph) == len(first_seen)
 
 
+KEYED = st.tuples(
+    st.sampled_from(["a", "b", "c"]), st.sampled_from(["isa", "Near", "at"]), st.sampled_from(["a", "b", 3]),
+)
+
+
+@settings(max_examples=200)
+@given(
+    held=st.lists(KEYED, unique=True, max_size=8),
+    data=st.data(),
+)
+def test_replace_swaps_held_facts_for_new_ones_and_leaves_no_empty_group(held, data):
+    """`replace(old, new)` leaves the graph holding what it held but `old`,
+    plus `new`: the facts `new` shares at its end with `old`, the same
+    objects, stay held and in place; the rest of `new` is held as it is,
+    with no merge; and a group left empty is dropped."""
+    graph = SemanticGraph()
+    facts = [fact(s, r, o, 0.5, 1) for s, r, o in held]
+    for f in facts:
+        graph.insert(f)
+    old = data.draw(st.lists(st.sampled_from(facts), unique=True)) if facts else []
+    kept = data.draw(st.integers(0, len(old)))
+    others = {f.key() for f in facts} - {f.key() for f in old}
+    new_keys = data.draw(st.lists(KEYED, unique=True, max_size=4))
+    new = [fact(s, r, o, 0.9, 7) for s, r, o in new_keys if fact(s, r, o, 1.0, 0).key() not in others]
+    new = [f for f in new if f.key() not in {g.key() for g in old[len(old) - kept :]}]
+    new += old[len(old) - kept :]
+    expected = {f.key(): f for f in facts if f.key() in others}
+    expected.update((f.key(), f) for f in new)
+    graph.replace(old, new)
+    assert {f.key(): f for f in graph} == expected
+    assert all(graph.lookup(k) is f for k, f in expected.items())
+    assert all(graph.by_relation().values())
+    assert len(graph) == len(expected)
+
+
+def test_a_copy_is_the_graph_group_by_group_and_neither_changes_the_other():
+    graph = SemanticGraph()
+    for f in (fact("a", "isa", "cup", 1.0, 0), fact("a", "at", "1,2", 1.0, 0), fact("b", "isa", "box", 1.0, 0)):
+        graph.insert(f)
+    twin = graph.copy()
+    assert {r: list(g.items()) for r, g in twin.by_relation().items()} == {
+        r: list(g.items()) for r, g in graph.by_relation().items()
+    }
+    lines = graph.to_lines()
+    twin.insert(fact("a", "isa", "cup", 1.0, 5))
+    twin.insert(fact("c", "Near", "a", 1.0, 5))
+    twin.replace([twin.get("a", "at", "1,2")], [])
+    assert graph.to_lines() == lines
+    graph.insert(fact("d", "isa", "toy", 1.0, 2))
+    assert twin.get("d", "isa", "toy") is None and "at" not in twin.by_relation()
+
+
 @settings(max_examples=400)
 @given(
     # objects of one key: equal symbols, equal ints, and floats that render

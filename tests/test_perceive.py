@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import copy
 import dataclasses
 import gc
 import hashlib
 import inspect
 import json
+import math
 import os
 import pickle
 import random
@@ -16,10 +19,11 @@ import weakref
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BUNDLED, PERFBENCH, run_bundled, run_generated, temporal_features
+from gridmind import agent as agent_module
 from gridmind import canonical, cells, cognition, kb, perceive, reason
 from gridmind.agent import AgentRuntime, RuleData, run_scenario, scripted_planner_factory
 from gridmind.config import EngineConfig
@@ -30,6 +34,7 @@ from gridmind.perceive import (
     ConceptRecord,
     Event,
     Observation,
+    PerceivedGraph,
     Reading,
     SpatialFeatures,
     TemporalFeatures,
@@ -317,38 +322,66 @@ WORLD_ATTRIBUTES = {
 def valid_worlds(draw):
     """The text of a scenario that parses: an agent in the first column and
     2 to 7 entities on a grid of 5 to 12 cells a side, in a room, a
-    kitchen or no region, some with color, size, material and flags;
-    stacks, each entity resting on an earlier surface or on an earlier
-    non-surface that holds nothing yet; containers, each holding later
-    entities that rest on nothing and lie in no other container; asserted
-    facts; scripted set, clear, velocity and teleport events in the first
-    10 ticks; and one or two navigate or fetch tasks."""
+    kitchen, a room beside a kitchen or no region, some with color, size,
+    material and flags; stacks, each entity resting on an earlier surface
+    or on an earlier non-surface that holds nothing yet; containers, each
+    holding later entities that rest on nothing and lie in no other
+    container; asserted facts; scripted set, clear, velocity and teleport
+    events in the first 10 ticks; and one or two navigate or fetch tasks.
+
+    Most worlds hold one of two set pieces for the bundled rules, whose
+    entities no scripted event or fetch task names. A spill: the first
+    entity is a knocked-over cup that holds the second and carries
+    nothing. A live wire: the last two entities stand free on neighbouring
+    cells, one wet and one powered."""
     width, height = draw(st.integers(5, 12)), draw(st.integers(5, 12))
     count = draw(st.integers(2, 7))
+    piece = draw(st.sampled_from(["spill", "wire", None]))
     cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
     names = [f"e{k}" for k in range(count)]
     categories = dict(zip(names, draw(st.lists(st.sampled_from(WORLD_CATEGORIES), min_size=count, max_size=count))))
+    # the set piece's entities, which no scripted event or fetch names
+    staged = set(names[:2]) if piece == "spill" else set(names[-2:]) if piece == "wire" else set()
+    if piece == "spill":
+        categories[names[0]] = "cup"
     on: dict[str, str] = {}
     holder: dict[str, str] = {}
     for k, name in enumerate(names[1:], start=1):
         earlier = names[:k]
-        anchor = draw(st.sampled_from(["free", "on", "in"]))
-        supports = [e for e in earlier if categories[e] in SURFACE_CATEGORIES or e not in on.values()]
+        if piece == "spill" and k == 1:
+            holder[name] = names[0]
+            continue
+        anchor = "free" if name in staged else draw(st.sampled_from(["free", "on", "in"]))
+        supports = [
+            e for e in earlier
+            if (categories[e] in SURFACE_CATEGORIES or e not in on.values()) and e not in staged
+        ]
         if anchor == "on" and supports:
             on[name] = draw(st.sampled_from(supports))
         elif anchor == "in":
             holder[name] = draw(st.sampled_from(earlier))
     lines = ["version 1", f"grid {width} {height}"]
-    region = draw(st.sampled_from([None, "room", "kitchen"]))
-    if region:
+    region = draw(st.sampled_from([None, "room", "kitchen", "both"]))
+    if region == "both":
+        lines.append(f"region room 0 0 {width // 2 - 1} {height - 1}")
+        lines.append(f"region kitchen {width // 2} 0 {width - 1} {height - 1}")
+    elif region:
         lines.append(f"region {region} 0 0 {width - 1} {height - 1}")
     lines.append(f"agent robot1 0 {draw(st.integers(0, height - 1))}")
+    cells_of = {name: draw(cell) for name in names}
+    if piece == "wire":  # the last two on neighbouring cells
+        x, y = cells_of[names[-2]]
+        cells_of[names[-1]] = (x + 1, y) if x + 1 < width else (x - 1, y)
     for name in names:
-        parts = ["entity {} {} {}".format(name, *draw(cell)), f"category={categories[name]}"]
+        parts = ["entity {} {} {}".format(name, *cells_of[name]), f"category={categories[name]}"]
         for key, values in WORLD_ATTRIBUTES.items():
             if draw(st.booleans()):
                 parts.append(f"{key}={draw(values)}")
         flags = draw(st.sets(st.sampled_from(WORLD_FLAGS)))
+        if piece == "spill" and name == names[0]:
+            flags.add("knocked_over")
+        elif piece == "wire" and name in staged:
+            flags.add("wet" if name == names[-1] else "powered")
         if flags:
             parts.append(f"flags={','.join(sorted(flags))}")
         if name in on:
@@ -370,79 +403,116 @@ def valid_worlds(draw):
         "set": st.sampled_from(SCRIPTED_FLAGS), "clear": st.sampled_from(SCRIPTED_FLAGS),
         "velocity": st.tuples(st.integers(-1, 1), st.integers(-1, 1)), "teleport": cell,
     }
-    for _ in range(draw(st.integers(0, 4))):
-        tick, name = draw(st.integers(0, 9)), draw(st.sampled_from(names))
+    extras = [name for name in names if name not in staged]
+    for _ in range(draw(st.integers(0, 4)) if extras else 0):
+        tick, name = draw(st.integers(0, 9)), draw(st.sampled_from(extras))
         kind = draw(st.sampled_from(sorted(operands)))
         operand = draw(operands[kind])
         text = " ".join(map(str, operand)) if isinstance(operand, tuple) else operand
         lines.append(f"at {tick} {kind} {name} {text}")
     for _ in range(draw(st.integers(1, 2))):
-        if draw(st.booleans()):
+        if len(extras) < 2 or draw(st.booleans()):
             lines.append(f"task navigate target={draw(st.sampled_from(names))}")
         else:
-            obj, dest = draw(st.permutations(names))[:2]
+            obj, dest = draw(st.permutations(extras))[:2]
             lines.append(f"task fetch object={obj} to={dest}")
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=40, deadline=None)
-@given(valid_worlds(), st.integers(0, 3))
-def test_a_generated_valid_world_runs_replays_and_perceives_as_the_oracle_does(text, seed):
-    """Noise off and on, a run of the world raises nothing, its trace
-    replays equal, every fact of its final unified graph is valid, and on
-    every tick, the last included, its Near and cardinal facts are those
-    the pairwise oracle finds among the free-standing readings. On the
-    last tick, each of the four chaining calls (dependency, concept,
+# one set piece each, as `valid_worlds` draws them, so that each rule fires
+# in some run whatever the draws
+SPILL_WORLD = """version 1
+grid 6 6
+region kitchen 0 0 5 5
+agent robot1 0 1
+entity e0 3 3 category=cup flags=knocked_over contains=e1
+entity e1 3 3 category=plate
+task navigate target=e0
+"""
+WIRE_WORLD = """version 1
+grid 6 6
+agent robot1 0 5
+entity e0 2 1 category=lamp flags=powered
+entity e1 3 1 category=plate flags=wet
+task navigate target=e1
+"""
+
+
+def test_a_generated_valid_world_runs_replays_and_perceives_as_the_oracle_does():
+    """For 40 generated worlds and the two set-piece worlds above, noise off
+    and on, a run of the world raises
+    nothing, its trace replays equal, every fact of its final unified graph
+    is valid, every tick passes the carried-graph checks (`_CarryCheck`),
+    and on every tick, the last included, its Near and cardinal facts are
+    those the pairwise oracle finds among the free-standing readings. On
+    the last tick, each of the four chaining calls (dependency, concept,
     composition and hazard rules) reaches, within its pass cap, the
-    fixpoint the chaotic oracle reaches from that call's input graph."""
-    build = perceive.build_dimension_graphs
-    chains: list = []  # this tick's chaining calls: input facts, rules, output confidences
+    fixpoint the chaotic oracle reaches from that call's input graph; and
+    over the 84 runs, `knockover-spill` and `wet-near-powered` each
+    derive a fact on the last tick of at least one."""
+    lexicon = RuleData.load_default().lexicon
+    fired: collections.Counter = collections.Counter()  # rule name -> runs it derived in
+    chains: list = []  # this tick's chaining calls: input facts, rules, output confidences, derived
 
     def recorded(graph, rules, max_iterations):
         facts = list(graph)
         result = kb.forward_chain(graph, rules, max_iterations)
         assert not result.truncated
-        chains.append((facts, rules, {f.key(): round(f.confidence, 12) for f in graph}))
+        chains.append((facts, rules, {f.key(): round(f.confidence, 12) for f in graph}, result.derived))
         return result
 
-    with tempfile.TemporaryDirectory() as folder:
-        path = os.path.join(folder, "world.scn")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        scenario = load_scenario(path)
-        for noise in (False, True):
-            ticks = []
+    @settings(max_examples=40, deadline=None)
+    @given(valid_worlds(), st.integers(0, 3))
+    @example(SPILL_WORLD, 0)
+    @example(WIRE_WORLD, 0)
+    def check(text, seed):
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "world.scn")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            scenario = load_scenario(path)
+            for noise in (False, True):
+                ticks = []
+                with _CarryCheck(lexicon) as carry_check:
+                    build = perceive.build_dimension_graphs
 
-            def checked(o, ft, fc, near_distance=2.0):
-                out = build(o, ft, fc, near_distance)
-                pairwise = [(f.subject, f.relation, f.obj) for f in out[1] if f.relation in PAIRWISE]
-                assert pairwise == pairwise_spatial_facts(o, near_distance), o.tick
-                ticks.append(o.tick)
-                chains.clear()
-                return out
+                    def checked(carry, o, ft, fc, near_distance=2.0):
+                        out = build(carry, o, ft, fc, near_distance)
+                        pairwise = [(f.subject, f.relation, f.obj) for f in out[1] if f.relation in PAIRWISE]
+                        assert pairwise == pairwise_spatial_facts(o, near_distance), o.tick
+                        ticks.append(o.tick)
+                        chains.clear()
+                        return out
 
-            with mock.patch.object(perceive, "build_dimension_graphs", checked), \
-                    mock.patch.object(reason, "forward_chain", recorded), \
-                    mock.patch.object(cognition, "forward_chain", recorded):
-                result = run_scenario(
-                    scenario, EngineConfig(), seed=seed, planner_factory=scripted_planner_factory,
-                    noise=noise, scenario_text=text,
-                )
-            assert ticks == list(range(result.runtime.world.tick + 1))
-            assert len(chains) == 4
-            for facts, rules, chained in chains:
-                oracle = chaotic_forward_chain(facts, rules, random.Random(seed))
-                assert {k: round(v, 12) for k, v in oracle.items()} == chained
-            trace_path = os.path.join(folder, "world.trace")
-            write_trace(trace_path, result.lines)
-            assert replay(trace_path).equal
-            for fact in result.runtime.unified.graph:
-                fact.validate()
+                    with mock.patch.object(perceive, "build_dimension_graphs", checked), \
+                            mock.patch.object(reason, "forward_chain", recorded), \
+                            mock.patch.object(cognition, "forward_chain", recorded):
+                        result = run_scenario(
+                            scenario, EngineConfig(), seed=seed, planner_factory=scripted_planner_factory,
+                            noise=noise, scenario_text=text,
+                        )
+                assert ticks == list(range(result.runtime.world.tick + 1))
+                assert carry_check.ticks == len(ticks)
+                assert len(chains) == 4
+                for facts, rules, chained, derived in chains:
+                    oracle = chaotic_forward_chain(facts, rules, random.Random(seed))
+                    assert {k: round(v, 12) for k, v in oracle.items()} == chained
+                    conclusions = {(f.relation, f.obj) for f in derived}
+                    for rule in rules:
+                        fired[rule.name] += (rule.conclusion.relation, rule.conclusion.obj) in conclusions
+                trace_path = os.path.join(folder, "world.trace")
+                write_trace(trace_path, result.lines)
+                assert replay(trace_path).equal
+                for fact in result.runtime.unified.graph:
+                    fact.validate()
+
+    check()
+    assert fired["knockover-spill"] > 0 and fired["wet-near-powered"] > 0, fired
 
 
 def pairwise_facts(o: Observation, near_distance: float = 2.0) -> list[tuple]:
     ft, fc = temporal_features([o]), extract_conceptual(o)
-    _, s_facts, _, _ = build_dimension_graphs(o, ft, fc, near_distance=near_distance)
+    _, s_facts, _, _ = build_dimension_graphs(PerceivedGraph(), o, ft, fc, near_distance=near_distance)
     return [(f.subject, f.relation, f.obj) for f in s_facts if f.relation in PAIRWISE]
 
 
@@ -640,7 +710,7 @@ class TestGraphEmission:
         )
         ft = temporal_features([o])
         fc = extract_conceptual(o)
-        _, s_facts, _, _ = build_dimension_graphs(o, ft, fc)
+        _, s_facts, _, _ = build_dimension_graphs(PerceivedGraph(), o, ft, fc)
         relations = {(f.subject, f.relation, f.obj) for f in s_facts}
         assert ("vase1", "OnTopOf", "table1") in relations
         assert ("table1", "LeftOf", "bed1") in relations
@@ -655,7 +725,7 @@ class TestGraphEmission:
         )
         ft = temporal_features([o])
         fc = extract_conceptual(o)
-        _, s_facts, _, _ = build_dimension_graphs(o, ft, fc)
+        _, s_facts, _, _ = build_dimension_graphs(PerceivedGraph(), o, ft, fc)
         keys = {(f.subject, f.relation, f.obj) for f in s_facts}
         assert ("cup1", "Contains", "liq1") in keys
         assert ("liq1", "Inside", "cup1") in keys
@@ -667,7 +737,7 @@ class TestGraphEmission:
         ]
         ft = temporal_features(window)
         fc = extract_conceptual(window[-1])
-        t_facts, _, c_facts, _ = build_dimension_graphs(window[-1], ft, fc)
+        t_facts, _, c_facts, _ = build_dimension_graphs(PerceivedGraph(), window[-1], ft, fc)
         moving = ("cat1", "has_state", "moving")
         assert [f.key() for f in t_facts] == [moving]
         assert moving not in {f.key() for f in c_facts}
@@ -709,24 +779,18 @@ def test_pairwise_facts_match_brute_force_oracle(scene):
     """Near and cardinal facts, in emission order, equal the oracle's for
     random positions, supports, carried flags and occlusion: both for free
     lists short enough to test every pair and for longer ones, which
-    take their candidates from rows, columns and cells."""
+    take their candidates from rows and a sweep in column order."""
     o, near_distance = scene
     assert pairwise_facts(o, near_distance) == pairwise_spatial_facts(o, near_distance)
 
 
-@pytest.mark.parametrize("count, bucketed", [(cells.NEIGHBOURHOOD, False), (cells.NEIGHBOURHOOD + 1, True)])
-def test_only_free_lists_longer_than_a_neighbourhood_are_bucketed(monkeypatch, count, bucketed):
-    calls = []
-    close_pairs = cells.close_pairs
-
-    def counting(points, size):
-        calls.append(size)
-        return close_pairs(points, size)
-
-    monkeypatch.setattr(cells, "close_pairs", counting)
+@pytest.mark.parametrize("count, pruned", [(cells.NEIGHBOURHOOD, False), (cells.NEIGHBOURHOOD + 1, True)])
+def test_only_free_lists_longer_than_a_neighbourhood_are_pruned(count, pruned):
     o = obs(0, agent={"pos": (0, 0)}, **{f"e{i}": {"pos": (2 * i, i % 3)} for i in range(1, count)})
     assert pairwise_facts(o, 2.5) == pairwise_spatial_facts(o, 2.5)
-    assert calls == ([3] if bucketed else [])
+    positions = [reading.position for reading in o.readings.values()]
+    candidates = list(perceive._candidate_pairs(positions, 2.5))
+    assert (len(candidates) < count * (count - 1)) == pruned
 
 
 TOKENS = st.text(max_size=6)  # any text, non-ASCII and escapes included
@@ -867,13 +931,13 @@ def test_carried_facts_equal_the_facts_of_cold_readings(monkeypatch, name, seed,
     previous: list = []  # the last tick's observation, output and its facts
     reused = carried = 0
 
-    def checked(o, ft, fc, near_distance=2.0):
+    def checked(carry, o, ft, fc, near_distance=2.0):
         nonlocal reused, carried
-        out = build(o, ft, fc, near_distance)
+        out = build(carry, o, ft, fc, near_distance)
         cold = copy.deepcopy(o)
         cold_fc = extract_conceptual(cold, lexicon)
         assert cold_fc == fc
-        cold_out = build(cold, ft, cold_fc, near_distance)
+        cold_out = build(PerceivedGraph(), cold, ft, cold_fc, near_distance)
         assert _graph_rows(out) == _graph_rows(cold_out)
         dates.check(o, out)
         carried += sum(f.tick < o.tick for f in out[1] + out[2])
@@ -918,9 +982,9 @@ def test_inherited_readings_imply_what_cold_readings_do(monkeypatch, name, noise
                 inherited += 1
         return o
 
-    def checked(o, ft, fc, near_distance=2.0):
+    def checked(carry, o, ft, fc, near_distance=2.0):
         nonlocal ticks
-        out = build(o, ft, fc, near_distance)
+        out = build(carry, o, ft, fc, near_distance)
         for reading in o.readings.values():
             cold = copy.copy(reading)
             assert set(vars(cold)) == fields
@@ -944,6 +1008,246 @@ def test_inherited_readings_imply_what_cold_readings_do(monkeypatch, name, noise
     # fetch_close's agent moves only on ticks that also set or clear "moving"
     if noise or name != "fetch_close":
         assert inherited > 0
+
+
+def _free_cells(o: Observation) -> dict[str, tuple[int, int]]:
+    """The cell of each free-standing entity: on nothing and not carried."""
+    return {
+        e: r.position for e, r in o.readings.items() if r.on is None and "carried" not in r.visible_flags()
+    }
+
+
+class _CarryCheck:
+    """Checks every tick of the runs made inside it against builds from an
+    empty carry, through `perceive.build_dimension_graphs` and
+    `agent.aggregate`.
+
+    On every tick the runtime's carry must give the lists and `by_entity`,
+    in list order and Fact for Fact, that a fresh, empty carry gives from
+    the same observation, and, tick aside, those an empty carry gives from
+    deep copies of the readings, which keep nothing. The tick's unified
+    graph must equal, Fact for Fact (confidence, tick and origin
+    included), the one aggregated from the same-observation empty carry,
+    and, tick aside, the cold one. At the next tick the carried graph must
+    still hold exactly those kept facts, so nothing the tick adds to its
+    unified graph reaches the carry. The pairwise facts must come from a
+    rebuild, which leaves no partner table, exactly on the first tick and
+    on those where more than half the free entities changed cell or free
+    standing.
+
+    `seen` counts what the runs exercised: ticks after the first whose
+    pairs came from the partner table while some free entity changed
+    (`incremental`) or from a rebuild (`rebuilt`), pick-ups, place-ons,
+    jumps of more than one cell (a teleport, in a run without noise) and
+    region changes.
+    """
+
+    def __init__(self, lexicon):
+        self.lexicon = lexicon
+        self.seen: collections.Counter = collections.Counter()
+        self.ticks = 0
+        self._stack = contextlib.ExitStack()
+
+    def __enter__(self):
+        build, aggregate = perceive.build_dimension_graphs, agent_module.aggregate
+        state: dict = {"carry": None, "kept": None, "expected": None, "last": None}
+
+        def checked_build(carry, o, ft, fc, near_distance=2.0):
+            assert state["expected"] is None, o.tick  # the last tick was aggregated
+            if carry is not state["carry"]:  # a new run's
+                assert not carry.shown and not len(carry.graph)
+                state["carry"], state["last"] = carry, None
+            else:
+                assert _facts(carry.graph.facts()) == state["kept"], o.tick
+            out = build(carry, o, ft, fc, near_distance)
+            rebuilt = carry.partners is None  # a rebuild drops the table
+            empty = PerceivedGraph()
+            assert _graph_rows(out, _facts) == _graph_rows(build(empty, o, ft, fc, near_distance), _facts)
+            cold, cold_carry = copy.deepcopy(o), PerceivedGraph()
+            cold_out = build(cold_carry, cold, ft, extract_conceptual(cold, self.lexicon), near_distance)
+            assert _graph_rows(out) == _graph_rows(cold_out)
+            state["kept"] = _facts(empty.graph.facts())
+            state["expected"] = (
+                _facts(aggregate(empty.graph, empty.fresh).graph.facts()),
+                _rows(aggregate(cold_carry.graph, cold_carry.fresh).graph.facts()),
+            )
+            self._count(state["last"], o, rebuilt)
+            state["last"] = o
+            return out
+
+        def checked_aggregate(perceived, fresh):
+            out = aggregate(perceived, fresh)
+            facts = out.graph.facts()
+            assert (_facts(facts), _rows(facts)) == state["expected"]
+            state["expected"] = None
+            self.ticks += 1
+            return out
+
+        self._stack.enter_context(mock.patch.object(perceive, "build_dimension_graphs", checked_build))
+        self._stack.enter_context(mock.patch.object(agent_module, "aggregate", checked_aggregate))
+        return self
+
+    def __exit__(self, *exc):
+        return self._stack.__exit__(*exc)
+
+    def _count(self, last, o, rebuilt):
+        free, last_free = _free_cells(o), {} if last is None else _free_cells(last)
+        changed = sum(free.get(e) != last_free.get(e) for e in free.keys() | last_free.keys())
+        assert rebuilt == (2 * changed > len(free)), o.tick
+        if last is None:  # a new run's first tick: a rebuild, from an empty carry
+            return
+        if rebuilt:
+            self.seen["rebuilt"] += 1
+        elif changed:
+            self.seen["incremental"] += 1
+        for entity, reading in o.readings.items():
+            before = last.readings.get(entity)
+            if before is None:
+                continue
+            flags, flags_before = reading.visible_flags(), before.visible_flags()
+            self.seen["pick-up"] += "carried" in flags and "carried" not in flags_before
+            self.seen["place-on"] += "carried" in flags_before and reading.on is not None
+            (x, y), (bx, by) = reading.position, before.position
+            self.seen["jump"] += max(abs(x - bx), abs(y - by)) > 1
+            self.seen["region change"] += reading.region != before.region
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["exact", "noise"])
+@pytest.mark.parametrize(
+    "name, seed", [(n, 0) for n in BUNDLED] + [(k, s) for k in ("crowded", "traffic") for s in (1, 2, 3)]
+)
+def test_the_carried_graph_equals_a_build_from_an_empty_carry_on_every_tick(monkeypatch, name, seed, noise):
+    """See `_CarryCheck`; a bundled run with noise takes seed 4."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    with _CarryCheck(RuleData.load_default().lexicon) as check:
+        if name in BUNDLED:
+            result = run_bundled(name, seed=4 if noise else seed, noise=noise)
+        else:
+            result = run_generated(name, seed, noise=noise)
+    assert check.ticks == result.runtime.world.tick + 1
+
+
+@st.composite
+def observation_runs(draw):
+    """Two to eight consecutive observations of up to 14 entities on grids
+    of 1x1 to 12x12, and a near_distance. On each tick each entity keeps
+    its reading object (most often), moves with `Reading.moved_to`, gets a
+    new reading (any support, carried or moving flag, occlusion, region
+    and contents) or leaves, and one that left may come back."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    names = [f"e{i:02d}" for i in range(draw(st.integers(1, 14)))]
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    region = st.sampled_from([None, "hall", "yard"])
+
+    def fresh_reading(name):
+        occluded = draw(st.booleans())
+        others = [n for n in names if n != name]
+        return Reading(
+            name,
+            draw(cell),
+            draw(region),
+            occluded,
+            None if occluded else {"category": draw(st.sampled_from(["cup", "box"]))},
+            None if occluded else frozenset(draw(st.sets(st.sampled_from(["carried", "moving", "hot"])))),
+            tuple(draw(st.lists(st.sampled_from(others), max_size=2, unique=True))) if others else (),
+            draw(st.none() | st.sampled_from(others)) if others else None,
+        )
+
+    run, last = [], {}
+    for tick in range(draw(st.integers(2, 8))):
+        readings = {}
+        for name in names:
+            before = last.get(name)
+            step = draw(st.sampled_from(["keep"] * 4 + ["move", "new", "leave"]))
+            if step == "leave":
+                continue
+            if before is None or step == "new":
+                readings[name] = fresh_reading(name)
+            elif step == "move":
+                readings[name] = before.moved_to(draw(cell), draw(region), tick)
+            else:
+                readings[name] = before
+        run.append(Observation(tick, readings))
+        last = readings
+    near_distance = draw(st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.5, 1e9]))
+    return run, near_distance
+
+
+def _partners(free, near_distance):
+    """Each free entity's partners by testing every pair: those it has a
+    Near or a cardinal fact about, in entity order."""
+    return {
+        a: [
+            b for b, (bx, by) in free.items()
+            if b != a and ((bx == ax) != (by == ay) or math.hypot(bx - ax, by - ay) < near_distance)
+        ]
+        for a, (ax, ay) in free.items()
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(observation_runs())
+def test_a_carry_moved_on_tick_by_tick_equals_an_empty_carry_on_each_tick(case):
+    """Fed one observation after another, a carry gives the lists and
+    `by_entity`, Fact for Fact in list order, the fresh facts, the kept
+    graph and the free cells that an empty carry gives from each
+    observation alone, whether readings stay, move, change, leave or come
+    back; and a partner table it keeps is the one every pair's test
+    gives."""
+    run, near_distance = case
+    lexicon = {"cup": ("drink",)}
+    carry, window = PerceivedGraph(), TemporalWindow(3)
+    for o in run:
+        ft, fc = extract_temporal(window, o), extract_conceptual(o, lexicon)
+        out = build_dimension_graphs(carry, o, ft, fc, near_distance)
+        empty = PerceivedGraph()
+        assert _graph_rows(out, _facts) == _graph_rows(build_dimension_graphs(empty, o, ft, fc, near_distance), _facts)
+        assert _facts(carry.fresh) == _facts(empty.fresh)
+        assert _facts(carry.graph.facts()) == _facts(empty.graph.facts())
+        assert all(carry.graph.by_relation().values())  # no group is left empty
+        assert carry.shown.keys() == o.readings.keys()
+        assert carry.free == empty.free
+        if carry.partners is not None:  # not left by a rebuild
+            assert carry.partners == _partners(carry.free, near_distance)
+
+
+# a fetch from one region into the other, a cart rolling across the
+# border and a lamp teleported across it
+CROSSING_REGIONS = """version 1
+grid 12 6
+region kitchen 0 0 5 5
+region hall 6 0 11 5
+agent robot1 0 5
+entity table1 9 2 category=table
+entity ball1 2 1 category=ball
+entity cart1 3 3 category=cart
+entity lamp1 11 5 category=lamp
+at 0 velocity cart1 1 0
+at 3 teleport lamp1 1 4
+task fetch object=ball1 to=table1
+"""
+
+
+def test_the_carry_checks_cover_both_pair_paths_and_every_kind_of_change(monkeypatch):
+    """The carried-graph checks saw, in runs without noise, the partner
+    table updated in place, a pick-up, a place-on, a teleport and a region
+    change; and, in a run with noise, the table rebuilt after the first
+    tick, when more than half the free entities moved."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    lexicon = RuleData.load_default().lexicon
+    with _CarryCheck(lexicon) as exact:
+        scenario = parse_scenario(CROSSING_REGIONS)
+        result = run_scenario(
+            scenario, EngineConfig(), seed=0, planner_factory=scripted_planner_factory,
+            scenario_text=CROSSING_REGIONS,
+        )
+        assert result.outcome == "success"
+        run_bundled("arrange")
+    for kind in ("incremental", "pick-up", "place-on", "jump", "region change"):
+        assert exact.seen[kind] > 0, kind
+    with _CarryCheck(lexicon) as noisy:
+        run_generated("crowded", 1, noise=True)
+    assert noisy.seen["rebuilt"] > 0
 
 
 def test_a_moved_reading_takes_over_what_its_position_does_not_change():
