@@ -17,11 +17,9 @@ list, the movement state to the temporal one, the rest is spatial):
   their pairwise relations are left to the composition table downstream,
 * free-standing entities get pairwise Near (< near_distance) and exact
   cardinal LeftOf/RightOf/Above/Below facts, computed from the two
-  readings' positions; the pairs tested are only those that can pass:
-  on a rebuild, those `_candidate_pairs` finds: a shared row, a shared
-  column, or less than near_distance apart on both axes; otherwise the
-  carried partners, with each entity that changed cell or free standing
-  tested against every free entity,
+  readings' positions; the pairs tested are only those that can pass,
+  found by `_candidate_pairs`: a shared row, a shared column, or less
+  than near_distance apart on both axes,
 * containment is sensed on the container: Contains(c, x) and Inside(x, c),
 * an open movement event yields has_state(e, moving).
 
@@ -58,18 +56,12 @@ that held it.
 Graph building carries its graph across ticks too (`PerceivedGraph`):
 the facts the latest readings keep (at, located_in, Contains, Inside and
 the conceptual facts), with the reading and concept record each entity's
-came from, the cell of each free-standing entity and the free entities
-each has a pairwise fact about. An entity whose reading and record are
-the ones carried costs an identity check; only a changed, new or gone
-one swaps its kept facts, and a moved reading swaps only what it made
-anew. Only the entities whose cell or free standing changed are tested
-again for pairwise facts, unless more than half the free entities did:
-then, as on the first tick, from an empty carry, the pairs come from
-`_candidate_pairs` and the partner table waits for a later tick that
-needs it, which fills an empty table. The fresh facts are made every
-tick, as above, and the tick's unified graph is a copy of the carried
-graph with them inserted, so nothing reasoning adds to it reaches the
-carry.
+came from. An entity whose reading and record are the ones carried costs
+an identity check; only a changed, new or gone one swaps its kept facts,
+and a moved reading swaps only what it made anew. The first tick is the
+same move from an empty carry. The fresh facts are made every tick, as
+above, and the tick's unified graph is a copy of the carried graph with
+them inserted, so nothing reasoning adds to it reaches the carry.
 
 Kept state is not a field: eq and repr ignore it, and a copy of a
 reading or an observation starts without it. It is kept in the instance
@@ -84,7 +76,6 @@ keyed by the observation's own entity keys.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields
@@ -413,20 +404,15 @@ class PerceivedGraph:
     observation: the facts its readings and their concept records keep,
     in one graph (`graph`); per entity, the reading and the record those
     facts came from, with the reading's spatial and the record's
-    conceptual facts (`shown`); the cell of each free-standing entity
-    (`free`) and, in entity order, the free entities it has a Near or
-    cardinal fact about (`partners`; None after a rebuild, until a tick
-    moves on from it); and the tick's fresh facts (`fresh`).
+    conceptual facts (`shown`); and the tick's fresh facts (`fresh`).
     `build_dimension_graphs` moves it on by one observation; a new carry
     is empty, and its first move builds everything."""
 
-    __slots__ = ("graph", "shown", "free", "partners", "fresh")
+    __slots__ = ("graph", "shown", "fresh")
 
     def __init__(self) -> None:
         self.graph = SemanticGraph()
         self.shown: dict[str, tuple[Reading, ConceptRecord | None, Sequence[Fact], Sequence[Fact]]] = {}
-        self.free: dict[str, tuple[int, int]] = {}
-        self.partners: dict[str, list[str]] | None = None
         self.fresh: list[Fact] = []
 
 
@@ -593,14 +579,6 @@ def build_dimension_graphs(
     tick. One walk over the readings makes all but the pairwise facts of
     the free-standing, and swaps in the carried graph the kept facts of
     each entity whose reading or record is not the one it carries.
-
-    The pairwise facts come from the carried partner table: only the
-    entities whose cell or free standing changed are tested again, against
-    every free entity. When more than half the free entities changed, they
-    are rebuilt from `_candidate_pairs` instead, as on the first tick,
-    from an empty carry, and the table is dropped: the next tick that
-    does not rebuild makes it again, every free entity joining an empty
-    table as one that changed.
     """
     tick = obs.tick
     readings = obs.readings
@@ -612,8 +590,7 @@ def build_dimension_graphs(
     fresh: list[Fact] = []
     by_entity: dict[str, list[Fact]] = {e: [] for e in entities}
     moving = {e.entity for e in ft.events if e.kind == "move" and not e.closed}
-    free: dict[str, tuple[int, int]] = {}
-    changed = []  # entities whose reading is not the carried one
+    free: list[str] = []
     for entity in entities:
         reading = readings[entity]
         record = records.get(entity)
@@ -627,7 +604,6 @@ def build_dimension_graphs(
             last_reading, last_record, last_spatial, last_conceptual = was or _UNSHOWN
             if last_reading is not reading:
                 graph.replace(last_spatial, spatial)
-                changed.append(entity)
             if last_record is not record:
                 graph.replace(last_conceptual, conceptual)
             shown[entity] = (reading, record, spatial, conceptual)
@@ -654,32 +630,17 @@ def build_dimension_graphs(
             fresh.append(fact)
             own.append(fact)
         elif "carried" not in reading.visible_flags():
-            free[entity] = reading.position
+            free.append(entity)
     if len(shown) > len(entities):  # an entity left the observation
         for entity in [e for e in shown if e not in readings]:
             _, _, last_spatial, last_conceptual = shown.pop(entity)
             graph.replace(last_spatial, _NO_FACTS)
             graph.replace(last_conceptual, _NO_FACTS)
-            changed.append(entity)
-
-    last_free = carry.free
-    carry.free = free
-    touched = [e for e in changed if free.get(e) != last_free.get(e)]
-    if 2 * len(touched) > len(free):  # rebuild; the table waits for a tick that needs it
-        carry.partners = None
-        names = list(free)
-        pairs = [(names[i], names[j]) for i, j in _candidate_pairs(list(free.values()), near_distance)]
-    else:
-        partners = carry.partners
-        if partners is None:  # after a rebuild: every free entity joins an empty table
-            partners = carry.partners = {}
-            touched = list(free)
-        if touched:
-            _move_partners(partners, free, touched, near_distance)
-        pairs = [(a, b) for a in free for b in partners[a]]
-    for a, b in pairs:
-        ax, ay = free[a]
-        bx, by = free[b]
+    positions = [readings[e].position for e in free]
+    for i, j in _candidate_pairs(positions, near_distance):
+        a, b = free[i], free[j]
+        ax, ay = positions[i]
+        bx, by = positions[j]
         dx, dy = bx - ax, by - ay
         if math.hypot(dx, dy) < near_distance:
             fact = Fact(a, "Near", b, 1.0, tick, _PERCEIVED)
@@ -694,37 +655,6 @@ def build_dimension_graphs(
             by_entity[a].append(fact)
     carry.fresh = fresh
     return t_facts, s_facts, c_facts, by_entity
-
-
-def _move_partners(
-    table: dict[str, list[str]],
-    free: dict[str, tuple[int, int]],
-    touched: list[str],
-    near_distance: float,
-) -> None:
-    """Update the partner `table` in place for `touched`, the entities whose
-    cell or free standing changed: each leaves its partners' lists, and
-    each still free is tested against every free entity and joins the
-    lists of the untouched partners it finds, in entity order. A pair is
-    partners when it gives a Near or a cardinal fact: closer than
-    `near_distance`, or on one row or one column but not one cell."""
-    moved = set(touched)
-    for entity in touched:
-        for partner in table.pop(entity, ()):
-            if partner not in moved:
-                table[partner].remove(entity)
-    for entity in touched:
-        cell = free.get(entity)
-        if cell is None:
-            continue
-        x, y = cell
-        found = table[entity] = []
-        for other, (ox, oy) in free.items():
-            dx, dy = ox - x, oy - y
-            if ((dx == 0) != (dy == 0) or math.hypot(dx, dy) < near_distance) and other != entity:
-                found.append(other)
-                if other not in moved:
-                    insort(table[other], entity)
 
 
 def _candidate_pairs(positions: list[tuple[int, int]], near_distance: float):

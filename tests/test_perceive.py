@@ -10,7 +10,6 @@ import gc
 import hashlib
 import inspect
 import json
-import math
 import os
 import pickle
 import random
@@ -1010,13 +1009,6 @@ def test_inherited_readings_imply_what_cold_readings_do(monkeypatch, name, noise
         assert inherited > 0
 
 
-def _free_cells(o: Observation) -> dict[str, tuple[int, int]]:
-    """The cell of each free-standing entity: on nothing and not carried."""
-    return {
-        e: r.position for e, r in o.readings.items() if r.on is None and "carried" not in r.visible_flags()
-    }
-
-
 class _CarryCheck:
     """Checks every tick of the runs made inside it against builds from an
     empty carry, through `perceive.build_dimension_graphs` and
@@ -1030,16 +1022,12 @@ class _CarryCheck:
     included), the one aggregated from the same-observation empty carry,
     and, tick aside, the cold one. At the next tick the carried graph must
     still hold exactly those kept facts, so nothing the tick adds to its
-    unified graph reaches the carry. The pairwise facts must come from a
-    rebuild, which leaves no partner table, exactly on the first tick and
-    on those where more than half the free entities changed cell or free
-    standing.
+    unified graph reaches the carry.
 
-    `seen` counts what the runs exercised: ticks after the first whose
-    pairs came from the partner table while some free entity changed
-    (`incremental`) or from a rebuild (`rebuilt`), pick-ups, place-ons,
-    jumps of more than one cell (a teleport, in a run without noise) and
-    region changes.
+    `seen` counts what the runs exercised: ticks after the first on which
+    the carry kept some entities' facts and swapped others' (`partial`)
+    or swapped every entity's (`all swapped`), pick-ups, place-ons, jumps of more than one cell (a teleport, in a run
+    without noise) and region changes.
     """
 
     def __init__(self, lexicon):
@@ -1060,7 +1048,6 @@ class _CarryCheck:
             else:
                 assert _facts(carry.graph.facts()) == state["kept"], o.tick
             out = build(carry, o, ft, fc, near_distance)
-            rebuilt = carry.partners is None  # a rebuild drops the table
             empty = PerceivedGraph()
             assert _graph_rows(out, _facts) == _graph_rows(build(empty, o, ft, fc, near_distance), _facts)
             cold, cold_carry = copy.deepcopy(o), PerceivedGraph()
@@ -1071,7 +1058,7 @@ class _CarryCheck:
                 _facts(aggregate(empty.graph, empty.fresh).graph.facts()),
                 _rows(aggregate(cold_carry.graph, cold_carry.fresh).graph.facts()),
             )
-            self._count(state["last"], o, rebuilt)
+            self._count(state["last"], o)
             state["last"] = o
             return out
 
@@ -1090,16 +1077,12 @@ class _CarryCheck:
     def __exit__(self, *exc):
         return self._stack.__exit__(*exc)
 
-    def _count(self, last, o, rebuilt):
-        free, last_free = _free_cells(o), {} if last is None else _free_cells(last)
-        changed = sum(free.get(e) != last_free.get(e) for e in free.keys() | last_free.keys())
-        assert rebuilt == (2 * changed > len(free)), o.tick
-        if last is None:  # a new run's first tick: a rebuild, from an empty carry
+    def _count(self, last, o):
+        if last is None:  # a new run's first tick, from an empty carry
             return
-        if rebuilt:
-            self.seen["rebuilt"] += 1
-        elif changed:
-            self.seen["incremental"] += 1
+        kept = sum(reading is last.readings.get(e) for e, reading in o.readings.items())
+        self.seen["partial"] += 0 < kept < max(len(o.readings), len(last.readings))
+        self.seen["all swapped"] += not kept
         for entity, reading in o.readings.items():
             before = last.readings.get(entity)
             if before is None:
@@ -1173,27 +1156,13 @@ def observation_runs(draw):
     return run, near_distance
 
 
-def _partners(free, near_distance):
-    """Each free entity's partners by testing every pair: those it has a
-    Near or a cardinal fact about, in entity order."""
-    return {
-        a: [
-            b for b, (bx, by) in free.items()
-            if b != a and ((bx == ax) != (by == ay) or math.hypot(bx - ax, by - ay) < near_distance)
-        ]
-        for a, (ax, ay) in free.items()
-    }
-
-
 @settings(max_examples=200, deadline=None)
 @given(observation_runs())
 def test_a_carry_moved_on_tick_by_tick_equals_an_empty_carry_on_each_tick(case):
     """Fed one observation after another, a carry gives the lists and
-    `by_entity`, Fact for Fact in list order, the fresh facts, the kept
-    graph and the free cells that an empty carry gives from each
-    observation alone, whether readings stay, move, change, leave or come
-    back; and a partner table it keeps is the one every pair's test
-    gives."""
+    `by_entity`, Fact for Fact in list order, the fresh facts and the kept
+    graph that an empty carry gives from each observation alone, whether
+    readings stay, move, change, leave or come back."""
     run, near_distance = case
     lexicon = {"cup": ("drink",)}
     carry, window = PerceivedGraph(), TemporalWindow(3)
@@ -1206,9 +1175,6 @@ def test_a_carry_moved_on_tick_by_tick_equals_an_empty_carry_on_each_tick(case):
         assert _facts(carry.graph.facts()) == _facts(empty.graph.facts())
         assert all(carry.graph.by_relation().values())  # no group is left empty
         assert carry.shown.keys() == o.readings.keys()
-        assert carry.free == empty.free
-        if carry.partners is not None:  # not left by a rebuild
-            assert carry.partners == _partners(carry.free, near_distance)
 
 
 # a fetch from one region into the other, a cart rolling across the
@@ -1228,11 +1194,11 @@ task fetch object=ball1 to=table1
 """
 
 
-def test_the_carry_checks_cover_both_pair_paths_and_every_kind_of_change(monkeypatch):
-    """The carried-graph checks saw, in runs without noise, the partner
-    table updated in place, a pick-up, a place-on, a teleport and a region
-    change; and, in a run with noise, the table rebuilt after the first
-    tick, when more than half the free entities moved."""
+def test_the_carry_checks_cover_a_partial_swap_and_every_kind_of_change(monkeypatch):
+    """The carried-graph checks saw, in runs without noise, a tick that
+    kept some entities' facts and swapped others', a pick-up, a place-on,
+    a teleport and a region change; and, in a run with noise, a tick after
+    the first that swapped every entity's facts."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     lexicon = RuleData.load_default().lexicon
     with _CarryCheck(lexicon) as exact:
@@ -1243,11 +1209,11 @@ def test_the_carry_checks_cover_both_pair_paths_and_every_kind_of_change(monkeyp
         )
         assert result.outcome == "success"
         run_bundled("arrange")
-    for kind in ("incremental", "pick-up", "place-on", "jump", "region change"):
+    for kind in ("partial", "pick-up", "place-on", "jump", "region change"):
         assert exact.seen[kind] > 0, kind
     with _CarryCheck(lexicon) as noisy:
         run_generated("crowded", 1, noise=True)
-    assert noisy.seen["rebuilt"] > 0
+    assert noisy.seen["all swapped"] > 0
 
 
 def test_a_moved_reading_takes_over_what_its_position_does_not_change():
